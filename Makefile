@@ -14,6 +14,7 @@ check: ## tier-1 + tier-2 + observability and fault-campaign smoke tests
 tier1: ## the hard floor: build + tests + static analysis
 	$(GO) build ./...
 	$(GO) test ./...
+	cd bench && $(GO) test .
 	$(MAKE) lint
 
 tier2: ## race detector + chaos-campaign survival and corpus replay
@@ -58,9 +59,9 @@ explore: ## DPOR-lite schedule exploration under a bounded schedule budget
 timetravel: ## snapshot a run mid-flight, restore by replay, verify byte identity
 	$(GO) run ./cmd/shootdownsim timetravel
 
-hostcost: ## host-cost attribution: per-site allocation table + validation (DESIGN.md §17)
+hostcost: ## host-cost attribution: per-function/package allocation tables + validation (DESIGN.md §17)
 	$(GO) run ./cmd/shootdownsim -hostcost /tmp/shootdown-hostcost.json hostcost >/dev/null
-	$(GO) run ./cmd/tlbtrace hostcost -validate /tmp/shootdown-hostcost.json
+	$(GO) run ./cmd/tlbtrace hostcost -validate -mincoverage 99 /tmp/shootdown-hostcost.json
 
 trend: ## benchmark trajectory across every BENCH_<n>.json, with provenance flags
 	$(GO) run ./scripts/benchreport trend

@@ -120,10 +120,11 @@ experiments:
               profiler, every shootdown's critical path reconstructed and
               its cost attributed to phases (pair with -profile <dir>)
   hostcost    Observability: host-cost attribution — real wall time and
-              heap bytes of the simulator itself, attributed to per-site
-              counters in the simulated packages, phase by phase (fig2,
-              table1, snapshot). -hostcost <file> writes the host-cost/v1
-              artifact; -hostprof <dir> adds cpu/heap pprof profiles
+              heap bytes of the simulator itself, every allocation charged
+              to the function and package that made it, phase by phase
+              (fig2, table1, snapshot). -hostcost <file> writes the
+              host-cost/v1 artifact; -hostprof <dir> adds cpu/heap pprof
+              profiles
   all         everything above
 
 flags:
@@ -325,9 +326,10 @@ func main() {
 			return r, r.Render(), err
 		}},
 		{"hostcost", func() (any, string, error) {
-			// The sampler reads the real clock, ReadMemStats, and pprof —
-			// all banned inside the simulated packages — so package main
-			// constructs it and injects it, like the wall clock above.
+			// The sampler reads the real clock, ReadMemStats, the memory
+			// profile, and pprof — all banned inside the simulated
+			// packages — so package main constructs it and injects it,
+			// like the wall clock above.
 			sampler := hostprof.NewSampler()
 			if *hostprofD != "" {
 				if err := sampler.StartProfiles(*hostprofD); err != nil {

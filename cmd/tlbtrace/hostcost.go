@@ -1,28 +1,24 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 
 	"shootdown/internal/hostprof"
 )
 
 // cmdHostCost renders and validates a host-cost/v1 artifact: the per-phase
-// host seconds / allocator deltas and the top-N allocation sites, with an
-// optional coverage gate against a `go test -bench` output file.
+// host seconds / allocator deltas and the top-N allocating functions and
+// packages, with an optional gate on how much of each phase's measured
+// bytes the memory profile attributed.
 func cmdHostCost(args []string) error {
 	fs := flag.NewFlagSet("hostcost", flag.ExitOnError)
-	top := fs.Int("top", 10, "allocation sites to print per report")
-	validate := fs.Bool("validate", false, "check the artifact's internal consistency (format tag, provenance, per-phase site sums, coverage recomputation)")
-	minCov := fs.Float64("mincoverage", 0, "fail unless exact-site coverage of the headline phase is at least this percentage")
-	benchFile := fs.String("bench", "", "go test -bench output file; fail unless the headline phase's counted bytes reach -mincoverage percent (default 80) of BenchmarkFig2BasicCost's measured B/op")
+	top := fs.Int("top", 10, "functions and packages to print per report")
+	validate := fs.Bool("validate", false, "check the artifact's internal consistency (format tag, provenance, per-phase row sums, coverage recomputation)")
+	minCov := fs.Float64("mincoverage", 0, "fail unless every phase attributes between this percentage and 200 minus it of its measured bytes (99 allows 1% either way)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: tlbtrace hostcost [-top N] [-validate] [-mincoverage pct] [-bench bench.txt] <host-cost.json>")
+		return fmt.Errorf("usage: tlbtrace hostcost [-top N] [-validate] [-mincoverage pct] <host-cost.json>")
 	}
 	r, err := hostprof.Load(fs.Arg(0))
 	if err != nil {
@@ -39,66 +35,9 @@ func cmdHostCost(args []string) error {
 		if err := r.CheckCoverage(*minCov); err != nil {
 			return fmt.Errorf("%s: %v", fs.Arg(0), err)
 		}
-		fmt.Printf("hostcost: coverage %.1f%% ≥ %.0f%% floor\n", r.CoveragePct, *minCov)
-	}
-	if *benchFile != "" {
-		floor := *minCov
-		if floor == 0 {
-			floor = 80
-		}
-		bop, err := benchBytesPerOp(*benchFile, "BenchmarkFig2BasicCost")
-		if err != nil {
-			return err
-		}
-		hp := r.HeadlinePhase()
-		if hp == nil {
-			return fmt.Errorf("%s: headline phase %q not in artifact", fs.Arg(0), r.Headline)
-		}
-		pct := 100 * float64(hp.CountedBytes) / float64(bop)
-		if pct < floor {
-			return fmt.Errorf("%s: headline phase %q counts %d B, only %.1f%% of BenchmarkFig2BasicCost's %d B/op (floor %.0f%%)",
-				fs.Arg(0), hp.Name, hp.CountedBytes, pct, bop, floor)
-		}
-		fmt.Printf("hostcost: headline counts %.1f%% of BenchmarkFig2BasicCost's %d B/op (floor %.0f%%)\n", pct, bop, floor)
+		fmt.Printf("hostcost: every phase attributes within %.0f%% of its measured bytes (headline %.2f%%)\n",
+			100-*minCov, r.CoveragePct)
 	}
 	fmt.Print(r.Render(*top))
 	return nil
-}
-
-// benchBytesPerOp extracts the B/op metric for the named benchmark from a
-// `go test -bench -benchmem` output file. Sub-benchmark suffixes
-// (Benchmark<name>-<GOMAXPROCS>) are matched; the first matching line wins.
-func benchBytesPerOp(path, name string) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], name) {
-			continue
-		}
-		// Name must be exact up to a -GOMAXPROCS suffix, not a prefix of a
-		// longer benchmark name.
-		if rest := fields[0][len(name):]; rest != "" && !strings.HasPrefix(rest, "-") {
-			continue
-		}
-		for i := 2; i < len(fields)-1; i++ {
-			if fields[i+1] == "B/op" {
-				v, err := strconv.ParseInt(fields[i], 10, 64)
-				if err != nil {
-					return 0, fmt.Errorf("%s: bad B/op value %q for %s", path, fields[i], name)
-				}
-				return v, nil
-			}
-		}
-		return 0, fmt.Errorf("%s: %s line has no B/op metric (run with -benchmem)", path, name)
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	return 0, fmt.Errorf("%s: no %s result found", path, name)
 }

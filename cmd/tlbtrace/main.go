@@ -52,13 +52,12 @@ commands:
   diff      <old> <new>
             align two profiled runs by shootdown identity and attribute
             the virtual-time delta to DAG edges
-  hostcost  [-top N] [-validate] [-mincoverage pct] [-bench bench.txt] <host-cost.json>
+  hostcost  [-top N] [-validate] [-mincoverage pct] <host-cost.json>
             render a host-cost/v1 artifact (shootdownsim -hostcost): per-
-            phase host seconds / allocator deltas and the top-N allocation
-            sites; -validate checks internal consistency, -mincoverage
-            gates on exact-site coverage, -bench additionally gates the
-            headline phase's counted bytes against BenchmarkFig2BasicCost's
-            measured B/op from a go test -bench -benchmem output file
+            phase host seconds / allocator deltas and the top-N allocating
+            functions and packages; -validate checks internal consistency,
+            -mincoverage fails unless every phase attributes within
+            100-pct percent of its measured bytes
 `)
 	os.Exit(2)
 }

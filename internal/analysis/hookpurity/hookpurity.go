@@ -17,7 +17,7 @@
 //     package (flight-recorder providers registered with
 //     Recorder.Register);
 //   - function literals assigned to observation fields: func-typed struct
-//     fields named On* (oracle.Oracle.OnViolation) or TraceFn.
+//     fields named On* (oracle.Oracle.OnViolation).
 //
 // A hook may freely write its own accumulators — state owned by the
 // observation packages (profile, trace, snap, stats, and the export
@@ -137,7 +137,7 @@ func (c *checker) findLitRoots(body ast.Node) {
 }
 
 // hookField reports whether an assignment target selects a func-typed
-// observation field (On* or TraceFn).
+// observation field (On*).
 func hookField(info *types.Info, lhs ast.Expr) (string, bool) {
 	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 	if !ok {
@@ -151,8 +151,7 @@ func hookField(info *types.Info, lhs ast.Expr) (string, bool) {
 		return "", false
 	}
 	name := v.Name()
-	if name == "TraceFn" || (strings.HasPrefix(name, "On") && len(name) > 2 &&
-		name[2] >= 'A' && name[2] <= 'Z') {
+	if strings.HasPrefix(name, "On") && len(name) > 2 && name[2] >= 'A' && name[2] <= 'Z' {
 		return name, true
 	}
 	return "", false

@@ -8,5 +8,5 @@ import (
 )
 
 func TestHookPurity(t *testing.T) {
-	analysistest.Run(t, "testdata", hookpurity.Analyzer, "hostprof", "sim", "oracle", "trace", "kernel")
+	analysistest.Run(t, "testdata", hookpurity.Analyzer, "sim", "oracle", "trace", "kernel")
 }

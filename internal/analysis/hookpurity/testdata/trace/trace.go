@@ -6,7 +6,6 @@ package trace
 import (
 	"time"
 
-	"lint.test/hostprof"
 	"lint.test/sim"
 )
 
@@ -32,11 +31,4 @@ func Peek(e *sim.Engine) int {
 // since recorded artifacts must be bit-identical across runs.
 func Stamp() int64 {
 	return time.Now().UnixNano() // want `Stamp must not read the host clock: calls time\.Now`
-}
-
-// CountExport attributes export bytes to a host-cost counter. hostprof
-// state is observation-owned — not in the live set — so the write inside
-// Add is allowed from a hook root.
-func CountExport(c *hostprof.Counters, n int64) {
-	c.Add(0, 1, n)
 }

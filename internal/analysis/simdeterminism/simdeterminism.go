@@ -11,11 +11,12 @@
 //     source; every RNG must be a *rand.Rand built from a seed that is
 //     part of the experiment configuration (rand.New(rand.NewSource(s))).
 //   - os.Getenv / os.LookupEnv make results depend on the host.
-//   - runtime.ReadMemStats and the runtime/pprof entry points observe the
-//     host heap and label OS threads; host-cost sampling belongs to
-//     internal/hostprof's Sampler, which only package main may construct
-//     (hostprof.NewSampler) and inject. The nil-safe hostprof.Counters
-//     increments are plain arithmetic and remain allowed.
+//   - runtime.ReadMemStats, runtime.MemProfile and the runtime/pprof entry
+//     points observe the host heap and label OS threads; host-cost sampling
+//     belongs to internal/hostprof's Sampler, which only package main may
+//     construct (hostprof.NewSampler) and inject. Simulated packages carry
+//     no host-cost code at all: the Sampler attributes allocations from the
+//     runtime's memory profile, outside the simulated code.
 //   - A `range` over a map whose body calls anything with observable
 //     effects (trace records, metric emission, rendered output, test
 //     assertions) publishes Go's randomized iteration order. Pure
@@ -59,6 +60,7 @@ var forbiddenFuncs = map[string]map[string]string{
 	},
 	"runtime": {
 		"ReadMemStats": "observes the host heap; host-cost sampling lives in hostprof.Sampler, injected from package main",
+		"MemProfile":   "reads the host allocation profile; host-cost sampling lives in hostprof.Sampler, injected from package main",
 	},
 	"runtime/pprof": {
 		"Do":                 "labels host profiling phases; use an injected hostprof.Sampler from package main",
@@ -106,11 +108,10 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 		return
 	}
-	// The hostprof package splits in two: nil-safe Counters (methods, so
-	// never reach this point) are deterministic and welcome anywhere, but
-	// the Sampler constructor pulls in wall-clock and heap observation and
-	// may only run in package main. Matched by path suffix so the fixture
-	// module's mirror package is caught too.
+	// The Sampler constructor pulls in wall-clock and heap observation and
+	// may only run in package main; methods on an injected sampler never
+	// reach this point. Matched by path suffix so the fixture module's
+	// mirror package is caught too.
 	if name == "NewSampler" && (pkg == "hostprof" || strings.HasSuffix(pkg, "/hostprof")) {
 		pass.Reportf(call.Pos(),
 			"call to %s.NewSampler in simulated code: samplers read the wall clock and host heap; construct one in package main and inject it",

@@ -41,7 +41,8 @@ func env() string {
 
 func hostHeap() uint64 {
 	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms) // want `call to runtime\.ReadMemStats in simulated code`
+	runtime.ReadMemStats(&ms)     // want `call to runtime\.ReadMemStats in simulated code`
+	runtime.MemProfile(nil, true) // want `call to runtime\.MemProfile in simulated code`
 	return ms.HeapAlloc
 }
 
@@ -56,10 +57,8 @@ func hostSamplerInSim() *hostprof.Sampler {
 	return hostprof.NewSampler() // want `call to lint\.test/hostprof\.NewSampler in simulated code`
 }
 
-func hostCountersAreFine(c *hostprof.Counters) {
-	c.Add(0, 1, 64) // ok: nil-safe counter increment, plain arithmetic
-	var s hostprof.Sampler
-	s.Phase("fig2", c, func() {}) // ok: method on an injected sampler
+func injectedSamplerIsFine(s *hostprof.Sampler) error {
+	return s.Phase("fig2", func() error { return nil }) // ok: method on an injected sampler
 }
 
 func mapOrderLeak(m map[string]int) {

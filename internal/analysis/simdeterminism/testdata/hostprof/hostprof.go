@@ -1,34 +1,14 @@
-// Package hostprof mirrors internal/hostprof for the fixtures: nil-safe
-// counters (plain arithmetic, fine in simulated code) and a host-side
-// sampler whose constructor the analyzer bans outside package main. The
-// ban matches the package by path suffix, so this lint.test/hostprof
-// mirror triggers it exactly like the real package.
+// Package hostprof mirrors internal/hostprof's Sampler for the fixtures:
+// its constructor is banned outside package main. The ban matches the
+// package by path suffix, so this lint.test/hostprof mirror triggers it
+// exactly like the real package.
 package hostprof
 
-// Site indexes one attributed allocation site.
-type Site int
-
-// Counters accumulates per-site op and byte counts; the zero of every
-// field is plain integers, so increments are deterministic.
-type Counters struct {
-	ops   [1]int64
-	bytes [1]int64
-}
-
-// Add records n ops and b bytes against a site; nil-safe.
-func (c *Counters) Add(site Site, n, b int64) {
-	if c == nil {
-		return
-	}
-	c.ops[0] += n
-	c.bytes[0] += b
-}
-
-// Sampler is the host-side half: wall clock, heap stats, pprof labels.
+// Sampler reads the wall clock, the host heap profile, and pprof labels.
 type Sampler struct{}
 
 // NewSampler constructs a sampler. Only package main may call this.
 func NewSampler() *Sampler { return &Sampler{} }
 
-// Phase runs fn under a host-cost phase label.
-func (s *Sampler) Phase(name string, c *Counters, fn func()) { fn() }
+// Phase runs fn as one measured host-cost phase.
+func (s *Sampler) Phase(name string, fn func() error) error { return fn() }

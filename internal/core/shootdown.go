@@ -28,7 +28,6 @@ package core
 import (
 	"fmt"
 
-	"shootdown/internal/hostprof"
 	"shootdown/internal/machine"
 	"shootdown/internal/mem"
 	"shootdown/internal/profile"
@@ -357,13 +356,6 @@ type Shootdown struct {
 	//snap:transient observation attachment, reattached by the session
 	Flight *trace.Recorder
 
-	// Host, when set, receives host allocation-cost tallies for the
-	// per-sync transient slices (wait/send lists, device waiters).
-	// Counting is plain integer arithmetic on the host side; it charges
-	// no virtual time and consumes no simulation randomness.
-	//snap:transient host-cost accounting, reattached by the session; never serialized
-	Host *hostprof.Counters
-
 	stats Stats
 	// recoveryUS records, for every wait the watchdog had to rescue, the
 	// virtual microseconds from the first timeout to quiescence.
@@ -606,7 +598,6 @@ func (s *Shootdown) syncDevices(ex *machine.Exec, op *Op) {
 	if len(devWaiters) == 0 {
 		return
 	}
-	s.Host.Add(hostprof.SiteCoreSync, 1, int64(len(devWaiters))*16)
 	s.stats.DevShootdowns++
 	s.Span.Begin(int64(ex.Now()), me, trace.CatShootdown, "shootdown-dev-wait", int64(len(devWaiters)), 0)
 	s.Prof.Push(int64(ex.Now()), me, profile.PhaseSpinBarrier)
@@ -682,9 +673,6 @@ func (s *Shootdown) Sync(ex *machine.Exec, op *Op, p Pmap, start, end ptable.VAd
 		sendList = append(sendList, cpu)
 	}
 	s.memberLock.Unlock(ex, mprev)
-	// Transient per-sync slices (waiters at 16 B, send list at 8 B each);
-	// amortized append growth makes this an estimate.
-	s.Host.Add(hostprof.SiteCoreSync, 1, int64(len(waitList))*16+int64(len(sendList))*8)
 
 	if len(waitList) > 0 {
 		// Register the responder set with the profiler before any IPI goes

@@ -15,10 +15,6 @@ type HostCostOptions struct {
 	// bans the constructor — and every other real-clock entry point —
 	// inside this package.
 	Sampler *hostprof.Sampler
-	// Runs is the Fig2 repetition count; the default 3 matches
-	// BenchmarkFig2BasicCost exactly, so the headline phase's measured
-	// bytes line up with the benchmark's B/op.
-	Runs int
 	// Commit, when set, is stamped into the artifact's provenance.
 	Commit string
 }
@@ -28,63 +24,52 @@ type HostCostResult struct {
 	Report *hostprof.Report
 }
 
-// Render prints the per-phase and top-site tables.
+// Render prints the per-phase, top-function, and top-package tables.
 func (r HostCostResult) Render() string { return r.Report.Render(10) }
 
 // snapPhasePauseStep matches the snapshot benchmarks' pause point, so the
 // snapshot phase measures the same mid-run world they do.
 const snapPhasePauseStep = 1000
 
+// hostCostFig2Runs is the fig2 phase's repetition count. It matches
+// BenchmarkFig2BasicCost, so the phase's measured bytes equal the
+// benchmark's B/op.
+const hostCostFig2Runs = 3
+
 // HostCost attributes the simulator's real heap and wall spend to its
-// subsystems. It runs three phases, each with fresh counters so a phase's
-// counted bytes compare against its own allocator delta:
+// functions and packages. It runs three phases, each attributed from the
+// runtime's memory profile against its own allocator delta:
 //
-//	fig2     — experiments.Fig2(seed, Runs): the headline phase. With the
-//	           default Runs it is byte-for-byte the body of
-//	           BenchmarkFig2BasicCost, so coverage (counted exact bytes /
-//	           measured bytes) is checked against the benchmark's B/op.
+//	fig2     — experiments.Fig2(seed, 3): the headline phase, byte-for-byte
+//	           the body of BenchmarkFig2BasicCost.
 //	table1   — experiments.Table1(seed): the lazy-evaluation workloads.
 //	snapshot — a paused churn world plus one whole-simulation snapshot,
 //	           the unit the shrinker and explorer amortize.
 //
-// The returned report names the top allocation sites — where a 10× host
+// The returned report names the top allocating functions — where a host
 // speed overhaul must aim first.
 func HostCost(seed int64, opts HostCostOptions, ins ...Instrument) (HostCostResult, error) {
 	var out HostCostResult
 	if opts.Sampler == nil {
 		return out, fmt.Errorf("hostcost: no sampler (construct hostprof.NewSampler in package main and inject it)")
 	}
-	runs := opts.Runs
-	if runs == 0 {
-		runs = 3
-	}
 	in := pick(ins)
+	phase := opts.Sampler.Phase
 
-	phase := func(name string, fn func(*hostprof.Counters) error) error {
-		c := &hostprof.Counters{}
-		return opts.Sampler.Phase(name, c, func() error { return fn(c) })
-	}
-
-	if err := phase("fig2", func(c *hostprof.Counters) error {
-		pin := in
-		pin.HostCost = c
-		_, err := Fig2(seed, runs, pin)
+	if err := phase("fig2", func() error {
+		_, err := Fig2(seed, hostCostFig2Runs, in)
 		return err
 	}); err != nil {
 		return out, fmt.Errorf("hostcost: fig2 phase: %w", err)
 	}
-	if err := phase("table1", func(c *hostprof.Counters) error {
-		pin := in
-		pin.HostCost = c
-		_, err := Table1(seed, pin)
+	if err := phase("table1", func() error {
+		_, err := Table1(seed, in)
 		return err
 	}); err != nil {
 		return out, fmt.Errorf("hostcost: table1 phase: %w", err)
 	}
-	if err := phase("snapshot", func(c *hostprof.Counters) error {
-		pin := in
-		pin.HostCost = c
-		k, err := workload.StartChurn(pin.app(workload.AppConfig{
+	if err := phase("snapshot", func() error {
+		k, err := workload.StartChurn(in.app(workload.AppConfig{
 			NCPUs: 4, Seed: seed, Scale: 0.5, Oracle: true,
 		}))
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
-	"shootdown/internal/hostprof"
 	"shootdown/internal/kernel"
 	"shootdown/internal/profile"
 	"shootdown/internal/trace"
@@ -47,11 +46,6 @@ type Instrument struct {
 	// the recorder's directory. Like the other hooks it charges no virtual
 	// time, so results are bit-identical with and without it.
 	Flight *trace.Recorder
-	// HostCost attaches host allocation-cost counters to every kernel the
-	// experiment builds (internal/hostprof). Counting is plain integer
-	// arithmetic, so counted results are bit-identical to uncounted ones
-	// (enforced by a perturbation test).
-	HostCost *hostprof.Counters
 }
 
 // pick flattens the optional variadic instrument parameter.
@@ -83,7 +77,6 @@ func (in Instrument) app(c workload.AppConfig) workload.AppConfig {
 	c.Oracle = in.Oracle
 	c.Profiler = in.Profiler
 	c.Flight = in.Flight
-	c.HostCost = in.HostCost
 	if in.Faults != nil && in.Faults.Enabled() && c.ShootdownOptions.WatchdogTimeout == 0 {
 		c.ShootdownOptions.WatchdogTimeout = defaultWatchdog.WatchdogTimeout
 		c.ShootdownOptions.WatchdogMaxRetries = defaultWatchdog.WatchdogMaxRetries
@@ -99,7 +92,6 @@ func (in Instrument) config(c kernel.Config) kernel.Config {
 	c.Oracle = in.Oracle
 	c.Profiler = in.Profiler
 	c.Flight = in.Flight
-	c.HostCost = in.HostCost
 	if in.Faults != nil && in.Faults.Enabled() {
 		c.Machine.Faults = fault.New(*in.Faults)
 		if c.Shootdown.WatchdogTimeout == 0 {

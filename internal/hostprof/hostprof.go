@@ -1,220 +1,152 @@
 // Package hostprof is the host-cost observability layer: it attributes
 // the simulator's *real* resource spend — heap bytes and wall time on the
-// machine running the simulation — to simulator subsystems, without
-// perturbing the simulation itself.
+// machine running the simulation — to the simulator's own functions and
+// packages, with no code in the simulated packages.
 //
 // Every other instrument in this repo (tracer, virtual-time profiler,
 // flight recorder) observes the simulated machine; hostprof turns the
-// instruments on the simulator. It has two halves with very different
-// rules:
+// instruments on the simulator. A Sampler runs each measured phase with
+// runtime.MemProfileRate = 1, so the runtime's memory profile records
+// every allocation with its call stack. The phase's profile delta is
+// charged to the innermost function of this module that made each
+// allocation, then rolled up by package. Nothing is sampled or estimated,
+// so the attributed bytes match the allocator's own TotalAlloc delta.
 //
-//   - Counters are deterministic-safe allocation/op tallies: plain
-//     per-site integers bumped at the known hot allocation sites inside
-//     the simulated packages (sim, machine, mem, core, trace, snap,
-//     kernel). Incrementing an integer reads no clock, draws no
-//     randomness, and charges no virtual time, so counted runs are
-//     byte-identical to uncounted ones. Counter fields living inside
-//     snapshot-bearing types are //snap:transient — they never appear on
-//     the snapshot wire and never feed a digest.
-//
-//   - The Sampler (sampler.go) reads the real clock, runtime.ReadMemStats,
-//     and runtime/pprof. Those calls are banned inside the simulated
-//     packages by the simdeterminism analyzer — including the Sampler's
-//     own entry points — so a Sampler can only be constructed by host-side
-//     code (package main) and injected, the same pattern as the shrink
-//     campaign's wall-clock injection.
-//
-// Sites carry either exact byte accounting (the allocation size is a
-// structural fact, e.g. an xpr ring is capacity × record size) or a
-// documented estimate (compiler-dependent costs like vararg boxing).
-// Coverage — the headline "how much of the measured spend do we explain" —
-// is computed from exact sites only, so an optimistic estimate can never
-// inflate it.
+// The Sampler reads the real clock, the runtime's allocator statistics
+// and memory profile, and runtime/pprof. The simdeterminism analyzer bans
+// those calls inside the simulated packages — including the Sampler's
+// constructor — so a Sampler can only be constructed by host-side code
+// (package main) and injected, the same pattern as the shrink campaign's
+// wall-clock injection.
 package hostprof
 
-// Site identifies one known hot allocation site in the simulator. The
-// list is ordered by package; adding a site means adding its SiteInfo
-// below (the array length is compile-time checked).
-type Site uint8
-
-// The known hot allocation sites.
-const (
-	// SiteXPRRing: kernel.New pre-allocates the xpr trace ring
-	// (TraceSize × record size) — the dominant allocation of every
-	// kernel build.
-	SiteXPRRing Site = iota
-	// SiteTraceRing: a session tracer / flight-recorder ring footprint,
-	// tallied when a kernel attaches it.
-	SiteTraceRing
-	// SiteTraceExport: trace ring copies made by Events() exports.
-	SiteTraceExport
-	// SiteMemBuild: mem.New frame-table and free-list construction.
-	SiteMemBuild
-	// SiteMemPages: lazily allocated 4 KB page-frame backing stores.
-	SiteMemPages
-	// SiteMachineBuild: machine.New per-CPU/TLB/device construction.
-	SiteMachineBuild
-	// SiteSimSpawn: sim.Engine.Spawn proc + channel + goroutine.
-	SiteSimSpawn
-	// SiteSimDispatch: per-step scheduler dispatch overhead (vararg
-	// boxing on the debug-trace call, resume handshake).
-	SiteSimDispatch
-	// SiteSimTieBreak: chaos tie-break candidate slices and sort state.
-	SiteSimTieBreak
-	// SiteCoreSync: shootdown initiator wait/send lists per Sync.
-	SiteCoreSync
-	// SiteSnapLayer: snapshot layer marshaling (bytes = wire size).
-	SiteSnapLayer
-	// NumSites bounds the enum; it is not a site.
-	NumSites
+import (
+	"runtime"
+	"sort"
+	"strings"
 )
 
-// SiteInfo is the static metadata of one site.
-type SiteInfo struct {
-	// Name is the stable identifier used in artifacts ("xpr-ring").
-	Name string
-	// Pkg is the owning package ("internal/kernel").
-	Pkg string
-	// Desc is a one-line description for rendered tables.
-	Desc string
-	// Exact reports whether the byte tally is structurally exact (counts
-	// toward coverage) or a documented estimate (reported, not covered).
-	Exact bool
-}
+const (
+	// modulePrefix is the import-path prefix of this module's packages;
+	// an allocation is charged to the innermost frame under it.
+	modulePrefix = "shootdown/"
+	// selfPrefix marks the sampler's own frames: its bookkeeping between
+	// the two profile reads is measurement overhead, never a site.
+	selfPrefix = "shootdown/internal/hostprof."
+)
 
-// siteInfos is indexed by Site; the array length pins completeness.
-var siteInfos = [NumSites]SiteInfo{
-	SiteXPRRing:      {"xpr-ring", "internal/kernel", "xpr trace ring pre-allocation (TraceSize × 56 B records)", true},
-	SiteTraceRing:    {"trace-ring", "internal/trace", "session tracer / flight ring footprint at kernel attach", false},
-	SiteTraceExport:  {"trace-export", "internal/trace", "trace ring copies made by Events() exports", true},
-	SiteMemBuild:     {"mem-build", "internal/mem", "physical-memory frame table + free list construction", false},
-	SiteMemPages:     {"mem-pages", "internal/mem", "lazily allocated 4 KB page-frame backing stores", true},
-	SiteMachineBuild: {"machine-build", "internal/machine", "per-CPU exec/TLB/device construction", false},
-	SiteSimSpawn:     {"sim-spawn", "internal/sim", "proc struct + resume channel per Spawn (goroutine stack excluded)", false},
-	SiteSimDispatch:  {"sim-dispatch", "internal/sim", "per-step scheduler dispatch (vararg boxing on the debug trace)", false},
-	SiteSimTieBreak:  {"sim-tiebreak", "internal/sim", "chaos tie-break candidate slice + sort per contested pop", false},
-	SiteCoreSync:     {"core-sync", "internal/core", "initiator wait/send/device-waiter lists per shootdown Sync", false},
-	SiteSnapLayer:    {"snap-layer", "internal/snap", "snapshot layer marshal (bytes = wire size)", true},
-}
+// allocs is one stack's cumulative allocation tally.
+type allocs struct{ bytes, objects int64 }
 
-// Info returns the site's static metadata.
-func (s Site) Info() SiteInfo {
-	if s >= NumSites {
-		return SiteInfo{Name: "unknown", Pkg: "?", Desc: "out-of-range site"}
-	}
-	return siteInfos[s]
-}
-
-// String returns the site's stable artifact name.
-func (s Site) String() string { return s.Info().Name }
-
-// Counters is one run's per-site allocation/op tally. The zero value is
-// ready to use; a nil *Counters is the valid "counting disabled" value —
-// every method is a no-op on it, so instrumented code needs no nil checks.
-//
-// Counters are per-instance (threaded through a kernel build like the
-// tracer), never package globals: parallel tests each own their counters,
-// so the race detector stays quiet and counts never bleed across runs.
-type Counters struct {
-	counts [NumSites]int64
-	bytes  [NumSites]int64
-}
-
-// Add tallies n operations and b bytes against site s. It is the only
-// call simulated packages make into hostprof: integer arithmetic, no
-// clock, no randomness, no virtual time.
-func (c *Counters) Add(s Site, n, b int64) {
-	if c == nil || s >= NumSites {
-		return
-	}
-	c.counts[s] += n
-	c.bytes[s] += b
-}
-
-// Site returns the tally recorded against s.
-func (c *Counters) Site(s Site) (n, b int64) {
-	if c == nil || s >= NumSites {
-		return 0, 0
-	}
-	return c.counts[s], c.bytes[s]
-}
-
-// CountedBytes returns the byte total over exact sites only — the
-// coverage numerator. Estimated sites are excluded so an optimistic
-// estimate can never inflate coverage.
-func (c *Counters) CountedBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	var total int64
-	for s := Site(0); s < NumSites; s++ {
-		if siteInfos[s].Exact {
-			total += c.bytes[s]
+// memProfile returns the runtime's cumulative memory profile summed per
+// call stack. The runtime keys its records by stack and allocation size,
+// so one stack can span several records.
+func memProfile() map[[32]uintptr]allocs {
+	n, _ := runtime.MemProfile(nil, true)
+	var recs []runtime.MemProfileRecord
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
 		}
 	}
-	return total
-}
-
-// TotalOps returns the operation total over all sites.
-func (c *Counters) TotalOps() int64 {
-	if c == nil {
-		return 0
-	}
-	var total int64
-	for s := Site(0); s < NumSites; s++ {
-		total += c.counts[s]
-	}
-	return total
-}
-
-// Reset zeroes every tally.
-func (c *Counters) Reset() {
-	if c == nil {
-		return
-	}
-	c.counts = [NumSites]int64{}
-	c.bytes = [NumSites]int64{}
-}
-
-// Export renders the non-zero sites as artifact rows, ordered by bytes
-// descending (count, then site order, break ties) — deterministic given
-// deterministic counts.
-func (c *Counters) Export() []SiteCost {
-	if c == nil {
-		return nil
-	}
-	var out []SiteCost
-	for s := Site(0); s < NumSites; s++ {
-		if c.counts[s] == 0 && c.bytes[s] == 0 {
-			continue
-		}
-		info := siteInfos[s]
-		out = append(out, SiteCost{
-			Site:    info.Name,
-			Package: info.Pkg,
-			Desc:    info.Desc,
-			Count:   c.counts[s],
-			Bytes:   c.bytes[s],
-			Exact:   info.Exact,
-		})
-	}
-	// Insertion sort by (bytes desc, count desc, name): n ≤ NumSites.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && costLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	out := make(map[[32]uintptr]allocs, n)
+	for _, r := range recs[:n] {
+		a := out[r.Stack0]
+		a.bytes += r.AllocBytes
+		a.objects += r.AllocObjects
+		out[r.Stack0] = a
 	}
 	return out
 }
 
-// costLess orders site rows: bytes descending, then count descending,
-// then name ascending.
-func costLess(a, b SiteCost) bool {
-	if a.Bytes != b.Bytes {
-		return a.Bytes > b.Bytes
+// attribute charges the allocations recorded between two memory profiles
+// to the innermost module function on each stack, and rolls those rows up
+// by package. Both tables are ordered by bytes descending. Stacks with no
+// module frame in their recorded prefix stay unattributed.
+func attribute(before, after map[[32]uintptr]allocs) (funcs, pkgs []SiteCost) {
+	byFunc := map[string]*SiteCost{}
+	byPkg := map[string]*SiteCost{}
+	add := func(m map[string]*SiteCost, site, pkg string, d allocs) {
+		row := m[site]
+		if row == nil {
+			row = &SiteCost{Site: site, Package: pkg}
+			m[site] = row
+		}
+		row.Count += d.objects
+		row.Bytes += d.bytes
 	}
-	if a.Count != b.Count {
-		return a.Count > b.Count
+	for stk, a := range after {
+		d := allocs{a.bytes - before[stk].bytes, a.objects - before[stk].objects}
+		if d.bytes == 0 && d.objects == 0 {
+			continue
+		}
+		fn := siteOf(stk)
+		if fn == "" {
+			continue
+		}
+		pkg := packageOf(fn)
+		add(byFunc, fn, pkg, d)
+		add(byPkg, pkg, pkg, d)
 	}
-	return a.Site < b.Site
+	return sorted(byFunc), sorted(byPkg)
+}
+
+// siteOf resolves a profile stack to its innermost module function, or ""
+// when the stack has none or belongs to the sampler itself.
+func siteOf(stk [32]uintptr) string {
+	pcs := stk[:]
+	for i, pc := range pcs {
+		if pc == 0 {
+			pcs = pcs[:i]
+			break
+		}
+	}
+	frames := runtime.CallersFrames(pcs)
+	for {
+		f, more := frames.Next()
+		if strings.HasPrefix(f.Function, modulePrefix) {
+			if strings.HasPrefix(f.Function, selfPrefix) {
+				return ""
+			}
+			return f.Function
+		}
+		if !more {
+			return ""
+		}
+	}
+}
+
+// packageOf returns the import path of a fully qualified function name:
+// "shootdown/internal/sim.(*Engine).run" → "shootdown/internal/sim".
+func packageOf(fn string) string {
+	if i := strings.IndexByte(fn, '['); i >= 0 {
+		fn = fn[:i] // type arguments may contain paths of their own
+	}
+	slash := strings.LastIndexByte(fn, '/')
+	if dot := strings.IndexByte(fn[slash+1:], '.'); dot >= 0 {
+		return fn[:slash+1+dot]
+	}
+	return fn
+}
+
+// sorted flattens a row map ordered by bytes descending, then count
+// descending, then name.
+func sorted(m map[string]*SiteCost) []SiteCost {
+	out := make([]SiteCost, 0, len(m))
+	for _, row := range m {
+		out = append(out, *row)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Bytes != b.Bytes {
+			return a.Bytes > b.Bytes
+		}
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		return a.Site < b.Site
+	})
+	return out
 }

@@ -1,86 +1,79 @@
-package hostprof
+package hostprof_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"shootdown/internal/hostprof"
 )
 
-func TestCountersNilSafe(t *testing.T) {
-	var c *Counters
-	c.Add(SiteXPRRing, 1, 100) // must not panic
-	c.Reset()
-	if n, b := c.Site(SiteXPRRing); n != 0 || b != 0 {
-		t.Fatalf("nil counters report %d/%d", n, b)
-	}
-	if c.CountedBytes() != 0 || c.TotalOps() != 0 || c.Export() != nil {
-		t.Fatal("nil counters must read as empty")
-	}
-}
+// sink keeps phase allocations alive past any compiler cleverness.
+var sink []byte
 
-func TestCountersTalliesAndCoverageNumerator(t *testing.T) {
-	c := &Counters{}
-	c.Add(SiteXPRRing, 2, 1000)    // exact
-	c.Add(SiteSnapLayer, 3, 300)   // exact
-	c.Add(SiteSimDispatch, 50, 99) // estimate: excluded from CountedBytes
-	if n, b := c.Site(SiteXPRRing); n != 2 || b != 1000 {
-		t.Fatalf("xpr site = %d/%d", n, b)
-	}
-	if got := c.CountedBytes(); got != 1300 {
-		t.Fatalf("CountedBytes = %d, want 1300 (estimates excluded)", got)
-	}
-	if got := c.TotalOps(); got != 55 {
-		t.Fatalf("TotalOps = %d, want 55", got)
-	}
-	ex := c.Export()
-	if len(ex) != 3 {
-		t.Fatalf("Export len = %d, want 3", len(ex))
-	}
-	// Ordered by bytes descending.
-	if ex[0].Site != "xpr-ring" || ex[1].Site != "snap-layer" || ex[2].Site != "sim-dispatch" {
-		t.Fatalf("Export order = %s, %s, %s", ex[0].Site, ex[1].Site, ex[2].Site)
-	}
-	if !ex[0].Exact || ex[2].Exact {
-		t.Fatal("exactness flags wrong in export")
-	}
-	c.Reset()
-	if c.TotalOps() != 0 || c.Export() != nil {
-		t.Fatal("Reset did not clear tallies")
-	}
-}
+// allocMiB is the named helper the attribution test expects to find at
+// the top of the phase's function table.
+func allocMiB() { sink = make([]byte, 1<<20) }
 
-func TestSiteInfoComplete(t *testing.T) {
-	seen := map[string]bool{}
-	for s := Site(0); s < NumSites; s++ {
-		info := s.Info()
-		if info.Name == "" || info.Pkg == "" || info.Desc == "" {
-			t.Fatalf("site %d has incomplete metadata: %+v", s, info)
-		}
-		if seen[info.Name] {
-			t.Fatalf("duplicate site name %q", info.Name)
-		}
-		seen[info.Name] = true
+const allocMiBName = "shootdown/internal/hostprof_test.allocMiB"
+
+// TestPhaseAttributesExactly pins the sampler's contract: with every
+// allocation profiled, a helper's allocation is charged to that helper,
+// the attributed total matches the allocator's TotalAlloc delta, and the
+// profiling rate is restored whether the phase succeeds or fails.
+func TestPhaseAttributesExactly(t *testing.T) {
+	rate := runtime.MemProfileRate
+	s := hostprof.NewSampler()
+	if err := s.Phase("alloc", func() error {
+		allocMiB()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := Site(200).Info().Name; got != "unknown" {
-		t.Fatalf("out-of-range site name = %q", got)
+	if runtime.MemProfileRate != rate {
+		t.Fatalf("MemProfileRate = %d after a phase, want %d restored", runtime.MemProfileRate, rate)
+	}
+	if err := s.Phase("bad", func() error { return os.ErrClosed }); err != os.ErrClosed {
+		t.Fatalf("Phase returned %v, want %v", err, os.ErrClosed)
+	}
+	if runtime.MemProfileRate != rate {
+		t.Fatalf("MemProfileRate = %d after a failing phase, want %d restored", runtime.MemProfileRate, rate)
+	}
+
+	p := s.Phases()[0]
+	var helper int64
+	for _, sc := range p.Sites {
+		if sc.Site == allocMiBName {
+			helper = sc.Bytes
+			if sc.Package != "shootdown/internal/hostprof_test" {
+				t.Errorf("helper row package = %q", sc.Package)
+			}
+		}
+	}
+	if helper < 1<<20 {
+		t.Fatalf("%s attributed %d bytes, want at least 1 MiB; sites: %+v", allocMiBName, helper, p.Sites)
+	}
+	if p.Sites[0].Site != allocMiBName {
+		t.Errorf("top site = %q, want %q", p.Sites[0].Site, allocMiBName)
+	}
+	if diff := p.CountedBytes - p.MeasuredBytes; diff*100 > p.MeasuredBytes || -diff*100 > p.MeasuredBytes {
+		t.Fatalf("attributed %d bytes, measured %d: more than 1%% apart", p.CountedBytes, p.MeasuredBytes)
 	}
 }
 
 func TestSamplerPhasesAndReport(t *testing.T) {
-	s := NewSampler()
-	c := &Counters{}
-	err := s.Phase("alloc", c, func() error {
-		sink = make([]byte, 1<<20)
-		c.Add(SiteXPRRing, 1, 1<<20)
+	s := hostprof.NewSampler()
+	if err := s.Phase("alloc", func() error {
+		allocMiB()
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Phase("idle", nil, func() error { return nil }); err != nil {
+	if err := s.Phase("idle", func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	r, err := s.Report("alloc")
@@ -97,36 +90,27 @@ func TestSamplerPhasesAndReport(t *testing.T) {
 	if hp.MeasuredBytes < 1<<20 {
 		t.Fatalf("measured %d bytes, expected at least the 1 MB allocation", hp.MeasuredBytes)
 	}
-	if hp.CountedBytes != 1<<20 {
-		t.Fatalf("counted %d bytes, want %d", hp.CountedBytes, 1<<20)
+	if len(hp.Packages) == 0 || hp.Packages[0].Site != "shootdown/internal/hostprof_test" {
+		t.Fatalf("package table does not lead with the test package: %+v", hp.Packages)
 	}
-	if r.CoveragePct <= 0 || r.CoveragePct > 100.5 {
-		t.Fatalf("coverage %.1f%% out of range", r.CoveragePct)
-	}
-	if err := r.CheckCoverage(r.CoveragePct - 1); err != nil {
-		t.Fatalf("coverage floor below actual must pass: %v", err)
-	}
-	if err := r.CheckCoverage(100.5); err == nil {
-		t.Fatal("coverage floor above actual must fail")
+	if r.CoveragePct < 99 || r.CoveragePct > 101 {
+		t.Fatalf("coverage %.2f%% out of range", r.CoveragePct)
 	}
 	if r.GoVersion == "" || r.GOMAXPROCS <= 0 || r.NumCPU <= 0 {
 		t.Fatalf("missing provenance: %+v", r.Provenance)
 	}
 	out := r.Render(10)
-	for _, want := range []string{"host-cost/v1", "alloc", "«headline»", "xpr-ring"} {
+	for _, want := range []string{"host-cost/v1", "alloc", "«headline»", allocMiBName, "top 1 allocating packages"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// sink keeps phase allocations alive past any compiler cleverness.
-var sink []byte
-
 func TestSamplerPhaseErrorRecorded(t *testing.T) {
-	s := NewSampler()
+	s := hostprof.NewSampler()
 	wantErr := os.ErrClosed
-	if err := s.Phase("bad", nil, func() error { return wantErr }); err != wantErr {
+	if err := s.Phase("bad", func() error { return wantErr }); err != wantErr {
 		t.Fatalf("Phase returned %v, want %v", err, wantErr)
 	}
 	if got := s.Phases(); len(got) != 1 || got[0].Err == "" {
@@ -138,10 +122,9 @@ func TestSamplerPhaseErrorRecorded(t *testing.T) {
 }
 
 func TestReportRoundTripAndValidateFailures(t *testing.T) {
-	s := NewSampler()
-	c := &Counters{}
-	if err := s.Phase("p", c, func() error {
-		c.Add(SiteSnapLayer, 1, 64)
+	s := hostprof.NewSampler()
+	if err := s.Phase("p", func() error {
+		allocMiB()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -149,6 +132,9 @@ func TestReportRoundTripAndValidateFailures(t *testing.T) {
 	r, err := s.Report("p")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := r.CheckCoverage(99); err != nil {
+		t.Fatalf("exact attribution fails the 99%% band: %v", err)
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hostcost.json")
@@ -159,7 +145,7 @@ func TestReportRoundTripAndValidateFailures(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := hostprof.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,36 +153,41 @@ func TestReportRoundTripAndValidateFailures(t *testing.T) {
 		t.Fatalf("round-tripped report fails validation: %v", err)
 	}
 
-	corrupt := func(mut func(*Report)) *Report {
-		var cp Report
+	corrupt := func(mut func(*hostprof.Report)) *hostprof.Report {
+		var cp hostprof.Report
 		if err := json.Unmarshal(buf.Bytes(), &cp); err != nil {
 			t.Fatal(err)
 		}
 		mut(&cp)
 		return &cp
 	}
-	cases := map[string]*Report{
-		"bad format":        corrupt(func(r *Report) { r.Format = "host-cost/v0" }),
-		"no phases":         corrupt(func(r *Report) { r.Phases = nil }),
-		"bad headline":      corrupt(func(r *Report) { r.Headline = "nope" }),
-		"counted mismatch":  corrupt(func(r *Report) { r.Phases[0].CountedBytes += 7 }),
-		"coverage mismatch": corrupt(func(r *Report) { r.CoveragePct += 50 }),
-		"no provenance":     corrupt(func(r *Report) { r.GoVersion = "" }),
+	cases := map[string]*hostprof.Report{
+		"bad format":        corrupt(func(r *hostprof.Report) { r.Format = "host-cost/v0" }),
+		"no phases":         corrupt(func(r *hostprof.Report) { r.Phases = nil }),
+		"bad headline":      corrupt(func(r *hostprof.Report) { r.Headline = "nope" }),
+		"counted mismatch":  corrupt(func(r *hostprof.Report) { r.Phases[0].CountedBytes += 7 }),
+		"package mismatch":  corrupt(func(r *hostprof.Report) { r.Phases[0].Packages[0].Bytes += 7 }),
+		"coverage mismatch": corrupt(func(r *hostprof.Report) { r.CoveragePct += 50 }),
+		"no provenance":     corrupt(func(r *hostprof.Report) { r.GoVersion = "" }),
 	}
 	for name, bad := range cases {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: Validate passed, want failure", name)
 		}
 	}
+	under := corrupt(func(r *hostprof.Report) { r.Phases[0].MeasuredBytes *= 2 })
+	if err := under.CheckCoverage(99); err == nil {
+		t.Error("a phase attributing half its bytes passes the 99% band")
+	}
 }
 
 func TestSamplerProfiles(t *testing.T) {
-	s := NewSampler()
+	s := hostprof.NewSampler()
 	dir := t.TempDir()
 	if err := s.StartProfiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Phase("work", nil, func() error {
+	if err := s.Phase("work", func() error {
 		for i := 0; i < 1000; i++ {
 			sink = append(sink[:0], byte(i))
 		}

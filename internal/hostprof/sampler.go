@@ -1,11 +1,11 @@
 package hostprof
 
-// The Sampler is the host-side half of hostprof: real clock, real
-// allocator statistics, real pprof. None of this may run inside the
-// simulated packages — the simdeterminism analyzer bans runtime/pprof,
-// runtime.ReadMemStats, and this package's constructors there — so a
-// Sampler is built by package main and injected, exactly like the shrink
-// campaign's wall-clock injection.
+// The Sampler is hostprof's only entry point: real clock, real allocator
+// statistics, the runtime's memory profile, real pprof. None of this may
+// run inside the simulated packages — the simdeterminism analyzer bans
+// runtime/pprof, runtime.ReadMemStats, runtime.MemProfile, and this
+// package's constructor there — so a Sampler is built by package main and
+// injected, exactly like the shrink campaign's wall-clock injection.
 
 import (
 	"context"
@@ -18,9 +18,10 @@ import (
 )
 
 // Sampler measures phases of a host process: wall time, allocator deltas
-// (runtime.ReadMemStats TotalAlloc/Mallocs), and the per-site counter
-// tallies the phase accumulated. Each phase runs under a pprof label
-// (phase=<name>), so externally captured CPU profiles slice by phase.
+// (runtime.ReadMemStats TotalAlloc/Mallocs), and the per-function and
+// per-package attribution of every allocation the phase made. Each phase
+// runs under a pprof label (phase=<name>), so externally captured CPU
+// profiles slice by phase.
 type Sampler struct {
 	phases []PhaseCost
 
@@ -32,28 +33,41 @@ type Sampler struct {
 // simdeterminism analyzer flags this call inside simulated packages.
 func NewSampler() *Sampler { return &Sampler{} }
 
-// Phase runs fn under the pprof label phase=<name> and records its wall
-// seconds, allocator deltas, and the counters' site tallies. The counters
-// may be nil (a pure timing phase). fn's error aborts the phase and is
-// returned; the phase is still recorded so partial runs stay attributable.
-func (s *Sampler) Phase(name string, c *Counters, fn func() error) error {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// Phase runs fn under the pprof label phase=<name> with every allocation
+// profiled (runtime.MemProfileRate = 1, restored on return), and records
+// its wall seconds, allocator deltas, and attribution tables. Wall seconds
+// therefore include the cost of full allocation profiling. fn's error
+// aborts the phase and is returned; the phase is still recorded so partial
+// runs stay attributable.
+func (s *Sampler) Phase(name string, fn func() error) error {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	// A GC publishes every allocation made so far to the memory profile,
+	// so the two reads bracket exactly the phase's allocations.
+	runtime.GC()
+	before := memProfile()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	var err error
 	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) {
 		err = fn()
 	})
 	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
+	runtime.ReadMemStats(&ms1)
+	runtime.GC()
+	sites, pkgs := attribute(before, memProfile())
 	pc := PhaseCost{
 		Name:          name,
 		WallSeconds:   wall.Seconds(),
-		MeasuredBytes: int64(after.TotalAlloc - before.TotalAlloc),
-		Mallocs:       int64(after.Mallocs - before.Mallocs),
-		CountedBytes:  c.CountedBytes(),
-		CountedOps:    c.TotalOps(),
-		Sites:         c.Export(),
+		MeasuredBytes: int64(ms1.TotalAlloc - ms0.TotalAlloc),
+		Mallocs:       int64(ms1.Mallocs - ms0.Mallocs),
+		Sites:         sites,
+		Packages:      pkgs,
+	}
+	for _, p := range pkgs {
+		pc.CountedBytes += p.Bytes
+		pc.CountedOps += p.Count
 	}
 	if err != nil {
 		pc.Err = err.Error()
@@ -110,8 +124,8 @@ func (s *Sampler) StopProfiles() error {
 }
 
 // Report seals the sampler into a host-cost/v1 artifact. headline names
-// the phase coverage is computed on (counted exact bytes / measured
-// bytes); it must be one of the recorded phases.
+// the phase coverage is computed on (attributed bytes / measured bytes);
+// it must be one of the recorded phases.
 func (s *Sampler) Report(headline string) (*Report, error) {
 	if len(s.phases) == 0 {
 		return nil, fmt.Errorf("hostprof: no phases recorded")
@@ -126,12 +140,10 @@ func (s *Sampler) Report(headline string) (*Report, error) {
 		Headline: headline,
 		Phases:   s.phases,
 	}
-	hp := r.phase(headline)
+	hp := r.HeadlinePhase()
 	if hp == nil {
 		return nil, fmt.Errorf("hostprof: headline phase %q not recorded", headline)
 	}
-	if hp.MeasuredBytes > 0 {
-		r.CoveragePct = 100 * float64(hp.CountedBytes) / float64(hp.MeasuredBytes)
-	}
+	r.CoveragePct = hp.coverage()
 	return r, nil
 }

@@ -13,7 +13,6 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
-	"shootdown/internal/hostprof"
 	"shootdown/internal/machine"
 	"shootdown/internal/oracle"
 	"shootdown/internal/pmap"
@@ -85,13 +84,6 @@ type Config struct {
 	// no Tracer is configured the recorder's own ring becomes the kernel's
 	// tracer, so black boxes always carry recent events.
 	Flight *trace.Recorder
-	// HostCost, when set, receives host allocation-cost tallies from the
-	// simulator's known hot sites (xpr ring, machine build, frame
-	// allocations, per-sync slices, snapshot layers). Counting is plain
-	// integer arithmetic: it charges no virtual time, consumes no
-	// simulation randomness, and leaves every deterministic artifact
-	// byte-identical (enforced by a perturbation test).
-	HostCost *hostprof.Counters
 }
 
 func (c Config) withDefaults() Config {
@@ -168,9 +160,6 @@ func New(cfg Config) (*Kernel, error) {
 	if len(cfg.ForcedTies) > 0 {
 		eng.SetForcedTies(cfg.ForcedTies)
 	}
-	eng.SetHostCounters(cfg.HostCost)
-	cfg.Tracer.SetHostCounters(cfg.HostCost)
-	cfg.Machine.HostCost = cfg.HostCost
 	m := machine.New(eng, cfg.Machine)
 	if cfg.Tracer != nil {
 		m.SetTracer(cfg.Tracer)
@@ -190,9 +179,6 @@ func New(cfg Config) (*Kernel, error) {
 		current:   make([]*Thread, m.NumCPUs()),
 		Trace:     xpr.New(cfg.TraceSize),
 	}
-	// The xpr ring is the dominant allocation of every kernel build:
-	// exactly TraceSize fixed-size records.
-	cfg.HostCost.Add(hostprof.SiteXPRRing, 1, int64(cfg.TraceSize)*xpr.EventBytes)
 	if cfg.TraceOff {
 		k.Trace.Off()
 	}
@@ -214,7 +200,6 @@ func New(cfg Config) (*Kernel, error) {
 		sd.Trace = k.Trace
 		sd.Span = cfg.Tracer
 		sd.Prof = cfg.Profiler
-		sd.Host = cfg.HostCost
 		k.Shoot = sd
 		strat = sd
 	}
@@ -326,7 +311,6 @@ func (k *Kernel) registerFlight(fr *trace.Recorder) {
 // the capture is retained for the flight recorder's "snapshots" provider.
 func (k *Kernel) Snapshot() (*snap.Snapshot, error) {
 	s := snap.New(k.Eng.StepCount(), int64(k.Eng.Now()), nil)
-	s.SetHostCounters(k.cfg.HostCost)
 	add := func(name string, v any) error { return s.AddLayer(name, v) }
 	if err := add("engine", k.Eng.Snapshot()); err != nil {
 		return nil, err

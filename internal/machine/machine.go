@@ -15,10 +15,8 @@ package machine
 import (
 	"fmt"
 	"math/rand"
-	"unsafe"
 
 	"shootdown/internal/fault"
-	"shootdown/internal/hostprof"
 	"shootdown/internal/mem"
 	"shootdown/internal/profile"
 	"shootdown/internal/ptable"
@@ -133,11 +131,6 @@ type Options struct {
 	// before failing, which the consistency oracle must catch. Used only
 	// to validate the oracle and the chaos shrinker.
 	SkipReviveFlush bool
-	// HostCost, when set, receives host allocation-cost tallies for the
-	// machine build (CPU/TLB/device footprints) and frame-backing
-	// allocations. Counting is plain integer arithmetic on the host side;
-	// it never touches virtual time or simulation randomness.
-	HostCost *hostprof.Counters
 }
 
 func (o Options) withDefaults() Options {
@@ -177,7 +170,6 @@ type Machine struct {
 	tracer   *trace.Tracer       //snap:transient observation attachment, reattached by the session
 	prof     *profile.Profiler   //snap:transient observation attachment, reattached by the session
 	mmuObs   MMUObserver         //snap:transient observation attachment (the oracle), reattached by the session
-	hc       *hostprof.Counters  //snap:transient host-cost accounting, reattached by the session; never serialized
 
 	// epoch counts CPU membership changes (fail or online transitions);
 	// protocol layers compare epochs to detect that membership moved
@@ -277,19 +269,6 @@ func New(eng *sim.Engine, opts Options) *Machine {
 		m.faults.SetClock(func() sim.Time { return eng.Now() })
 		m.faults.SetStepClock(eng.StepCount)
 	}
-	m.hc = opts.HostCost
-	m.Phys.SetHostCounters(opts.HostCost)
-	// Machine-build footprint: struct shells plus every CPU and device
-	// TLB. Amortized growth of internal slices makes this an estimate,
-	// so the site is marked inexact.
-	build := int64(unsafe.Sizeof(*m))
-	for _, c := range m.cpus {
-		build += int64(unsafe.Sizeof(*c)) + c.TLB.HostFootprintBytes()
-	}
-	for _, d := range m.devs {
-		build += int64(unsafe.Sizeof(*d)) + d.TLB.HostFootprintBytes()
-	}
-	m.hc.Add(hostprof.SiteMachineBuild, 1, build)
 	return m
 }
 

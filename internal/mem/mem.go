@@ -8,11 +8,7 @@
 // paper solves.
 package mem
 
-import (
-	"fmt"
-
-	"shootdown/internal/hostprof"
-)
+import "fmt"
 
 // Memory geometry, matching the NS32382's 4 KB pages.
 const (
@@ -40,21 +36,6 @@ type PhysMem struct {
 	frames    [][]uint32 // nil until allocated
 	free      []Frame
 	allocated int
-
-	// hc tallies host allocation costs (frame-backing allocations) for
-	// the hostprof attribution layer; plain integer arithmetic, so it
-	// cannot perturb the simulation. Not part of the memory's state:
-	// Digest ignores it.
-	hc *hostprof.Counters
-}
-
-// SetHostCounters attaches host-cost counters (nil detaches) and tallies
-// the constructed frame table and free list against the mem-build site.
-func (m *PhysMem) SetHostCounters(c *hostprof.Counters) {
-	m.hc = c
-	// Frame-table slice headers plus the free list; amortized append
-	// growth makes this an estimate, so the site is marked inexact.
-	c.Add(hostprof.SiteMemBuild, 1, int64(len(m.frames))*(24+4))
 }
 
 // New creates a physical memory of nframes page frames.
@@ -122,7 +103,6 @@ func (m *PhysMem) AllocFrame() (Frame, error) {
 	f := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	m.frames[f] = make([]uint32, WordsPerPage)
-	m.hc.Add(hostprof.SiteMemPages, 1, PageSize)
 	m.allocated++
 	return f, nil
 }

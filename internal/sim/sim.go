@@ -25,9 +25,7 @@ import (
 	"sort"
 	"strings"
 	"time"
-	"unsafe"
 
-	"shootdown/internal/hostprof"
 	"shootdown/internal/trace"
 )
 
@@ -168,22 +166,11 @@ type Engine struct {
 	//snap:transient observation hook, reattached by the recorder
 	tieRec func(TieDecision)
 
-	// TraceFn, if set, receives one line per scheduling event (debugging).
-	//snap:transient debugging hook, reattached by whoever installed it
-	TraceFn func(format string, args ...interface{})
-
 	// tracer, if set, receives typed scheduling events (proc run, sleep,
 	// block, preempt, done) on per-proc timelines. Recording charges no
 	// virtual time, so tracing cannot perturb simulation results.
 	//snap:transient observation attachment, reattached by the session
 	tracer *trace.Tracer
-
-	// hc, if set, tallies host allocation costs (spawns, dispatch steps,
-	// tie breaks) for the hostprof attribution layer. Incrementing plain
-	// integers charges no virtual time and draws no randomness, so counted
-	// runs are byte-identical to uncounted ones.
-	//snap:transient host-cost accounting, reattached by the session; never serialized
-	hc *hostprof.Counters
 }
 
 // Option configures an Engine.
@@ -209,20 +196,6 @@ func WithTracer(t *trace.Tracer) Option {
 
 // Tracer returns the engine's tracer (possibly nil).
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
-
-// SetHostCounters attaches host-cost counters to the engine (nil detaches).
-// Counting is a pure host-side tally: it never perturbs the simulation.
-func (e *Engine) SetHostCounters(c *hostprof.Counters) { e.hc = c }
-
-// Host-cost estimates for the engine's per-operation allocations. These
-// are documented approximations (hostprof marks the sites inexact, so
-// they never count toward attribution coverage): spawn covers the Proc
-// struct and resume channel but not the goroutine stack; dispatch covers
-// the vararg boxing the debug-trace call performs per step.
-const (
-	spawnCostBytes    = int64(unsafe.Sizeof(Proc{})) + 96
-	dispatchCostBytes = 48
-)
 
 // New creates an engine at virtual time zero.
 func New(opts ...Option) *Engine {
@@ -254,7 +227,6 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	e.nextID++
 	e.procs = append(e.procs, p)
-	e.hc.Add(hostprof.SiteSimSpawn, 1, spawnCostBytes)
 	e.tracer.NameProc(p.id, name)
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "spawn", 0, 0)
 	go func() {
@@ -281,12 +253,6 @@ func (e *Engine) schedule(p *Proc, at Time) {
 		p.state = StateSleeping
 	}
 	heap.Push(&e.runq, p)
-}
-
-func (e *Engine) trace(format string, args ...interface{}) {
-	if e.TraceFn != nil {
-		e.TraceFn(format, args...)
-	}
 }
 
 // Run executes procs in virtual-time order until all are done, Stop is
@@ -340,8 +306,6 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 		p.clock = e.now
 		p.state = StateRunning
 		e.cur = p
-		e.hc.Add(hostprof.SiteSimDispatch, 1, dispatchCostBytes)
-		e.trace("[%d ns] run %q", e.now, p.name)
 		e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "run", 0, 0)
 		p.resume <- struct{}{}
 		msg := <-e.yield
@@ -354,7 +318,6 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 			p.state = StateBlocked
 		case yieldDone:
 			p.state = StateDone
-			e.trace("[%d ns] done %q", e.now, p.name)
 			e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "done", 0, 0)
 		case yieldPanic:
 			p.state = StateDone
@@ -393,9 +356,6 @@ func (e *Engine) pop() *Proc {
 	if len(tied) == 1 {
 		return heap.Pop(&e.runq).(*Proc)
 	}
-	// The tied slice and the sort's closure are real heap traffic on every
-	// contested pop; 16 bytes/entry approximates the amortized growth.
-	e.hc.Add(hostprof.SiteSimTieBreak, 1, int64(len(tied))*16)
 	sort.Slice(tied, func(i, j int) bool { return tied[i].seq < tied[j].seq })
 	// The chaos draw is consumed even when a forced choice overrides it, so
 	// the schedule after a forced prefix continues the base run's stream:
@@ -501,7 +461,6 @@ func (e *Engine) Kill(p *Proc) bool {
 	}
 	p.state = StateHalted
 	p.ClearWaiting()
-	e.trace("[%d ns] halt %q", e.now, p.name)
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "halt", 0, 0)
 	return true
 }

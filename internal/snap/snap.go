@@ -22,8 +22,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-
-	"shootdown/internal/hostprof"
 )
 
 // Format identifies the snapshot wire format; bump on incompatible change.
@@ -42,16 +40,7 @@ type Snapshot struct {
 	NowNS  int64    `json:"now_ns"` // virtual time at capture
 	Digest string   `json:"digest"` // FNV-1a over step, time, and layers
 	Layers []*Layer `json:"layers,omitempty"`
-
-	// hc tallies the serialized size of each added layer for the hostprof
-	// attribution layer. Unexported, so it never reaches the wire format,
-	// and plain integer arithmetic, so it cannot change a digest.
-	hc *hostprof.Counters
 }
-
-// SetHostCounters attaches host-cost counters (nil detaches); subsequent
-// AddLayer calls tally their marshaled payload against the snap-layer site.
-func (s *Snapshot) SetHostCounters(c *hostprof.Counters) { s.hc = c }
 
 // digest hashes the step, time, and every layer (name then payload) in
 // order with FNV-1a 64.
@@ -106,7 +95,6 @@ func (s *Snapshot) AddLayer(name string, v any) error {
 		return fmt.Errorf("snap: marshal layer %q: %w", name, err)
 	}
 	s.Layers = append(s.Layers, &Layer{Name: name, Data: data})
-	s.hc.Add(hostprof.SiteSnapLayer, 1, int64(len(data)))
 	s.Digest = digest(s.Step, s.NowNS, s.Layers)
 	return nil
 }

@@ -24,7 +24,6 @@ package tlb
 import (
 	"fmt"
 	"math/rand"
-	"unsafe"
 
 	"shootdown/internal/ptable"
 )
@@ -209,13 +208,6 @@ func New(cfg Config) *TLB {
 
 // Config returns the TLB's configuration (with defaults applied).
 func (t *TLB) Config() Config { return t.cfg }
-
-// HostFootprintBytes reports the TLB's construction cost on the host —
-// the struct plus its entry array — for hostprof's machine-build
-// attribution. A structural computation, not a measurement.
-func (t *TLB) HostFootprintBytes() int64 {
-	return int64(unsafe.Sizeof(*t)) + int64(len(t.entries))*int64(unsafe.Sizeof(Entry{}))
-}
 
 // Stats returns a snapshot of the event counters.
 func (t *TLB) Stats() Stats { return t.stats }

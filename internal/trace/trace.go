@@ -23,12 +23,7 @@
 // code needs no nil checks at call sites.
 package trace
 
-import (
-	"fmt"
-	"unsafe"
-
-	"shootdown/internal/hostprof"
-)
+import "fmt"
 
 // Category classifies an event by the layer that produced it. Categories
 // become the "cat" field of exported Chrome trace events and may be
@@ -132,11 +127,6 @@ type Tracer struct {
 	maxTS int64 // largest rebased timestamp recorded so far
 
 	procNames map[int32]string
-
-	// hc tallies host allocation costs (ring footprint at attach, export
-	// copies) for the hostprof attribution layer. Counting is plain
-	// integer arithmetic: it cannot perturb recording or the simulation.
-	hc *hostprof.Counters
 }
 
 // New creates a tracer holding up to size records, initially enabled with
@@ -152,23 +142,6 @@ func New(size int) (*Tracer, error) {
 		enabled:   true,
 		procNames: map[int32]string{},
 	}, nil
-}
-
-// EventBytes is the in-memory size of one record: a tracer ring costs
-// exactly Cap() × EventBytes, which is how hostprof accounts for it.
-const EventBytes = int64(unsafe.Sizeof(Event{}))
-
-// SetHostCounters attaches host-cost counters (nil detaches) and tallies
-// the ring's footprint against the trace-ring site. A session tracer is
-// attached once per kernel build, so sequential kernels each account the
-// (shared) ring they observe through — the site is marked inexact for
-// exactly that reason.
-func (t *Tracer) SetHostCounters(c *hostprof.Counters) {
-	if t == nil {
-		return
-	}
-	t.hc = c
-	c.Add(hostprof.SiteTraceRing, 1, int64(len(t.events))*EventBytes)
 }
 
 // On enables recording.
@@ -286,7 +259,6 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.hc.Add(hostprof.SiteTraceExport, 1, int64(t.count)*EventBytes)
 	out := make([]Event, 0, t.count)
 	if t.count == len(t.events) {
 		out = append(out, t.events[t.next:]...)

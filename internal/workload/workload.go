@@ -28,7 +28,6 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
-	"shootdown/internal/hostprof"
 	"shootdown/internal/kernel"
 	"shootdown/internal/machine"
 	"shootdown/internal/profile"
@@ -110,11 +109,6 @@ type AppConfig struct {
 	// watchdog escalates. Recording charges no virtual time, so results
 	// are bit-identical with and without it.
 	Flight *trace.Recorder
-	// HostCost, when set, receives host allocation-cost tallies from the
-	// simulator's known hot sites (internal/hostprof). Counting is plain
-	// integer arithmetic, so results are bit-identical with and without
-	// it (enforced by a perturbation test).
-	HostCost *hostprof.Counters
 	// Observe, when set, is called with the kernel after the run completes
 	// (metrics harvesting).
 	Observe func(*kernel.Kernel)
@@ -176,7 +170,6 @@ func (c AppConfig) newKernel() (*kernel.Kernel, error) {
 		Oracle:           c.Oracle,
 		Profiler:         c.Profiler,
 		Flight:           c.Flight,
-		HostCost:         c.HostCost,
 	})
 	if err != nil {
 		return nil, err

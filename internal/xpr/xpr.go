@@ -10,7 +10,6 @@ package xpr
 
 import (
 	"fmt"
-	"unsafe"
 
 	"shootdown/internal/sim"
 )
@@ -50,11 +49,6 @@ type Event struct {
 	ID   EventID
 	Args [4]int64
 }
-
-// EventBytes is the in-memory size of one record; New's ring costs
-// exactly size × EventBytes, which is how hostprof accounts for the
-// buffer (the dominant allocation of every kernel build).
-const EventBytes = int64(unsafe.Sizeof(Event{}))
 
 // Initiator decodes an EvInitiator record.
 func (e Event) Initiator() (kernel bool, pages, processors int, elapsed sim.Time) {

@@ -8,7 +8,7 @@
 # Each report carries provenance (go version, GOMAXPROCS, commit) and the
 # host-cost/v1 allocation-attribution artifact, so `benchreport trend` can
 # tell a code change from a toolchain or machine change and name the
-# allocation sites behind a B/op step.
+# allocating functions behind a B/op step.
 #
 # Env knobs: BENCH_SEED (default 42), BENCH_RUNS (runs per Figure 2 point,
 # default 3).
@@ -28,10 +28,10 @@ go test -bench=. -benchmem -run='^$' . | tee "$tmp/bench.txt"
 echo "== Figure 2 sweep (seed $seed, $runs runs/point)"
 go run ./cmd/shootdownsim -seed "$seed" -runs "$runs" -format json fig2 > "$tmp/fig2.json"
 
-echo "== host-cost attribution (seed $seed, $runs runs)"
-go run ./cmd/shootdownsim -seed "$seed" -runs "$runs" -commit "$commit" \
+echo "== host-cost attribution (seed $seed)"
+go run ./cmd/shootdownsim -seed "$seed" -commit "$commit" \
 	-hostcost "$tmp/hostcost.json" hostcost
-go run ./cmd/tlbtrace hostcost -validate "$tmp/hostcost.json"
+go run ./cmd/tlbtrace hostcost -validate -mincoverage 99 "$tmp/hostcost.json"
 
 n=0
 while [ -e "BENCH_${n}.json" ]; do n=$((n + 1)); done
