@@ -30,7 +30,6 @@ import (
 
 	"shootdown/internal/machine"
 	"shootdown/internal/mem"
-	"shootdown/internal/profile"
 	"shootdown/internal/ptable"
 	"shootdown/internal/sim"
 	"shootdown/internal/tlb"
@@ -338,24 +337,6 @@ type Shootdown struct {
 	//snap:transient observation attachment, reattached by the session
 	Trace *xpr.Buffer
 
-	// Span, when set, receives per-phase shootdown spans and instants on
-	// the session tracer (nil-safe; recording charges no virtual time).
-	//snap:transient observation attachment, reattached by the session
-	Span *trace.Tracer
-
-	// Prof, when set, feeds the causal reconstructor: typed hooks at each
-	// protocol step let the profiler link every shootdown into a DAG and
-	// compute its critical path (nil-safe; charges no virtual time).
-	//snap:transient observation attachment, reattached by the session
-	Prof *profile.Profiler
-
-	// Flight, when set, is tripped on watchdog escalation — the moment a
-	// responder has missed every retry and the initiator falls back to the
-	// full-flush path, the recorder dumps a black box with the protocol
-	// state that led there (nil-safe; charges no virtual time).
-	//snap:transient observation attachment, reattached by the session
-	Flight *trace.Recorder
-
 	stats Stats
 	// recoveryUS records, for every wait the watchdog had to rescue, the
 	// virtual microseconds from the first timeout to quiescence.
@@ -599,13 +580,11 @@ func (s *Shootdown) syncDevices(ex *machine.Exec, op *Op) {
 		return
 	}
 	s.stats.DevShootdowns++
-	s.Span.Begin(int64(ex.Now()), me, trace.CatShootdown, "shootdown-dev-wait", int64(len(devWaiters)), 0)
-	s.Prof.Push(int64(ex.Now()), me, profile.PhaseSpinBarrier)
+	s.m.Tracer().Emit(trace.KindDevWaitBegin, int64(ex.Now()), me, "shootdown-dev-wait", int64(len(devWaiters)), 0)
 	for _, dw := range devWaiters {
 		s.waitForDevice(ex, dw)
 	}
-	s.Prof.Pop(int64(ex.Now()), me, profile.PhaseSpinBarrier)
-	s.Span.End(int64(ex.Now()), me, trace.CatShootdown, "shootdown-dev-wait")
+	s.m.Tracer().Emit(trace.KindSpinEnd, int64(ex.Now()), me, "shootdown-dev-wait", 0, 0)
 }
 
 // Sync is the initiator algorithm (phases 1 and 3's precondition). It must
@@ -624,9 +603,8 @@ func (s *Shootdown) Sync(ex *machine.Exec, op *Op, p Pmap, start, end ptable.VAd
 	if p.IsKernel() {
 		kernel = 1
 	}
-	s.Span.Begin(int64(t0), me, trace.CatShootdown, "shootdown-sync",
+	s.m.Tracer().Emit(trace.KindSyncBegin, int64(t0), me, "shootdown-sync",
 		int64(Action{Start: start.Page(), End: end}.Pages()), kernel)
-	s.Prof.ShootBegin(int64(t0), me, p.IsKernel(), Action{Start: start.Page(), End: end}.Pages())
 
 	if inUseFor(p, me, start, end) {
 		s.invalidateLocal(ex, p.ASID(), start, end)
@@ -674,23 +652,19 @@ func (s *Shootdown) Sync(ex *machine.Exec, op *Op, p Pmap, start, end ptable.VAd
 	}
 	s.memberLock.Unlock(ex, mprev)
 
-	if len(waitList) > 0 {
-		// Register the responder set with the profiler before any IPI goes
-		// out, so the machine's post hooks can match them to this instance.
-		wcpus := make([]int, len(waitList))
-		for i, w := range waitList {
-			wcpus[i] = w.cpu
+	if tr := m.Tracer(); tr != nil {
+		// Announce the responder set before any IPI goes out, so the
+		// profiler can match the machine's post events to this instance.
+		for _, w := range waitList {
+			tr.Emit(trace.KindExpect, int64(ex.Now()), me, "", int64(w.cpu), 0)
 		}
-		s.Prof.ShootExpect(int64(ex.Now()), me, wcpus)
 	}
 	if len(sendList) > 0 {
 		ex.SendIPI(sendList)
 		s.stats.IPIsSent += uint64(len(sendList))
 	}
 	if len(waitList) > 0 {
-		s.Span.Begin(int64(ex.Now()), me, trace.CatShootdown, "shootdown-wait", int64(len(waitList)), 0)
-		s.Prof.ShootWait(int64(ex.Now()), me)
-		s.Prof.Push(int64(ex.Now()), me, profile.PhaseSpinBarrier)
+		m.Tracer().Emit(trace.KindWaitBegin, int64(ex.Now()), me, "shootdown-wait", int64(len(waitList)), 0)
 	}
 	for _, w := range waitList {
 		// A responder that stops using the pmap has flushed its entries
@@ -698,8 +672,7 @@ func (s *Shootdown) Sync(ex *machine.Exec, op *Op, p Pmap, start, end ptable.VAd
 		s.waitForResponder(ex, p, w, start, end)
 	}
 	if len(waitList) > 0 {
-		s.Prof.Pop(int64(ex.Now()), me, profile.PhaseSpinBarrier)
-		s.Span.End(int64(ex.Now()), me, trace.CatShootdown, "shootdown-wait")
+		m.Tracer().Emit(trace.KindSpinEnd, int64(ex.Now()), me, "shootdown-wait", 0, 0)
 	}
 	if queued > 0 {
 		s.stats.RemoteShootdowns++
@@ -713,8 +686,7 @@ func (s *Shootdown) Sync(ex *machine.Exec, op *Op, p Pmap, start, end ptable.VAd
 		pages := Action{Start: start.Page(), End: end}.Pages()
 		s.Trace.LogInitiator(ex.Now(), me, p.IsKernel(), pages, shot, ex.Now()-t0)
 	}
-	s.Prof.ShootEnd(int64(ex.Now()), me)
-	s.Span.End(int64(ex.Now()), me, trace.CatShootdown, "shootdown-sync")
+	m.Tracer().Emit(trace.KindSyncEnd, int64(ex.Now()), me, "shootdown-sync", 0, 0)
 	return shot
 }
 
@@ -757,15 +729,15 @@ func (s *Shootdown) waitForResponder(ex *machine.Exec, p Pmap, w waiter, start, 
 		if firstTimeout == 0 {
 			firstTimeout = ex.Now()
 		}
-		s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "watchdog-timeout", int64(cpu), int64(retry))
+		s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "watchdog-timeout", int64(cpu), int64(retry))
 		if s.memberRecheck(ex, w) {
 			break
 		}
 		if !escalated && retry >= s.opts.WatchdogMaxRetries {
 			escalated = true
 			s.stats.WatchdogEscalations++
-			s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "watchdog-escalate", int64(cpu), 0)
-			s.Flight.Trip(int64(ex.Now()), "watchdog",
+			s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "watchdog-escalate", int64(cpu), 0)
+			s.m.Tracer().Trip(int64(ex.Now()), "watchdog",
 				fmt.Sprintf("cpu%d escalated to full flush after %d retries waiting on cpu%d", me, retry, cpu))
 			lprev := s.actionLocks[cpu].Lock(ex)
 			s.overflow[cpu] = true
@@ -774,7 +746,7 @@ func (s *Shootdown) waitForResponder(ex *machine.Exec, p Pmap, w waiter, start, 
 		}
 		if !s.m.CPU(cpu).Pending(machine.VecIPI) {
 			s.stats.WatchdogRetries++
-			s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "watchdog-retry", int64(cpu), int64(retry))
+			s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "watchdog-retry", int64(cpu), int64(retry))
 			ex.SendIPI([]int{cpu})
 			s.stats.IPIsSent++
 		}
@@ -826,30 +798,30 @@ func (s *Shootdown) waitForDevice(ex *machine.Exec, w devWaiter) {
 		if firstTimeout == 0 {
 			firstTimeout = ex.Now()
 		}
-		s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "dev-watchdog-timeout", int64(d.ID()), int64(retry))
+		s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "dev-watchdog-timeout", int64(d.ID()), int64(retry))
 		if !d.Online() {
 			break // quarantined by a concurrent initiator; nothing to wait for
 		}
 		switch {
 		case retry < s.opts.DevMaxRerings:
 			s.stats.DevRerings++
-			s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "dev-watchdog-rering", int64(d.ID()), int64(retry))
+			s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "dev-watchdog-rering", int64(d.ID()), int64(retry))
 			d.Ring(ex)
 		case !resetTried:
 			resetTried = true
 			s.stats.DevResets++
-			s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "dev-watchdog-reset", int64(d.ID()), int64(retry))
+			s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "dev-watchdog-reset", int64(d.ID()), int64(retry))
 			// On success the reset's flush completes every outstanding
 			// request and the next spin exits; on failure (a wedged
 			// device ignores reset too) the next timeout quarantines.
 			d.Reset(ex)
 		default:
 			s.stats.DevQuarantines++
-			s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "dev-watchdog-quarantine", int64(d.ID()), int64(retry))
+			s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "dev-watchdog-quarantine", int64(d.ID()), int64(retry))
 			// Quarantine before tripping so the black box's devices
 			// section captures the post-escalation state.
 			d.Quarantine(ex)
-			s.Flight.Trip(int64(ex.Now()), "watchdog",
+			s.m.Tracer().Trip(int64(ex.Now()), "watchdog",
 				fmt.Sprintf("cpu%d quarantined device%d after %d retries awaiting completion %d", me, d.ID(), retry, w.seq))
 		}
 		if timeout < s.opts.WatchdogBackoffMax {
@@ -877,7 +849,7 @@ func (s *Shootdown) memberRecheck(ex *machine.Exec, w waiter) (rescued bool) {
 		return false
 	}
 	s.stats.WatchdogMembershipRescues++
-	s.Span.Instant(int64(ex.Now()), ex.CPUID(), trace.CatShootdown, "watchdog-member-rescue", int64(w.cpu), int64(w.inc))
+	s.m.Tracer().Instant(int64(ex.Now()), ex.CPUID(), trace.CatShootdown, "watchdog-member-rescue", int64(w.cpu), int64(w.inc))
 	return true
 }
 
@@ -905,14 +877,14 @@ func (s *Shootdown) enqueue(ex *machine.Exec, cpu int, a Action) {
 func (s *Shootdown) respond(ex *machine.Exec) {
 	me := ex.CPUID()
 	t0 := ex.Now()
-	s.Span.Begin(int64(t0), me, trace.CatShootdown, "shootdown-respond", 0, 0)
+	s.m.Tracer().Begin(int64(t0), me, trace.CatShootdown, "shootdown-respond", 0, 0)
 	prev := ex.DisableAll()
 	// Fault injection: a slow or briefly wedged responder stalls before
 	// doing any work, giving the initiator's watchdog something to time out
 	// against. Interrupts are already masked, matching the failure mode of
 	// a handler stuck in earlier non-preemptible work.
 	if d := s.m.Faults().ResponderDelay(me); d > 0 {
-		s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "responder-fault-stall", int64(d), 0)
+		s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "responder-fault-stall", int64(d), 0)
 		ex.Stall(d)
 	}
 	for s.actionNeeded[me] {
@@ -928,9 +900,7 @@ func (s *Shootdown) respond(ex *machine.Exec) {
 		// processed like any other — the queued (or escalated-to-flush)
 		// invalidations over-invalidate, which is always safe.
 		s.active[me] = false
-		s.Prof.RespondAck(int64(ex.Now()), me)
-		s.Span.Begin(int64(ex.Now()), me, trace.CatShootdown, "shootdown-stall", 0, 0)
-		s.Prof.Push(int64(ex.Now()), me, profile.PhaseSpinBarrier)
+		s.m.Tracer().Emit(trace.KindStallBegin, int64(ex.Now()), me, "shootdown-stall", 0, 0)
 		ex.SpinWhile(func() bool {
 			if s.kernelPmap != nil && s.kernelPmap.UpdateInProgress() {
 				return true
@@ -942,8 +912,7 @@ func (s *Shootdown) respond(ex *machine.Exec) {
 			}
 			return false
 		})
-		s.Prof.Pop(int64(ex.Now()), me, profile.PhaseSpinBarrier)
-		s.Span.End(int64(ex.Now()), me, trace.CatShootdown, "shootdown-stall")
+		s.m.Tracer().Emit(trace.KindSpinEnd, int64(ex.Now()), me, "shootdown-stall", 0, 0)
 		// Phase 4: the updates are done; invalidate and rejoin.
 		lprev := s.actionLocks[me].Lock(ex)
 		s.processActions(ex, me)
@@ -955,8 +924,7 @@ func (s *Shootdown) respond(ex *machine.Exec) {
 	if s.Trace != nil {
 		s.Trace.LogResponder(ex.Now(), me, ex.Now()-t0)
 	}
-	s.Prof.RespondDone(int64(ex.Now()), me)
-	s.Span.End(int64(ex.Now()), me, trace.CatShootdown, "shootdown-respond")
+	s.m.Tracer().Emit(trace.KindRespondEnd, int64(ex.Now()), me, "shootdown-respond", 0, 0)
 }
 
 // processActions performs the queued invalidations for cpu; the caller
@@ -1053,7 +1021,7 @@ func (s *Shootdown) OnCPUOnline(ex *machine.Exec) {
 	s.idle[me] = false
 	s.active[me] = true
 	s.memberLock.Unlock(ex, mprev)
-	s.Span.Instant(int64(ex.Now()), me, trace.CatShootdown, "shootdown-online-reset", int64(ex.CPU().Incarnation()), 0)
+	s.m.Tracer().Instant(int64(ex.Now()), me, trace.CatShootdown, "shootdown-online-reset", int64(ex.CPU().Incarnation()), 0)
 }
 
 // GoIdle adds the processor to the idle set. The idle loop must keep

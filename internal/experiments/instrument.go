@@ -18,13 +18,14 @@ import (
 // kernel runs. Every experiment function accepts a trailing variadic
 // Instrument; passing none runs uninstrumented, exactly as before.
 //
-// Tracer is shared by every kernel the experiment builds (each build
-// rebases it, so sequential runs occupy disjoint stretches of one session
-// timeline). Observe is called with each kernel after its run completes —
-// metrics harvesting hangs off it. Neither hook charges virtual time or
-// consumes simulation randomness, so instrumented results are bit-identical
-// to uninstrumented ones. Experiments that assemble a bare machine with no
-// kernel (Pools) attach the tracer but never call Observe.
+// Tracer, Profiler and Flight are shared by every kernel the experiment
+// builds, joined into each kernel's one observation stream (trace.Stream;
+// each run rebases it, so sequential runs occupy disjoint stretches of one
+// session timeline). Observe is called with each kernel after its run
+// completes — metrics harvesting hangs off it. No hook charges virtual
+// time or consumes simulation randomness, so instrumented results are
+// bit-identical to uninstrumented ones. Experiments that assemble a bare
+// machine with no kernel (Pools) attach the stream but never call Observe.
 // Instruments may also carry a fault-injection config and the oracle switch;
 // experiments propagate them to every kernel they build.
 type Instrument struct {
@@ -88,10 +89,8 @@ func (in Instrument) app(c workload.AppConfig) workload.AppConfig {
 // config applies the instrument to a raw kernel configuration (experiments
 // that assemble kernels directly rather than via package workload).
 func (in Instrument) config(c kernel.Config) kernel.Config {
-	c.Tracer = in.Tracer
+	c.Tracer = trace.Stream(in.Tracer, in.Flight, in.Profiler)
 	c.Oracle = in.Oracle
-	c.Profiler = in.Profiler
-	c.Flight = in.Flight
 	if in.Faults != nil && in.Faults.Enabled() {
 		c.Machine.Faults = fault.New(*in.Faults)
 		if c.Shootdown.WatchdogTimeout == 0 {

@@ -10,6 +10,7 @@ import (
 	"shootdown/internal/pmap"
 	"shootdown/internal/ptable"
 	"shootdown/internal/sim"
+	"shootdown/internal/trace"
 	"shootdown/internal/xpr"
 )
 
@@ -51,18 +52,11 @@ func Pools(seed int64, poolSize int, ins ...Instrument) (PoolsResult, error) {
 // kernel page in a pool-0-confined region and one in the global region,
 // and measures the initiator time of reprotecting each.
 func runPoolCase(seed int64, ncpu, poolSize int, in Instrument) (globalUS, pooledUS float64, err error) {
-	engOpts := []sim.Option{sim.WithMaxTime(120_000_000_000)}
-	if in.Tracer != nil {
-		in.Tracer.Rebase("pools")
-		engOpts = append(engOpts, sim.WithTracer(in.Tracer))
-	}
-	eng := sim.New(engOpts...)
+	obs := trace.Stream(in.Tracer, in.Flight, in.Profiler)
+	eng := sim.New(sim.WithMaxTime(120_000_000_000), sim.WithTracer(obs))
 	m := machine.New(eng, machine.Options{NumCPUs: ncpu, MemFrames: 4096, Seed: seed})
-	if in.Tracer != nil {
-		m.SetTracer(in.Tracer)
-	}
+	obs.BeginRun("pools", int64(m.Costs().IRQLatency))
 	sd := core.New(m, core.Options{})
-	sd.Span = in.Tracer
 	buf := xpr.New(4096)
 	sd.Trace = buf
 	sys, err := pmap.NewSystem(m, sd)
@@ -124,7 +118,9 @@ func runPoolCase(seed int64, ncpu, poolSize int, in Instrument) (globalUS, poole
 		sys.Kernel.Protect(ex, pooledVA, pooledVA+0x1000, pmap.ProtRead)
 		done = true
 	})
-	if err := eng.Run(); err != nil {
+	err = eng.Run()
+	obs.Emit(trace.KindRunEnd, int64(eng.Now()), -1, "", 0, 0)
+	if err != nil {
 		return 0, 0, err
 	}
 	ks, _ := buf.InitiatorTimes()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"shootdown/internal/profile"
@@ -90,5 +91,33 @@ func TestProfileUsesSuppliedProfiler(t *testing.T) {
 	}
 	if len(p.Shootdowns()) == 0 {
 		t.Error("supplied profiler recorded no shootdowns")
+	}
+}
+
+// TestPoolsProfilesItsShootdowns checks that Pools, which builds bare
+// machines with no kernel, still feeds a supplied profiler: both kernel
+// shootdowns of every machine size are reconstructed, and profiling leaves
+// the measured costs unchanged.
+func TestPoolsProfilesItsShootdowns(t *testing.T) {
+	plain, err := Pools(3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := profile.New()
+	r, err := Pools(3, 8, Instrument{Profiler: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, r) {
+		t.Fatalf("profiling perturbed Pools:\n  off: %+v\n  on:  %+v", plain, r)
+	}
+	recs := p.Shootdowns()
+	if len(recs) != 2*len(r.Rows) {
+		t.Fatalf("profiler reconstructed %d shootdowns, want %d", len(recs), 2*len(r.Rows))
+	}
+	for _, rec := range recs {
+		if !rec.Kernel || rec.EndT == 0 || rec.LastResponder() == nil {
+			t.Errorf("incomplete kernel shootdown record: %+v", rec)
+		}
 	}
 }

@@ -62,8 +62,9 @@ type Config struct {
 	// TraceOff starts with instrumentation disabled (the perturbation
 	// experiment compares instrumented and uninstrumented runs).
 	TraceOff bool
-	// Tracer, when set, receives typed span/instant events from every
-	// layer (sim, machine, tlb, shootdown, kernel). Recording charges no
+	// Tracer, when set, is the observation stream every layer emits into
+	// (trace.Stream): the event ring, the virtual-time profiler (DESIGN.md
+	// §12) and the flight recorder (DESIGN.md §13). Observation charges no
 	// virtual time and consumes no simulation randomness, so results are
 	// bit-identical with and without it.
 	Tracer *trace.Tracer
@@ -72,18 +73,6 @@ type Config struct {
 	// TLB grants an access through a stale translation. Checking charges no
 	// virtual time and consumes no simulation randomness.
 	Oracle bool
-	// Profiler, when set, attaches the virtual-time profiler (DESIGN.md
-	// §12): phase attribution on every CPU, per-shootdown critical paths,
-	// and lock/bus contention histograms. Like the tracer it charges no
-	// virtual time and consumes no simulation randomness.
-	Profiler *profile.Profiler
-	// Flight, when set, attaches the flight recorder (DESIGN.md §13): a
-	// bounded ring of recent events plus state providers for every layer,
-	// dumped as a black box when the watchdog escalates, the oracle flags
-	// a divergence, or the run dies (deadlock / virtual-time bound). When
-	// no Tracer is configured the recorder's own ring becomes the kernel's
-	// tracer, so black boxes always carry recent events.
-	Flight *trace.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -136,41 +125,18 @@ type Kernel struct {
 // New builds a kernel over a fresh machine.
 func New(cfg Config) (*Kernel, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Flight != nil {
-		// New kernel, new providers; the recorder's trip/dump sequence
-		// persists across a session's sequential kernels.
-		cfg.Flight.BeginRun()
-		if cfg.Tracer == nil {
-			cfg.Tracer = cfg.Flight.Ring()
-		} else {
-			cfg.Flight.AttachRing(cfg.Tracer)
-		}
-	}
-	engOpts := []sim.Option{sim.WithMaxTime(cfg.MaxTime)}
+	engOpts := []sim.Option{sim.WithMaxTime(cfg.MaxTime), sim.WithTracer(cfg.Tracer)}
 	if cfg.ChaosSeed != 0 {
 		engOpts = append(engOpts, sim.WithChaos(cfg.ChaosSeed))
-	}
-	if cfg.Tracer != nil {
-		engOpts = append(engOpts, sim.WithTracer(cfg.Tracer))
-		// Each kernel's engine restarts virtual time at zero; rebasing
-		// keeps sequential runs from overlapping on a shared session trace.
-		cfg.Tracer.Rebase("kernel")
 	}
 	eng := sim.New(engOpts...)
 	if len(cfg.ForcedTies) > 0 {
 		eng.SetForcedTies(cfg.ForcedTies)
 	}
 	m := machine.New(eng, cfg.Machine)
-	if cfg.Tracer != nil {
-		m.SetTracer(cfg.Tracer)
-	}
-	if cfg.Profiler != nil {
-		// Like the tracer, a shared session profiler is rebased so
-		// sequential kernels don't overlap in virtual time.
-		cfg.Profiler.Rebase()
-		cfg.Profiler.SetIRQLatency(int64(m.Costs().IRQLatency))
-		m.SetProfiler(cfg.Profiler)
-	}
+	// Each kernel's engine restarts virtual time at zero: BeginRun rebases
+	// a shared session stream and drops the previous kernel's providers.
+	cfg.Tracer.BeginRun("kernel", int64(m.Costs().IRQLatency))
 	k := &Kernel{
 		Eng:       eng,
 		M:         m,
@@ -198,8 +164,6 @@ func New(cfg Config) (*Kernel, error) {
 	} else {
 		sd := core.New(m, cfg.Shootdown)
 		sd.Trace = k.Trace
-		sd.Span = cfg.Tracer
-		sd.Prof = cfg.Profiler
 		k.Shoot = sd
 		strat = sd
 	}
@@ -220,8 +184,8 @@ func New(cfg Config) (*Kernel, error) {
 	m.SetHandler(machine.VecTimer, func(ex *machine.Exec, _ machine.Vector) {
 		k.timerTick(ex)
 	})
-	if cfg.Flight != nil {
-		k.registerFlight(cfg.Flight)
+	if fr := cfg.Tracer.Flight(); fr != nil {
+		k.registerFlight(fr)
 	}
 	return k, nil
 }
@@ -242,18 +206,15 @@ type faultSnap struct {
 	Events []fault.Event `json:"events,omitempty"`
 }
 
-// registerFlight points the flight recorder's trip sources and state
-// providers at this kernel. Providers are snapshotted in registration
-// order at trip time, so the order here is part of the black-box format:
-// engine, cpus, devices (machines with devices only), shootdown, sched,
-// oracle, faults, dags, snapshots.
+// registerFlight points the oracle's trips and the flight recorder's
+// state providers at this kernel. Providers are snapshotted in
+// registration order at trip time, so the order here is part of the
+// black-box format: engine, cpus, devices (machines with devices only),
+// shootdown, sched, oracle, faults, dags, snapshots.
 func (k *Kernel) registerFlight(fr *trace.Recorder) {
-	if k.Shoot != nil {
-		k.Shoot.Flight = fr
-	}
 	if k.Oracle != nil {
 		k.Oracle.OnViolation = func(v oracle.Violation) {
-			fr.Trip(int64(v.Time), "oracle", v.String())
+			k.cfg.Tracer.Trip(int64(v.Time), "oracle", v.String())
 		}
 	}
 	fr.Register("engine", func() any { return k.Eng.Snapshot() })
@@ -282,7 +243,7 @@ func (k *Kernel) registerFlight(fr *trace.Recorder) {
 			return faultSnap{Spec: cfg.Spec(), Seed: cfg.Seed, Stats: inj.Stats(), Events: inj.Events()}
 		})
 	}
-	if p := k.cfg.Profiler; p != nil {
+	if p, ok := k.cfg.Tracer.Sink().(*profile.Profiler); ok {
 		fr.Register("dags", func() any { return profile.ExportShootdowns(p) })
 	}
 	// The last full-state snapshot taken during the run, so a black box
@@ -447,8 +408,8 @@ func (k *Kernel) Finish(err error) error {
 	}
 	k.finished = true
 	k.closeOpenSpans()
-	k.cfg.Profiler.FinishAt(int64(k.Eng.Now()))
-	if err != nil && k.cfg.Flight != nil {
+	k.cfg.Tracer.Emit(trace.KindRunEnd, int64(k.Eng.Now()), -1, "", 0, 0)
+	if err != nil {
 		reason := "error"
 		switch {
 		case errors.Is(err, sim.ErrDeadlock):
@@ -456,7 +417,7 @@ func (k *Kernel) Finish(err error) error {
 		case strings.Contains(err.Error(), "virtual time limit"):
 			reason = "timeout"
 		}
-		k.cfg.Flight.Trip(int64(k.Eng.Now()), reason, err.Error())
+		k.cfg.Tracer.Trip(int64(k.Eng.Now()), reason, err.Error())
 	}
 	if err == nil {
 		k.Oracle.Check()
@@ -525,12 +486,10 @@ func (k *Kernel) dequeue(ex *machine.Exec) *Thread {
 // and hands the CPU to the chosen thread.
 func (k *Kernel) idleLoop(p *sim.Proc, cpu int) {
 	tr := k.cfg.Tracer
-	pr := k.cfg.Profiler
 	for {
 		ex := k.M.Attach(p, cpu)
 		k.Strategy.GoIdle(ex)
-		tr.Begin(int64(ex.Now()), cpu, trace.CatKernel, "idle", 0, 0)
-		pr.SetBase(int64(ex.Now()), cpu, profile.PhaseIdle)
+		tr.Emit(trace.KindIdle, int64(ex.Now()), cpu, "idle", 0, 0)
 		var next *Thread
 		for !k.stopping {
 			if next = k.dequeue(ex); next != nil {
@@ -544,8 +503,7 @@ func (k *Kernel) idleLoop(p *sim.Proc, cpu int) {
 			return
 		}
 		k.Strategy.GoActive(ex)
-		tr.End(int64(ex.Now()), cpu, trace.CatKernel, "idle")
-		pr.SetBase(int64(ex.Now()), cpu, profile.PhaseRun)
+		tr.Emit(trace.KindDispatch, int64(ex.Now()), cpu, "idle", 0, 0)
 		ex.ChargeTime(k.M.Costs().ContextSwitch)
 		// The thread may still be releasing its previous CPU (its proc is
 		// sleeping through the deactivation flush, not yet parked). Wait

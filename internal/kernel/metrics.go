@@ -126,7 +126,7 @@ func (k *Kernel) Metrics() *trace.MetricSet {
 	ms.Counter("xpr_dropped_records_total",
 		"xpr records lost to wraparound (nonzero means the buffer was undersized).",
 		float64(k.Trace.Dropped()), nil)
-	if tr := k.cfg.Tracer; tr != nil {
+	if tr := k.cfg.Tracer; tr.Cap() > 0 {
 		ms.Counter("trace_events_total", "Events held in the span tracer.", float64(tr.Len()), nil)
 		ms.Counter("trace_dropped_events_total",
 			"Span-tracer events lost to wraparound.", float64(tr.Dropped()), nil)
@@ -134,5 +134,6 @@ func (k *Kernel) Metrics() *trace.MetricSet {
 	return ms
 }
 
-// Tracer returns the session tracer, if one was configured.
+// Tracer returns the kernel's observation stream (Config.Tracer): the
+// session ring, if one was configured, with its subscribers.
 func (k *Kernel) Tracer() *trace.Tracer { return k.cfg.Tracer }

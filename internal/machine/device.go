@@ -196,11 +196,11 @@ func (d *Device) PostInvalidate(ex *Exec, asid tlb.ASID, start, end ptable.VAddr
 	ex.charge(m.costs.DevDoorbell)
 	ex.busStall("dev-doorbell", 1)
 	if m.faults.DoorbellDrop(d.id) {
-		m.tracer.Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-doorbell-drop", int64(seq), 0)
+		m.Tracer().Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-doorbell-drop", int64(seq), 0)
 		return seq, true
 	}
 	d.doorbell = true
-	m.tracer.Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-post", int64(seq), int64(len(d.queue)))
+	m.Tracer().Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-post", int64(seq), int64(len(d.queue)))
 	return seq, true
 }
 
@@ -215,7 +215,7 @@ func (d *Device) Ring(ex *Exec) {
 	if d.state == DevOnline && len(d.queue) > 0 {
 		d.doorbell = true
 	}
-	m.tracer.Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-ring", int64(len(d.queue)), 0)
+	m.Tracer().Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-ring", int64(len(d.queue)), 0)
 }
 
 // Completed reports whether the request with the given sequence number has
@@ -260,7 +260,7 @@ func (d *Device) Reset(ex *Exec) bool {
 	ex.charge(m.costs.DevReset)
 	ex.busStall("dev-doorbell", 1)
 	if d.wedged || d.state != DevOnline {
-		m.tracer.Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-reset-failed", 0, 0)
+		m.Tracer().Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-reset-failed", 0, 0)
 		return false
 	}
 	d.resetGen++
@@ -278,7 +278,7 @@ func (d *Device) Reset(ex *Exec) bool {
 	if o := d.devObs(); o != nil && settled > 0 {
 		o.OnDevInvalComplete(d.id, settled-1, tlb.ASIDNone, 0, 0, true)
 	}
-	m.tracer.Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-reset", int64(settled), 0)
+	m.Tracer().Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-reset", int64(settled), 0)
 	return true
 }
 
@@ -302,8 +302,7 @@ func (d *Device) Quarantine(ex *Exec) bool {
 	if o := d.devObs(); o != nil {
 		o.OnDevQuarantine(d.id)
 	}
-	m.tracer.Instant(int64(ex.Now()), d.tid(), trace.CatDevice, "dev-quarantine", int64(d.nextSeq), 0)
-	m.prof.CPUFail(int64(ex.Now()), d.tid())
+	m.Tracer().Emit(trace.KindDevQuarantine, int64(ex.Now()), d.tid(), "dev-quarantine", int64(d.nextSeq), 0)
 	return true
 }
 
@@ -373,7 +372,7 @@ func (d *Device) ServiceOne(p *sim.Proc) bool {
 	req := d.queue[idx]
 	if m.faults.DevWedged(d.id) {
 		d.wedged = true
-		m.tracer.Instant(int64(m.Eng.Now()), d.tid(), trace.CatDevice, "dev-wedge", int64(req.Seq), 0)
+		m.Tracer().Instant(int64(m.Eng.Now()), d.tid(), trace.CatDevice, "dev-wedge", int64(req.Seq), 0)
 		return false
 	}
 	d.sleep(p, m.costs.DevService)
@@ -386,7 +385,7 @@ func (d *Device) ServiceOne(p *sim.Proc) bool {
 	}
 	for d.rangePinned(req) {
 		d.stats.PinWaits++
-		m.tracer.Instant(int64(m.Eng.Now()), d.tid(), trace.CatDevice, "dev-pin-wait", int64(req.Seq), int64(len(d.pins)))
+		m.Tracer().Instant(int64(m.Eng.Now()), d.tid(), trace.CatDevice, "dev-pin-wait", int64(req.Seq), int64(len(d.pins)))
 		d.sleep(p, m.costs.DevPinPoll)
 		if d.resetGen != gen || d.state != DevOnline {
 			return true
@@ -416,7 +415,7 @@ func (d *Device) ServiceOne(p *sim.Proc) bool {
 	}
 	// Completion message: one bus write to the completion area.
 	d.busSleep(p, 1)
-	m.tracer.Instant(int64(m.Eng.Now()), d.tid(), trace.CatDevice, "dev-complete", int64(req.Seq), int64(len(d.queue)))
+	m.Tracer().Instant(int64(m.Eng.Now()), d.tid(), trace.CatDevice, "dev-complete", int64(req.Seq), int64(len(d.queue)))
 	return true
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"shootdown/internal/mem"
-	"shootdown/internal/profile"
 	"shootdown/internal/ptable"
 	"shootdown/internal/sim"
 	"shootdown/internal/tlb"
@@ -121,11 +120,8 @@ func (ex *Exec) runHandler(v Vector) {
 	if m.prio[v] > c.ipl {
 		c.ipl = m.prio[v]
 	}
-	ex.profMaskEdge(prev, c.ipl)
-	if v == VecIPI {
-		m.prof.IRQEnter(int64(ex.Now()), c.id)
-	}
-	m.tracer.Begin(int64(ex.Now()), c.id, trace.CatMachine, irqName(v), int64(prev), 0)
+	ex.maskEdge(prev, c.ipl)
+	m.Tracer().Emit(irqKinds[v], int64(ex.Now()), c.id, irqNames[v], int64(prev), 0)
 	ex.busStall("irq-save", m.costs.IRQDispatchBusWrites)
 	ex.charge(m.costs.IRQDispatch)
 	if h := m.handlers[v]; h != nil {
@@ -134,20 +130,17 @@ func (ex *Exec) runHandler(v Vector) {
 	ex.charge(m.costs.IRQReturn)
 	raised := c.ipl
 	c.ipl = prev
-	ex.profMaskEdge(raised, prev)
-	m.tracer.End(int64(ex.Now()), c.id, trace.CatMachine, irqName(v))
+	ex.maskEdge(raised, prev)
+	m.Tracer().End(int64(ex.Now()), c.id, trace.CatMachine, irqNames[v])
 }
 
-// profMaskEdge tells the profiler when the CPU's IPL crosses the
-// shootdown vector's priority: the masked phase covers exactly the
+// maskEdge emits a mask edge when the CPU's IPL crosses the shootdown
+// vector's priority: the profiler's masked phase covers exactly the
 // intervals during which a posted shootdown IPI cannot be delivered —
 // the paper's "masked interval" responder cost.
-func (ex *Exec) profMaskEdge(old, cur IPL) {
-	ipi := ex.machine.prio[VecIPI]
-	if old < ipi && cur >= ipi {
-		ex.machine.prof.SetMasked(int64(ex.Now()), ex.cpu.id, true)
-	} else if old >= ipi && cur < ipi {
-		ex.machine.prof.SetMasked(int64(ex.Now()), ex.cpu.id, false)
+func (ex *Exec) maskEdge(old, cur IPL) {
+	if ipi := ex.machine.prio[VecIPI]; (old < ipi) != (cur < ipi) {
+		ex.machine.Tracer().Emit(trace.KindMask, int64(ex.Now()), ex.cpu.id, "", int64(cur), int64(ipi))
 	}
 }
 
@@ -157,8 +150,8 @@ func (ex *Exec) RaiseIPL(l IPL) IPL {
 	prev := ex.cpu.ipl
 	if l > ex.cpu.ipl {
 		ex.cpu.ipl = l
-		ex.machine.tracer.Instant(int64(ex.Now()), ex.cpu.id, trace.CatMachine, "ipl-raise", int64(l), int64(prev))
-		ex.profMaskEdge(prev, l)
+		ex.machine.Tracer().Instant(int64(ex.Now()), ex.cpu.id, trace.CatMachine, "ipl-raise", int64(l), int64(prev))
+		ex.maskEdge(prev, l)
 	}
 	return prev
 }
@@ -168,8 +161,8 @@ func (ex *Exec) RaiseIPL(l IPL) IPL {
 func (ex *Exec) RestoreIPL(l IPL) {
 	lowering := l < ex.cpu.ipl
 	if lowering {
-		ex.machine.tracer.Instant(int64(ex.Now()), ex.cpu.id, trace.CatMachine, "ipl-lower", int64(l), int64(ex.cpu.ipl))
-		ex.profMaskEdge(ex.cpu.ipl, l)
+		ex.machine.Tracer().Instant(int64(ex.Now()), ex.cpu.id, trace.CatMachine, "ipl-lower", int64(l), int64(ex.cpu.ipl))
+		ex.maskEdge(ex.cpu.ipl, l)
 	}
 	ex.cpu.ipl = l
 	if lowering {
@@ -232,8 +225,7 @@ func (ex *Exec) busStall(site string, n int) {
 		return
 	}
 	m := ex.machine
-	m.prof.BusTxns(site, n)
-	m.prof.Push(int64(ex.Now()), ex.cpu.id, profile.PhaseBusStall)
+	m.Tracer().Emit(trace.KindBusBegin, int64(ex.Now()), ex.cpu.id, site, int64(n), 0)
 	for i := 0; i < n; i++ {
 		now := ex.Now()
 		w := m.Bus.Reserve(now, 1)
@@ -241,15 +233,14 @@ func (ex *Exec) busStall(site string, n int) {
 		// signal is contention, so record only transactions that queued
 		// behind another CPU's traffic (arg1 = queueing delay in ns).
 		if q := w - m.Bus.Occupancy(); q > 0 {
-			m.tracer.Instant(int64(now), ex.cpu.id, trace.CatMachine, "bus-wait", int64(q), 0)
-			m.prof.BusWait(site, int64(q))
+			m.Tracer().Emit(trace.KindBusWait, int64(now), ex.cpu.id, "bus-wait", int64(q), 0)
 		}
 		// Injected timing faults stretch the transaction beyond its
 		// reserved slot (marginal bus arbitration, retried cycles).
 		w += m.faults.BusJitter(ex.cpu.id)
 		ex.advanceNoIRQ(w)
 	}
-	m.prof.Pop(int64(ex.Now()), ex.cpu.id, profile.PhaseBusStall)
+	m.Tracer().Emit(trace.KindBusEnd, int64(ex.Now()), ex.cpu.id, "", 0, 0)
 }
 
 // SendIPI posts shootdown interrupts to the target CPUs using the machine's
@@ -257,7 +248,7 @@ func (ex *Exec) busStall(site string, n int) {
 // It skips targets whose IPI is already pending (coalescing).
 func (ex *Exec) SendIPI(targets []int) {
 	m := ex.machine
-	m.tracer.Instant(int64(ex.Now()), ex.cpu.id, trace.CatMachine, "ipi-send", int64(len(targets)), int64(m.opts.IPIMode))
+	m.Tracer().Instant(int64(ex.Now()), ex.cpu.id, trace.CatMachine, "ipi-send", int64(len(targets)), int64(m.opts.IPIMode))
 	switch m.opts.IPIMode {
 	case IPIMulticast:
 		ex.charge(m.costs.IPIMulticastBase)
@@ -285,7 +276,7 @@ func (ex *Exec) SendIPI(targets []int) {
 	// on a processor nobody aimed at; the responder must tolerate finding
 	// no work. The sender is charged nothing — the fault is in the wires.
 	if t, ok := m.faults.SpuriousTarget(ex.cpu.id, len(m.cpus)); ok {
-		m.tracer.Instant(int64(ex.Now()), t, trace.CatMachine, "ipi-spurious", int64(ex.cpu.id), 0)
+		m.Tracer().Instant(int64(ex.Now()), t, trace.CatMachine, "ipi-spurious", int64(ex.cpu.id), 0)
 		m.Post(t, VecIPI)
 	}
 }
@@ -298,11 +289,11 @@ func (ex *Exec) postIPI(t int) {
 	m := ex.machine
 	drop, delay := m.faults.OnIPI(ex.cpu.id, t)
 	if drop {
-		m.tracer.Instant(int64(ex.Now()), t, trace.CatMachine, "ipi-drop", int64(ex.cpu.id), 0)
+		m.Tracer().Instant(int64(ex.Now()), t, trace.CatMachine, "ipi-drop", int64(ex.cpu.id), 0)
 		return
 	}
 	if delay > 0 {
-		m.tracer.Instant(int64(ex.Now()), t, trace.CatMachine, "ipi-delay", int64(delay), 0)
+		m.Tracer().Instant(int64(ex.Now()), t, trace.CatMachine, "ipi-delay", int64(delay), 0)
 	}
 	m.PostAfter(t, VecIPI, delay)
 }

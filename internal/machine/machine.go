@@ -18,7 +18,6 @@ import (
 
 	"shootdown/internal/fault"
 	"shootdown/internal/mem"
-	"shootdown/internal/profile"
 	"shootdown/internal/ptable"
 	"shootdown/internal/sim"
 	"shootdown/internal/tlb"
@@ -167,8 +166,6 @@ type Machine struct {
 	faults   *fault.Injector     //snap:derived the injector serializes itself (fault.Injector.Snapshot, the flight recorder's "faults" section)
 	handlers [numVectors]Handler //snap:derived vector wiring installed by the protocol layers at construction
 	prio     [numVectors]IPL     //snap:derived fixed vector-to-IPL table installed at construction
-	tracer   *trace.Tracer       //snap:transient observation attachment, reattached by the session
-	prof     *profile.Profiler   //snap:transient observation attachment, reattached by the session
 	mmuObs   MMUObserver         //snap:transient observation attachment (the oracle), reattached by the session
 
 	// epoch counts CPU membership changes (fail or online transitions);
@@ -269,49 +266,30 @@ func New(eng *sim.Engine, opts Options) *Machine {
 		m.faults.SetClock(func() sim.Time { return eng.Now() })
 		m.faults.SetStepClock(eng.StepCount)
 	}
+	if t := eng.Tracer(); t.Cap() > 0 {
+		// TLB events land on the owning CPU's timeline; device IOTLB
+		// events on the device's own timeline above the CPU rows.
+		for _, c := range m.cpus {
+			c.TLB.Observer = m.tlbObserver(t, c.id)
+		}
+		for _, d := range m.devs {
+			d.TLB.Observer = m.tlbObserver(t, d.tid())
+		}
+	}
 	return m
 }
 
-// SetTracer attaches the observability tracer to the machine and wires a
-// per-CPU TLB observer so hit/miss/invalidate/flush events land on the
-// owning CPU's timeline (device IOTLB events land on the device's own
-// timeline above the CPU rows). A nil tracer detaches instrumentation.
-func (m *Machine) SetTracer(t *trace.Tracer) {
-	m.tracer = t
-	for _, c := range m.cpus {
-		if t == nil {
-			c.TLB.Observer = nil
-			continue
-		}
-		cpu := c.id
-		c.TLB.Observer = func(op tlb.Op, n int) {
-			m.tracer.Instant(int64(m.Eng.Now()), cpu, trace.CatTLB, op.String(), int64(n), 0)
-		}
-	}
-	for _, d := range m.devs {
-		if t == nil {
-			d.TLB.Observer = nil
-			continue
-		}
-		tid := d.tid()
-		d.TLB.Observer = func(op tlb.Op, n int) {
-			m.tracer.Instant(int64(m.Eng.Now()), tid, trace.CatTLB, op.String(), int64(n), 0)
-		}
+// tlbObserver records a TLB's hit/miss/invalidate/flush events in the
+// stream's ring on timeline tid.
+func (m *Machine) tlbObserver(t *trace.Tracer, tid int) func(tlb.Op, int) {
+	return func(op tlb.Op, n int) {
+		t.Instant(int64(m.Eng.Now()), tid, trace.CatTLB, op.String(), int64(n), 0)
 	}
 }
 
-// Tracer returns the machine's tracer (possibly nil).
-func (m *Machine) Tracer() *trace.Tracer { return m.tracer }
-
-// SetProfiler attaches the virtual-time profiler (DESIGN.md §12). Like
-// the tracer, profiler hooks charge no virtual time and consume no
-// simulation randomness, so profiled runs are bit-identical to
-// unprofiled ones. Every profile method is nil-safe, so hooks need no
-// guards; a nil profiler detaches instrumentation.
-func (m *Machine) SetProfiler(p *profile.Profiler) { m.prof = p }
-
-// Profiler returns the machine's profiler (possibly nil).
-func (m *Machine) Profiler() *profile.Profiler { return m.prof }
+// Tracer returns the observation stream every layer emits into: the
+// engine's tracer (possibly nil).
+func (m *Machine) Tracer() *trace.Tracer { return m.Eng.Tracer() }
 
 // NumCPUs returns the processor count.
 func (m *Machine) NumCPUs() int { return len(m.cpus) }
@@ -368,7 +346,7 @@ func (m *Machine) PostAfter(target int, v Vector, delay sim.Time) (wasPending bo
 	}
 	now := m.Eng.Now()
 	if v == VecIPI {
-		m.prof.IPIPosted(int64(now), target, cpu.ipl >= m.prio[VecIPI])
+		m.Tracer().Emit(trace.KindIPIPost, int64(now), target, "", int64(cpu.ipl), int64(m.prio[VecIPI]))
 	}
 	nudge := func() {
 		if cpu.cur != nil && cpu.cur.proc != nil {
@@ -384,7 +362,7 @@ func (m *Machine) PostAfter(target int, v Vector, delay sim.Time) (wasPending bo
 	}
 	cpu.pending[v] = true
 	cpu.pendingAt[v] = now + delay
-	m.tracer.Instant(int64(now), target, trace.CatMachine, postName(v), int64(delay), 0)
+	m.Tracer().Instant(int64(now), target, trace.CatMachine, postNames[v], int64(delay), 0)
 	nudge()
 	return false
 }
@@ -511,8 +489,7 @@ func (m *Machine) FailCPU(cpuID int) bool {
 	for v := Vector(0); v < numVectors; v++ {
 		cpu.pending[v] = false
 	}
-	m.tracer.Instant(int64(m.Eng.Now()), cpuID, trace.CatMachine, "cpu-fail", int64(cpu.incarnation), 0)
-	m.prof.CPUFail(int64(m.Eng.Now()), cpuID)
+	m.Tracer().Emit(trace.KindCPUFail, int64(m.Eng.Now()), cpuID, "cpu-fail", int64(cpu.incarnation), 0)
 	return true
 }
 
@@ -538,8 +515,7 @@ func (m *Machine) OnlineCPU(cpuID int) bool {
 	}
 	cpu.userTable = nil
 	cpu.userASID = tlb.ASIDNone
-	m.tracer.Instant(int64(m.Eng.Now()), cpuID, trace.CatMachine, "cpu-online", int64(cpu.incarnation), 0)
-	m.prof.CPUOnline(int64(m.Eng.Now()), cpuID)
+	m.Tracer().Emit(trace.KindCPUOnline, int64(m.Eng.Now()), cpuID, "cpu-online", int64(cpu.incarnation), 0)
 	return true
 }
 
@@ -565,29 +541,13 @@ type MMUObserver interface {
 // SetMMUObserver installs the translation observer (nil detaches it).
 func (m *Machine) SetMMUObserver(o MMUObserver) { m.mmuObs = o }
 
-// postName and irqName map vectors to constant event names (no per-event
-// string building on the hot path).
-func postName(v Vector) string {
-	switch v {
-	case VecIPI:
-		return "post-ipi"
-	case VecTimer:
-		return "post-timer"
-	default:
-		return "post-device"
-	}
-}
-
-func irqName(v Vector) string {
-	switch v {
-	case VecIPI:
-		return "irq-ipi"
-	case VecTimer:
-		return "irq-timer"
-	default:
-		return "irq-device"
-	}
-}
+// postNames, irqNames and irqKinds name each vector's post and interrupt
+// events on the stream (constants: no string building on the hot path).
+var (
+	postNames = [numVectors]string{VecTimer: "post-timer", VecDevice: "post-device", VecIPI: "post-ipi"}
+	irqNames  = [numVectors]string{VecTimer: "irq-timer", VecDevice: "irq-device", VecIPI: "irq-ipi"}
+	irqKinds  = [numVectors]trace.Kind{VecTimer: trace.KindIRQ, VecDevice: trace.KindIRQ, VecIPI: trace.KindIRQIPI}
+)
 
 // ID returns the CPU number.
 func (c *CPU) ID() int { return c.id }
@@ -725,7 +685,7 @@ func (l *SpinLock) breakIfOwnerDead(m *Machine) bool {
 		return false
 	}
 	m.lockBreaks++
-	m.tracer.Instant(int64(m.Eng.Now()), l.owner, trace.CatMachine, "lock-break", int64(l.ownerInc), 0)
+	m.Tracer().Instant(int64(m.Eng.Now()), l.owner, trace.CatMachine, "lock-break", int64(l.ownerInc), 0)
 	l.held = false
 	return true
 }
@@ -737,20 +697,15 @@ func (l *SpinLock) breakIfOwnerDead(m *Machine) bool {
 func (l *SpinLock) Lock(ex *Exec) IPL {
 	prev := ex.RaiseIPL(l.MinIPL)
 	ex.charge(ex.m().costs.LockAcquire)
-	pr := ex.m().prof
+	tr := ex.m().Tracer()
 	t0 := ex.Now()
-	contended := false
-	for l.held && !l.breakIfOwnerDead(ex.m()) {
-		if !contended {
-			contended = true
-			pr.Push(int64(ex.Now()), ex.CPUID(), profile.PhaseSpinLock)
+	for spun := false; l.held && !l.breakIfOwnerDead(ex.m()); spun = true {
+		if !spun {
+			tr.Emit(trace.KindLockSpin, int64(ex.Now()), ex.CPUID(), l.Name, 0, 0)
 		}
 		ex.Advance(ex.m().costs.SpinCheck)
 	}
-	if contended {
-		pr.Pop(int64(ex.Now()), ex.CPUID(), profile.PhaseSpinLock)
-	}
-	pr.LockWait(l.Name, int64(ex.Now()-t0))
+	tr.Emit(trace.KindLockAcquire, int64(ex.Now()), ex.CPUID(), l.Name, int64(ex.Now()-t0), 0)
 	l.held = true
 	l.owner = ex.CPUID()
 	l.ownerInc = ex.cpu.incarnation
@@ -767,7 +722,7 @@ func (l *SpinLock) TryLock(ex *Exec) bool {
 	if l.held && !l.breakIfOwnerDead(ex.m()) {
 		return false
 	}
-	ex.m().prof.LockWait(l.Name, 0)
+	ex.m().Tracer().Emit(trace.KindLockAcquire, int64(ex.Now()), ex.CPUID(), l.Name, 0, 0)
 	l.held = true
 	l.owner = ex.CPUID()
 	l.ownerInc = ex.cpu.incarnation
@@ -785,7 +740,7 @@ func (l *SpinLock) Unlock(ex *Exec, prev IPL) {
 			l.Name, ex.CPUID(), l.owner))
 	}
 	ex.charge(ex.m().costs.LockRelease)
-	ex.m().prof.LockHold(l.Name, int64(ex.Now()-l.heldAt))
+	ex.m().Tracer().Emit(trace.KindLockRelease, int64(ex.Now()), ex.CPUID(), l.Name, int64(ex.Now()-l.heldAt), 0)
 	l.held = false
 	ex.RestoreIPL(prev)
 }

@@ -16,11 +16,11 @@
 //   - Per-lock and per-bus-site contention profiles (hold/wait
 //     histograms on stats.Histogram).
 //
-// Like the trace layer, the profiler is attached as hooks that charge no
-// virtual time and consume no simulation randomness, so profiled runs
+// The profiler is a subscriber of the observation stream (trace.Sink): it
+// rebuilds all three from the typed events every layer emits, charges no
+// virtual time and consumes no simulation randomness, so profiled runs
 // are bit-identical to unprofiled ones; and because every timestamp is
 // virtual, two runs with the same seed produce byte-identical profiles.
-// All methods are nil-safe so instrumentation sites need no guards.
 package profile
 
 import (
@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"shootdown/internal/stats"
+	"shootdown/internal/trace"
 )
 
 // Phase is one level of the per-CPU attribution stack. The bottom of the
@@ -97,6 +98,8 @@ type cpuState struct {
 	cum    PhaseTotals      // leaf-phase totals (snapshotted by the DAG)
 	// buckets is the utilization timeline: bucket index → leaf-phase ns.
 	buckets map[int64]*PhaseTotals
+	// bus is the call site of the bus stall in progress.
+	bus *ContentionProfile
 }
 
 // ContentionProfile is one lock's (or bus call site's) contention record.
@@ -112,16 +115,24 @@ type ContentionProfile struct {
 	Txns      uint64
 }
 
-func newContention() *ContentionProfile {
-	return &ContentionProfile{
-		Wait: stats.NewHistogram(100, 1e9, 5),
-		Hold: stats.NewHistogram(100, 1e9, 5),
+// contention returns (creating if needed) the named lock's or bus site's
+// profile in m.
+func contention(m map[string]*ContentionProfile, name string) *ContentionProfile {
+	c := m[name]
+	if c == nil {
+		c = &ContentionProfile{
+			Wait: stats.NewHistogram(100, 1e9, 5),
+			Hold: stats.NewHistogram(100, 1e9, 5),
+		}
+		m[name] = c
 	}
+	return c
 }
 
-// Profiler is the virtual-time profiler. Attach it with
-// machine.SetProfiler / kernel.Config.Profiler; all methods are nil-safe
-// and cost no virtual time.
+// Profiler is the virtual-time profiler. Subscribe it to a kernel's
+// observation stream with trace.Stream (experiments plumb it via
+// Instrument). It costs no virtual time, and its exported methods are
+// nil-safe.
 type Profiler struct {
 	// BucketNS is the utilization-timeline bucket width; set it before
 	// the first event (0 = DefaultBucketNS).
@@ -151,17 +162,99 @@ func New() *Profiler {
 	}
 }
 
-// SetIRQLatency records the machine's interrupt latency so the causal
-// reconstructor can split a responder's post→deliver wait into hardware
-// latency and masked time. Wired by the kernel from the machine's costs.
-func (p *Profiler) SetIRQLatency(ns int64) {
+// streamKinds are the stream events the profiler consumes.
+var streamKinds = trace.Kinds(trace.KindIdle, trace.KindDispatch, trace.KindCPUFail,
+	trace.KindCPUOnline, trace.KindDevQuarantine, trace.KindIRQIPI, trace.KindBusWait,
+	trace.KindSyncBegin, trace.KindSyncEnd, trace.KindWaitBegin, trace.KindStallBegin,
+	trace.KindDevWaitBegin, trace.KindSpinEnd, trace.KindRespondEnd, trace.KindRun,
+	trace.KindRunEnd, trace.KindExpect, trace.KindIPIPost, trace.KindMask, trace.KindLockSpin,
+	trace.KindLockAcquire, trace.KindLockRelease, trace.KindBusBegin, trace.KindBusEnd)
+
+// Kinds implements trace.Sink. A nil profiler consumes nothing, so the
+// stream never subscribes it.
+func (p *Profiler) Kinds() trace.KindSet {
 	if p == nil {
-		return
+		return 0
 	}
-	p.irqLatNS = ns
+	return streamKinds
 }
 
-// IRQLatencyNS returns the configured interrupt latency.
+// Observe implements trace.Sink: it folds one stream event into the phase
+// stacks, the shootdown DAGs, or the contention profiles.
+func (p *Profiler) Observe(ev trace.Event) {
+	ts, cpu := ev.TS, int(ev.CPU)
+	switch ev.Kind {
+	case trace.KindRun:
+		p.rebase()
+		p.irqLatNS = ev.Arg1
+	case trace.KindRunEnd:
+		p.finishAt(ts)
+	case trace.KindIdle:
+		p.setBase(ts, cpu, PhaseIdle)
+	case trace.KindDispatch:
+		p.setBase(ts, cpu, PhaseRun)
+	case trace.KindCPUFail, trace.KindDevQuarantine:
+		// Whatever the processor was doing ends; its time is halted until
+		// it comes back online.
+		p.reset(ts, cpu, PhaseHalted)
+	case trace.KindCPUOnline:
+		p.reset(ts, cpu, PhaseIdle)
+	case trace.KindMask:
+		if ev.Arg1 >= ev.Arg2 {
+			p.Push(ts, cpu, PhaseMasked)
+		} else {
+			p.Pop(ts, cpu, PhaseMasked)
+		}
+	case trace.KindLockSpin:
+		p.Push(ts, cpu, PhaseSpinLock)
+	case trace.KindLockAcquire:
+		c := contention(p.locks, ev.Name)
+		c.Wait.Observe(float64(ev.Arg1))
+		if ev.Arg1 > 0 {
+			c.Contended++
+			p.Pop(ts, cpu, PhaseSpinLock)
+		}
+	case trace.KindLockRelease:
+		contention(p.locks, ev.Name).Hold.Observe(float64(ev.Arg1))
+	case trace.KindBusBegin:
+		c := contention(p.bus, ev.Name)
+		c.Txns += uint64(ev.Arg1)
+		p.Push(ts, cpu, PhaseBusStall)
+		p.cpus[cpu].bus = c
+	case trace.KindBusWait:
+		c := p.cpus[cpu].bus
+		c.Wait.Observe(float64(ev.Arg1))
+		c.Contended++
+	case trace.KindBusEnd:
+		p.Pop(ts, cpu, PhaseBusStall)
+	case trace.KindSyncBegin:
+		p.shootBegin(ts, cpu, ev.Arg2 != 0, int(ev.Arg1))
+	case trace.KindExpect:
+		p.shootExpect(ts, cpu, int(ev.Arg1))
+	case trace.KindIPIPost:
+		p.ipiPosted(ts, cpu, ev.Arg1 >= ev.Arg2)
+	case trace.KindWaitBegin:
+		p.shootWait(ts, cpu)
+		p.Push(ts, cpu, PhaseSpinBarrier)
+	case trace.KindDevWaitBegin:
+		p.Push(ts, cpu, PhaseSpinBarrier)
+	case trace.KindSpinEnd:
+		p.Pop(ts, cpu, PhaseSpinBarrier)
+	case trace.KindSyncEnd:
+		p.shootEnd(ts, cpu)
+	case trace.KindIRQIPI:
+		p.irqEnter(ts, cpu)
+	case trace.KindStallBegin:
+		p.respondAck(ts, cpu)
+		p.Push(ts, cpu, PhaseSpinBarrier)
+	case trace.KindRespondEnd:
+		p.respondDone(ts, cpu)
+	}
+}
+
+// IRQLatencyNS returns the machine's interrupt latency, which the causal
+// reconstructor uses to split a responder's post→deliver wait into
+// hardware latency and masked time.
 func (p *Profiler) IRQLatencyNS() int64 {
 	if p == nil {
 		return 0
@@ -169,15 +262,12 @@ func (p *Profiler) IRQLatencyNS() int64 {
 	return p.irqLatNS
 }
 
-// Rebase starts a new kernel run on a shared session profile: each
+// rebase starts a new kernel run on a shared session profile: each
 // kernel's engine restarts virtual time at zero, so the profiler shifts
 // its epoch to the latest time seen and resets per-CPU stacks. Phase and
 // contention accounting accumulates across rebases; shootdowns left
 // incomplete by the previous kernel are finalized as-is.
-func (p *Profiler) Rebase() {
-	if p == nil {
-		return
-	}
+func (p *Profiler) rebase() {
 	for _, cs := range p.cpus {
 		if cs != nil && cs.active {
 			p.charge(cs, p.maxTS)
@@ -189,12 +279,9 @@ func (p *Profiler) Rebase() {
 	p.epoch = p.maxTS
 }
 
-// FinishAt completes phase accounting up to the given (raw) timestamp;
-// the kernel calls it when a run ends so trailing time is charged.
-func (p *Profiler) FinishAt(ts int64) {
-	if p == nil {
-		return
-	}
+// finishAt completes phase accounting up to the given (raw) timestamp
+// when a run ends, so trailing time is charged.
+func (p *Profiler) finishAt(ts int64) {
 	rts := p.rebased(ts)
 	for _, cs := range p.cpus {
 		if cs != nil && cs.active {
@@ -284,12 +371,9 @@ func (p *Profiler) chargeCPU(cpu int, rts int64) *cpuState {
 	return cs
 }
 
-// SetBase switches a CPU's base phase (idle ↔ run), keeping any overlay
+// setBase switches a CPU's base phase (idle ↔ run), keeping any overlay
 // phases above it.
-func (p *Profiler) SetBase(ts int64, cpu int, base Phase) {
-	if p == nil {
-		return
-	}
+func (p *Profiler) setBase(ts int64, cpu int, base Phase) {
 	cs := p.chargeCPU(cpu, p.rebased(ts))
 	cs.stack[0] = base
 	cs.rekey()
@@ -322,103 +406,12 @@ func (p *Profiler) Pop(ts int64, cpu int, ph Phase) {
 	}
 }
 
-// SetMasked records an IPI-mask edge: the machine calls it when a CPU's
-// IPL crosses the shootdown vector's priority in either direction.
-func (p *Profiler) SetMasked(ts int64, cpu int, masked bool) {
-	if p == nil {
-		return
-	}
-	if masked {
-		p.Push(ts, cpu, PhaseMasked)
-	} else {
-		p.Pop(ts, cpu, PhaseMasked)
-	}
-}
-
-// CPUFail marks a processor fail-stopped: whatever it was doing ends and
-// its time is charged to the halted phase until it comes back online.
-func (p *Profiler) CPUFail(ts int64, cpu int) {
-	if p == nil {
-		return
-	}
+// reset replaces a CPU's whole phase stack with base (a fail-stop or a
+// return online).
+func (p *Profiler) reset(ts int64, cpu int, base Phase) {
 	cs := p.chargeCPU(cpu, p.rebased(ts))
-	cs.stack = append(cs.stack[:0], PhaseHalted)
+	cs.stack = append(cs.stack[:0], base)
 	cs.rekey()
-}
-
-// CPUOnline marks a failed processor back online (idle until dispatched).
-func (p *Profiler) CPUOnline(ts int64, cpu int) {
-	if p == nil {
-		return
-	}
-	cs := p.chargeCPU(cpu, p.rebased(ts))
-	cs.stack = append(cs.stack[:0], PhaseIdle)
-	cs.rekey()
-}
-
-// LockWait records one lock acquisition's spin wait (0 for uncontended).
-func (p *Profiler) LockWait(name string, ns int64) {
-	if p == nil {
-		return
-	}
-	c := p.locks[name]
-	if c == nil {
-		c = newContention()
-		p.locks[name] = c
-	}
-	c.Wait.Observe(float64(ns))
-	if ns > 0 {
-		c.Contended++
-	}
-}
-
-// LockHold records one lock hold time.
-func (p *Profiler) LockHold(name string, ns int64) {
-	if p == nil {
-		return
-	}
-	c := p.locks[name]
-	if c == nil {
-		c = newContention()
-		p.locks[name] = c
-	}
-	c.Hold.Observe(float64(ns))
-}
-
-// BusTxns counts bus transactions issued from a call site.
-func (p *Profiler) BusTxns(site string, n int) {
-	if p == nil {
-		return
-	}
-	c := p.bus[site]
-	if c == nil {
-		c = newContention()
-		p.bus[site] = c
-	}
-	c.Txns += uint64(n)
-}
-
-// BusWait records one bus transaction's queueing delay behind other
-// processors' traffic (only queued transactions are recorded).
-func (p *Profiler) BusWait(site string, ns int64) {
-	if p == nil {
-		return
-	}
-	c := p.bus[site]
-	if c == nil {
-		c = newContention()
-		p.bus[site] = c
-	}
-	c.Wait.Observe(float64(ns))
-	c.Contended++
-}
-
-// CPUTotals returns one CPU's accumulated leaf-phase nanoseconds.
-func (p *Profiler) CPUTotals(cpu int) PhaseTotals {
-	if p == nil || cpu >= len(p.cpus) || p.cpus[cpu] == nil {
-		return PhaseTotals{}
-	}
-	return p.cpus[cpu].cum
 }
 
 // NumCPUs returns the number of CPUs the profiler has seen.
@@ -488,7 +481,7 @@ func decodeKey(k uint64) string {
 	return strings.Join(parts, ";")
 }
 
-// lockNames returns the sorted lock (or bus-site) names of a contention
+// contentionNames returns the sorted lock (or bus-site) names of a contention
 // map, for deterministic emission.
 func contentionNames(m map[string]*ContentionProfile) []string {
 	names := make([]string, 0, len(m))
@@ -497,35 +490,4 @@ func contentionNames(m map[string]*ContentionProfile) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Lock returns the contention profile for one lock (nil if never seen).
-func (p *Profiler) Lock(name string) *ContentionProfile {
-	if p == nil {
-		return nil
-	}
-	return p.locks[name]
-}
-
-// BusSite returns the contention profile for one bus call site.
-func (p *Profiler) BusSite(name string) *ContentionProfile {
-	if p == nil {
-		return nil
-	}
-	return p.bus[name]
-}
-
-// MergedLockWaits aggregates every lock's wait histogram into one
-// distribution (cross-CPU contention summary; uses stats.Histogram.Merge).
-func (p *Profiler) MergedLockWaits() (*stats.Histogram, error) {
-	merged := stats.NewHistogram(100, 1e9, 5)
-	if p == nil {
-		return merged, nil
-	}
-	for _, name := range contentionNames(p.locks) {
-		if err := merged.Merge(p.locks[name].Wait); err != nil {
-			return nil, fmt.Errorf("profile: merging lock %q: %w", name, err)
-		}
-	}
-	return merged, nil
 }

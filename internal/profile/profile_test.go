@@ -4,19 +4,29 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"shootdown/internal/trace"
 )
+
+// emit feeds the profiler one stream event, as a kernel's stream does.
+func emit(p *Profiler, k trace.Kind, ts int64, cpu int, name string, a1, a2 int64) {
+	p.Observe(trace.Event{Kind: k, TS: ts, CPU: int32(cpu), Name: name, Arg1: a1, Arg2: a2})
+}
+
+// ipl levels for mask edges: the IPI's priority, and a level above it.
+const ipiPrio, masked, unmasked = 1, 1, 0
 
 // TestFoldedAttribution drives a synthetic phase schedule and checks that
 // every nanosecond lands on the right stack cell.
 func TestFoldedAttribution(t *testing.T) {
 	p := New()
-	p.SetBase(0, 0, PhaseIdle)  // activates cpu0 at t=0
-	p.SetBase(100, 0, PhaseRun) // 100ns idle
+	p.setBase(0, 0, PhaseIdle)  // activates cpu0 at t=0
+	p.setBase(100, 0, PhaseRun) // 100ns idle
 	p.Push(300, 0, PhaseMasked) // 200ns run
 	p.Push(350, 0, PhaseSpinLock)
 	p.Pop(500, 0, PhaseSpinLock) // 150ns run;ipl-masked;spin-lock
 	p.Pop(600, 0, PhaseMasked)   // 50+100ns run;ipl-masked
-	p.FinishAt(1000)             // 400ns run
+	p.finishAt(1000)             // 400ns run
 
 	want := map[string]int64{
 		"cpu00;idle":                     100,
@@ -41,7 +51,7 @@ func TestFoldedAttribution(t *testing.T) {
 	if sum != 1000 {
 		t.Errorf("total charged %d ns, want 1000 (every tick attributed exactly once)", sum)
 	}
-	tot := p.CPUTotals(0)
+	tot := p.cpus[0].cum
 	if tot.Of(PhaseRun) != 600 || tot.Of(PhaseMasked) != 150 || tot.Of(PhaseSpinLock) != 150 || tot.Of(PhaseIdle) != 100 {
 		t.Errorf("leaf totals wrong: %+v", tot)
 	}
@@ -52,10 +62,10 @@ func TestFoldedAttribution(t *testing.T) {
 func TestTimelineBuckets(t *testing.T) {
 	p := New()
 	p.BucketNS = 1000
-	p.SetBase(0, 0, PhaseRun)
+	p.setBase(0, 0, PhaseRun)
 	p.Push(2500, 0, PhaseBusStall) // crosses buckets 2→3
 	p.Pop(3500, 0, PhaseBusStall)
-	p.FinishAt(4000)
+	p.finishAt(4000)
 
 	var b bytes.Buffer
 	if err := p.WriteTimeline(&b); err != nil {
@@ -104,26 +114,26 @@ func fmtSscan(s string, v *int64) (int, error) {
 // push (and pops of the base phase).
 func TestUnmatchedPopIgnored(t *testing.T) {
 	p := New()
-	p.SetBase(0, 0, PhaseRun)
+	p.setBase(0, 0, PhaseRun)
 	p.Pop(100, 0, PhaseSpinLock) // no matching push: ignored
 	p.Pop(200, 0, PhaseRun)      // base phase is not poppable
-	p.FinishAt(300)
-	tot := p.CPUTotals(0)
+	p.finishAt(300)
+	tot := p.cpus[0].cum
 	if tot.Of(PhaseRun) != 300 {
 		t.Errorf("run = %d, want 300", tot.Of(PhaseRun))
 	}
 }
 
-// TestMaskedEdges checks SetMasked is edge-triggered and idempotent per
+// TestMaskedEdges checks mask edges are edge-triggered and idempotent per
 // direction.
 func TestMaskedEdges(t *testing.T) {
 	p := New()
-	p.SetBase(0, 0, PhaseRun)
-	p.SetMasked(100, 0, true)
-	p.SetMasked(400, 0, false)
-	p.SetMasked(500, 0, false) // redundant unmask: no effect
-	p.FinishAt(600)
-	tot := p.CPUTotals(0)
+	p.setBase(0, 0, PhaseRun)
+	emit(p, trace.KindMask, 100, 0, "", masked, ipiPrio)
+	emit(p, trace.KindMask, 400, 0, "", unmasked, ipiPrio)
+	emit(p, trace.KindMask, 500, 0, "", unmasked, ipiPrio) // redundant unmask: no effect
+	p.finishAt(600)
+	tot := p.cpus[0].cum
 	if tot.Of(PhaseMasked) != 300 {
 		t.Errorf("masked = %d, want 300", tot.Of(PhaseMasked))
 	}
@@ -137,84 +147,81 @@ func TestMaskedEdges(t *testing.T) {
 // kernel stop accumulating idle time.
 func TestRebaseIsolatesKernels(t *testing.T) {
 	p := New()
-	p.SetBase(0, 0, PhaseRun)
-	p.SetBase(0, 1, PhaseIdle)
-	p.FinishAt(1000)
-	p.Rebase()
+	p.setBase(0, 0, PhaseRun)
+	p.setBase(0, 1, PhaseIdle)
+	p.finishAt(1000)
+	p.rebase()
 	// Second kernel uses only cpu0, starting its local clock at 0.
-	p.SetBase(0, 0, PhaseRun)
-	p.FinishAt(500)
+	p.setBase(0, 0, PhaseRun)
+	p.finishAt(500)
 
-	if got := p.CPUTotals(0).Of(PhaseRun); got != 1500 {
+	if got := p.cpus[0].cum.Of(PhaseRun); got != 1500 {
 		t.Errorf("cpu0 run = %d, want 1500", got)
 	}
 	// cpu1 must not have accumulated anything past the first kernel.
-	if got := p.CPUTotals(1); got.Of(PhaseIdle) != 1000 {
+	if got := p.cpus[1].cum; got.Of(PhaseIdle) != 1000 {
 		t.Errorf("cpu1 idle = %d, want 1000 (no phantom time after rebase)", got.Of(PhaseIdle))
 	}
 }
 
-// TestContentionProfiles checks the lock/bus histograms and the merged
-// view.
+// TestContentionProfiles checks the lock and bus-site histograms.
 func TestContentionProfiles(t *testing.T) {
 	p := New()
-	p.LockWait("pmap:1", 0)
-	p.LockWait("pmap:1", 5000)
-	p.LockHold("pmap:1", 2000)
-	p.LockWait("sched", 3000)
-	p.BusTxns("store", 4)
-	p.BusWait("store", 1200)
+	emit(p, trace.KindLockAcquire, 0, 0, "pmap:1", 0, 0)
+	emit(p, trace.KindLockAcquire, 0, 0, "pmap:1", 5000, 0)
+	emit(p, trace.KindLockRelease, 0, 0, "pmap:1", 2000, 0)
+	emit(p, trace.KindLockAcquire, 0, 0, "sched", 3000, 0)
+	emit(p, trace.KindBusBegin, 0, 0, "store", 4, 0)
+	emit(p, trace.KindBusWait, 0, 0, "bus-wait", 1200, 0)
+	emit(p, trace.KindBusEnd, 0, 0, "", 0, 0)
 
-	l := p.Lock("pmap:1")
+	l := p.locks["pmap:1"]
 	if l == nil || l.Contended != 1 {
 		t.Fatalf("pmap:1 profile wrong: %+v", l)
 	}
 	if l.Wait.Count() != 2 || l.Hold.Count() != 1 {
 		t.Errorf("pmap:1 wait/hold counts = %d/%d, want 2/1", l.Wait.Count(), l.Hold.Count())
 	}
-	b := p.BusSite("store")
+	b := p.bus["store"]
 	if b == nil || b.Txns != 4 || b.Contended != 1 {
 		t.Fatalf("store bus profile wrong: %+v", b)
 	}
-	merged, err := p.MergedLockWaits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Count() != 3 {
-		t.Errorf("merged lock waits = %d observations, want 3", merged.Count())
+	if s := p.locks["sched"]; s == nil || s.Contended != 1 || s.Wait.Count() != 1 {
+		t.Errorf("sched profile wrong: %+v", s)
 	}
 }
 
-// TestCausalReconstruction drives the full hook sequence of one two-
+// TestCausalReconstruction drives the full event sequence of one two-
 // responder shootdown and checks the DAG, attribution, and critical path.
 func TestCausalReconstruction(t *testing.T) {
 	p := New()
-	p.SetIRQLatency(8)
+	emit(p, trace.KindRun, 0, -1, "", 8, 0) // 8ns interrupt latency
 	for cpu := 0; cpu < 3; cpu++ {
-		p.SetBase(0, cpu, PhaseRun)
+		p.setBase(0, cpu, PhaseRun)
 	}
 
-	p.ShootBegin(100, 0, false, 3)
-	p.ShootExpect(150, 0, []int{1, 2})
-	p.IPIPosted(150, 1, false)
-	p.IPIPosted(150, 2, true) // cpu2 had IPIs masked at post time
-	p.ShootWait(160, 0)
+	emit(p, trace.KindSyncBegin, 100, 0, "shootdown-sync", 3, 0)
+	emit(p, trace.KindExpect, 150, 0, "", 1, 0)
+	emit(p, trace.KindExpect, 150, 0, "", 2, 0)
+	emit(p, trace.KindIPIPost, 150, 1, "", unmasked, ipiPrio)
+	emit(p, trace.KindIPIPost, 150, 2, "", masked, ipiPrio) // cpu2 had IPIs masked at post time
+	emit(p, trace.KindWaitBegin, 160, 0, "shootdown-wait", 2, 0)
 
 	// cpu1 responds quickly: 8ns irq latency, then masked dispatch.
-	p.SetMasked(158, 1, true)
-	p.IRQEnter(158, 1)
-	p.RespondAck(200, 1)
+	emit(p, trace.KindMask, 158, 1, "", masked, ipiPrio)
+	emit(p, trace.KindIRQIPI, 158, 1, "irq-ipi", 0, 0)
+	emit(p, trace.KindStallBegin, 200, 1, "shootdown-stall", 0, 0)
 	// cpu2 was masked for 92ns before delivery.
-	p.SetMasked(242, 2, true)
-	p.IRQEnter(242, 2)
-	p.RespondAck(300, 2)
+	emit(p, trace.KindMask, 242, 2, "", masked, ipiPrio)
+	emit(p, trace.KindIRQIPI, 242, 2, "irq-ipi", 0, 0)
+	emit(p, trace.KindStallBegin, 300, 2, "shootdown-stall", 0, 0)
 
-	p.ShootEnd(310, 0)
-	p.RespondDone(320, 1)
-	p.SetMasked(320, 1, false)
-	p.RespondDone(330, 2)
-	p.SetMasked(330, 2, false)
-	p.FinishAt(400)
+	emit(p, trace.KindSyncEnd, 310, 0, "shootdown-sync", 0, 0)
+	emit(p, trace.KindRespondEnd, 320, 1, "shootdown-respond", 0, 0)
+	emit(p, trace.KindMask, 320, 1, "", unmasked, ipiPrio)
+	emit(p, trace.KindRespondEnd, 330, 2, "shootdown-respond", 0, 0)
+	emit(p, trace.KindMask, 330, 2, "", unmasked, ipiPrio)
+	emit(p, trace.KindRunEnd, 400, -1, "", 0, 0)
 
 	recs := p.Shootdowns()
 	if len(recs) != 1 {
@@ -269,48 +276,34 @@ func TestCausalReconstruction(t *testing.T) {
 // responder the initiator waited for.
 func TestLateAckIgnoredForLast(t *testing.T) {
 	p := New()
-	p.ShootBegin(0, 0, false, 1)
-	p.ShootExpect(10, 0, []int{1, 2})
-	p.IPIPosted(10, 1, false)
-	p.IPIPosted(10, 2, false)
-	p.IRQEnter(20, 1)
-	p.RespondAck(50, 1)
-	p.ShootEnd(60, 0) // initiator returns; cpu2 never acked in time
-	p.IRQEnter(70, 2)
-	p.RespondAck(80, 2) // late ack
+	emit(p, trace.KindSyncBegin, 0, 0, "shootdown-sync", 1, 0)
+	emit(p, trace.KindExpect, 10, 0, "", 1, 0)
+	emit(p, trace.KindExpect, 10, 0, "", 2, 0)
+	emit(p, trace.KindIPIPost, 10, 1, "", unmasked, ipiPrio)
+	emit(p, trace.KindIPIPost, 10, 2, "", unmasked, ipiPrio)
+	emit(p, trace.KindIRQIPI, 20, 1, "irq-ipi", 0, 0)
+	emit(p, trace.KindStallBegin, 50, 1, "shootdown-stall", 0, 0)
+	emit(p, trace.KindSyncEnd, 60, 0, "shootdown-sync", 0, 0) // initiator returns; cpu2 never acked in time
+	emit(p, trace.KindIRQIPI, 70, 2, "irq-ipi", 0, 0)
+	emit(p, trace.KindStallBegin, 80, 2, "shootdown-stall", 0, 0) // late ack
 	last := p.Shootdowns()[0].LastResponder()
 	if last == nil || last.CPU != 1 {
 		t.Fatalf("last responder = %+v, want cpu1 (cpu2 acked after the initiator returned)", last)
 	}
 }
 
-// TestNilProfilerSafe checks every hook is a no-op on a nil receiver, so
-// instrumentation sites need no guards.
+// TestNilProfilerSafe checks the exported methods are no-ops on a nil
+// receiver, and that a nil profiler consumes no kinds, so a stream never
+// subscribes it.
 func TestNilProfilerSafe(t *testing.T) {
 	var p *Profiler
-	p.SetBase(0, 0, PhaseRun)
 	p.Push(0, 0, PhaseMasked)
 	p.Pop(0, 0, PhaseMasked)
-	p.SetMasked(0, 0, true)
-	p.CPUFail(0, 0)
-	p.CPUOnline(0, 0)
-	p.LockWait("x", 1)
-	p.LockHold("x", 1)
-	p.BusTxns("x", 1)
-	p.BusWait("x", 1)
-	p.ShootBegin(0, 0, false, 0)
-	p.ShootExpect(0, 0, nil)
-	p.ShootWait(0, 0)
-	p.ShootEnd(0, 0)
-	p.IPIPosted(0, 0, false)
-	p.IRQEnter(0, 0)
-	p.RespondAck(0, 0)
-	p.RespondDone(0, 0)
-	p.Rebase()
-	p.FinishAt(0)
-	p.SetIRQLatency(1)
 	if p.NumCPUs() != 0 || p.IRQLatencyNS() != 0 || p.Shootdowns() != nil || p.Folded() != nil {
 		t.Error("nil profiler reads must return zero values")
+	}
+	if p.Kinds() != 0 || trace.Stream(nil, nil, p) != nil {
+		t.Error("a nil profiler must not be subscribed to a stream")
 	}
 }
 
@@ -320,13 +313,13 @@ func TestFoldedDeterministicOrder(t *testing.T) {
 	build := func() string {
 		p := New()
 		for cpu := 0; cpu < 4; cpu++ {
-			p.SetBase(0, cpu, PhaseRun)
+			p.setBase(0, cpu, PhaseRun)
 			p.Push(int64(10*cpu+10), cpu, PhaseMasked)
 			p.Pop(int64(10*cpu+20), cpu, PhaseMasked)
 			p.Push(int64(10*cpu+30), cpu, PhaseBusStall)
 			p.Pop(int64(10*cpu+40), cpu, PhaseBusStall)
 		}
-		p.FinishAt(500)
+		p.finishAt(500)
 		var b bytes.Buffer
 		if err := p.WriteFolded(&b); err != nil {
 			t.Fatal(err)

@@ -1,14 +1,14 @@
 package profile
 
-// The causal reconstructor: core.Shootdown and machine.Machine feed typed
-// hooks as a shootdown progresses, and the profiler links them into a
-// per-instance DAG — initiator begin (pmap locked) → IPI posts →
+// The causal reconstructor: core.Shootdown and machine.Machine emit typed
+// stream events as a shootdown progresses, and the profiler links them
+// into a per-instance DAG — initiator begin (pmap locked) → IPI posts →
 // per-responder interrupt entry → barrier arrival (ack) → flush → release
 // — from which the critical path and "which responder was last and why"
 // fall out. Matching is by expectation, not by trace parsing: the
 // initiator registers the responder set just before the IPIs go out, so
-// the machine- and responder-side hooks know which instance each event
-// belongs to even when the trace ring has long since wrapped.
+// the machine- and responder-side events know which instance they belong
+// to even when the trace ring has long since wrapped.
 
 import "sort"
 
@@ -126,11 +126,8 @@ func (r *ShootRecord) LastResponder() *RespRecord {
 	return last
 }
 
-// ShootBegin opens a shootdown record for an initiator entering Sync.
-func (p *Profiler) ShootBegin(ts int64, cpu int, kernel bool, pages int) {
-	if p == nil {
-		return
-	}
+// shootBegin opens a shootdown record for an initiator entering Sync.
+func (p *Profiler) shootBegin(ts int64, cpu int, kernel bool, pages int) {
 	rec := &ShootRecord{
 		Seq:    len(p.records),
 		CPU:    cpu,
@@ -142,32 +139,24 @@ func (p *Profiler) ShootBegin(ts int64, cpu int, kernel bool, pages int) {
 	p.open[cpu] = rec
 }
 
-// ShootExpect registers the responder set just before the initiator sends
-// its IPIs, so subsequent machine/responder hooks can be matched to this
-// instance.
-func (p *Profiler) ShootExpect(ts int64, cpu int, waiters []int) {
-	if p == nil {
-		return
-	}
+// shootExpect registers one responder of the initiator's set just before
+// the IPIs go out, so subsequent machine/responder events can be matched
+// to this instance.
+func (p *Profiler) shootExpect(ts int64, cpu, waiter int) {
 	rec := p.open[cpu]
 	if rec == nil {
 		return
 	}
 	rec.SendT = p.rebased(ts)
-	for _, w := range waiters {
-		rr := &RespRecord{CPU: w}
-		rec.Resp = append(rec.Resp, rr)
-		p.expecting[w] = append(p.expecting[w], rr)
-	}
+	rr := &RespRecord{CPU: waiter}
+	rec.Resp = append(rec.Resp, rr)
+	p.expecting[waiter] = append(p.expecting[waiter], rr)
 }
 
-// ShootWait marks the initiator entering its acknowledgment spin loop.
+// shootWait marks the initiator entering its acknowledgment spin loop.
 // Responders whose IPI post was coalesced with an earlier in-flight IPI
 // get their PostT backfilled here.
-func (p *Profiler) ShootWait(ts int64, cpu int) {
-	if p == nil {
-		return
-	}
+func (p *Profiler) shootWait(ts int64, cpu int) {
 	rec := p.open[cpu]
 	if rec == nil {
 		return
@@ -181,12 +170,9 @@ func (p *Profiler) ShootWait(ts int64, cpu int) {
 	}
 }
 
-// ShootEnd closes the initiator's record. Responders it stopped waiting
+// shootEnd closes the initiator's record. Responders it stopped waiting
 // for (lazy release) keep zero AckT.
-func (p *Profiler) ShootEnd(ts int64, cpu int) {
-	if p == nil {
-		return
-	}
+func (p *Profiler) shootEnd(ts int64, cpu int) {
 	rec := p.open[cpu]
 	if rec == nil {
 		return
@@ -195,12 +181,9 @@ func (p *Profiler) ShootEnd(ts int64, cpu int) {
 	delete(p.open, cpu)
 }
 
-// IPIPosted records the machine latching a shootdown IPI on a target
+// ipiPosted records the machine latching a shootdown IPI on a target
 // (called once per post; retries and coalesced posts don't move PostT).
-func (p *Profiler) IPIPosted(ts int64, target int, masked bool) {
-	if p == nil {
-		return
-	}
+func (p *Profiler) ipiPosted(ts int64, target int, masked bool) {
 	rts := p.rebased(ts)
 	for _, rr := range p.expecting[target] {
 		if rr.PostT == 0 {
@@ -211,11 +194,8 @@ func (p *Profiler) IPIPosted(ts int64, target int, masked bool) {
 	}
 }
 
-// IRQEnter records shootdown-interrupt entry on a responder.
-func (p *Profiler) IRQEnter(ts int64, cpu int) {
-	if p == nil {
-		return
-	}
+// irqEnter records shootdown-interrupt entry on a responder.
+func (p *Profiler) irqEnter(ts int64, cpu int) {
 	rts := p.rebased(ts)
 	for _, rr := range p.expecting[cpu] {
 		if rr.PostT != 0 && rr.DeliverT == 0 {
@@ -225,13 +205,10 @@ func (p *Profiler) IRQEnter(ts int64, cpu int) {
 	}
 }
 
-// RespondAck records a responder clearing its active bit — the barrier
+// respondAck records a responder clearing its active bit — the barrier
 // arrival the initiator spins on. One interrupt can serve several crossed
 // shootdowns, so every expectation without an ack is completed.
-func (p *Profiler) RespondAck(ts int64, cpu int) {
-	if p == nil {
-		return
-	}
+func (p *Profiler) respondAck(ts int64, cpu int) {
 	rts := p.rebased(ts)
 	for _, rr := range p.expecting[cpu] {
 		if rr.AckT != 0 {
@@ -248,12 +225,9 @@ func (p *Profiler) RespondAck(ts int64, cpu int) {
 	}
 }
 
-// RespondDone records the responder finishing its queued actions and
+// respondDone records the responder finishing its queued actions and
 // rejoining the active set; its expectations are complete.
-func (p *Profiler) RespondDone(ts int64, cpu int) {
-	if p == nil {
-		return
-	}
+func (p *Profiler) respondDone(ts int64, cpu int) {
 	rts := p.rebased(ts)
 	pending := p.expecting[cpu][:0]
 	for _, rr := range p.expecting[cpu] {

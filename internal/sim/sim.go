@@ -166,9 +166,9 @@ type Engine struct {
 	//snap:transient observation hook, reattached by the recorder
 	tieRec func(TieDecision)
 
-	// tracer, if set, receives typed scheduling events (proc run, sleep,
-	// block, preempt, done) on per-proc timelines. Recording charges no
-	// virtual time, so tracing cannot perturb simulation results.
+	// tracer, if set, is the observation stream (trace.Stream); the engine
+	// records scheduling events (proc run, sleep, block, preempt, done) on
+	// per-proc timelines. Observation charges no virtual time.
 	//snap:transient observation attachment, reattached by the session
 	tracer *trace.Tracer
 }
@@ -188,13 +188,14 @@ func WithMaxTime(t Time) Option {
 	return func(e *Engine) { e.maxTime = t }
 }
 
-// WithTracer attaches an observability tracer to the engine. A nil tracer
-// is allowed and disables recording.
+// WithTracer attaches the observation stream to the engine; the machine
+// and protocol layers built on the engine emit into it too. A nil tracer
+// is allowed and disables observation.
 func WithTracer(t *trace.Tracer) Option {
 	return func(e *Engine) { e.tracer = t }
 }
 
-// Tracer returns the engine's tracer (possibly nil).
+// Tracer returns the engine's observation stream (possibly nil).
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // New creates an engine at virtual time zero.

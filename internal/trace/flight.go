@@ -94,14 +94,15 @@ type provider struct {
 	snap func() any
 }
 
-// Recorder is the flight recorder. Build one with NewRecorder, hand it to
-// kernel.Config.Flight (experiments plumb it via Instrument), and call
-// SetDir to choose where black boxes land. A nil *Recorder is a valid
-// "flight recording disabled" value: every method is a no-op on it.
+// Recorder is the flight recorder. Build one with NewRecorder, subscribe
+// it to a kernel's observation stream with Stream (experiments plumb it via
+// Instrument), and call SetDir to choose where black boxes land. The
+// stream trips it (Tracer.Trip) and starts each run on it (BeginRun). A
+// nil *Recorder is a valid "flight recording disabled" value: every method
+// is a no-op on it.
 type Recorder struct {
-	ring  *Tracer
-	owned bool // ring created here (vs. an attached session tracer)
-	dir   string
+	ring *Tracer
+	dir  string
 
 	providers []provider
 	trips     []Trip
@@ -110,15 +111,15 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder with an owned event ring of the given
-// capacity. The ring is a plain Tracer, so attaching it as the kernel's
-// tracer costs nothing extra; kernel.New does exactly that when no session
-// tracer is configured.
+// capacity. The ring is a plain Tracer, so making it the kernel's stream
+// costs nothing extra; Stream does exactly that when no session tracer is
+// given.
 func NewRecorder(ringSize int) (*Recorder, error) {
 	t, err := New(ringSize)
 	if err != nil {
 		return nil, fmt.Errorf("trace: flight recorder: %w", err)
 	}
-	return &Recorder{ring: t, owned: true, maxDumps: DefaultMaxDumps}, nil
+	return &Recorder{ring: t, maxDumps: DefaultMaxDumps}, nil
 }
 
 // Ring returns the recorder's event ring.
@@ -137,7 +138,6 @@ func (r *Recorder) AttachRing(t *Tracer) {
 		return
 	}
 	r.ring = t
-	r.owned = false
 }
 
 // SetDir selects the directory black boxes are written into (created on

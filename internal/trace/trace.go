@@ -1,8 +1,10 @@
 // Package trace is the full-fidelity observability layer for the simulated
-// multiprocessor: a typed span/instant tracer that every layer of the stack
-// (sim engine, machine, shootdown protocol, TLBs, kernel) logs into, with a
-// Chrome trace-event exporter for timeline inspection in chrome://tracing or
-// Perfetto, and a Prometheus-style text metrics snapshot.
+// multiprocessor: the one observation stream that every layer of the stack
+// (sim engine, machine, shootdown protocol, TLBs, kernel) emits into, with
+// its event ring, its subscribers (stream.go) and flight recorder
+// (flight.go), a Chrome trace-event exporter for timeline inspection in
+// chrome://tracing or Perfetto, and a Prometheus-style text metrics
+// snapshot.
 //
 // It generalizes the xpr ring-buffer design (Section 6 of the paper): fixed
 // pre-allocated records, a free-running virtual timestamp per record, and no
@@ -107,16 +109,18 @@ type Event struct {
 	CPU  int32 // CPU number; proc id for CatSim events; -1 when unbound
 	Cat  Category
 	Ph   Phase
+	Kind Kind // what a subscriber reads; never written to traces or black boxes
 	Name string
 	Arg1 int64
 	Arg2 int64
 }
 
-// Tracer is a fixed-capacity ring of events. The zero value is unusable;
-// call New. A nil *Tracer is a valid "tracing disabled" value: every method
-// is a no-op on it.
+// Tracer is the observation stream: a fixed-capacity ring of events plus
+// the subscribers Stream wires to it. Call New for a ring, or Stream for a
+// stream. A nil *Tracer is a valid "observation off" value: every method is
+// a no-op on it.
 type Tracer struct {
-	events   []Event
+	events   []Event // nil for a stream with no ring
 	next     int
 	count    int
 	dropped  uint64
@@ -127,6 +131,10 @@ type Tracer struct {
 	maxTS int64 // largest rebased timestamp recorded so far
 
 	procNames map[int32]string
+
+	sink   Sink
+	kinds  KindSet // the kinds sink consumes
+	flight *Recorder
 }
 
 // New creates a tracer holding up to size records, initially enabled with
@@ -144,12 +152,12 @@ func New(size int) (*Tracer, error) {
 	}, nil
 }
 
-// On enables recording.
+// On enables recording (a stream with no ring has nothing to record into).
 func (t *Tracer) On() {
 	if t == nil {
 		return
 	}
-	t.enabled = true
+	t.enabled = t.events != nil
 }
 
 // Off disables recording.
@@ -200,7 +208,7 @@ func (t *Tracer) Cap() int {
 // runs (each starting at virtual time zero) share one session trace without
 // overlapping: call Rebase before each run.
 func (t *Tracer) Rebase(label string) {
-	if t == nil {
+	if t == nil || t.events == nil {
 		return
 	}
 	t.base = t.maxTS
@@ -210,7 +218,7 @@ func (t *Tracer) Rebase(label string) {
 // NameProc associates a display name with a sim-proc id for the exporter's
 // per-proc timelines. (Allocates; call from spawn paths, not hot paths.)
 func (t *Tracer) NameProc(id int, name string) {
-	if t == nil {
+	if t == nil || t.events == nil {
 		return
 	}
 	t.procNames[int32(id)] = name
@@ -218,26 +226,27 @@ func (t *Tracer) NameProc(id int, name string) {
 
 // Begin opens a span. ts is the raw virtual time (ns); cpu is the timeline.
 func (t *Tracer) Begin(ts int64, cpu int, cat Category, name string, a1, a2 int64) {
-	if t == nil || !t.enabled || t.disabled[cat] {
-		return
-	}
-	t.log(Event{TS: ts + t.base, CPU: int32(cpu), Cat: cat, Ph: PhaseBegin, Name: name, Arg1: a1, Arg2: a2})
+	t.record(Event{TS: ts, CPU: int32(cpu), Cat: cat, Ph: PhaseBegin, Name: name, Arg1: a1, Arg2: a2})
 }
 
 // End closes the most recent open span with this name on the cpu timeline.
 func (t *Tracer) End(ts int64, cpu int, cat Category, name string) {
-	if t == nil || !t.enabled || t.disabled[cat] {
-		return
-	}
-	t.log(Event{TS: ts + t.base, CPU: int32(cpu), Cat: cat, Ph: PhaseEnd, Name: name})
+	t.record(Event{TS: ts, CPU: int32(cpu), Cat: cat, Ph: PhaseEnd, Name: name})
 }
 
 // Instant records a point event.
 func (t *Tracer) Instant(ts int64, cpu int, cat Category, name string, a1, a2 int64) {
-	if t == nil || !t.enabled || t.disabled[cat] {
+	t.record(Event{TS: ts, CPU: int32(cpu), Cat: cat, Ph: PhaseInstant, Name: name, Arg1: a1, Arg2: a2})
+}
+
+// record rebases ev and stores it, unless recording is off or its category
+// is disabled.
+func (t *Tracer) record(ev Event) {
+	if t == nil || !t.enabled || t.disabled[ev.Cat] {
 		return
 	}
-	t.log(Event{TS: ts + t.base, CPU: int32(cpu), Cat: cat, Ph: PhaseInstant, Name: name, Arg1: a1, Arg2: a2})
+	ev.TS += t.base
+	t.log(ev)
 }
 
 // log writes one record into the ring, counting (not hiding) overwrites.

@@ -166,10 +166,8 @@ func (c AppConfig) newKernel() (*kernel.Kernel, error) {
 		ForcedTies:       c.ForcedTies,
 		TraceOff:         c.TraceOff,
 		MaxTime:          c.MaxVirtualTime,
-		Tracer:           c.Tracer,
+		Tracer:           trace.Stream(c.Tracer, c.Flight, c.Profiler),
 		Oracle:           c.Oracle,
-		Profiler:         c.Profiler,
-		Flight:           c.Flight,
 	})
 	if err != nil {
 		return nil, err

@@ -3,9 +3,12 @@ package main
 // The diff subcommand: compare two BENCH_<n>.json reports and gate CI on
 // regressions. Only the benchmarks present in both reports are compared,
 // so the quick subset check.sh snapshots gates against the matching rows
-// of the full committed report. Higher is worse for every gated metric
-// (ns/op, B/op, allocs/op); the paper's custom metrics are descriptive,
-// not gated, because their direction depends on the experiment.
+// of the full committed report. Higher is worse for every compared metric
+// (ns/op, B/op, allocs/op), but only B/op and allocs/op are gated: they do
+// not depend on host speed, while ns/op drifts with the machine a report
+// was taken on (bench/'s compare, with repeated samples, is the timing
+// gate). The paper's custom metrics are descriptive, not gated, because
+// their direction depends on the experiment.
 
 import (
 	"bufio"
@@ -18,9 +21,12 @@ import (
 	"strings"
 )
 
-// gatedMetrics are compared in this order; for each, a higher value in the
-// new report is a regression.
-var gatedMetrics = []string{"ns/op", "B/op", "allocs/op"}
+// comparedMetrics are compared and printed in this order; for each, a
+// higher value in the new report is worse.
+var comparedMetrics = []string{"ns/op", "B/op", "allocs/op"}
+
+// gatedMetrics are the compared metrics whose regressions fail the gate.
+var gatedMetrics = map[string]bool{"B/op": true, "allocs/op": true}
 
 // delta is one (benchmark, metric) comparison row.
 type delta struct {
@@ -33,9 +39,10 @@ type delta struct {
 	Pct float64
 }
 
-// regressed reports whether this row is a regression past the threshold.
+// regressed reports whether this row is a gated regression past the
+// threshold.
 func (d delta) regressed(thresholdPct float64) bool {
-	return d.Pct > thresholdPct
+	return gatedMetrics[d.Metric] && d.Pct > thresholdPct
 }
 
 // pctChange returns the relative change in percent, +Inf for a zero
@@ -85,7 +92,7 @@ func compare(oldDoc, newDoc *benchDoc) (rows []delta, matched int) {
 			continue
 		}
 		matched++
-		for _, m := range gatedMetrics {
+		for _, m := range comparedMetrics {
 			ov, okOld := ob.Metrics[m]
 			nv, okNew := nb.Metrics[m]
 			if !okOld || !okNew {
@@ -176,7 +183,7 @@ func loadDoc(path string) (*benchDoc, error) {
 // cmdDiff compares two reports and, with -gate, fails on regressions.
 func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 50, "regression threshold in percent (higher is worse for every gated metric)")
+	threshold := fs.Float64("threshold", 50, "regression threshold in percent for the gated metrics, B/op and allocs/op")
 	allowPath := fs.String("allow", "", "file naming benchmarks whose regressions are intentional, one per line")
 	gateIt := fs.Bool("gate", false, "exit 1 when any unallowed benchmark regressed past the threshold")
 	fs.Parse(args)

@@ -18,24 +18,39 @@ func line(name string, nsop, bop, allocs float64) benchLine {
 // A regression past the threshold fails the gate; one under it does not.
 func TestGateThreshold(t *testing.T) {
 	oldDoc := doc(line("BenchmarkA", 100, 10, 1), line("BenchmarkB", 100, 10, 1))
-	newDoc := doc(line("BenchmarkA", 200, 10, 1), line("BenchmarkB", 120, 10, 1))
+	newDoc := doc(line("BenchmarkA", 100, 20, 1), line("BenchmarkB", 100, 12, 1))
 	rows, matched := compare(oldDoc, newDoc)
 	if matched != 2 {
 		t.Fatalf("matched = %d, want 2", matched)
 	}
 	failing := gate(rows, 50, nil)
-	if len(failing) != 1 || failing[0].Name != "BenchmarkA" || failing[0].Metric != "ns/op" {
-		t.Fatalf("gate(50%%) = %+v, want only BenchmarkA ns/op", failing)
+	if len(failing) != 1 || failing[0].Name != "BenchmarkA" || failing[0].Metric != "B/op" {
+		t.Fatalf("gate(50%%) = %+v, want only BenchmarkA B/op", failing)
 	}
 	if failing[0].Pct != 100 {
 		t.Fatalf("BenchmarkA delta = %v%%, want 100%%", failing[0].Pct)
 	}
 }
 
+// ns/op depends on the host, so it is compared and printed but never
+// fails the gate, however far it moves; allocs/op is gated like B/op.
+func TestGateIgnoresTiming(t *testing.T) {
+	oldDoc := doc(line("BenchmarkA", 36.9, 10, 1))
+	newDoc := doc(line("BenchmarkA", 71.4, 10, 3))
+	rows := mustRows(t, oldDoc, newDoc)
+	if len(rows) != 3 || rows[0].Metric != "ns/op" {
+		t.Fatalf("rows = %+v, want ns/op, B/op, allocs/op", rows)
+	}
+	failing := gate(rows, 50, nil)
+	if len(failing) != 1 || failing[0].Metric != "allocs/op" {
+		t.Fatalf("gate = %+v, want only allocs/op", failing)
+	}
+}
+
 // An allow-file entry suppresses the gate failure for that benchmark only.
 func TestGateAllowFile(t *testing.T) {
 	oldDoc := doc(line("BenchmarkA", 100, 10, 1), line("BenchmarkB", 100, 10, 1))
-	newDoc := doc(line("BenchmarkA", 300, 10, 1), line("BenchmarkB", 300, 10, 1))
+	newDoc := doc(line("BenchmarkA", 100, 30, 1), line("BenchmarkB", 100, 30, 1))
 	failing := gate(mustRows(t, oldDoc, newDoc), 50, map[string]bool{"BenchmarkA": true})
 	if len(failing) != 1 || failing[0].Name != "BenchmarkB" {
 		t.Fatalf("gate with allow = %+v, want only BenchmarkB", failing)

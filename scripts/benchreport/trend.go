@@ -129,7 +129,7 @@ func formatTrend(reports []trendReport) string {
 	}
 	fmt.Fprintf(&b, " %9s\n", "overall")
 	for _, name := range names {
-		for _, m := range gatedMetrics {
+		for _, m := range comparedMetrics {
 			fmt.Fprintf(&b, "%-44s %-10s", name, m)
 			var first, last float64
 			haveFirst, haveLast := false, false
