@@ -59,9 +59,9 @@ explore: ## DPOR-lite schedule exploration under a bounded schedule budget
 timetravel: ## snapshot a run mid-flight, restore by replay, verify byte identity
 	$(GO) run ./cmd/shootdownsim timetravel
 
-hostcost: ## host-cost attribution: per-function/package allocation tables + validation (DESIGN.md §17)
-	$(GO) run ./cmd/shootdownsim -hostcost /tmp/shootdown-hostcost.json hostcost >/dev/null
-	$(GO) run ./cmd/tlbtrace hostcost -validate -mincoverage 99 /tmp/shootdown-hostcost.json
+hostcost: ## host-cost attribution: per-function/package allocation tables + validation + byte budget (DESIGN.md §17)
+	$(GO) run ./cmd/shootdownsim -seed 7 -hostcost /tmp/shootdown-hostcost.json hostcost >/dev/null
+	$(GO) run ./cmd/tlbtrace hostcost -validate -mincoverage 99 -budget scripts/hostcost-budget.txt /tmp/shootdown-hostcost.json
 
 trend: ## benchmark trajectory across every BENCH_<n>.json, with provenance flags
 	$(GO) run ./scripts/benchreport trend

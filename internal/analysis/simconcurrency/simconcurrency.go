@@ -1,13 +1,17 @@
 // Package simconcurrency forbids real Go concurrency in simulated
 // packages. The discrete-event engine in internal/sim owns all
-// concurrency: it multiplexes simulated processors onto goroutines it
-// alone creates, serializes every step in virtual time, and is the reason
-// a 16-CPU interrupt protocol replays deterministically from a seed. A
-// stray goroutine, channel, or sync/atomic primitive anywhere else would
-// reintroduce host-scheduler ordering into results the engine carefully
-// keeps virtual, and would invisibly break the determinism the fault
-// campaigns (DESIGN.md §9) rely on. Simulated code expresses concurrency
-// only through sim.Engine.Spawn and blocking through sim.Proc.
+// concurrency: it multiplexes simulated processors onto iter.Pull
+// coroutines it alone creates, serializes every step in virtual time, and
+// is the reason a 16-CPU interrupt protocol replays deterministically from
+// a seed. A stray goroutine, channel, or sync/atomic primitive anywhere
+// else would reintroduce host-scheduler ordering into results the engine
+// carefully keeps virtual, and would invisibly break the determinism the
+// fault campaigns (DESIGN.md §9) rely on. A coroutine of its own
+// (iter.Pull or iter.Pull2) would not race, but it would hand control
+// back and forth behind the engine's back — host-side control flow the
+// scheduler, its step cursor, and snapshots cannot see. Simulated code
+// expresses concurrency only through sim.Engine.Spawn and blocking
+// through sim.Proc.
 package simconcurrency
 
 import (
@@ -20,8 +24,8 @@ import (
 // Analyzer is the simconcurrency analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "simconcurrency",
-	Doc: "forbid go statements, channels, and sync/atomic primitives outside " +
-		"internal/sim, whose virtual-time scheduler owns all concurrency",
+	Doc: "forbid go statements, channels, sync/atomic primitives, and iter.Pull " +
+		"coroutines outside internal/sim, whose virtual-time scheduler owns all concurrency",
 	Run: run,
 }
 
@@ -48,7 +52,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					}
 				}
 			case *ast.SelectorExpr:
-				checkSyncUse(pass, n)
+				checkPackageUse(pass, n)
 			}
 			return true
 		})
@@ -56,8 +60,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkSyncUse flags any qualified reference into sync or sync/atomic.
-func checkSyncUse(pass *analysis.Pass, sel *ast.SelectorExpr) {
+// checkPackageUse flags any qualified reference into sync or sync/atomic,
+// and references to iter's coroutine constructors.
+func checkPackageUse(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return
@@ -71,5 +76,11 @@ func checkSyncUse(pass *analysis.Pass, sel *ast.SelectorExpr) {
 		pass.Reportf(sel.Pos(),
 			"use of %s.%s in simulated code: host-level synchronization has no meaning in virtual time; use machine.SpinLock or sim.Proc blocking",
 			path, sel.Sel.Name)
+	case "iter":
+		if name := sel.Sel.Name; name == "Pull" || name == "Pull2" {
+			pass.Reportf(sel.Pos(),
+				"use of iter.%s in simulated code: a coroutine is host-side control flow the virtual-time scheduler cannot see; spawn a proc with sim.Engine.Spawn instead",
+				name)
+		}
 	}
 }

@@ -9,8 +9,10 @@
 // runtime.MemProfileRate = 1, so the runtime's memory profile records
 // every allocation with its call stack. The phase's profile delta is
 // charged to the innermost function of this module that made each
-// allocation, then rolled up by package. Nothing is sampled or estimated,
-// so the attributed bytes match the allocator's own TotalAlloc delta.
+// allocation (or, on a stack with no module frame, to its innermost
+// runtime or iter function), then rolled up by package. Nothing is
+// sampled or estimated, so the attributed bytes match the allocator's
+// own TotalAlloc delta. A Budget caps each package's bytes per phase.
 //
 // The Sampler reads the real clock, the runtime's allocator statistics
 // and memory profile, and runtime/pprof. The simdeterminism analyzer bans
@@ -62,9 +64,9 @@ func memProfile() map[[32]uintptr]allocs {
 }
 
 // attribute charges the allocations recorded between two memory profiles
-// to the innermost module function on each stack, and rolls those rows up
-// by package. Both tables are ordered by bytes descending. Stacks with no
-// module frame in their recorded prefix stay unattributed.
+// to a function per stack (see siteOf), and rolls those rows up by
+// package. Both tables are ordered by bytes descending. Stacks through the
+// sampler itself stay unattributed.
 func attribute(before, after map[[32]uintptr]allocs) (funcs, pkgs []SiteCost) {
 	byFunc := map[string]*SiteCost{}
 	byPkg := map[string]*SiteCost{}
@@ -93,8 +95,14 @@ func attribute(before, after map[[32]uintptr]allocs) (funcs, pkgs []SiteCost) {
 	return sorted(byFunc), sorted(byPkg)
 }
 
-// siteOf resolves a profile stack to its innermost module function, or ""
-// when the stack has none or belongs to the sampler itself.
+// siteOf resolves a profile stack to the function its allocation is
+// charged to: the innermost module function, or, when the recorded stack
+// holds no module frame, its innermost frame. The runtime records some
+// allocations with no module frame at all — those it makes on the system
+// stack, such as a new goroutine's or coroutine's g (runtime.malg), and
+// those at a coroutine's entry (iter.Pull's closure) — and charging them
+// to a named runtime or iter row keeps them in the tables. A stack whose
+// innermost module frame is the sampler's own resolves to "".
 func siteOf(stk [32]uintptr) string {
 	pcs := stk[:]
 	for i, pc := range pcs {
@@ -104,8 +112,12 @@ func siteOf(stk [32]uintptr) string {
 		}
 	}
 	frames := runtime.CallersFrames(pcs)
+	innermost := ""
 	for {
 		f, more := frames.Next()
+		if innermost == "" {
+			innermost = f.Function
+		}
 		if strings.HasPrefix(f.Function, modulePrefix) {
 			if strings.HasPrefix(f.Function, selfPrefix) {
 				return ""
@@ -113,7 +125,7 @@ func siteOf(stk [32]uintptr) string {
 			return f.Function
 		}
 		if !more {
-			return ""
+			return innermost
 		}
 	}
 }

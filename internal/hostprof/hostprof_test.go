@@ -208,3 +208,72 @@ func TestSamplerProfiles(t *testing.T) {
 		t.Fatalf("second StopProfiles must be a no-op: %v", err)
 	}
 }
+
+// budgetReport is a two-phase report for the budget tests.
+func budgetReport() *hostprof.Report {
+	return &hostprof.Report{Phases: []hostprof.PhaseCost{
+		{Name: "fig2", Packages: []hostprof.SiteCost{
+			{Site: "shootdown/internal/mem", Bytes: 1000},
+			{Site: "runtime", Bytes: 100},
+		}},
+		{Name: "other", Packages: []hostprof.SiteCost{{Site: "shootdown/internal/xpr", Bytes: 1 << 30}}},
+	}}
+}
+
+func TestBudgetFileRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "budget.txt")
+	src := "# phase package max-bytes\n\nfig2 shootdown/internal/mem 1000\nfig2  runtime\t100\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := hostprof.LoadBudget(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != 1 || b["fig2"]["shootdown/internal/mem"] != 1000 || b["fig2"]["runtime"] != 100 {
+		t.Fatalf("parsed budget %v", b)
+	}
+	// Exactly at the ceiling passes; phases the budget does not name are
+	// not checked.
+	if err := budgetReport().CheckBudget(b); err != nil {
+		t.Fatalf("report at its ceilings fails: %v", err)
+	}
+	for _, bad := range []string{"fig2 runtime\n", "fig2 runtime -1\n", "fig2 runtime 1\nfig2 runtime 2\n"} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hostprof.LoadBudget(path); err == nil {
+			t.Errorf("malformed budget %q loaded without error", bad)
+		}
+	}
+}
+
+func TestBudgetBreaches(t *testing.T) {
+	cases := []struct {
+		name   string
+		budget hostprof.Budget
+		want   []string
+	}{
+		{"over ceiling", hostprof.Budget{"fig2": {"shootdown/internal/mem": 999, "runtime": 100}},
+			[]string{`package shootdown/internal/mem allocates 1000 B, over its budget of 999 B`}},
+		{"unbudgeted package", hostprof.Budget{"fig2": {"shootdown/internal/mem": 1000}},
+			[]string{`package runtime allocates 100 B but has no budget entry`}},
+		{"missing phase", hostprof.Budget{"table1": {"runtime": 1}},
+			[]string{`phase "table1": budgeted but not recorded`}},
+		{"every breach reported", hostprof.Budget{"fig2": {"runtime": 1}, "table1": {}},
+			[]string{"shootdown/internal/mem allocates 1000 B but has no budget entry", "runtime allocates 100 B, over", `"table1": budgeted but not recorded`}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := budgetReport().CheckBudget(tc.budget)
+			if err == nil {
+				t.Fatal("breach not reported")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error lacks %q:\n%v", want, err)
+				}
+			}
+		})
+	}
+}

@@ -26,9 +26,10 @@ type Provenance struct {
 	Commit     string `json:"commit,omitempty"`
 }
 
-// SiteCost is one attribution row within a phase: the allocations whose
-// innermost module frame is Site (a function, "shootdown/internal/xpr.New")
-// or, in a package table, lies in Site (a package path).
+// SiteCost is one attribution row within a phase: the allocations charged
+// to Site (a function, "shootdown/internal/mem.New" or, for stacks with no
+// module frame, "runtime.malg") or, in a package table, to functions in
+// Site (a package path).
 type SiteCost struct {
 	Site    string `json:"site"`
 	Package string `json:"package"`

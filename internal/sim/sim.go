@@ -1,9 +1,20 @@
 // Package sim is a deterministic discrete-event simulation engine with one
-// goroutine per simulated execution context ("proc").
+// coroutine per simulated execution context ("proc").
 //
 // Exactly one proc runs at a time; the engine resumes whichever sleeping proc
 // has the smallest virtual clock, so execution is serialized in virtual-time
 // order and shared data structures touched only by procs need no locking.
+//
+// Each proc body runs as an iter.Pull coroutine (coro.go): the engine
+// resumes a proc by calling its next function, and Sleep and Block hand
+// control back by calling its yield function. A coroutine switch hands
+// the thread straight to the other goroutine, bypassing the Go
+// scheduler's run queues, so it costs a fraction of a channel round
+// trip. iter needs go1.23 while go.mod stays at go 1.22 (the bench module
+// pins go 1.22 and builds against this one), so coro.go alone carries a
+// go1.23 build constraint; building the package takes a go1.23 or newer
+// toolchain.
+//
 // Determinism: ties are broken FIFO by scheduling sequence number unless a
 // chaos seed is supplied, in which case equal-time procs run in a seeded
 // random order (used to explore protocol interleavings).
@@ -16,12 +27,12 @@ package sim
 
 import (
 	"bytes"
-	"container/heap"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -74,22 +85,7 @@ func (s State) String() string {
 	}
 }
 
-type yieldKind int
-
-const (
-	yieldSleep yieldKind = iota
-	yieldBlock
-	yieldDone
-	yieldPanic
-)
-
-type yieldMsg struct {
-	p    *Proc
-	kind yieldKind
-	err  error
-}
-
-// Proc is a simulated execution context backed by a goroutine.
+// Proc is a simulated execution context backed by a coroutine.
 type Proc struct {
 	eng   *Engine
 	name  string
@@ -108,7 +104,14 @@ type Proc struct {
 	waitReason string
 	waitOn     []*Proc
 
-	resume chan struct{}
+	// next resumes the body until its next Sleep or Block (true) or its
+	// end (false); yield, called from inside the body, suspends it and
+	// returns control to next's caller. Both are set by start (coro.go).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// panicked is the error a panicking body ended with, set by start's
+	// recover wrapper.
+	panicked error
 
 	// Tag is arbitrary user data (e.g. the kernel thread running here).
 	Tag interface{}
@@ -133,9 +136,9 @@ func (p *Proc) Engine() *Engine { return p.eng }
 type Engine struct {
 	now     Time
 	procs   []*Proc
-	runq    runHeap       //snap:derived rebuilt from the serialized proc states (sleeping procs re-keyed by wake time)
-	cur     *Proc         //snap:transient the resumption in progress; snapshots are taken at serialized points between steps
-	yield   chan yieldMsg //snap:transient host-side goroutine handshake plumbing, recreated by Run
+	runq    runHeap //snap:derived rebuilt from the serialized proc states (sleeping procs re-keyed by wake time)
+	cur     *Proc   //snap:transient the resumption in progress; snapshots are taken at serialized points between steps
+	tied    []*Proc //snap:transient pop's scratch for the procs tied at the minimum wake time
 	nextID  int
 	nextSeq uint64
 	stopped bool       //snap:transient stop latch; a restored world restarts from Run
@@ -200,7 +203,7 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // New creates an engine at virtual time zero.
 func New(opts ...Option) *Engine {
-	e := &Engine{yield: make(chan yieldMsg)}
+	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
@@ -214,7 +217,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Current() *Proc { return e.cur }
 
 // Spawn creates a proc that will first run at the current virtual time.
-// fn executes on its own goroutine; when fn returns the proc is done.
+// fn executes as its own coroutine; when fn returns the proc is done.
 // Spawn may be called before Run or from inside a running proc.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
@@ -224,24 +227,12 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		clock:   e.now,
 		state:   StateNew,
 		heapIdx: -1,
-		resume:  make(chan struct{}),
 	}
 	e.nextID++
 	e.procs = append(e.procs, p)
 	e.tracer.NameProc(p.id, name)
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "spawn", 0, 0)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				e.yield <- yieldMsg{p: p, kind: yieldPanic,
-					err: fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())}
-				return
-			}
-			e.yield <- yieldMsg{p: p, kind: yieldDone}
-		}()
-		fn(p)
-	}()
+	p.start(fn)
 	e.schedule(p, e.now)
 	return p
 }
@@ -253,7 +244,7 @@ func (e *Engine) schedule(p *Proc, at Time) {
 	if p.state != StateNew {
 		p.state = StateSleeping
 	}
-	heap.Push(&e.runq, p)
+	e.runq.push(p)
 }
 
 // Run executes procs in virtual-time order until all are done, Stop is
@@ -308,23 +299,19 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 		p.state = StateRunning
 		e.cur = p
 		e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "run", 0, 0)
-		p.resume <- struct{}{}
-		msg := <-e.yield
+		_, suspended := p.next()
 		e.cur = nil
 		e.step++
-		switch msg.kind {
-		case yieldSleep:
-			// schedule() was already performed by Sleep.
-		case yieldBlock:
-			p.state = StateBlocked
-		case yieldDone:
-			p.state = StateDone
-			e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "done", 0, 0)
-		case yieldPanic:
-			p.state = StateDone
-			e.failure = msg.err
-			return msg.err
+		if suspended {
+			// Sleep or Block already recorded the proc's new state.
+			continue
 		}
+		p.state = StateDone
+		if p.panicked != nil {
+			e.failure = p.panicked
+			return p.panicked
+		}
+		e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "done", 0, 0)
 	}
 	if e.stopped {
 		return nil
@@ -344,20 +331,21 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 // among procs with identical wake times.
 func (e *Engine) pop() *Proc {
 	if e.chaos == nil || len(e.runq) < 2 {
-		return heap.Pop(&e.runq).(*Proc)
+		return e.runq.pop()
 	}
 	// Collect all procs tied at the minimum wake time and pick one at random.
 	minWake := e.runq[0].wake
-	var tied []*Proc
+	tied := e.tied[:0]
 	for _, p := range e.runq {
 		if p.wake == minWake {
 			tied = append(tied, p)
 		}
 	}
+	e.tied = tied
 	if len(tied) == 1 {
-		return heap.Pop(&e.runq).(*Proc)
+		return e.runq.pop()
 	}
-	sort.Slice(tied, func(i, j int) bool { return tied[i].seq < tied[j].seq })
+	slices.SortFunc(tied, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
 	// The chaos draw is consumed even when a forced choice overrides it, so
 	// the schedule after a forced prefix continues the base run's stream:
 	// replaying with every recorded pick forced reproduces the base run
@@ -381,7 +369,7 @@ func (e *Engine) pop() *Proc {
 		e.tieRec(d)
 	}
 	pick := tied[idx]
-	heap.Remove(&e.runq, pick.heapIdx)
+	e.runq.remove(pick.heapIdx)
 	return pick
 }
 
@@ -445,11 +433,11 @@ func (e *Engine) LiveProcs() []*Proc {
 // StateHalted and never runs again. Unlike a panic or return, nothing
 // unwinds — deferred calls do not run, so any simulated locks the proc
 // holds stay held (exactly the hazard a fail-stopped processor creates;
-// recovery is the survivors' problem). The backing goroutine stays parked
-// on its resume channel for the life of the process, which is fine for a
-// bounded simulation. The currently running proc cannot kill itself this
-// way (it would deadlock the engine handshake); killing a done or halted
-// proc is a no-op. Returns whether the proc was halted.
+// recovery is the survivors' problem). The backing coroutine stays
+// suspended in its last Sleep or Block for the life of the process, which
+// is fine for a bounded simulation. The currently running proc cannot
+// kill itself this way (it would never yield back to the engine); killing
+// a done or halted proc is a no-op. Returns whether the proc was halted.
 func (e *Engine) Kill(p *Proc) bool {
 	switch p.state {
 	case StateDone, StateHalted:
@@ -458,7 +446,7 @@ func (e *Engine) Kill(p *Proc) bool {
 		panic(fmt.Sprintf("sim: Kill called on running proc %q; a proc cannot fail-stop itself", p.name))
 	}
 	if p.heapIdx >= 0 {
-		heap.Remove(&e.runq, p.heapIdx)
+		e.runq.remove(p.heapIdx)
 	}
 	p.state = StateHalted
 	p.ClearWaiting()
@@ -485,8 +473,7 @@ func (p *Proc) Sleep(d Time) Time {
 	p.preempted = false
 	p.eng.tracer.Instant(int64(start), p.id, trace.CatSim, "sleep", int64(d), 0)
 	p.eng.schedule(p, start+d)
-	p.eng.yield <- yieldMsg{p: p, kind: yieldSleep}
-	<-p.resume
+	p.yield(struct{}{})
 	return p.clock - start
 }
 
@@ -494,8 +481,8 @@ func (p *Proc) Sleep(d Time) Time {
 func (p *Proc) Block() {
 	p.mustBeCurrent("Block")
 	p.eng.tracer.Instant(int64(p.clock), p.id, trace.CatSim, "block", 0, 0)
-	p.eng.yield <- yieldMsg{p: p, kind: yieldBlock}
-	<-p.resume
+	p.state = StateBlocked
+	p.yield(struct{}{})
 }
 
 // SetWaiting annotates the proc with a human-readable reason — and,
@@ -741,39 +728,94 @@ func (e *Engine) Preempt(p *Proc, at Time) bool {
 	p.wake = at
 	p.preempted = true
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "preempt", int64(at), 0)
-	heap.Fix(&e.runq, p.heapIdx)
+	e.runq.fix(p.heapIdx)
 	return true
 }
 
 // Preempted reports whether the proc's last Sleep was cut short by Preempt.
 func (p *Proc) Preempted() bool { return p.preempted }
 
-// runHeap is a min-heap on (wake, seq).
+// runHeap is a min-heap on (wake, seq) that keeps each queued proc's
+// heapIdx current, so Kill and Preempt can remove or re-key a proc in
+// place. seq is unique, so the order is total and the pop sequence does
+// not depend on the heap's internal layout.
 type runHeap []*Proc
 
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(i, j int) bool {
+func (h runHeap) less(i, j int) bool {
 	if h[i].wake != h[j].wake {
 		return h[i].wake < h[j].wake
 	}
 	return h[i].seq < h[j].seq
 }
-func (h runHeap) Swap(i, j int) {
+
+func (h runHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].heapIdx = i
 	h[j].heapIdx = j
 }
-func (h *runHeap) Push(x interface{}) {
-	p := x.(*Proc)
+
+func (h *runHeap) push(p *Proc) {
 	p.heapIdx = len(*h)
 	*h = append(*h, p)
+	h.up(p.heapIdx)
 }
-func (h *runHeap) Pop() interface{} {
+
+// pop removes and returns the minimum.
+func (h *runHeap) pop() *Proc { return h.remove(0) }
+
+// remove removes and returns the proc at index i.
+func (h *runHeap) remove(i int) *Proc {
 	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	p := old[i]
+	if i != n {
+		h.swap(i, n)
+	}
+	old[n] = nil
+	*h = old[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
 	p.heapIdx = -1
-	*h = old[:n-1]
 	return p
+}
+
+// fix restores the heap order after the proc at index i changed its key.
+func (h runHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h runHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the element at i toward the leaves and reports whether it
+// moved.
+func (h runHeap) down(i0 int) bool {
+	i, n := i0, len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && h.less(r, l) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -560,5 +561,99 @@ func TestKillExcludesFromLiveProcs(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinishedProcsReleaseTheirGoroutines pins the coroutine lifecycle: a
+// body that returns ends its sequence function, so its goroutine exits.
+// A body whose end were yielded instead would stay parked forever, one
+// goroutine per finished proc.
+func TestFinishedProcsReleaseTheirGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New()
+	for i := 0; i < 100; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Sleep(Time(1 + p.ID()%7))
+			p.Sleep(3)
+		})
+	}
+	if got := runtime.NumGoroutine(); got < base+100 {
+		t.Fatalf("%d goroutines with 100 procs spawned, want at least %d", got, base+100)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got != base {
+		t.Fatalf("%d goroutines after all 100 procs finished, want the baseline %d", got, base)
+	}
+}
+
+// TestPanicAfterSleepsNamesProcAndStack checks that a panic deep into a
+// proc's life (after several suspensions) surfaces from Run as an error
+// naming the proc and carrying the panicking body's stack.
+func TestPanicAfterSleepsNamesProcAndStack(t *testing.T) {
+	e := New()
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(100) })
+	e.Spawn("bomb", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Sleep(10)
+		}
+		panic("boom")
+	})
+	err := e.Run()
+	if err == nil {
+		t.Fatal("Run returned nil after a proc panicked")
+	}
+	for _, want := range []string{`proc "bomb" panicked: boom`, "TestPanicAfterSleepsNamesProcAndStack.func2", "goroutine "} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+	if e.Now() != 50 {
+		t.Errorf("Now = %d, want 50 (the panic's time)", e.Now())
+	}
+}
+
+// TestKilledProcIsNeverResumed checks Kill on both kinds of suspended
+// proc: neither runs past its suspension point, however long the engine
+// keeps running, and its coroutine stays suspended rather than unwinding
+// (no deferred call runs).
+func TestKilledProcIsNeverResumed(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		suspend func(p *Proc)
+	}{
+		{"sleeping", func(p *Proc) { p.Sleep(1000) }},
+		{"blocked", func(p *Proc) { p.Block() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			var resumed, unwound bool
+			victim := e.Spawn("victim", func(p *Proc) {
+				defer func() { unwound = true }()
+				tc.suspend(p)
+				resumed = true
+			})
+			e.Spawn("killer", func(p *Proc) {
+				p.Sleep(50)
+				if !e.Kill(victim) {
+					t.Error("Kill returned false")
+				}
+				e.Wake(victim)
+				e.Preempt(victim, e.Now())
+				for i := 0; i < 10; i++ {
+					p.Sleep(500)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if resumed || unwound {
+				t.Fatalf("halted proc resumed %v, unwound %v", resumed, unwound)
+			}
+			if victim.State() != StateHalted {
+				t.Fatalf("victim state = %v, want halted", victim.State())
+			}
+		})
 	}
 }

@@ -6,6 +6,8 @@
 //
 // The buffer is sized by the caller so it "never overflows during test
 // runs"; if it does wrap, the oldest records are lost and Wrapped reports it.
+// Storage grows on demand up to that size, so a generous bound costs only
+// the records actually logged.
 package xpr
 
 import (
@@ -58,12 +60,12 @@ func (e Event) Initiator() (kernel bool, pages, processors int, elapsed sim.Time
 // Responder decodes an EvResponder record.
 func (e Event) Responder() (elapsed sim.Time) { return sim.Time(e.Args[0]) }
 
-// Buffer is a circular trace buffer.
+// Buffer is a circular trace buffer. events grows by append until it
+// holds size records; from then on each record overwrites the oldest.
 type Buffer struct {
 	events  []Event
-	next    int
-	count   int
-	wrapped bool
+	size    int
+	next    int // index the next record lands at once events is full
 	dropped uint64
 	enabled bool
 
@@ -73,12 +75,13 @@ type Buffer struct {
 	SampleCPUs map[int]bool
 }
 
-// New creates a buffer holding up to size records, initially enabled.
+// New creates a buffer holding up to size records, initially enabled. It
+// allocates nothing until the first record is logged.
 func New(size int) *Buffer {
 	if size <= 0 {
 		panic(fmt.Sprintf("xpr: invalid buffer size %d", size))
 	}
-	return &Buffer{events: make([]Event, size), enabled: true}
+	return &Buffer{size: size, enabled: true}
 }
 
 // On enables recording.
@@ -90,13 +93,15 @@ func (b *Buffer) Off() { b.enabled = false }
 // Enabled reports whether the buffer is recording.
 func (b *Buffer) Enabled() bool { return b.enabled }
 
-// Reset discards all records (and keeps the enabled state).
+// Reset discards all records (and keeps the enabled state and the
+// storage grown so far).
 func (b *Buffer) Reset() {
-	b.next, b.count, b.wrapped, b.dropped = 0, 0, false, 0
+	b.events = b.events[:0]
+	b.next, b.dropped = 0, 0
 }
 
 // Wrapped reports whether records have been lost to wraparound.
-func (b *Buffer) Wrapped() bool { return b.wrapped }
+func (b *Buffer) Wrapped() bool { return b.dropped > 0 }
 
 // Dropped returns the number of records lost to wraparound. Experiment
 // output surfaces this so a truncated measurement is never mistaken for a
@@ -104,7 +109,7 @@ func (b *Buffer) Wrapped() bool { return b.wrapped }
 func (b *Buffer) Dropped() uint64 { return b.dropped }
 
 // Len returns the number of records currently held.
-func (b *Buffer) Len() int { return b.count }
+func (b *Buffer) Len() int { return len(b.events) }
 
 // Log appends a record if recording is enabled. EvResponder records are
 // dropped for CPUs outside SampleCPUs when sampling is configured.
@@ -115,14 +120,13 @@ func (b *Buffer) Log(ev Event) {
 	if ev.ID == EvResponder && b.SampleCPUs != nil && !b.SampleCPUs[ev.CPU] {
 		return
 	}
-	b.events[b.next] = ev
-	b.next = (b.next + 1) % len(b.events)
-	if b.count < len(b.events) {
-		b.count++
-	} else {
-		b.wrapped = true
-		b.dropped++
+	if len(b.events) < b.size {
+		b.events = append(b.events, ev)
+		return
 	}
+	b.events[b.next] = ev
+	b.next = (b.next + 1) % b.size
+	b.dropped++
 }
 
 // LogInitiator records one initiator-side shootdown.
@@ -142,14 +146,9 @@ func (b *Buffer) LogResponder(t sim.Time, cpu int, elapsed sim.Time) {
 
 // Events returns the records in arrival order.
 func (b *Buffer) Events() []Event {
-	out := make([]Event, 0, b.count)
-	if b.wrapped {
-		out = append(out, b.events[b.next:]...)
-		out = append(out, b.events[:b.next]...)
-	} else {
-		out = append(out, b.events[:b.count]...)
-	}
-	return out
+	out := make([]Event, 0, len(b.events))
+	out = append(out, b.events[b.next:]...)
+	return append(out, b.events[:b.next]...)
 }
 
 // Select returns the records with the given ID, in arrival order.

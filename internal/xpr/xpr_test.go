@@ -1,6 +1,7 @@
 package xpr
 
 import (
+	"slices"
 	"testing"
 
 	"shootdown/internal/sim"
@@ -258,5 +259,75 @@ func TestEventIDString(t *testing.T) {
 		if id.String() == "" {
 			t.Fatal("empty EventID string")
 		}
+	}
+}
+
+// times returns the timestamps of b's records in the order Events yields
+// them.
+func times(b *Buffer) []sim.Time {
+	var out []sim.Time
+	for _, ev := range b.Events() {
+		out = append(out, ev.Time)
+	}
+	return out
+}
+
+// TestGrowThenWrapBoundary walks a buffer across the point where its
+// storage stops growing and starts overwriting: the record that fills it
+// drops nothing, and the next one drops exactly the oldest.
+func TestGrowThenWrapBoundary(t *testing.T) {
+	const size = 4
+	b := New(size)
+	if b.Len() != 0 || len(b.Events()) != 0 {
+		t.Fatal("new buffer is not empty")
+	}
+	for i := 0; i < size; i++ {
+		b.LogResponder(sim.Time(i), 0, 10)
+		if b.Len() != i+1 || b.Wrapped() || b.Dropped() != 0 {
+			t.Fatalf("after %d records: Len %d, Wrapped %v, Dropped %d", i+1, b.Len(), b.Wrapped(), b.Dropped())
+		}
+	}
+	if got := times(b); !slices.Equal(got, []sim.Time{0, 1, 2, 3}) {
+		t.Fatalf("full buffer holds %v", got)
+	}
+	b.LogResponder(4, 0, 10)
+	if b.Len() != size || !b.Wrapped() || b.Dropped() != 1 {
+		t.Fatalf("first overwrite: Len %d, Wrapped %v, Dropped %d", b.Len(), b.Wrapped(), b.Dropped())
+	}
+	if got := times(b); !slices.Equal(got, []sim.Time{1, 2, 3, 4}) {
+		t.Fatalf("after first overwrite buffer holds %v", got)
+	}
+	for i := 5; i < 11; i++ {
+		b.LogResponder(sim.Time(i), 0, 10)
+	}
+	if got := times(b); !slices.Equal(got, []sim.Time{7, 8, 9, 10}) || b.Dropped() != 7 {
+		t.Fatalf("after wrapping past the start: holds %v, dropped %d", got, b.Dropped())
+	}
+}
+
+// TestResetAfterWrap checks that a wrapped buffer, once Reset, grows and
+// wraps again from a clean start, in the storage it already had.
+func TestResetAfterWrap(t *testing.T) {
+	b := New(3)
+	for i := 0; i < 5; i++ {
+		b.LogResponder(sim.Time(i), 0, 10)
+	}
+	b.Reset()
+	if b.Len() != 0 || b.Wrapped() || b.Dropped() != 0 || len(b.Events()) != 0 {
+		t.Fatalf("Reset left Len %d, Wrapped %v, Dropped %d", b.Len(), b.Wrapped(), b.Dropped())
+	}
+	storage := &b.events[:1][0]
+	for i := 10; i < 13; i++ {
+		b.LogResponder(sim.Time(i), 0, 10)
+	}
+	if got := times(b); !slices.Equal(got, []sim.Time{10, 11, 12}) || b.Wrapped() {
+		t.Fatalf("after Reset and three records: holds %v, wrapped %v", got, b.Wrapped())
+	}
+	if &b.events[0] != storage {
+		t.Fatal("refilling after Reset reallocated the storage")
+	}
+	b.LogResponder(13, 0, 10)
+	if got := times(b); !slices.Equal(got, []sim.Time{11, 12, 13}) || b.Dropped() != 1 {
+		t.Fatalf("after wrapping again: holds %v, dropped %d", got, b.Dropped())
 	}
 }

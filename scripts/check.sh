@@ -19,16 +19,17 @@
 # forced device quarantine dumps a black box whose devices section
 # validates, the host-cost attribution artifact validates and every phase
 # attributes within 1% of its measured bytes from the runtime's memory
-# profile, and the benchmark gate compares a quick subset
+# profile (fig2 and table1 also within their per-package byte budget),
+# and the benchmark gate compares a quick subset
 # against the last committed BENCH_<n>.json snapshot: it prints ns/op, B/op
 # and allocs/op but gates only B/op and allocs/op, which do not depend on
 # host speed (threshold BENCH_GATE_THRESHOLD percent, default 50;
 # intentional regressions go in scripts/bench-allow.txt). Timing is gated
 # by the benchmark module's own repeated-sample compare.
 #
-# The whole script takes about 4 minutes on a 2-vCPU x86-64 VM with a
-# warm build cache; the hostcost stage alone takes about 90 s, most of it
-# Table 1 run with every allocation profiled.
+# The whole script takes about a minute on a 2-vCPU x86-64 VM with a
+# warm build cache; the hostcost stage, every allocation profiled, takes
+# about 5 s of it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -127,9 +128,10 @@ echo "== hostcost: every phase's allocations are attributed to module functions"
 # Each phase runs with every allocation profiled, so the bytes charged to
 # module functions must match the allocator's own TotalAlloc delta. A
 # phase more than 1% off means the stack walk lost or double-counted
-# allocations.
+# allocations. The fig2 and table1 phases must also keep every package
+# under its ceiling in scripts/hostcost-budget.txt.
 go run ./cmd/shootdownsim -seed 7 -hostcost "$tmp/hostcost.json" hostcost >/dev/null
-go run ./cmd/tlbtrace hostcost -validate -mincoverage 99 "$tmp/hostcost.json"
+go run ./cmd/tlbtrace hostcost -validate -mincoverage 99 -budget scripts/hostcost-budget.txt "$tmp/hostcost.json"
 
 echo "== gate: quick benchmark subset vs last committed BENCH_<n>.json"
 n=0
