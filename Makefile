@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices explore timetravel hostcost trend
+.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices explore timetravel hostcost trend bless
 
 check: ## tier-1 + tier-2 + observability and fault-campaign smoke tests
 	./scripts/check.sh
@@ -62,6 +62,9 @@ timetravel: ## snapshot a run mid-flight, restore by replay, verify byte identit
 hostcost: ## host-cost attribution: per-function/package allocation tables + validation + byte budget (DESIGN.md §17)
 	$(GO) run ./cmd/shootdownsim -seed 7 -hostcost /tmp/shootdown-hostcost.json hostcost >/dev/null
 	$(GO) run ./cmd/tlbtrace hostcost -validate -mincoverage 99 -budget scripts/hostcost-budget.txt /tmp/shootdown-hostcost.json
+
+bless: ## re-bless the seed-7 digest pins (observation artifacts and experiment results) after an intended change
+	$(GO) test ./internal/experiments -run '^(TestArtifactDigests|TestExperimentDigests)$$' -count=1 -update
 
 trend: ## benchmark trajectory across every BENCH_<n>.json, with provenance flags
 	$(GO) run ./scripts/benchreport trend

@@ -77,7 +77,7 @@ func StrategyCompare(seed int64, ks []int, ins ...Instrument) (StrategyCompareRe
 		for _, k := range ks {
 			res, err := workload.RunTester(workload.TesterConfig{
 				NCPUs: 16, Children: k, Seed: seed + int64(k),
-				KeepTimer: c.keepTimer, App: in.app(c.app),
+				KeepTimer: c.keepTimer, App: in.App(c.app),
 			})
 			if err != nil {
 				return out, fmt.Errorf("%s k=%d: %w", c.name, k, err)
@@ -125,7 +125,7 @@ func IPIModes(seed int64, ks []int, ins ...Instrument) (IPIModeResult, error) {
 		for _, k := range ks {
 			res, err := workload.RunTester(workload.TesterConfig{
 				NCPUs: 16, Children: k, Seed: seed + int64(k),
-				App: in.app(workload.AppConfig{IPIMode: mode}),
+				App: in.App(workload.AppConfig{IPIMode: mode}),
 			})
 			if err != nil {
 				return out, err
@@ -178,46 +178,44 @@ func HighPriorityIPI(seed int64, ins ...Instrument) (HighPriorityIPIResult, erro
 	in := pick(ins)
 	var out HighPriorityIPIResult
 	run := func(hp bool) ([]float64, error) {
-		k, err := kernel.New(in.config(kernel.Config{
+		k, err := in.runWorld(kernel.Config{
 			Machine: machine.Options{NumCPUs: 4, MemFrames: 2048, Seed: seed, HighPriorityIPI: hp},
-		}))
+		}, func(k *kernel.Kernel) error {
+			ktask := k.KernelTask()
+			// Two responders alternating long device-masked critical sections
+			// ("many short intervals, but few long ones" — we model the few
+			// long ones, which create the skew).
+			for i := 0; i < 2; i++ {
+				ktask.Spawn(fmt.Sprintf("masker%d", i), func(th *kernel.Thread) {
+					for j := 0; j < 60; j++ {
+						th.KernelSection(1_500_000) // 1.5 ms masked
+						th.Compute(500_000)
+					}
+				})
+			}
+			ktask.Spawn("initiator", func(th *kernel.Thread) {
+				for i := 0; i < 25; i++ {
+					va, err := th.KernelAllocate(mem.PageSize)
+					if err != nil {
+						th.Fail(err)
+						return
+					}
+					if err := th.Write(va, 1); err != nil {
+						th.Fail(err)
+						return
+					}
+					th.Compute(3_000_000)
+					if err := th.KernelDeallocate(va, va+mem.PageSize); err != nil {
+						th.Fail(err)
+						return
+					}
+				}
+			})
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		ktask := k.KernelTask()
-		// Two responders alternating long device-masked critical sections
-		// ("many short intervals, but few long ones" — we model the few
-		// long ones, which create the skew).
-		for i := 0; i < 2; i++ {
-			ktask.Spawn(fmt.Sprintf("masker%d", i), func(th *kernel.Thread) {
-				for j := 0; j < 60; j++ {
-					th.KernelSection(1_500_000) // 1.5 ms masked
-					th.Compute(500_000)
-				}
-			})
-		}
-		ktask.Spawn("initiator", func(th *kernel.Thread) {
-			for i := 0; i < 25; i++ {
-				va, err := th.KernelAllocate(mem.PageSize)
-				if err != nil {
-					th.Fail(err)
-					return
-				}
-				if err := th.Write(va, 1); err != nil {
-					th.Fail(err)
-					return
-				}
-				th.Compute(3_000_000)
-				if err := th.KernelDeallocate(va, va+mem.PageSize); err != nil {
-					th.Fail(err)
-					return
-				}
-			}
-		})
-		if err := k.Run(); err != nil {
-			return nil, err
-		}
-		in.ran(k)
 		ks, _ := k.Trace.InitiatorTimes()
 		return ks, nil
 	}
@@ -266,36 +264,33 @@ func IdleOpt(seed int64, ins ...Instrument) (IdleOptResult, error) {
 	in := pick(ins)
 	var out IdleOptResult
 	run := func(disable bool) (float64, uint64, error) {
-		k, err := kernel.New(in.config(kernel.Config{
+		k, err := in.runWorld(kernel.Config{
 			Machine:   machine.Options{NumCPUs: 16, MemFrames: 2048, Seed: seed},
 			Shootdown: core.Options{DisableIdleOptimization: disable},
-		}))
+		}, func(k *kernel.Kernel) error {
+			k.KernelTask().Spawn("worker", func(th *kernel.Thread) {
+				for i := 0; i < 20; i++ {
+					va, err := th.KernelAllocate(mem.PageSize)
+					if err != nil {
+						th.Fail(err)
+						return
+					}
+					if err := th.Write(va, 1); err != nil {
+						th.Fail(err)
+						return
+					}
+					th.Compute(2_000_000)
+					if err := th.KernelDeallocate(va, va+mem.PageSize); err != nil {
+						th.Fail(err)
+						return
+					}
+				}
+			})
+			return nil
+		})
 		if err != nil {
 			return 0, 0, err
 		}
-		ktask := k.KernelTask()
-		ktask.Spawn("worker", func(th *kernel.Thread) {
-			for i := 0; i < 20; i++ {
-				va, err := th.KernelAllocate(mem.PageSize)
-				if err != nil {
-					th.Fail(err)
-					return
-				}
-				if err := th.Write(va, 1); err != nil {
-					th.Fail(err)
-					return
-				}
-				th.Compute(2_000_000)
-				if err := th.KernelDeallocate(va, va+mem.PageSize); err != nil {
-					th.Fail(err)
-					return
-				}
-			}
-		})
-		if err := k.Run(); err != nil {
-			return 0, 0, err
-		}
-		in.ran(k)
 		ks, _ := k.Trace.InitiatorTimes()
 		return stats.Mean(ks), k.Shoot.Stats().IPIsSent, nil
 	}
@@ -363,50 +358,48 @@ type rangeProtectResult struct {
 // writable range, and reprotects the whole range.
 func runRangeProtect(seed int64, pages int, opts core.Options, in Instrument) (rangeProtectResult, error) {
 	var out rangeProtectResult
-	k, err := kernel.New(in.config(kernel.Config{
+	k, err := in.runWorld(kernel.Config{
 		Machine:   machine.Options{NumCPUs: 6, MemFrames: 2048, Seed: seed},
 		Shootdown: opts,
-	}))
-	if err != nil {
-		return out, err
-	}
-	task, err := k.NewTask("range")
-	if err != nil {
-		return out, err
-	}
-	task.Spawn("main", func(th *kernel.Thread) {
-		va, err := th.VMAllocate(uint32(pages * mem.PageSize))
+	}, func(k *kernel.Kernel) error {
+		task, err := k.NewTask("range")
 		if err != nil {
-			th.Fail(err)
-			return
+			return err
 		}
-		done := false
-		for i := 0; i < 4; i++ {
-			i := i
-			task.Spawn(fmt.Sprintf("user%d", i), func(c *kernel.Thread) {
-				for !done {
-					for p := 0; p < pages; p++ {
-						if c.Write(va+ptable.VAddr(p*mem.PageSize), uint32(i)) != nil {
-							break
+		task.Spawn("main", func(th *kernel.Thread) {
+			va, err := th.VMAllocate(uint32(pages * mem.PageSize))
+			if err != nil {
+				th.Fail(err)
+				return
+			}
+			done := false
+			for i := 0; i < 4; i++ {
+				i := i
+				task.Spawn(fmt.Sprintf("user%d", i), func(c *kernel.Thread) {
+					for !done {
+						for p := 0; p < pages; p++ {
+							if c.Write(va+ptable.VAddr(p*mem.PageSize), uint32(i)) != nil {
+								break
+							}
 						}
+						c.Compute(50_000)
 					}
-					c.Compute(50_000)
-				}
-			})
-		}
-		th.Compute(4_000_000)
-		t0 := th.Now()
-		if err := th.VMProtect(va, va+ptable.VAddr(pages*mem.PageSize), pmap.ProtRead); err != nil {
-			th.Fail(err)
-			return
-		}
-		out.protectUS = (th.Now() - t0).Microseconds()
-		done = true
+				})
+			}
+			th.Compute(4_000_000)
+			t0 := th.Now()
+			if err := th.VMProtect(va, va+ptable.VAddr(pages*mem.PageSize), pmap.ProtRead); err != nil {
+				th.Fail(err)
+				return
+			}
+			out.protectUS = (th.Now() - t0).Microseconds()
+			done = true
+		})
+		return nil
 	})
-	if err := k.Run(); err != nil {
+	if err != nil {
 		return out, err
 	}
-	in.ran(k)
 	out.stats = k.Shoot.Stats()
 	return out, nil
 }
@@ -444,52 +437,50 @@ func QueueSize(seed int64, ins ...Instrument) (QueueResult, error) {
 	in := pick(ins)
 	var out QueueResult
 	for _, q := range []int{1, 2, 4, 8, 32} {
-		k, err := kernel.New(in.config(kernel.Config{
+		k, err := in.runWorld(kernel.Config{
 			Machine:   machine.Options{NumCPUs: 4, MemFrames: 2048, Seed: seed},
 			Shootdown: core.Options{QueueSize: q},
-		}))
+		}, func(k *kernel.Kernel) error {
+			ktask := k.KernelTask()
+			ktask.Spawn("worker", func(th *kernel.Thread) {
+				// 12 separate one-page shootdowns queue at the idle CPUs.
+				var vas []ptable.VAddr
+				for i := 0; i < 12; i++ {
+					va, err := th.KernelAllocate(mem.PageSize)
+					if err != nil {
+						th.Fail(err)
+						return
+					}
+					if err := th.Write(va, 1); err != nil {
+						th.Fail(err)
+						return
+					}
+					vas = append(vas, va)
+				}
+				for _, va := range vas {
+					if err := th.KernelDeallocate(va, va+mem.PageSize); err != nil {
+						th.Fail(err)
+						return
+					}
+				}
+				// Hand the CPUs over so the idle processors dispatch threads
+				// and drain their action queues — the overflow-to-flush path
+				// runs at that point.
+				var drainers []*kernel.Thread
+				for i := 0; i < 3; i++ {
+					drainers = append(drainers, ktask.Spawn(fmt.Sprintf("drainer%d", i), func(d *kernel.Thread) {
+						d.Compute(1_000_000)
+					}))
+				}
+				for _, d := range drainers {
+					th.Join(d)
+				}
+			})
+			return nil
+		})
 		if err != nil {
 			return out, err
 		}
-		ktask := k.KernelTask()
-		ktask.Spawn("worker", func(th *kernel.Thread) {
-			// 12 separate one-page shootdowns queue at the idle CPUs.
-			var vas []ptable.VAddr
-			for i := 0; i < 12; i++ {
-				va, err := th.KernelAllocate(mem.PageSize)
-				if err != nil {
-					th.Fail(err)
-					return
-				}
-				if err := th.Write(va, 1); err != nil {
-					th.Fail(err)
-					return
-				}
-				vas = append(vas, va)
-			}
-			for _, va := range vas {
-				if err := th.KernelDeallocate(va, va+mem.PageSize); err != nil {
-					th.Fail(err)
-					return
-				}
-			}
-			// Hand the CPUs over so the idle processors dispatch threads
-			// and drain their action queues — the overflow-to-flush path
-			// runs at that point.
-			var drainers []*kernel.Thread
-			for i := 0; i < 3; i++ {
-				drainers = append(drainers, ktask.Spawn(fmt.Sprintf("drainer%d", i), func(d *kernel.Thread) {
-					d.Compute(1_000_000)
-				}))
-			}
-			for _, d := range drainers {
-				th.Join(d)
-			}
-		})
-		if err := k.Run(); err != nil {
-			return out, err
-		}
-		in.ran(k)
 		st := k.Shoot.Stats()
 		out.Rows = append(out.Rows, QueueRow{QueueSize: q, Overflows: st.QueueOverflows, FullFlushes: st.FullFlushes})
 	}

@@ -9,7 +9,6 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
-	"shootdown/internal/trace"
 )
 
 // chaosScenarios is the fail-stop/hot-plug campaign: processor lifecycle
@@ -18,10 +17,7 @@ import (
 // oracle attached. The membership layer must carry every run to a clean
 // finish: an initiator never waits on a dead responder, a revived CPU
 // never serves a stale translation.
-var chaosScenarios = []struct {
-	Name string
-	Spec string
-}{
+var chaosScenarios = []scenario{
 	{"failstop", "failstop=0.9,failby=8ms"},
 	{"hotplug", "failstop=0.9,failby=8ms,revive=1,reviveafter=4ms"},
 	{"failstop+chaos", "failstop=0.7,failby=8ms,revive=0.8,reviveafter=4ms,drop=0.10,delay=0.10,delaymax=1ms,slow=0.20,slowmax=300us,spurious=0.05"},
@@ -37,77 +33,21 @@ const (
 	VerdictError    = explore.VerdictError
 )
 
-// flightSnapshotStep is the event step at which a flight-armed run pauses
-// for a whole-simulation snapshot, early enough to precede the failures
-// the campaign plants. The snapshot rides in the black box's "snapshots"
-// section, so every post-mortem artifact embeds a restore point.
-const flightSnapshotStep = 2000
-
 // campaignCell assembles the shared chaos fixture over the explore
 // substrate: churn at half scale, hardened watchdog, oracle attached.
-func campaignCell(seed int64, ncpus int, fc fault.Config, bug bool, ties []int, fr *trace.Recorder) explore.Cell {
+func campaignCell(seed int64, ncpus int, fc fault.Config, bug bool) explore.Cell {
 	return explore.Cell{
 		Seed:      seed,
 		NCPUs:     ncpus,
 		Fault:     fc,
 		Bug:       bug,
 		Shootdown: campaignWatchdog,
-		Ties:      ties,
-		Flight:    fr,
 	}
-}
-
-// chaosCell is one deterministic churn run under a fault config: the
-// fixture both the campaign and the shrinker's test function re-execute.
-// fr arms the flight recorder for the run; the shrinker passes nil so its
-// dozens of re-executions don't each dump a black box. Flight-armed runs
-// pause briefly mid-run to take a whole-simulation snapshot (a pure read
-// — the resumed run is byte-identical to an uninterrupted one), so a
-// tripped black box carries a restore point.
-func chaosCell(seed int64, ncpus int, fc fault.Config, bug bool, ties []int, fr *trace.Recorder, obs func(*kernel.Kernel)) (verdict, detail string, events []fault.Event) {
-	return runFlightCell(campaignCell(seed, ncpus, fc, bug, ties, fr), obs)
-}
-
-// runFlightCell executes one campaign cell; flight-armed cells pause at
-// flightSnapshotStep for the mid-run snapshot (see chaosCell).
-func runFlightCell(cell explore.Cell, obs func(*kernel.Kernel)) (verdict, detail string, events []fault.Event) {
-	if cell.Flight == nil {
-		return cell.Run(obs)
-	}
-	k, err := cell.Start()
-	if err != nil {
-		return VerdictError, err.Error(), nil
-	}
-	var runErr error
-	if err := k.RunToStep(flightSnapshotStep); err != nil {
-		runErr = k.Finish(err)
-	} else if k.Eng.Stopped() || k.Eng.StepCount() < flightSnapshotStep {
-		// The run ended before the snapshot point; settle it directly.
-		runErr = k.Finish(nil)
-	} else {
-		if _, serr := k.Snapshot(); serr != nil {
-			return VerdictError, serr.Error(), k.M.Faults().Events()
-		}
-		runErr = k.ContinueRun()
-	}
-	events = k.M.Faults().Events()
-	if obs != nil {
-		obs(k)
-	}
-	if runErr != nil {
-		detail = runErr.Error()
-	}
-	return explore.Classify(runErr), detail, events
 }
 
 // ChaosRun is one scenario's outcome.
 type ChaosRun struct {
-	Scenario string
-	Spec     string
-	Bug      string `json:",omitempty"`
-
-	Verdict string
-	Err     string `json:",omitempty"`
+	scenarioOutcome
 
 	Faults     fault.Stats
 	LockBreaks uint64
@@ -118,11 +58,25 @@ type ChaosRun struct {
 	OracleStale    uint64
 	Violations     uint64
 
-	// Shrink results, when the run failed and shrinking was enabled.
-	ScheduleLen int             `json:",omitempty"` // events in the failing schedule
-	Shrunk      []fault.EventID `json:",omitempty"` // 1-minimal subset
-	ShrinkTests int             `json:",omitempty"`
-	Repro       *shrink.Repro   `json:",omitempty"`
+	shrinkOutcome
+}
+
+// harvest reads the run's fault, lock-break, membership and oracle
+// counters.
+func (row *ChaosRun) harvest(k *kernel.Kernel) {
+	row.Faults = k.M.Faults().Stats()
+	row.LockBreaks = k.M.LockBreaks()
+	if k.Shoot != nil {
+		st := k.Shoot.Stats()
+		row.OfflineSkipped = st.OfflineSkipped
+		row.MemberRescues = st.WatchdogMembershipRescues
+	}
+	if k.Oracle != nil {
+		k.Oracle.Check()
+		ost := k.Oracle.Stats()
+		row.OracleStale = ost.StaleCached
+		row.Violations = ost.Violations
+	}
 }
 
 // ChaosResult is the whole campaign.
@@ -133,15 +87,7 @@ type ChaosResult struct {
 }
 
 // Failures counts non-ok runs.
-func (r ChaosResult) Failures() int {
-	n := 0
-	for _, run := range r.Runs {
-		if run.Verdict != VerdictOK {
-			n++
-		}
-	}
-	return n
-}
+func (r ChaosResult) Failures() int { return failures(r.Runs) }
 
 // ChaosOptions tunes the campaign.
 type ChaosOptions struct {
@@ -170,58 +116,23 @@ func ChaosCampaign(seed int64, opt ChaosOptions, ins ...Instrument) (ChaosResult
 	if opt.NCPUs == 0 {
 		opt.NCPUs = 6
 	}
-	if opt.MaxShrinkRuns == 0 {
-		opt.MaxShrinkRuns = 48
+	bug := ""
+	if opt.PlantBug {
+		bug = "skip-revive-flush"
 	}
-	res := ChaosResult{Seed: seed, NCPUs: opt.NCPUs}
-	for i, sc := range chaosScenarios {
-		fc, err := fault.ParseSpec(sc.Spec)
-		if err != nil {
-			return res, fmt.Errorf("experiments: chaos scenario %s: %w", sc.Name, err)
-		}
-		fc.Seed = seed + int64(i)*257
-		row := ChaosRun{Scenario: sc.Name, Spec: sc.Spec}
-		if opt.PlantBug {
-			row.Bug = "skip-revive-flush"
-		}
-		var endStep uint64
-		obs := func(k *kernel.Kernel) {
-			if in.Observe != nil {
-				in.Observe(k)
-			}
-			endStep = k.Eng.StepCount()
-			row.Faults = k.M.Faults().Stats()
-			row.LockBreaks = k.M.LockBreaks()
-			if k.Shoot != nil {
-				st := k.Shoot.Stats()
-				row.OfflineSkipped = st.OfflineSkipped
-				row.MemberRescues = st.WatchdogMembershipRescues
-			}
-			if k.Oracle != nil {
-				k.Oracle.Check()
-				ost := k.Oracle.Stats()
-				row.OracleStale = ost.StaleCached
-				row.Violations = ost.Violations
-			}
-		}
-		verdict, detail, events := chaosCell(seed, opt.NCPUs, fc, opt.PlantBug, nil, in.Flight, obs)
-		row.Verdict, row.Err = verdict, detail
-		if verdict != VerdictOK && opt.Shrink {
-			row.ScheduleLen = len(events)
-			cell := campaignCell(seed, opt.NCPUs, fc, opt.PlantBug, nil, nil)
-			rw := explore.NewRewinder(cell, verdict, events, endStep)
-			if opt.WallClock != nil {
-				rw.SetWallClock(opt.WallClock)
-			}
-			r := rw.Minimize(opt.MaxShrinkRuns)
-			row.Shrunk = r.Keep
-			row.ShrinkTests = r.Tests
-			repro := explore.BuildRepro(cell, verdict, events, r.Keep, r.Meta)
-			row.Repro = &repro
-		}
-		res.Runs = append(res.Runs, row)
-	}
-	return res, nil
+	runs, err := runCampaign[ChaosRun](campaign{
+		kind:      "chaos",
+		seed:      seed,
+		scenarios: chaosScenarios,
+		bug:       bug,
+		cell: func(fc fault.Config) explore.Cell {
+			return campaignCell(seed, opt.NCPUs, fc, opt.PlantBug)
+		},
+		shrink:        opt.Shrink,
+		maxShrinkRuns: opt.MaxShrinkRuns,
+		wallClock:     opt.WallClock,
+	}, in)
+	return ChaosResult{Seed: seed, NCPUs: opt.NCPUs, Runs: runs}, err
 }
 
 // ReplayRepro re-executes a minimized reproducer and reports the verdict
@@ -237,7 +148,9 @@ func ReplayRepro(r shrink.Repro, ins ...Instrument) (string, string, error) {
 		return "", "", fmt.Errorf("experiments: repro workload %q not supported", r.Workload)
 	}
 	in := pick(ins)
-	cell := campaignCell(r.Seed, r.NCPUs, r.Faults, r.Bug == "skip-revive-flush", r.Ties, in.Flight)
+	cell := campaignCell(r.Seed, r.NCPUs, r.Faults, r.Bug == "skip-revive-flush")
+	cell.Ties = r.Ties
+	cell.Flight = in.Flight
 	cell.Workload = r.Workload
 	cell.Devices = r.Devices
 	cell.DevBug = r.Bug == "skip-dev-inval"
@@ -258,37 +171,14 @@ func (r ChaosResult) Render() string {
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
 	fmt.Fprintf(w, "scenario\tverdict\tfails\trevives\tlock breaks\toffline skips\tmember rescues\toracle viol\tshrunk\n")
 	for _, run := range r.Runs {
-		shrunk := "-"
-		if run.Verdict != VerdictOK && run.ScheduleLen > 0 {
-			shrunk = fmt.Sprintf("%d -> %d (%d runs)", run.ScheduleLen, len(run.Shrunk), run.ShrinkTests)
-		}
 		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
 			run.Scenario, run.Verdict, run.Faults.FailStops, run.Faults.Revives,
-			run.LockBreaks, run.OfflineSkipped, run.MemberRescues, run.Violations, shrunk)
+			run.LockBreaks, run.OfflineSkipped, run.MemberRescues, run.Violations, run.column())
 	}
 	w.Flush()
-	for _, run := range r.Runs {
-		if run.Verdict == VerdictOK {
-			continue
-		}
-		fmt.Fprintf(&b, "\nFAIL %s (%s): %s\n", run.Scenario, run.Verdict, firstLine(run.Err))
-		if len(run.Shrunk) > 0 {
-			ids := make([]string, len(run.Shrunk))
-			for i, id := range run.Shrunk {
-				ids[i] = id.String()
-			}
-			fmt.Fprintf(&b, "  minimal schedule: %s\n", strings.Join(ids, " "))
-		}
-	}
+	renderFailures(&b, r.Runs)
 	if r.Failures() == 0 {
 		fmt.Fprintf(&b, "\nall %d scenarios survived: no shootdown ever waited on a dead processor, every revived TLB came up cold\n", len(r.Runs))
 	}
 	return b.String()
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -7,9 +7,7 @@ import (
 
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
-	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
-	"shootdown/internal/trace"
 )
 
 // deviceScenarios is the device-chaos campaign: IOMMU/device-TLB fault
@@ -18,10 +16,7 @@ import (
 // every device TLB. The quarantine ladder must carry every run to a clean
 // finish: a wedged device never wedges the shootdown, and no DMA ever
 // lands through a translation the device acknowledged invalidating.
-var deviceScenarios = []struct {
-	Name string
-	Spec string
-}{
+var deviceScenarios = []scenario{
 	{"devstall", "devstall=0.6,devstallmax=6ms"},
 	{"doorbell-drop", "devdrop=0.5"},
 	{"wedge", "devwedge=0.25"},
@@ -34,12 +29,7 @@ var deviceScenarios = []struct {
 
 // DeviceChaosRun is one device scenario's outcome.
 type DeviceChaosRun struct {
-	Scenario string
-	Spec     string
-	Bug      string `json:",omitempty"`
-
-	Verdict string
-	Err     string `json:",omitempty"`
+	scenarioOutcome
 
 	Faults fault.Stats
 	// Device-side shootdown counters: invalidations posted, and the
@@ -55,11 +45,29 @@ type DeviceChaosRun struct {
 	OracleGraceUses    uint64
 	Violations         uint64
 
-	// Shrink results, when the run failed and shrinking was enabled.
-	ScheduleLen int             `json:",omitempty"` // events in the failing schedule
-	Shrunk      []fault.EventID `json:",omitempty"` // 1-minimal subset
-	ShrinkTests int             `json:",omitempty"`
-	Repro       *shrink.Repro   `json:",omitempty"`
+	shrinkOutcome
+}
+
+// harvest reads the run's fault, device-ladder and oracle counters.
+func (row *DeviceChaosRun) harvest(k *kernel.Kernel) {
+	row.Faults = k.M.Faults().Stats()
+	if k.Shoot != nil {
+		st := k.Shoot.Stats()
+		row.DevShootdowns = st.DevShootdowns
+		row.DevInvalsPosted = st.DevInvalsPosted
+		row.DevTimeouts = st.DevCompletionTimeouts
+		row.DevRerings = st.DevRerings
+		row.DevResets = st.DevResets
+		row.DevQuarantines = st.DevQuarantines
+		row.DevOfflineSkipped = st.DevOfflineSkipped
+	}
+	if k.Oracle != nil {
+		k.Oracle.Check()
+		ost := k.Oracle.Stats()
+		row.OracleDevUseChecks = ost.DevUseChecks
+		row.OracleGraceUses = ost.DevGraceUses
+		row.Violations = ost.Violations
+	}
 }
 
 // DeviceChaosResult is the whole device campaign.
@@ -71,15 +79,7 @@ type DeviceChaosResult struct {
 }
 
 // Failures counts non-ok runs.
-func (r DeviceChaosResult) Failures() int {
-	n := 0
-	for _, run := range r.Runs {
-		if run.Verdict != VerdictOK {
-			n++
-		}
-	}
-	return n
-}
+func (r DeviceChaosResult) Failures() int { return failures(r.Runs) }
 
 // DeviceChaosOptions tunes the device campaign.
 type DeviceChaosOptions struct {
@@ -105,7 +105,7 @@ type DeviceChaosOptions struct {
 // deviceCampaignCell assembles the shared device-chaos fixture: the
 // DMA-streaming workload at half scale, hardened watchdog, oracle
 // shadowing every device TLB.
-func deviceCampaignCell(seed int64, opt DeviceChaosOptions, fc fault.Config, ties []int, fr *trace.Recorder) explore.Cell {
+func deviceCampaignCell(seed int64, opt DeviceChaosOptions, fc fault.Config) explore.Cell {
 	return explore.Cell{
 		Seed:      seed,
 		NCPUs:     opt.NCPUs,
@@ -114,8 +114,6 @@ func deviceCampaignCell(seed int64, opt DeviceChaosOptions, fc fault.Config, tie
 		Fault:     fc,
 		DevBug:    opt.PlantBug,
 		Shootdown: campaignWatchdog,
-		Ties:      ties,
-		Flight:    fr,
 	}
 }
 
@@ -131,74 +129,25 @@ func DeviceChaosCampaign(seed int64, opt DeviceChaosOptions, ins ...Instrument) 
 	if opt.Devices == 0 {
 		opt.Devices = 2
 	}
-	if opt.MaxShrinkRuns == 0 {
-		opt.MaxShrinkRuns = 48
-	}
-	res := DeviceChaosResult{Seed: seed, NCPUs: opt.NCPUs, Devices: opt.Devices}
 	scenarios := deviceScenarios
 	if opt.ExtraSpec != "" {
-		scenarios = append(append([]struct {
-			Name string
-			Spec string
-		}{}, deviceScenarios...), struct {
-			Name string
-			Spec string
-		}{"custom", opt.ExtraSpec})
+		scenarios = append(scenarios, scenario{"custom", opt.ExtraSpec})
 	}
-	for i, sc := range scenarios {
-		fc, err := fault.ParseSpec(sc.Spec)
-		if err != nil {
-			return res, fmt.Errorf("experiments: device scenario %s: %w", sc.Name, err)
-		}
-		fc.Seed = seed + int64(i)*257
-		row := DeviceChaosRun{Scenario: sc.Name, Spec: sc.Spec}
-		if opt.PlantBug {
-			row.Bug = "skip-dev-inval"
-		}
-		var endStep uint64
-		obs := func(k *kernel.Kernel) {
-			if in.Observe != nil {
-				in.Observe(k)
-			}
-			endStep = k.Eng.StepCount()
-			row.Faults = k.M.Faults().Stats()
-			if k.Shoot != nil {
-				st := k.Shoot.Stats()
-				row.DevShootdowns = st.DevShootdowns
-				row.DevInvalsPosted = st.DevInvalsPosted
-				row.DevTimeouts = st.DevCompletionTimeouts
-				row.DevRerings = st.DevRerings
-				row.DevResets = st.DevResets
-				row.DevQuarantines = st.DevQuarantines
-				row.DevOfflineSkipped = st.DevOfflineSkipped
-			}
-			if k.Oracle != nil {
-				k.Oracle.Check()
-				ost := k.Oracle.Stats()
-				row.OracleDevUseChecks = ost.DevUseChecks
-				row.OracleGraceUses = ost.DevGraceUses
-				row.Violations = ost.Violations
-			}
-		}
-		cell := deviceCampaignCell(seed, opt, fc, nil, in.Flight)
-		verdict, detail, events := runFlightCell(cell, obs)
-		row.Verdict, row.Err = verdict, detail
-		if verdict != VerdictOK && opt.Shrink {
-			row.ScheduleLen = len(events)
-			base := deviceCampaignCell(seed, opt, fc, nil, nil)
-			rw := explore.NewRewinder(base, verdict, events, endStep)
-			if opt.WallClock != nil {
-				rw.SetWallClock(opt.WallClock)
-			}
-			r := rw.Minimize(opt.MaxShrinkRuns)
-			row.Shrunk = r.Keep
-			row.ShrinkTests = r.Tests
-			repro := explore.BuildRepro(base, verdict, events, r.Keep, r.Meta)
-			row.Repro = &repro
-		}
-		res.Runs = append(res.Runs, row)
+	bug := ""
+	if opt.PlantBug {
+		bug = "skip-dev-inval"
 	}
-	return res, nil
+	runs, err := runCampaign[DeviceChaosRun](campaign{
+		kind:          "device",
+		seed:          seed,
+		scenarios:     scenarios,
+		bug:           bug,
+		cell:          func(fc fault.Config) explore.Cell { return deviceCampaignCell(seed, opt, fc) },
+		shrink:        opt.Shrink,
+		maxShrinkRuns: opt.MaxShrinkRuns,
+		wallClock:     opt.WallClock,
+	}, in)
+	return DeviceChaosResult{Seed: seed, NCPUs: opt.NCPUs, Devices: opt.Devices, Runs: runs}, err
 }
 
 // Render prints the device campaign.
@@ -211,29 +160,13 @@ func (r DeviceChaosResult) Render() string {
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
 	fmt.Fprintf(w, "scenario\tverdict\tposted\ttimeouts\tre-rings\tresets\tquarantines\tgrace uses\toracle viol\tshrunk\n")
 	for _, run := range r.Runs {
-		shrunk := "-"
-		if run.Verdict != VerdictOK && run.ScheduleLen > 0 {
-			shrunk = fmt.Sprintf("%d -> %d (%d runs)", run.ScheduleLen, len(run.Shrunk), run.ShrinkTests)
-		}
 		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
 			run.Scenario, run.Verdict, run.DevInvalsPosted, run.DevTimeouts,
 			run.DevRerings, run.DevResets, run.DevQuarantines,
-			run.OracleGraceUses, run.Violations, shrunk)
+			run.OracleGraceUses, run.Violations, run.column())
 	}
 	w.Flush()
-	for _, run := range r.Runs {
-		if run.Verdict == VerdictOK {
-			continue
-		}
-		fmt.Fprintf(&b, "\nFAIL %s (%s): %s\n", run.Scenario, run.Verdict, firstLine(run.Err))
-		if len(run.Shrunk) > 0 {
-			ids := make([]string, len(run.Shrunk))
-			for i, id := range run.Shrunk {
-				ids[i] = id.String()
-			}
-			fmt.Fprintf(&b, "  minimal schedule: %s\n", strings.Join(ids, " "))
-		}
-	}
+	renderFailures(&b, r.Runs)
 	if r.Failures() == 0 {
 		fmt.Fprintf(&b, "\nall %d scenarios survived: every shootdown completed despite stalled, deaf, and wedged devices, and no DMA ever used an acknowledged-dead translation\n", len(r.Runs))
 	}

@@ -36,7 +36,7 @@ func deviceFlightCell(t *testing.T, dir string) (verdict string, box []byte) {
 		Seed: 7, NCPUs: 4, Workload: "dma", Devices: 2,
 		Fault: fc, Shootdown: campaignWatchdog, Flight: fr,
 	}
-	verdict, detail, _ := runFlightCell(cell, nil)
+	verdict, detail, _ := cell.Run(nil)
 	if verdict != VerdictOK {
 		t.Fatalf("wedged-device run did not survive: %s (%s)", verdict, detail)
 	}

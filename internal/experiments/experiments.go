@@ -27,7 +27,7 @@ func Fig2(seed int64, runs int, ins ...Instrument) (Fig2Result, error) {
 		MaxK:     15,
 		Runs:     runs,
 		BaseSeed: seed,
-		App:      pick(ins).app(workload.AppConfig{}),
+		App:      pick(ins).App(workload.AppConfig{}),
 	})
 	return Fig2Result{res}, err
 }
@@ -65,12 +65,12 @@ func Table1(seed int64, ins ...Instrument) (Table1Result, error) {
 	in := pick(ins)
 	var out Table1Result
 	for i, lazyOff := range []bool{false, true} {
-		m, err := workload.RunMachBuild(in.app(workload.AppConfig{Seed: seed, LazyDisabled: lazyOff}))
+		m, err := workload.RunMachBuild(in.App(workload.AppConfig{Seed: seed, LazyDisabled: lazyOff}))
 		if err != nil {
 			return out, fmt.Errorf("mach build (lazyOff=%v): %w", lazyOff, err)
 		}
 		out.Mach[i] = m
-		p, err := workload.RunParthenon(in.app(workload.AppConfig{Seed: seed, LazyDisabled: lazyOff}))
+		p, err := workload.RunParthenon(in.App(workload.AppConfig{Seed: seed, LazyDisabled: lazyOff}))
 		if err != nil {
 			return out, fmt.Errorf("parthenon (lazyOff=%v): %w", lazyOff, err)
 		}
@@ -133,7 +133,7 @@ func Tables234(seed int64, ins ...Instrument) (TablesResult, error) {
 	for _, run := range []func(workload.AppConfig) (workload.AppResult, error){
 		workload.RunMachBuild, workload.RunParthenon, workload.RunAgora, workload.RunCamelot,
 	} {
-		r, err := run(in.app(workload.AppConfig{Seed: seed}))
+		r, err := run(in.App(workload.AppConfig{Seed: seed}))
 		if err != nil {
 			return out, err
 		}
@@ -246,11 +246,11 @@ type PerturbationResult struct {
 func Perturbation(seed int64, ins ...Instrument) (PerturbationResult, error) {
 	in := pick(ins)
 	var out PerturbationResult
-	on, err := workload.RunParthenon(in.app(workload.AppConfig{Seed: seed, LazyDisabled: true}))
+	on, err := workload.RunParthenon(in.App(workload.AppConfig{Seed: seed, LazyDisabled: true}))
 	if err != nil {
 		return out, err
 	}
-	off, err := workload.RunParthenon(in.app(workload.AppConfig{Seed: seed, LazyDisabled: true, TraceOff: true}))
+	off, err := workload.RunParthenon(in.App(workload.AppConfig{Seed: seed, LazyDisabled: true, TraceOff: true}))
 	if err != nil {
 		return out, err
 	}
@@ -261,7 +261,7 @@ func Perturbation(seed int64, ins ...Instrument) (PerturbationResult, error) {
 	}
 	var sample stats.Sample
 	for s := int64(0); s < 5; s++ {
-		r, err := workload.RunParthenon(in.app(workload.AppConfig{Seed: seed + 100 + s, LazyDisabled: true, TraceOff: true}))
+		r, err := workload.RunParthenon(in.App(workload.AppConfig{Seed: seed + 100 + s, LazyDisabled: true, TraceOff: true}))
 		if err != nil {
 			return out, err
 		}
@@ -320,7 +320,7 @@ func Scale(seed int64, runs int, ins ...Instrument) (ScaleResult, error) {
 		for r := 0; r < runs; r++ {
 			res, err := workload.RunTester(workload.TesterConfig{
 				NCPUs: n, Children: n - 1, Seed: seed + int64(n*100+r),
-				App: in.app(workload.AppConfig{}),
+				App: in.App(workload.AppConfig{}),
 			})
 			if err != nil {
 				return out, err

@@ -50,7 +50,7 @@ func ExploreCampaign(seed int64, opt ExploreOptions) (ExploreResult, error) {
 	// Same per-scenario seeding as the chaos campaign's hotplug row, so a
 	// violation found here replays under `chaos` tooling unchanged.
 	fc.Seed = seed + 257
-	cell := campaignCell(seed, opt.NCPUs, fc, opt.PlantBug, nil, nil)
+	cell := campaignCell(seed, opt.NCPUs, fc, opt.PlantBug)
 	r, err := explore.Explore(cell, explore.Options{
 		Budget:        opt.Budget,
 		MaxShrinkRuns: opt.MaxShrinkRuns,

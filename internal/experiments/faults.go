@@ -19,10 +19,7 @@ import (
 // with the initiator watchdog armed and the consistency oracle attached.
 // The specs go beyond the paper's hardware assumptions — the Multimax's
 // interrupt hardware is reliable; these model it failing.
-var faultScenarios = []struct {
-	Name string
-	Spec string
-}{
+var faultScenarios = []scenario{
 	{"baseline", "none"},
 	{"drop10", "drop=0.10"},
 	{"drop25+delay", "drop=0.25,delay=0.20,delaymax=2ms"},
@@ -100,10 +97,7 @@ func FaultCampaign(seed int64, ins ...Instrument) (FaultCampaignResult, error) {
 
 	scenarios := faultScenarios
 	if in.Faults != nil && in.Faults.Enabled() {
-		scenarios = append(scenarios, struct {
-			Name string
-			Spec string
-		}{"custom", in.Faults.Spec()})
+		scenarios = append(scenarios, scenario{"custom", in.Faults.Spec()})
 	}
 
 	for i, sc := range scenarios {
@@ -115,7 +109,7 @@ func FaultCampaign(seed int64, ins ...Instrument) (FaultCampaignResult, error) {
 
 		for _, wl := range []string{"tester", "machbuild"} {
 			row := FaultRun{Scenario: sc.Name, Spec: sc.Spec, Workload: wl}
-			app := in.app(workload.AppConfig{
+			app := in.App(workload.AppConfig{
 				NCPUs:            8,
 				Seed:             seed,
 				ShootdownOptions: campaignWatchdog,

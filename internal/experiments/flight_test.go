@@ -25,7 +25,9 @@ func flightCell(t *testing.T, dir string) (verdict string, box []byte) {
 		t.Fatal(err)
 	}
 	fc.Seed = 7
-	verdict, _, _ = chaosCell(7, 4, fc, true, nil, fr, nil)
+	cell := campaignCell(7, 4, fc, true)
+	cell.Flight = fr
+	verdict, _, _ = cell.Run(nil)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

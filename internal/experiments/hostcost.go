@@ -69,22 +69,20 @@ func HostCost(seed int64, opts HostCostOptions, ins ...Instrument) (HostCostResu
 		return out, fmt.Errorf("hostcost: table1 phase: %w", err)
 	}
 	if err := phase("snapshot", func() error {
-		k, err := workload.StartChurn(in.app(workload.AppConfig{
-			NCPUs: 4, Seed: seed, Scale: 0.5, Oracle: true,
-		}))
+		cfg := in.App(workload.AppConfig{NCPUs: 4, Seed: seed, Scale: 0.5, Oracle: true})
+		k, err := workload.StartChurn(cfg)
 		if err != nil {
 			return err
 		}
-		if err := k.RunToStep(snapPhasePauseStep); err != nil {
-			return k.Finish(err)
+		paused, err := k.RunTo(snapPhasePauseStep)
+		if paused {
+			_, snapErr := k.Snapshot()
+			if err = k.ContinueRun(); snapErr != nil {
+				err = snapErr
+			}
 		}
-		if k.Eng.Stopped() || k.Eng.StepCount() < snapPhasePauseStep {
-			return k.Finish(nil)
-		}
-		if _, err := k.Snapshot(); err != nil {
-			return err
-		}
-		return k.ContinueRun()
+		workload.CollectChurn(cfg, k)
+		return err
 	}); err != nil {
 		return out, fmt.Errorf("hostcost: snapshot phase: %w", err)
 	}

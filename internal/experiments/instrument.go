@@ -21,8 +21,9 @@ import (
 // Tracer, Profiler and Flight are shared by every kernel the experiment
 // builds, joined into each kernel's one observation stream (trace.Stream;
 // each run rebases it, so sequential runs occupy disjoint stretches of one
-// session timeline). Observe is called with each kernel after its run
-// completes — metrics harvesting hangs off it. No hook charges virtual
+// session timeline). Observe is called exactly once with each kernel
+// after its run is settled, whether or not the run failed — metrics
+// harvesting hangs off it. No hook charges virtual
 // time or consumes simulation randomness, so instrumented results are
 // bit-identical to uninstrumented ones. Experiments that assemble a bare
 // machine with no kernel (Pools) attach the stream but never call Observe.
@@ -57,56 +58,56 @@ func pick(ins []Instrument) Instrument {
 	return ins[0]
 }
 
-// defaultWatchdog is armed whenever an instrument injects faults into an
-// experiment that did not configure its own watchdog: without it, a single
-// dropped IPI would hang the initiator until the virtual-time bound.
-var defaultWatchdog = core.Options{
-	WatchdogTimeout:    1_000_000,
-	WatchdogMaxRetries: 3,
-	WatchdogBackoffMax: 8_000_000,
-}
-
-// App applies the instrument to a workload configuration; commands that
-// build workloads directly (cmd/tlbtest) use it to share the CLI plumbing.
-func (in Instrument) App(c workload.AppConfig) workload.AppConfig { return in.app(c) }
-
-// app applies the instrument to a workload configuration.
-func (in Instrument) app(c workload.AppConfig) workload.AppConfig {
+// App applies the instrument to a workload configuration, for the
+// experiments and commands (cmd/tlbtest) that run package workload's
+// applications.
+func (in Instrument) App(c workload.AppConfig) workload.AppConfig {
 	c.Tracer = in.Tracer
 	c.Observe = in.Observe
 	c.Faults = in.Faults
 	c.Oracle = in.Oracle
 	c.Profiler = in.Profiler
 	c.Flight = in.Flight
-	if in.Faults != nil && in.Faults.Enabled() && c.ShootdownOptions.WatchdogTimeout == 0 {
-		c.ShootdownOptions.WatchdogTimeout = defaultWatchdog.WatchdogTimeout
-		c.ShootdownOptions.WatchdogMaxRetries = defaultWatchdog.WatchdogMaxRetries
-		c.ShootdownOptions.WatchdogBackoffMax = defaultWatchdog.WatchdogBackoffMax
-	}
+	c.ShootdownOptions = in.watchdog(c.ShootdownOptions)
 	return c
 }
 
-// config applies the instrument to a raw kernel configuration (experiments
-// that assemble kernels directly rather than via package workload).
-func (in Instrument) config(c kernel.Config) kernel.Config {
+// runWorld is the lifecycle of every world an experiment assembles from a
+// raw kernel configuration: build it with the instrument applied, let rig
+// spawn its threads, run it to completion, and observe it exactly once,
+// whether or not the run failed. It returns the settled kernel for
+// harvesting (nil if the world could not be built) and the run's error.
+func (in Instrument) runWorld(c kernel.Config, rig func(*kernel.Kernel) error) (*kernel.Kernel, error) {
 	c.Tracer = trace.Stream(in.Tracer, in.Flight, in.Profiler)
 	c.Oracle = in.Oracle
 	if in.Faults != nil && in.Faults.Enabled() {
 		c.Machine.Faults = fault.New(*in.Faults)
-		if c.Shootdown.WatchdogTimeout == 0 {
-			c.Shootdown.WatchdogTimeout = defaultWatchdog.WatchdogTimeout
-			c.Shootdown.WatchdogMaxRetries = defaultWatchdog.WatchdogMaxRetries
-			c.Shootdown.WatchdogBackoffMax = defaultWatchdog.WatchdogBackoffMax
-		}
 	}
-	return c
-}
-
-// ran invokes the observe hook after a directly-assembled kernel finishes.
-func (in Instrument) ran(k *kernel.Kernel) {
+	c.Shootdown = in.watchdog(c.Shootdown)
+	k, err := kernel.New(c)
+	if err != nil {
+		return nil, err
+	}
+	if err := rig(k); err != nil {
+		return nil, err
+	}
+	err = k.Run()
 	if in.Observe != nil {
 		in.Observe(k)
 	}
+	return k, err
+}
+
+// watchdog arms the campaign watchdog when the instrument injects faults
+// into a world that configured no watchdog of its own: without it, a
+// single dropped IPI would hang the initiator until the virtual-time bound.
+func (in Instrument) watchdog(o core.Options) core.Options {
+	if in.Faults != nil && in.Faults.Enabled() && o.WatchdogTimeout == 0 {
+		o.WatchdogTimeout = campaignWatchdog.WatchdogTimeout
+		o.WatchdogMaxRetries = campaignWatchdog.WatchdogMaxRetries
+		o.WatchdogBackoffMax = campaignWatchdog.WatchdogBackoffMax
+	}
+	return o
 }
 
 // CLI is the shared command-line plumbing for the observability flags the

@@ -29,73 +29,71 @@ type PageoutResult struct {
 func Pageout(seed int64, ins ...Instrument) (PageoutResult, error) {
 	in := pick(ins)
 	var out PageoutResult
-	k, err := kernel.New(in.config(kernel.Config{
-		Machine: machine.Options{NumCPUs: 4, MemFrames: 4096, Seed: seed},
-	}))
-	if err != nil {
-		return out, err
-	}
-	task, err := k.NewTask("pressure")
-	if err != nil {
-		return out, err
-	}
 	const pages = 48
 	intact := true
-	task.Spawn("main", func(th *kernel.Thread) {
-		va, err := th.VMAllocate(pages * mem.PageSize)
+	k, err := in.runWorld(kernel.Config{
+		Machine: machine.Options{NumCPUs: 4, MemFrames: 4096, Seed: seed},
+	}, func(k *kernel.Kernel) error {
+		task, err := k.NewTask("pressure")
 		if err != nil {
-			th.Fail(err)
-			return
+			return err
 		}
-		for p := 0; p < pages; p++ {
-			if err := th.Write(va+ptable.VAddr(p*mem.PageSize), uint32(5000+p)); err != nil {
+		task.Spawn("main", func(th *kernel.Thread) {
+			va, err := th.VMAllocate(pages * mem.PageSize)
+			if err != nil {
 				th.Fail(err)
 				return
 			}
-		}
-		// Two workers keep a hot subset referenced from other processors.
-		done := false
-		var workers []*kernel.Thread
-		for w := 0; w < 2; w++ {
-			w := w
-			workers = append(workers, task.Spawn(fmt.Sprintf("worker%d", w), func(c *kernel.Thread) {
-				for !done {
-					for p := w * 4; p < w*4+4; p++ {
-						v, err := c.Read(va + ptable.VAddr(p*mem.PageSize))
-						if err != nil || v != uint32(5000+p) {
-							intact = false
-							return
-						}
-					}
-					c.Compute(2_000_000)
+			for p := 0; p < pages; p++ {
+				if err := th.Write(va+ptable.VAddr(p*mem.PageSize), uint32(5000+p)); err != nil {
+					th.Fail(err)
+					return
 				}
-			}))
-		}
-		th.Compute(5_000_000)
-		// The pageout daemon: repeated second-chance passes.
-		t0 := th.Now()
-		for pass := 0; pass < 6; pass++ {
-			out.PagesEvicted += th.PageOut(8)
-			th.Compute(1_000_000)
-		}
-		out.TotalPageoutMS = float64(th.Now()-t0) / 1e6
-		// Touch everything again: swapped pages come back from disk.
-		for p := 0; p < pages; p++ {
-			v, err := th.Read(va + ptable.VAddr(p*mem.PageSize))
-			if err != nil || v != uint32(5000+p) {
-				intact = false
-				break
 			}
-		}
-		done = true
-		for _, w := range workers {
-			th.Join(w)
-		}
+			// Two workers keep a hot subset referenced from other processors.
+			done := false
+			var workers []*kernel.Thread
+			for w := 0; w < 2; w++ {
+				w := w
+				workers = append(workers, task.Spawn(fmt.Sprintf("worker%d", w), func(c *kernel.Thread) {
+					for !done {
+						for p := w * 4; p < w*4+4; p++ {
+							v, err := c.Read(va + ptable.VAddr(p*mem.PageSize))
+							if err != nil || v != uint32(5000+p) {
+								intact = false
+								return
+							}
+						}
+						c.Compute(2_000_000)
+					}
+				}))
+			}
+			th.Compute(5_000_000)
+			// The pageout daemon: repeated second-chance passes.
+			t0 := th.Now()
+			for pass := 0; pass < 6; pass++ {
+				out.PagesEvicted += th.PageOut(8)
+				th.Compute(1_000_000)
+			}
+			out.TotalPageoutMS = float64(th.Now()-t0) / 1e6
+			// Touch everything again: swapped pages come back from disk.
+			for p := 0; p < pages; p++ {
+				v, err := th.Read(va + ptable.VAddr(p*mem.PageSize))
+				if err != nil || v != uint32(5000+p) {
+					intact = false
+					break
+				}
+			}
+			done = true
+			for _, w := range workers {
+				th.Join(w)
+			}
+		})
+		return nil
 	})
-	if err := k.Run(); err != nil {
+	if err != nil {
 		return out, err
 	}
-	in.ran(k)
 	out.DataIntact = intact
 	out.PageIns = int(k.VM.Stats().PageIns)
 	_, userUS := k.Trace.InitiatorTimes()

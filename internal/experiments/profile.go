@@ -73,7 +73,7 @@ func Profile(seed int64, runs int, ins ...Instrument) (ProfileResult, error) {
 				NCPUs:    16,
 				Children: k,
 				Seed:     seed + int64(k*1000+run),
-				App:      in.app(workload.AppConfig{}),
+				App:      in.App(workload.AppConfig{}),
 			})
 			if err != nil {
 				return ProfileResult{}, fmt.Errorf("profile: k=%d run=%d: %w", k, run, err)

@@ -36,44 +36,42 @@ func TaggedTLB(seed int64, ins ...Instrument) (TaggedTLBResult, error) {
 	var out TaggedTLBResult
 	run := func(tagged bool) (TaggedTLBRow, error) {
 		var row TaggedTLBRow
-		k, err := kernel.New(in.config(kernel.Config{
+		const pages = 12
+		const rounds = 60
+		k, err := in.runWorld(kernel.Config{
 			Machine: machine.Options{
 				NumCPUs: 1, MemFrames: 2048, Seed: seed,
 				TLB: tlb.Config{Tagged: tagged},
 			},
-		}))
+		}, func(k *kernel.Kernel) error {
+			k.Pmaps.LazyASIDRelease = tagged
+			for name := 0; name < 2; name++ {
+				task, err := k.NewTask(fmt.Sprintf("task%d", name))
+				if err != nil {
+					return err
+				}
+				task.Spawn(fmt.Sprintf("t%d", name), func(th *kernel.Thread) {
+					va, err := th.VMAllocate(pages * mem.PageSize)
+					if err != nil {
+						th.Fail(err)
+						return
+					}
+					for r := 0; r < rounds; r++ {
+						for p := 0; p < pages; p++ {
+							if err := th.Write(va+ptable.VAddr(p*mem.PageSize), uint32(r)); err != nil {
+								th.Fail(err)
+								return
+							}
+						}
+						th.Yield() // context switch to the other task
+					}
+				})
+			}
+			return nil
+		})
 		if err != nil {
 			return row, err
 		}
-		k.Pmaps.LazyASIDRelease = tagged
-		const pages = 12
-		const rounds = 60
-		for name := 0; name < 2; name++ {
-			task, err := k.NewTask(fmt.Sprintf("task%d", name))
-			if err != nil {
-				return row, err
-			}
-			task.Spawn(fmt.Sprintf("t%d", name), func(th *kernel.Thread) {
-				va, err := th.VMAllocate(pages * mem.PageSize)
-				if err != nil {
-					th.Fail(err)
-					return
-				}
-				for r := 0; r < rounds; r++ {
-					for p := 0; p < pages; p++ {
-						if err := th.Write(va+ptable.VAddr(p*mem.PageSize), uint32(r)); err != nil {
-							th.Fail(err)
-							return
-						}
-					}
-					th.Yield() // context switch to the other task
-				}
-			})
-		}
-		if err := k.Run(); err != nil {
-			return row, err
-		}
-		in.ran(k)
 		st := k.M.CPU(0).TLB.Stats()
 		row.RuntimeMS = float64(k.Now()) / 1e6
 		row.TLBMisses = st.Misses

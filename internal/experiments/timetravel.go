@@ -6,6 +6,7 @@ import (
 
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
+	"shootdown/internal/kernel"
 	"shootdown/internal/sim"
 	"shootdown/internal/snap"
 )
@@ -51,7 +52,7 @@ func TimeTravel(seed int64, at sim.Time, ncpus int) (TimeTravelResult, error) {
 		return res, err
 	}
 	fc.Seed = seed + 257
-	cell := campaignCell(seed, ncpus, fc, false, nil, nil)
+	cell := campaignCell(seed, ncpus, fc, false)
 
 	// Scout: drive a throwaway world by virtual time to learn which event
 	// step the requested instant lands on. (The engine's cursor is steps,
@@ -70,18 +71,24 @@ func TimeTravel(seed int64, at sim.Time, ncpus int) (TimeTravelResult, error) {
 	}
 	// The scout world is abandoned paused, like any deadlocked world.
 
+	// replay builds a fresh world and replays it to the boundary.
+	replay := func(what string) (*kernel.Kernel, *snap.Snapshot, error) {
+		k, err := cell.Start()
+		if err != nil {
+			return nil, nil, err
+		}
+		if paused, err := k.RunTo(res.Step); !paused {
+			if err == nil {
+				err = fmt.Errorf("experiments: %s run ended before step %d", what, res.Step)
+			}
+			return nil, nil, err
+		}
+		s, err := k.Snapshot()
+		return k, s, err
+	}
+
 	// Original: replay to the boundary, snapshot, continue to completion.
-	k1, err := cell.Start()
-	if err != nil {
-		return res, err
-	}
-	if err := k1.RunToStep(res.Step); err != nil {
-		return res, k1.Finish(err)
-	}
-	if k1.Eng.Stopped() || k1.Eng.StepCount() < res.Step {
-		return res, fmt.Errorf("experiments: run ended before step %d", res.Step)
-	}
-	s1, err := k1.Snapshot()
+	k1, s1, err := replay("original")
 	if err != nil {
 		return res, err
 	}
@@ -99,17 +106,7 @@ func TimeTravel(seed int64, at sim.Time, ncpus int) (TimeTravelResult, error) {
 
 	// Restore: a fresh world, replayed to the same boundary, must be
 	// byte-identical — then its continuation must be too.
-	k2, err := cell.Start()
-	if err != nil {
-		return res, err
-	}
-	if err := k2.RunToStep(res.Step); err != nil {
-		return res, k2.Finish(err)
-	}
-	if k2.Eng.Stopped() || k2.Eng.StepCount() < res.Step {
-		return res, fmt.Errorf("experiments: restored run ended before step %d", res.Step)
-	}
-	s2, err := k2.Snapshot()
+	k2, s2, err := replay("restored")
 	if err != nil {
 		return res, err
 	}

@@ -143,10 +143,21 @@ func (c Cell) Start() (*kernel.Kernel, error) {
 	}
 }
 
+// flightSnapshotStep is the event step at which a flight-armed run pauses
+// for a whole-simulation snapshot, early enough to precede the failures
+// the chaos campaigns plant. The snapshot rides in the black box's
+// "snapshots" section, so every post-mortem artifact embeds a restore
+// point.
+const flightSnapshotStep = 2000
+
 // Run executes the cell to completion. obs, when non-nil, sees the
-// finished kernel before the verdict is returned (metrics harvesting).
-// The fired fault schedule is harvested unconditionally: failing runs are
-// what the shrinker minimizes.
+// settled kernel exactly once, whether or not the run failed, before the
+// verdict is returned (metrics and counter harvesting). The fired fault
+// schedule is harvested unconditionally: failing runs are what the
+// shrinker minimizes. A flight-armed cell pauses at flightSnapshotStep to
+// take a snapshot — a pure read, so the resumed run is byte-identical to
+// an uninterrupted one — and a black box it trips carries a restore
+// point.
 func (c Cell) Run(obs func(*kernel.Kernel)) (verdict, detail string, events []fault.Event) {
 	k, err := c.Start()
 	if err != nil {
@@ -155,7 +166,18 @@ func (c Cell) Run(obs func(*kernel.Kernel)) (verdict, detail string, events []fa
 	if c.StopOnViolation {
 		armStopOnViolation(k)
 	}
-	runErr := k.Run()
+	var runErr error
+	if c.Flight == nil {
+		runErr = k.Run()
+	} else if paused, err := k.RunTo(flightSnapshotStep); !paused {
+		runErr = err
+	} else {
+		_, snapErr := k.Snapshot()
+		runErr = k.ContinueRun()
+		if snapErr != nil {
+			runErr = snapErr
+		}
+	}
 	events = k.M.Faults().Events()
 	if obs != nil {
 		obs(k)

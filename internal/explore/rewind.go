@@ -113,29 +113,22 @@ func (r *Rewinder) runCandidate(mask []fault.EventID, boundary uint64) string {
 		return VerdictError
 	}
 	armStopOnViolation(k)
-	if err := k.RunToStep(boundary); err != nil {
-		// The run died inside the prefix (deadlock, time bound, panic).
-		return Classify(k.Finish(err))
-	}
-	if k.Eng.Stopped() || k.Eng.StepCount() < boundary {
-		// The run ended before the boundary: completed, or stopped on a
-		// violation. Settle it and judge.
-		return Classify(k.Finish(nil))
+	// A run that dies inside the prefix (deadlock, time bound, panic), or
+	// ends before the boundary (completed, or stopped on a violation), is
+	// settled and judged as is.
+	if paused, err := k.RunTo(boundary); !paused {
+		return Classify(err)
 	}
 	r.checkLadder(k, boundary)
-	bound := r.suffixBound()
-	err = k.RunToStep(bound)
+	paused, err := k.RunTo(r.suffixBound())
 	r.meta.SuffixSteps += k.Eng.StepCount() - boundary
-	if err != nil {
-		return Classify(k.Finish(err))
-	}
-	if !k.Eng.Stopped() && k.Eng.StepCount() >= bound {
+	if paused {
 		// Suffix budget exhausted without reproducing the base failure:
 		// the candidate does not fail. The paused world is abandoned, as
 		// the engine already abandons deadlocked worlds.
 		return VerdictOK
 	}
-	return Classify(k.Finish(nil))
+	return Classify(err)
 }
 
 // checkLadder verifies the candidate's replayed prefix against the

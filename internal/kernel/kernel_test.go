@@ -410,6 +410,46 @@ func TestRunTwicePanics(t *testing.T) {
 	_ = k.Run()
 }
 
+// TestRunToPausesOrSettles checks both outcomes of RunTo: a run still
+// going at step n is paused there, unsettled, and a run that ends first is
+// settled (a second Finish panics).
+func TestRunToPausesOrSettles(t *testing.T) {
+	build := func() *kernel.Kernel {
+		k, _ := kernel.New(testConfig(2))
+		task, _ := k.NewTask("t")
+		task.Spawn("main", func(th *kernel.Thread) {
+			for i := 0; i < 50; i++ {
+				th.Compute(100_000)
+			}
+		})
+		return k
+	}
+
+	k := build()
+	paused, err := k.RunTo(10)
+	if !paused || err != nil {
+		t.Fatalf("RunTo(10) = %v, %v; want paused", paused, err)
+	}
+	if got := k.Eng.StepCount(); got != 10 {
+		t.Fatalf("paused at step %d, want 10", got)
+	}
+	if err := k.ContinueRun(); err != nil {
+		t.Fatal(err)
+	}
+
+	k = build()
+	paused, err = k.RunTo(1 << 40)
+	if paused || err != nil {
+		t.Fatalf("RunTo past the end = %v, %v; want settled and ok", paused, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunTo did not settle a run that ended before the step")
+		}
+	}()
+	_ = k.Finish(nil)
+}
+
 func TestVMProtectInheritanceSyscalls(t *testing.T) {
 	k, _ := kernel.New(testConfig(2))
 	task, _ := k.NewTask("t")

@@ -418,15 +418,16 @@ func (e *Engine) BlockedProcs() []*Proc {
 	return out
 }
 
-// LiveProcs returns the procs that have not finished or been halted.
-func (e *Engine) LiveProcs() []*Proc {
-	var out []*Proc
+// LiveProcs counts the procs that have not finished or been halted,
+// without allocating: the device-load generator polls it.
+func (e *Engine) LiveProcs() int {
+	n := 0
 	for _, p := range e.procs {
 		if p.state != StateDone && p.state != StateHalted {
-			out = append(out, p)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // Kill halts a proc in place, modeling fail-stop: the proc transitions to

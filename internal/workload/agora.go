@@ -21,11 +21,12 @@ import (
 // idle, and involve only 1-4 processors — the bimodal distribution that
 // makes Table 2's medians "not meaningful" for Agora.
 func RunAgora(cfg AppConfig) (AppResult, error) {
-	cfg = cfg.withDefaults()
-	k, err := cfg.newKernel()
-	if err != nil {
-		return AppResult{}, err
-	}
+	return run(cfg, rigAgora, appResult("Agora"))
+}
+
+// rigAgora spawns the search's main thread, which publishes the shared
+// region and runs the worker rounds.
+func rigAgora(k *kernel.Kernel, cfg AppConfig) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 
 	workers := cfg.NCPUs - 1
@@ -35,7 +36,7 @@ func RunAgora(cfg AppConfig) (AppResult, error) {
 	const rounds = 5
 	task, err := k.NewTask("agora")
 	if err != nil {
-		return AppResult{}, err
+		return err
 	}
 	task.Spawn("agora", func(main *kernel.Thread) {
 		shared, err := main.VMAllocate(uint32(64 * mem.PageSize))
@@ -81,10 +82,7 @@ func RunAgora(cfg AppConfig) (AppResult, error) {
 			}
 		}
 	})
-	if err := k.Run(); err != nil {
-		return AppResult{}, err
-	}
-	return collect(cfg, "Agora", k), nil
+	return nil
 }
 
 // agoraSearch reads the shared write-once wavefront data and computes; it

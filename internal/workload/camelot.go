@@ -29,11 +29,11 @@ import (
 // Commits also cycle kernel log buffers, giving Camelot its steady trickle
 // of kernel-pmap shootdowns (Table 2).
 func RunCamelot(cfg AppConfig) (AppResult, error) {
-	cfg = cfg.withDefaults()
-	k, err := cfg.newKernel()
-	if err != nil {
-		return AppResult{}, err
-	}
+	return run(cfg, rigCamelot, appResult("Camelot"))
+}
+
+// rigCamelot spawns the data server over asynchronous device load.
+func rigCamelot(k *kernel.Kernel, cfg AppConfig) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + 4))
 	installDeviceLoad(k, cfg.Seed, 5_000_000)
 
@@ -48,7 +48,7 @@ func RunCamelot(cfg AppConfig) (AppResult, error) {
 	requests := scaled(cfg, 110)
 	task, err := k.NewTask("camelot")
 	if err != nil {
-		return AppResult{}, err
+		return err
 	}
 	task.Spawn("dataserver", func(main *kernel.Thread) {
 		segment, err := main.VMAllocate(uint32(segmentPages * mem.PageSize))
@@ -105,10 +105,7 @@ func RunCamelot(cfg AppConfig) (AppResult, error) {
 			main.Join(th)
 		}
 	})
-	if err := k.Run(); err != nil {
-		return AppResult{}, err
-	}
-	return collect(cfg, "Camelot", k), nil
+	return nil
 }
 
 // transaction updates a couple of database pages (breaking copy-on-write

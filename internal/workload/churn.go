@@ -29,26 +29,24 @@ import (
 // does not reshuffle the others' behaviour — which keeps the schedule
 // monotonic enough for delta-debugging to converge quickly.
 func RunChurn(cfg AppConfig) (AppResult, error) {
-	k, err := StartChurn(cfg)
-	if err != nil {
-		return AppResult{}, err
-	}
-	// Harvest even when the run fails: chaos campaigns need the injected
-	// event schedule and counters from the failing run to shrink it.
-	runErr := k.Run()
-	return CollectChurn(cfg, k), runErr
+	return run(cfg, rigChurn, appResult("Churn"))
 }
 
 // StartChurn assembles the churn kernel and spawns its workers without
 // running the engine. The snapshot/restore consumers (step-bounded replay,
 // the explorer's forked schedules) drive the returned kernel themselves
-// via RunToStep/ContinueRun and then harvest with CollectChurn.
-func StartChurn(cfg AppConfig) (*kernel.Kernel, error) {
-	cfg = cfg.withDefaults()
-	k, err := cfg.newKernel()
-	if err != nil {
-		return nil, err
-	}
+// via RunTo/ContinueRun and then harvest with CollectChurn.
+func StartChurn(cfg AppConfig) (*kernel.Kernel, error) { return start(cfg, rigChurn) }
+
+// CollectChurn observes and harvests a settled churn run (the StartChurn
+// counterpart of RunChurn's result).
+func CollectChurn(cfg AppConfig, k *kernel.Kernel) AppResult {
+	return collect(cfg, k, appResult("Churn"))
+}
+
+// rigChurn spawns the churn workers: every third one churns the kernel
+// map, the rest churn a private task's map.
+func rigChurn(k *kernel.Kernel, cfg AppConfig) error {
 	workers := cfg.NCPUs + 2 // oversubscribe: redispatch keeps failed CPUs' work moving
 	iters := scaled(cfg, 24)
 	for w := 0; w < workers; w++ {
@@ -64,19 +62,13 @@ func StartChurn(cfg AppConfig) (*kernel.Kernel, error) {
 		// User-map churn in a private task: targeted shootdowns.
 		task, err := k.NewTask(fmt.Sprintf("churn%d", w))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		task.Spawn(fmt.Sprintf("uchurn%d", w), func(th *kernel.Thread) {
 			churnUser(th, rng, iters)
 		})
 	}
-	return k, nil
-}
-
-// CollectChurn harvests a finished churn run (the StartChurn counterpart
-// of RunChurn's result).
-func CollectChurn(cfg AppConfig, k *kernel.Kernel) AppResult {
-	return collect(cfg.withDefaults(), "Churn", k)
+	return nil
 }
 
 // churnUser cycles a small working set through allocate / touch /

@@ -24,12 +24,7 @@ import (
 // primitives, bounded iterations, DMA faults (expected after an unmap or
 // a quarantine) are counted, never retried unboundedly.
 func RunDMA(cfg AppConfig) (AppResult, error) {
-	k, err := StartDMA(cfg)
-	if err != nil {
-		return AppResult{}, err
-	}
-	runErr := k.Run()
-	return CollectDMA(cfg, k), runErr
+	return run(dmaConfig(cfg), rigDMA, appResult("DMA"))
 }
 
 // dmaStream is the shared control block between one device's controller
@@ -41,24 +36,33 @@ type dmaStream struct {
 }
 
 // StartDMA assembles the DMA kernel and spawns its streams without
-// running the engine; drive with Run/RunToStep and harvest with
-// CollectDMA. At least one device is always configured.
-func StartDMA(cfg AppConfig) (*kernel.Kernel, error) {
-	cfg = cfg.withDefaults()
+// running the engine; drive with Run/RunTo and harvest with CollectDMA.
+// At least one device is always configured.
+func StartDMA(cfg AppConfig) (*kernel.Kernel, error) { return start(dmaConfig(cfg), rigDMA) }
+
+// CollectDMA observes and harvests a settled DMA run.
+func CollectDMA(cfg AppConfig, k *kernel.Kernel) AppResult {
+	return collect(cfg, k, appResult("DMA"))
+}
+
+// dmaConfig gives the DMA workload its one default device.
+func dmaConfig(cfg AppConfig) AppConfig {
 	if cfg.NumDevices == 0 {
 		cfg.NumDevices = 1
 	}
-	k, err := cfg.newKernel()
-	if err != nil {
-		return nil, err
-	}
+	return cfg
+}
+
+// rigDMA spawns one controller thread and one DMA engine per device, plus
+// background churn.
+func rigDMA(k *kernel.Kernel, cfg AppConfig) error {
 	const pages = 8
 	iters := scaled(cfg, 16)
 	for d := 0; d < k.M.NumDevices(); d++ {
 		d := d
 		task, err := k.NewTask(fmt.Sprintf("dma%d", d))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		k.AttachDevice(d, task)
 		st := &dmaStream{size: pages * mem.PageSize, live: true}
@@ -74,18 +78,13 @@ func StartDMA(cfg AppConfig) (*kernel.Kernel, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 991 + int64(w)*7919))
 		task, err := k.NewTask(fmt.Sprintf("dmachurn%d", w))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		task.Spawn(fmt.Sprintf("dmachurn%d", w), func(th *kernel.Thread) {
 			churnUser(th, rng, scaled(cfg, 8))
 		})
 	}
-	return k, nil
-}
-
-// CollectDMA harvests a finished DMA run.
-func CollectDMA(cfg AppConfig, k *kernel.Kernel) AppResult {
-	return collect(cfg.withDefaults(), "DMA", k)
+	return nil
 }
 
 // dmaController owns one device's buffer: it maps it, lets the device

@@ -22,53 +22,14 @@ import (
 // disabling it about doubles the kernel shootdown count (Table 1's 8091
 // vs 3827).
 func RunMachBuild(cfg AppConfig) (AppResult, error) {
-	return runMachBuildInner(cfg, true)
+	return run(cfg, rigMachBuild, appResult("Mach"))
 }
 
-// rigMachBuild wires the build workload onto an existing kernel (debug and
-// ablation harnesses use it to customize the kernel first).
-func rigMachBuild(k *kernel.Kernel, cfg AppConfig) {
+// rigMachBuild spawns the build's make workers over asynchronous device
+// load.
+func rigMachBuild(k *kernel.Kernel, cfg AppConfig) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	jobs := scaled(cfg, 40)
-	workers := cfg.NCPUs - 2
-	if workers > 14 {
-		workers = 14
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	nextJob := 0
-	var jobLock kernel.Mutex
-	builder := k.KernelTask()
-	for w := 0; w < workers; w++ {
-		w := w
-		builder.Spawn(fmt.Sprintf("make%d", w), func(th *kernel.Thread) {
-			for {
-				th.Lock(&jobLock)
-				if nextJob >= jobs {
-					th.Unlock(&jobLock)
-					return
-				}
-				job := nextJob
-				nextJob++
-				th.Unlock(&jobLock)
-				compileJob(th, job, rng)
-			}
-		})
-	}
-}
-
-func runMachBuildInner(cfg AppConfig, devices bool) (AppResult, error) {
-	cfg = cfg.withDefaults()
-	k, err := cfg.newKernel()
-	if err != nil {
-		return AppResult{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	if devices {
-		installDeviceLoad(k, cfg.Seed, 3_000_000)
-	}
-
+	installDeviceLoad(k, cfg.Seed, 3_000_000)
 	jobs := scaled(cfg, 40)
 	workers := cfg.NCPUs - 2
 	if workers > 14 {
@@ -97,10 +58,7 @@ func runMachBuildInner(cfg AppConfig, devices bool) (AppResult, error) {
 			}
 		})
 	}
-	if err := k.Run(); err != nil {
-		return AppResult{}, err
-	}
-	return collect(cfg, "Mach", k), nil
+	return nil
 }
 
 // compileJob runs one "cc" in its own task: private memory only, with the

@@ -25,11 +25,11 @@ import (
 //
 // The application is run five times in succession, as in the paper.
 func RunParthenon(cfg AppConfig) (AppResult, error) {
-	cfg = cfg.withDefaults()
-	k, err := cfg.newKernel()
-	if err != nil {
-		return AppResult{}, err
-	}
+	return run(cfg, rigParthenon, appResult("Parthenon"))
+}
+
+// rigParthenon spawns the prover, which runs the five rounds of workers.
+func rigParthenon(k *kernel.Kernel, cfg AppConfig) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 
 	const rounds = 5
@@ -39,7 +39,7 @@ func RunParthenon(cfg AppConfig) (AppResult, error) {
 	}
 	task, err := k.NewTask("parthenon")
 	if err != nil {
-		return AppResult{}, err
+		return err
 	}
 	task.Spawn("prover", func(main *kernel.Thread) {
 		for round := 0; round < rounds; round++ {
@@ -57,10 +57,7 @@ func RunParthenon(cfg AppConfig) (AppResult, error) {
 			}
 		}
 	})
-	if err := k.Run(); err != nil {
-		return AppResult{}, err
-	}
-	return collect(cfg, "Parthenon", k), nil
+	return nil
 }
 
 // workpile is the prover's central queue of open search possibilities.

@@ -1,8 +1,10 @@
 // Package workload implements the paper's evaluation programs (Section
 // 5.2) as synthetic applications with the same memory-usage signatures,
-// plus the §5.1 TLB-consistency tester. Each workload assembles a kernel,
-// runs to completion in virtual time, and returns the instrumentation the
-// paper's tables are computed from.
+// plus the §5.1 TLB-consistency tester. Every workload goes through one
+// lifecycle (start, then run): assemble a kernel, rig it with the
+// workload's threads, run to completion in virtual time, observe the
+// settled world once, and harvest the instrumentation the paper's tables
+// are computed from.
 //
 // The applications:
 //
@@ -55,9 +57,6 @@ type AppConfig struct {
 	RemoteInvalidate bool
 	// IPIMode selects unicast/multicast/broadcast interrupt hardware.
 	IPIMode machine.IPIMode
-	// LazyASIDRelease enables the §10 tagged-TLB extension (requires
-	// TLB.Tagged).
-	LazyASIDRelease bool
 	// HighPriorityIPI enables the §9 software-interrupt hardware option.
 	HighPriorityIPI bool
 	// TraceOff disables instrumentation (perturbation experiment, §6.1).
@@ -109,8 +108,9 @@ type AppConfig struct {
 	// watchdog escalates. Recording charges no virtual time, so results
 	// are bit-identical with and without it.
 	Flight *trace.Recorder
-	// Observe, when set, is called with the kernel after the run completes
-	// (metrics harvesting).
+	// Observe, when set, is called exactly once with each world's kernel
+	// after its run is settled, whether or not the run failed (metrics and
+	// campaign-counter harvesting).
 	Observe func(*kernel.Kernel)
 }
 
@@ -173,8 +173,45 @@ func (c AppConfig) newKernel() (*kernel.Kernel, error) {
 		return nil, err
 	}
 	k.Pmaps.LazyDisabled = c.LazyDisabled
-	k.Pmaps.LazyASIDRelease = c.LazyASIDRelease
 	return k, nil
+}
+
+// A rig populates a freshly assembled world with a workload's threads.
+type rig func(k *kernel.Kernel, cfg AppConfig) error
+
+// start assembles the world cfg describes and rigs it, without running
+// the engine.
+func start(cfg AppConfig, r rig) (*kernel.Kernel, error) {
+	cfg = cfg.withDefaults()
+	k, err := cfg.newKernel()
+	if err != nil {
+		return nil, err
+	}
+	if err := r(k, cfg); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// run is every workload's lifecycle: start the world, run it to
+// completion (Run settles it), then collect it — whether or not the run
+// failed, so a failed campaign run still yields its counters.
+func run[R any](cfg AppConfig, r rig, harvest func(*kernel.Kernel) R) (R, error) {
+	k, err := start(cfg, r)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	runErr := k.Run()
+	return collect(cfg, k, harvest), runErr
+}
+
+// collect observes a settled world exactly once and harvests it.
+func collect[R any](cfg AppConfig, k *kernel.Kernel, harvest func(*kernel.Kernel) R) R {
+	if cfg.Observe != nil {
+		cfg.Observe(k)
+	}
+	return harvest(k)
 }
 
 // AppResult carries everything the tables need from one application run.
@@ -235,27 +272,26 @@ func (r AppResult) OverheadPct(ncpu int, kernel bool) float64 {
 	return 100 * totalUS / machineUS
 }
 
-// collect harvests the instrumentation after a run.
-func collect(cfg AppConfig, name string, k *kernel.Kernel) AppResult {
-	r := AppResult{Name: name, Runtime: k.Now()}
-	r.KernelInitUS, r.UserInitUS = k.Trace.InitiatorTimes()
-	r.ResponderUS = k.Trace.ResponderTimes()
-	for _, ev := range k.Trace.Select(xpr.EvInitiator) {
-		kern, pages, procs, _ := ev.Initiator()
-		if kern {
-			r.KernelProcs = append(r.KernelProcs, float64(procs))
-		} else {
-			r.UserPages = append(r.UserPages, float64(pages))
+// appResult harvests an application's instrumentation under name.
+func appResult(name string) func(*kernel.Kernel) AppResult {
+	return func(k *kernel.Kernel) AppResult {
+		r := AppResult{Name: name, Runtime: k.Now()}
+		r.KernelInitUS, r.UserInitUS = k.Trace.InitiatorTimes()
+		r.ResponderUS = k.Trace.ResponderTimes()
+		for _, ev := range k.Trace.Select(xpr.EvInitiator) {
+			kern, pages, procs, _ := ev.Initiator()
+			if kern {
+				r.KernelProcs = append(r.KernelProcs, float64(procs))
+			} else {
+				r.UserPages = append(r.UserPages, float64(pages))
+			}
 		}
+		if k.Shoot != nil {
+			r.Shootdown = k.Shoot.Stats()
+		}
+		r.TraceDropped = k.Trace.Dropped()
+		return r
 	}
-	if k.Shoot != nil {
-		r.Shootdown = k.Shoot.Stats()
-	}
-	r.TraceDropped = k.Trace.Dropped()
-	if cfg.Observe != nil {
-		cfg.Observe(k)
-	}
-	return r
 }
 
 // installDeviceLoad generates asynchronous device interrupts whose service
@@ -279,7 +315,7 @@ func installDeviceLoad(k *kernel.Kernel, seed int64, meanGap sim.Time) {
 		for {
 			gap := meanGap/2 + sim.Time(rng.Int63n(int64(meanGap)))
 			p.Sleep(gap)
-			if len(k.Eng.LiveProcs()) <= 2 { // only us and the clock left
+			if k.Eng.LiveProcs() <= 2 { // only us and the clock left
 				return
 			}
 			k.M.Post(cpu, machine.VecDevice)

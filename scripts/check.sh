@@ -27,6 +27,11 @@
 # intentional regressions go in scripts/bench-allow.txt). Timing is gated
 # by the benchmark module's own repeated-sample compare.
 #
+# Tier 1 includes the seed-7 digest pins (TestArtifactDigests for the
+# observation artifacts, TestExperimentDigests for every experiment's
+# result). `make bless` is the one sanctioned way to re-bless them, and
+# only for an intended change, recorded in CHANGES.md.
+#
 # The whole script takes about a minute on a 2-vCPU x86-64 VM with a
 # warm build cache; the hostcost stage, every allocation profiled, takes
 # about 5 s of it.
