@@ -10,10 +10,13 @@
 // control back by calling its yield function. A coroutine switch hands
 // the thread straight to the other goroutine, bypassing the Go
 // scheduler's run queues, so it costs a fraction of a channel round
-// trip. iter needs go1.23 while go.mod stays at go 1.22 (the bench module
-// pins go 1.22 and builds against this one), so coro.go alone carries a
-// go1.23 build constraint; building the package takes a go1.23 or newer
-// toolchain.
+// trip. A proc keeps its run-heap slot while it runs, and a Sleep that
+// leaves it the unique next proc to run continues in place, doing the
+// engine's step bookkeeping itself instead of switching out and straight
+// back (DESIGN.md §18). iter needs go1.23 while go.mod stays at go 1.22
+// (the bench module pins go 1.22 and builds against this one), so coro.go
+// alone carries a go1.23 build constraint; building the package takes a
+// go1.23 or newer toolchain.
 //
 // Determinism: ties are broken FIFO by scheduling sequence number unless a
 // chaos seed is supplied, in which case equal-time procs run in a seeded
@@ -31,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -96,7 +100,7 @@ type Proc struct {
 	state State
 
 	preempted bool // wake time was moved earlier while sleeping
-	heapIdx   int  // index in the run heap, -1 if not queued
+	heapIdx   int  // index in the run heap while new, sleeping or running; -1 otherwise
 
 	// waitReason and waitOn annotate what a blocked proc is waiting for,
 	// feeding the engine's wait graph. Set via SetWaiting before blocking;
@@ -138,7 +142,7 @@ type Engine struct {
 	procs   []*Proc
 	runq    runHeap //snap:derived rebuilt from the serialized proc states (sleeping procs re-keyed by wake time)
 	cur     *Proc   //snap:transient the resumption in progress; snapshots are taken at serialized points between steps
-	tied    []*Proc //snap:transient pop's scratch for the procs tied at the minimum wake time
+	tied    []*Proc //snap:transient pick's scratch for the procs tied at the minimum wake time
 	nextID  int
 	nextSeq uint64
 	stopped bool       //snap:transient stop latch; a restored world restarts from Run
@@ -146,6 +150,14 @@ type Engine struct {
 	chaos   *rand.Rand //snap:derived rebuilt from the seed on restore and fast-forwarded chaos_draws times
 	started bool       //snap:transient host-side lifecycle latch, re-armed by Run
 	failure error      //snap:transient terminal failure latch; a restored world has not failed
+	// limit and stepLimit bound the run in progress (virtual time, < 0 for
+	// none; step cursor), so Sleep can tell whether run would resume its
+	// proc next.
+	limit     Time   //snap:transient set by every Run call
+	stepLimit uint64 //snap:transient set by every Run call
+	// inlineSteps counts the resumptions Sleep began in place, without a
+	// coroutine switch.
+	inlineSteps uint64 //snap:transient host-cost counter; in-place and switched steps are the same event
 
 	// step counts completed proc resumptions — the engine's monotone event
 	// cursor. Snapshots key on it: rebuilding a world from the same
@@ -161,7 +173,7 @@ type Engine struct {
 	tieSeq uint64
 	// forced overrides tie decisions by ordinal: at tie i, forced[i]
 	// (when in range) indexes the seq-sorted tied set instead of the chaos
-	// pick. The chaos draw is still consumed — see pop.
+	// pick. The chaos draw is still consumed — see pick.
 	//snap:derived schedule overrides, reinstalled by the explorer that drives the replay
 	forced []int
 	// tieRec, if set, observes every tie decision (after any forced
@@ -244,7 +256,11 @@ func (e *Engine) schedule(p *Proc, at Time) {
 	if p.state != StateNew {
 		p.state = StateSleeping
 	}
-	e.runq.push(p)
+	if p.heapIdx >= 0 {
+		e.runq.fix(p.heapIdx) // the running proc re-keyed by Sleep
+	} else {
+		e.runq.push(p)
+	}
 }
 
 // Run executes procs in virtual-time order until all are done, Stop is
@@ -256,7 +272,7 @@ func (e *Engine) Run() error { return e.RunUntil(-1) }
 // RunUntil is Run bounded by virtual time limit (inclusive); limit < 0 means
 // unbounded. Procs scheduled after the limit remain queued, and the engine's
 // clock advances to the limit so a later RunUntil continues seamlessly.
-func (e *Engine) RunUntil(limit Time) error { return e.run(limit, 0, false) }
+func (e *Engine) RunUntil(limit Time) error { return e.run(limit, math.MaxUint64) }
 
 // RunUntilStep is Run bounded by the scheduling-step cursor instead of
 // virtual time: it pauses at the event boundary once StepCount reaches n
@@ -265,21 +281,27 @@ func (e *Engine) RunUntil(limit Time) error { return e.run(limit, 0, false) }
 // byte — from an uninterrupted one. This is the restore side of the
 // snapshot contract: replaying a fresh world to a snapshot's step cursor
 // lands on exactly the snapshotted state.
-func (e *Engine) RunUntilStep(n uint64) error { return e.run(-1, n, true) }
+func (e *Engine) RunUntilStep(n uint64) error { return e.run(-1, n) }
 
 // StepCount returns the number of proc resumptions completed so far.
 func (e *Engine) StepCount() uint64 { return e.step }
 
+// InlineSteps returns how many of the resumptions so far Sleep began in
+// place, without a coroutine switch; the rest were switched. Either kind
+// is one step of StepCount.
+func (e *Engine) InlineSteps() uint64 { return e.inlineSteps }
+
 // ChaosDraws returns the number of draws consumed from the chaos stream.
 func (e *Engine) ChaosDraws() uint64 { return e.chaosDraws }
 
-func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
+func (e *Engine) run(limit Time, stepLimit uint64) error {
 	if e.cur != nil {
 		panic("sim: RunUntil called re-entrantly from a proc")
 	}
 	e.stopped = false
+	e.limit, e.stepLimit = limit, stepLimit
 	for len(e.runq) > 0 && !e.stopped {
-		if stepBounded && e.step >= stepLimit {
+		if e.step >= stepLimit {
 			return nil
 		}
 		top := e.runq[0]
@@ -291,14 +313,8 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 			return fmt.Errorf("sim: virtual time limit %v exceeded (next wake %v, proc %q)\n%s",
 				e.maxTime, top.wake, top.name, e.WaitGraph())
 		}
-		p := e.pop()
-		if p.wake > e.now {
-			e.now = p.wake
-		}
-		p.clock = e.now
-		p.state = StateRunning
-		e.cur = p
-		e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "run", 0, 0)
+		p := e.pick()
+		e.enter(p)
 		_, suspended := p.next()
 		e.cur = nil
 		e.step++
@@ -306,6 +322,7 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 			// Sleep or Block already recorded the proc's new state.
 			continue
 		}
+		e.runq.remove(p.heapIdx)
 		p.state = StateDone
 		if p.panicked != nil {
 			e.failure = p.panicked
@@ -327,23 +344,40 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 	return nil
 }
 
-// pop removes and returns the next proc to run, honoring chaos ordering
-// among procs with identical wake times.
-func (e *Engine) pop() *Proc {
+// enter makes p, picked from the run heap, the running proc at its wake
+// time.
+func (e *Engine) enter(p *Proc) {
+	if p.wake > e.now {
+		e.now = p.wake
+	}
+	p.clock = e.now
+	p.state = StateRunning
+	e.cur = p
+	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "run", 0, 0)
+}
+
+// resumesNext reports whether run, were p to yield now from Sleep, would
+// resume p next with no tie draw: p is the heap root and the run's bounds
+// let it take one more step. Sleep has just given p the newest seq, so any
+// other proc at p's wake would order first; p at the root is therefore the
+// only proc at the minimum wake, and chaos has no tie to draw for.
+func (e *Engine) resumesNext(p *Proc) bool {
+	return p.heapIdx == 0 && !e.stopped && e.step+1 < e.stepLimit &&
+		(e.limit < 0 || p.wake <= e.limit) && (e.maxTime <= 0 || p.wake <= e.maxTime)
+}
+
+// pick returns the next proc to run, honoring chaos ordering among procs
+// with identical wake times. The proc stays in the run heap: it keeps its
+// slot while it runs, until Sleep re-keys it or Block or its end removes
+// it.
+func (e *Engine) pick() *Proc {
 	if e.chaos == nil || len(e.runq) < 2 {
-		return e.runq.pop()
+		return e.runq[0]
 	}
-	// Collect all procs tied at the minimum wake time and pick one at random.
-	minWake := e.runq[0].wake
-	tied := e.tied[:0]
-	for _, p := range e.runq {
-		if p.wake == minWake {
-			tied = append(tied, p)
-		}
-	}
+	tied := e.runq.ties(e.tied[:0])
 	e.tied = tied
 	if len(tied) == 1 {
-		return e.runq.pop()
+		return tied[0]
 	}
 	slices.SortFunc(tied, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
 	// The chaos draw is consumed even when a forced choice overrides it, so
@@ -361,16 +395,14 @@ func (e *Engine) pop() *Proc {
 		}
 	}
 	if e.tieRec != nil {
-		d := TieDecision{Seq: ord, Step: e.step, NowNS: int64(minWake), Pick: idx,
+		d := TieDecision{Seq: ord, Step: e.step, NowNS: int64(tied[0].wake), Pick: idx,
 			Tied: make([]string, len(tied))}
 		for i, q := range tied {
 			d.Tied[i] = q.name
 		}
 		e.tieRec(d)
 	}
-	pick := tied[idx]
-	e.runq.remove(pick.heapIdx)
-	return pick
+	return tied[idx]
 }
 
 // TieDecision records one chaos tie break: at engine step Step (time
@@ -461,20 +493,29 @@ func (p *Proc) mustBeCurrent(op string) {
 	}
 }
 
-// Sleep advances the proc's clock by up to d and yields to the engine.
-// It returns the time actually slept, which is less than d only if another
-// proc called Preempt on this one. Sleep(0) yields without advancing time
-// (other procs at the same timestamp may run).
+// Sleep advances the proc's clock by up to d, letting every proc due
+// before then run first. It returns the time actually slept, which is
+// less than d only if another proc called Preempt on this one. Sleep(0)
+// does not advance time but lets the other procs due now run first.
 func (p *Proc) Sleep(d Time) Time {
 	p.mustBeCurrent("Sleep")
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %d on proc %q", d, p.name))
 	}
+	e := p.eng
 	start := p.clock
 	p.preempted = false
-	p.eng.tracer.Instant(int64(start), p.id, trace.CatSim, "sleep", int64(d), 0)
-	p.eng.schedule(p, start+d)
-	p.yield(struct{}{})
+	e.tracer.Instant(int64(start), p.id, trace.CatSim, "sleep", int64(d), 0)
+	e.schedule(p, start+d)
+	if e.resumesNext(p) {
+		// Yielding would only make run switch straight back here: end
+		// this step and begin the next in place, as run would.
+		e.step++
+		e.inlineSteps++
+		e.enter(p)
+	} else {
+		p.yield(struct{}{})
+	}
 	return p.clock - start
 }
 
@@ -482,6 +523,7 @@ func (p *Proc) Sleep(d Time) Time {
 func (p *Proc) Block() {
 	p.mustBeCurrent("Block")
 	p.eng.tracer.Instant(int64(p.clock), p.id, trace.CatSim, "block", 0, 0)
+	p.eng.runq.remove(p.heapIdx)
 	p.state = StateBlocked
 	p.yield(struct{}{})
 }
@@ -737,8 +779,8 @@ func (e *Engine) Preempt(p *Proc, at Time) bool {
 func (p *Proc) Preempted() bool { return p.preempted }
 
 // runHeap is a min-heap on (wake, seq) that keeps each queued proc's
-// heapIdx current, so Kill and Preempt can remove or re-key a proc in
-// place. seq is unique, so the order is total and the pop sequence does
+// heapIdx current, so Sleep, Kill and Preempt can re-key or remove a proc
+// in place. seq is unique, so the order is total and the run order does
 // not depend on the heap's internal layout.
 type runHeap []*Proc
 
@@ -761,11 +803,24 @@ func (h *runHeap) push(p *Proc) {
 	h.up(p.heapIdx)
 }
 
-// pop removes and returns the minimum.
-func (h *runHeap) pop() *Proc { return h.remove(0) }
+// ties appends to buf the procs whose wake equals the root's, in walk
+// order. No child's key is below its parent's, so they form a subtree
+// hanging from the root: a walk that stops at the first later wake visits
+// O(ties) nodes however long the queue. buf doubles as the walk's queue.
+func (h runHeap) ties(buf []*Proc) []*Proc {
+	buf = append(buf, h[0])
+	for i := 0; i < len(buf); i++ {
+		for c := 2*buf[i].heapIdx + 1; c <= 2*buf[i].heapIdx+2 && c < len(h); c++ {
+			if h[c].wake == h[0].wake {
+				buf = append(buf, h[c])
+			}
+		}
+	}
+	return buf
+}
 
-// remove removes and returns the proc at index i.
-func (h *runHeap) remove(i int) *Proc {
+// remove removes the proc at index i.
+func (h *runHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1
 	p := old[i]
@@ -778,7 +833,6 @@ func (h *runHeap) remove(i int) *Proc {
 		h.up(i)
 	}
 	p.heapIdx = -1
-	return p
 }
 
 // fix restores the heap order after the proc at index i changed its key.
