@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices explore timetravel hostcost trend bless
+.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices explore timetravel hostcost bless
 
 check: ## tier-1 + tier-2 + observability and fault-campaign smoke tests
 	./scripts/check.sh
@@ -40,8 +40,8 @@ test:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/trace/...
 
-bench: ## paper-artifact benchmarks + Figure 2 sweep → next free BENCH_<n>.json
-	./scripts/bench.sh
+bench: ## every benchmark workload into .bench_build/set.json; `bash bench/run.sh compare a.json b.json` answers "did this change get faster?"
+	bash bench/run.sh set -out .bench_build/set.json
 
 smoke: build
 	$(GO) run ./cmd/shootdownsim -runs 1 -trace /tmp/shootdown-trace.json fig2
@@ -65,6 +65,3 @@ hostcost: ## host-cost attribution: per-function/package allocation tables + val
 
 bless: ## re-bless the seed-7 digest pins (observation artifacts and experiment results) after an intended change
 	$(GO) test ./internal/experiments -run '^(TestArtifactDigests|TestExperimentDigests)$$' -count=1 -update
-
-trend: ## benchmark trajectory across every BENCH_<n>.json, with provenance flags
-	$(GO) run ./scripts/benchreport trend

@@ -27,21 +27,21 @@ type HostCostResult struct {
 // Render prints the per-phase, top-function, and top-package tables.
 func (r HostCostResult) Render() string { return r.Report.Render(10) }
 
-// snapPhasePauseStep matches the snapshot benchmarks' pause point, so the
-// snapshot phase measures the same mid-run world they do.
+// snapPhasePauseStep matches internal/workload's snapshot benchmarks'
+// pause point, so the snapshot phase measures the same mid-run world they
+// do.
 const snapPhasePauseStep = 1000
 
-// hostCostFig2Runs is the fig2 phase's repetition count. It matches
-// BenchmarkFig2BasicCost, so the phase's measured bytes equal the
-// benchmark's B/op.
+// hostCostFig2Runs is the fig2 phase's repetition count: three runs per
+// point, the scale the byte budget for the phase was seeded at.
 const hostCostFig2Runs = 3
 
 // HostCost attributes the simulator's real heap and wall spend to its
 // functions and packages. It runs three phases, each attributed from the
 // runtime's memory profile against its own allocator delta:
 //
-//	fig2     — experiments.Fig2(seed, 3): the headline phase, byte-for-byte
-//	           the body of BenchmarkFig2BasicCost.
+//	fig2     — experiments.Fig2(seed, hostCostFig2Runs): the headline
+//	           phase, the whole Figure 2 sweep at three runs per point.
 //	table1   — experiments.Table1(seed): the lazy-evaluation workloads.
 //	snapshot — a paused churn world plus one whole-simulation snapshot,
 //	           the unit the shrinker and explorer amortize.

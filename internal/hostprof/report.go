@@ -2,8 +2,8 @@ package hostprof
 
 // The host-cost/v1 artifact: one JSON document per hostcost run carrying
 // provenance, per-phase host seconds and allocator deltas, and the
-// per-function and per-package attribution tables. tlbtrace hostcost renders and validates
-// it; scripts/bench.sh embeds it in BENCH_<n>.json.
+// per-function and per-package attribution tables. tlbtrace hostcost
+// renders and validates it, and checks it against a byte budget.
 
 import (
 	"encoding/json"
@@ -17,8 +17,8 @@ import (
 // Format is the artifact format tag.
 const Format = "host-cost/v1"
 
-// Provenance records the environment the measurement ran in, so trend
-// tables can flag environment changes before blaming the code.
+// Provenance records the environment the measurement ran in, so a
+// toolchain or machine change is not blamed on the code.
 type Provenance struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

@@ -563,3 +563,40 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal("HighPriorityIPI should raise the vector priority")
 	}
 }
+
+// TestReadAllocatesNothing pins a simulated load, TLB hit and hardware
+// reload, at zero host allocations. With a one-entry TLB, alternating two
+// pages makes every read a reload.
+func TestReadAllocatesNothing(t *testing.T) {
+	opts := testOptions(1)
+	opts.TLB.Size = 1
+	run(t, opts, func(m *Machine, ex *Exec) {
+		va := KernelBase + 0x4000
+		for i := ptable.VAddr(0); i < 2; i++ {
+			f, _ := m.Phys.AllocFrame()
+			if err := m.KernelTable().Enter(va+i*mem.PageSize, ptable.Make(f, true)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tc := range []struct {
+			name  string
+			pages ptable.VAddr
+		}{{"hit", 1}, {"reload", 2}} {
+			var i ptable.VAddr
+			read := func() {
+				if _, fault := ex.Read(va + i%tc.pages*mem.PageSize); fault != nil {
+					t.Fatalf("fault: %v", fault)
+				}
+				i++
+			}
+			read() // load the page the hit case reads
+			misses := m.CPU(0).TLB.Stats().Misses
+			if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+				t.Errorf("%s: %v allocations per Read, want 0", tc.name, allocs)
+			}
+			if reloaded := m.CPU(0).TLB.Stats().Misses > misses; reloaded != (tc.pages > 1) {
+				t.Errorf("%s: TLB reloads %v, want %v", tc.name, reloaded, tc.pages > 1)
+			}
+		}
+	})
+}

@@ -307,3 +307,17 @@ func TestQuickEnterLookupRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupAllocatesNothing pins the two-level walk of every TLB reload,
+// mapped and unmapped, at zero host allocations.
+func TestLookupAllocatesNothing(t *testing.T) {
+	tbl, _ := newTable(t, 16)
+	if err := tbl.Enter(0x00400000, Make(mem.Frame(9), true)); err != nil {
+		t.Fatal(err)
+	}
+	for _, va := range []VAddr{0x00400000, 0x40000000} {
+		if allocs := testing.AllocsPerRun(100, func() { tbl.Lookup(va) }); allocs != 0 {
+			t.Errorf("Lookup(%#x): %v allocations, want 0", va, allocs)
+		}
+	}
+}

@@ -279,3 +279,15 @@ func TestQuickCapacityRespected(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeAllocatesNothing pins the probe every simulated memory access
+// makes, hit and miss, at zero host allocations.
+func TestProbeAllocatesNothing(t *testing.T) {
+	b := New(Config{Size: 64})
+	b.Insert(0x1000, ASIDNone, pte(1, true))
+	for _, va := range []ptable.VAddr{0x1000, 0x2000} {
+		if allocs := testing.AllocsPerRun(100, func() { b.Probe(va, ASIDNone) }); allocs != 0 {
+			t.Errorf("Probe(%#x): %v allocations, want 0", va, allocs)
+		}
+	}
+}
