@@ -158,7 +158,6 @@ type deviceMember struct {
 // postponed-interrupt and timer-flush baselines) stash what they need here.
 type Op struct {
 	prevIPL machine.IPL
-	start   sim.Time
 
 	// Pmap and the range are recorded by Sync for strategies that act in
 	// Finish, after the pmap has been updated and unlocked.
@@ -166,9 +165,6 @@ type Op struct {
 	Start, End ptable.VAddr
 	Synced     bool
 }
-
-// Started returns the operation's start timestamp.
-func (op *Op) Started() sim.Time { return op.start }
 
 // Strategy is the pluggable consistency mechanism seam. The Mach shootdown
 // is the paper's contribution; package baseline provides the alternatives
@@ -207,8 +203,10 @@ type Options struct {
 	// WatchdogTimeout arms an initiator-side watchdog: if a responder has
 	// not acknowledged within this much virtual time, the initiator
 	// re-sends the IPI (it may have been dropped) and doubles the timeout
-	// up to WatchdogBackoffMax. Zero (the default) disables the watchdog —
-	// the paper's protocol, which trusts the interrupt hardware.
+	// up to WatchdogBackoffMax. The same timeout bounds the wait for one
+	// device completion before the device watchdog ladder engages. Zero
+	// (the default) disables the watchdog — the paper's protocol, which
+	// trusts the interrupt hardware and the devices.
 	WatchdogTimeout sim.Time
 	// WatchdogMaxRetries is the number of timed-out retries before the
 	// watchdog escalates to the conservative path: the straggler's action
@@ -219,12 +217,6 @@ type Options struct {
 	// Default 16× WatchdogTimeout.
 	WatchdogBackoffMax sim.Time
 
-	// DevCompletionTimeout bounds the initiator's wait for one device
-	// completion before the device watchdog ladder engages. Defaults to
-	// WatchdogTimeout when the watchdog is armed; with no watchdog the
-	// initiator spins unboundedly, trusting the device like the paper
-	// trusts the interrupt hardware.
-	DevCompletionTimeout sim.Time
 	// DevMaxRerings is how many timed-out waits are answered with a
 	// doorbell re-ring before the ladder escalates to drain-and-reset
 	// (and, if the reset fails or does not help, quarantine). Default 2.
@@ -244,9 +236,6 @@ func (o Options) withDefaults() Options {
 		}
 		if o.WatchdogBackoffMax == 0 {
 			o.WatchdogBackoffMax = 16 * o.WatchdogTimeout
-		}
-		if o.DevCompletionTimeout == 0 {
-			o.DevCompletionTimeout = o.WatchdogTimeout
 		}
 		if o.DevMaxRerings == 0 {
 			o.DevMaxRerings = 2
@@ -528,7 +517,7 @@ func (s *Shootdown) Begin(ex *machine.Exec) *Op {
 	prev := ex.DisableAll()
 	s.active[ex.CPUID()] = false
 	s.inFlight++
-	return &Op{prevIPL: prev, start: ex.Now()}
+	return &Op{prevIPL: prev}
 }
 
 // Finish ends the initiator-side critical section after the pmap has been
@@ -790,7 +779,7 @@ func (s *Shootdown) waitForDevice(ex *machine.Exec, w devWaiter) {
 		return
 	}
 	me := ex.CPUID()
-	timeout := s.opts.DevCompletionTimeout
+	timeout := s.opts.WatchdogTimeout
 	var firstTimeout sim.Time
 	resetTried := false
 	for retry := 0; !ex.SpinWhileFor(cond, timeout); retry++ {

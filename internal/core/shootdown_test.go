@@ -1038,7 +1038,7 @@ func runDeviceEscalation(t *testing.T, opts core.Options, faults string, check f
 	eng := sim.New(sim.WithMaxTime(60_000_000_000))
 	costs := machine.DefaultCosts()
 	costs.JitterPct = 0
-	mo := machine.Options{NumCPUs: 2, MemFrames: 1024, Costs: costs, NumDevices: 1, DevQueueDepth: 4}
+	mo := machine.Options{NumCPUs: 2, MemFrames: 1024, Costs: costs, NumDevices: 1}
 	if faults != "" {
 		fc, err := fault.ParseSpec(faults)
 		if err != nil {

@@ -77,7 +77,7 @@ func HostCost(seed int64, opts HostCostOptions, ins ...Instrument) (HostCostResu
 		paused, err := k.RunTo(snapPhasePauseStep)
 		if paused {
 			_, snapErr := k.Snapshot()
-			if err = k.ContinueRun(); snapErr != nil {
+			if err = k.Run(); snapErr != nil {
 				err = snapErr
 			}
 		}

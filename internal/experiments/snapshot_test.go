@@ -77,7 +77,7 @@ func captureRun(t *testing.T, wl, spec string, seed int64, pauseAt uint64) snapC
 			t.Fatal(err)
 		}
 		cap.pausedDig = s.Digest
-		runErr = k.ContinueRun()
+		runErr = k.Run()
 	}
 	cap.verdict = explore.Classify(runErr)
 	var tb, pb bytes.Buffer

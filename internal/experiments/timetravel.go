@@ -97,7 +97,7 @@ func TimeTravel(seed int64, at sim.Time, ncpus int) (TimeTravelResult, error) {
 		res.Layers = append(res.Layers, l.Name)
 	}
 	res.Digest = s1.Digest
-	res.FinalVerdict = explore.Classify(k1.ContinueRun())
+	res.FinalVerdict = explore.Classify(k1.Run())
 	f1, err := k1.Snapshot()
 	if err != nil {
 		return res, err
@@ -116,7 +116,7 @@ func TimeTravel(seed int64, at sim.Time, ncpus int) (TimeTravelResult, error) {
 	if !ok {
 		return res, fmt.Errorf("experiments: restore diverged at step %d: %s", res.Step, firstLine(diff))
 	}
-	res.RestoredVerdict = explore.Classify(k2.ContinueRun())
+	res.RestoredVerdict = explore.Classify(k2.Run())
 	f2, err := k2.Snapshot()
 	if err != nil {
 		return res, err

@@ -173,7 +173,7 @@ func (c Cell) Run(obs func(*kernel.Kernel)) (verdict, detail string, events []fa
 		runErr = err
 	} else {
 		_, snapErr := k.Snapshot()
-		runErr = k.ContinueRun()
+		runErr = k.Run()
 		if snapErr != nil {
 			runErr = snapErr
 		}

@@ -397,10 +397,10 @@ type Stats struct {
 	JitteredBusOps uint64
 	FailStops      uint64
 	Revives        uint64
-	DevStalls    uint64 `json:",omitempty"`
-	DevDoorbells uint64 `json:",omitempty"` // dropped doorbell rings
-	DevWedges    uint64 `json:",omitempty"`
-	DevReorders  uint64 `json:",omitempty"`
+	DevStalls      uint64 `json:",omitempty"`
+	DevDoorbells   uint64 `json:",omitempty"` // dropped doorbell rings
+	DevWedges      uint64 `json:",omitempty"`
+	DevReorders    uint64 `json:",omitempty"`
 }
 
 // Total sums all injected faults.
@@ -492,21 +492,6 @@ func (in *Injector) SetClock(fn func() sim.Time) {
 func (in *Injector) SetStepClock(fn func() uint64) {
 	if in != nil {
 		in.stepClock = fn
-	}
-}
-
-// SetMask replaces the suppression mask mid-run. Masking is sound at any
-// point: the RNG streams are always drawn in full before the mask is
-// consulted, so changing the mask never perturbs the position of any
-// stream. The restore-to-prefix shrinker uses this to re-mask a restored
-// world instead of rebuilding it from scratch.
-func (in *Injector) SetMask(mask []EventID) {
-	if in == nil {
-		return
-	}
-	in.masked = make(map[EventID]bool, len(mask))
-	for _, id := range mask {
-		in.masked[id] = true
 	}
 }
 

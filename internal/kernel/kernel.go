@@ -35,8 +35,6 @@ type Config struct {
 	// baseline provides alternatives); it receives the freshly built
 	// machine. Nil means the Mach shootdown.
 	StrategyFactory func(*machine.Machine) (core.Strategy, error)
-	// TraceSize sets the xpr buffer capacity (default 1<<20 records).
-	TraceSize int
 	// SampleResponders lists the CPUs on which responder events are
 	// recorded (the paper sampled 5 of 16). Nil records all.
 	SampleResponders []int
@@ -47,9 +45,6 @@ type Config struct {
 	Quantum sim.Time
 	// IdleTick is the idle loop's poll period.
 	IdleTick sim.Time
-	// DevicePollTick is the device service loop's poll period — how often
-	// an idle device checks its doorbell (machines with devices only).
-	DevicePollTick sim.Time
 	// ChaosSeed randomizes equal-time scheduling order (0 = FIFO).
 	ChaosSeed int64
 	// ForcedTies overrides the engine's chaos tie decisions by ordinal
@@ -76,23 +71,25 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TraceSize == 0 {
-		c.TraceSize = 1 << 20
-	}
 	if c.Quantum == 0 {
 		c.Quantum = 25_000_000 // 25 ms
 	}
 	if c.IdleTick == 0 {
 		c.IdleTick = 50_000 // 50 µs
 	}
-	if c.DevicePollTick == 0 {
-		c.DevicePollTick = 20_000 // 20 µs
-	}
 	if c.MaxTime == 0 {
 		c.MaxTime = 600_000_000_000 // 10 virtual minutes
 	}
 	return c
 }
+
+const (
+	// xprSize is the xpr buffer capacity in records.
+	xprSize = 1 << 20
+	// devicePollTick is the device service loop's poll period: how often
+	// an idle device checks its doorbell (machines with devices only).
+	devicePollTick sim.Time = 20_000 // 20 µs
+)
 
 // Kernel owns the simulated machine and all kernel state.
 type Kernel struct {
@@ -143,7 +140,7 @@ func New(cfg Config) (*Kernel, error) {
 		cfg:       cfg,
 		schedLock: machine.SpinLock{Name: "sched", MinIPL: machine.IPLHigh},
 		current:   make([]*Thread, m.NumCPUs()),
-		Trace:     xpr.New(cfg.TraceSize),
+		Trace:     xpr.New(xprSize),
 	}
 	if cfg.TraceOff {
 		k.Trace.Off()
@@ -300,15 +297,12 @@ func (k *Kernel) Snapshot() (*snap.Snapshot, error) {
 			return nil, err
 		}
 	}
-	// Caching the capture for LastSnapshot is bookkeeping about
+	// Caching the capture for the black boxes is bookkeeping about
 	// observation, not simulated state: no replay decision reads it.
-	//lint:allow hookpurity lastSnap caches the capture for LastSnapshot; no simulation path reads it
+	//lint:allow hookpurity lastSnap caches the capture for black boxes; no simulation path reads it
 	k.lastSnap = s
 	return s, nil
 }
-
-// LastSnapshot returns the most recent Snapshot() capture, or nil.
-func (k *Kernel) LastSnapshot() *snap.Snapshot { return k.lastSnap }
 
 // tickHook lets a consistency strategy piggyback on the clock interrupt
 // (the timer-flush baseline flushes TLBs from it).
@@ -328,12 +322,11 @@ func (k *Kernel) timerTick(ex *machine.Exec) {
 	}
 }
 
-// Run starts the idle loops and timer and executes until every thread has
-// exited (or the engine hits its virtual-time bound).
+// Run executes the world until every thread has exited (or the engine
+// hits its virtual-time bound) and settles it with Finish. It starts a
+// fresh world or resumes one paused by RunTo or RunToStep. Running a
+// settled world again panics in Finish.
 func (k *Kernel) Run() error {
-	if k.started {
-		panic("kernel: Run called twice")
-	}
 	k.Start()
 	return k.Finish(k.Eng.Run())
 }
@@ -341,7 +334,7 @@ func (k *Kernel) Run() error {
 // Start spawns the idle loops, lifecycle driver, and timer without running
 // the engine. Idempotent, so Run and the step-bounded entry points compose.
 // Callers that Start explicitly drive the engine through RunTo (or
-// RunToStep) and ContinueRun, and must end the run with Finish.
+// RunToStep) and Run, or end the run with Finish themselves.
 func (k *Kernel) Start() {
 	if k.started {
 		return
@@ -363,7 +356,7 @@ func (k *Kernel) Start() {
 		k.Eng.Spawn(fmt.Sprintf("devsvc%d", i), func(p *sim.Proc) {
 			for !k.stopping {
 				if !dev.ServiceOne(p) {
-					p.Sleep(k.cfg.DevicePollTick)
+					p.Sleep(devicePollTick)
 				}
 			}
 		})
@@ -382,8 +375,8 @@ func (k *Kernel) Start() {
 
 // RunToStep executes until the engine has completed n events (pausing at
 // the event boundary) or the run ends, whichever comes first. The paused
-// simulation is exactly mid-run: resume with another RunToStep or
-// ContinueRun. Snapshot between calls for a consistent capture.
+// simulation is exactly mid-run: resume with another RunToStep or with
+// Run. Snapshot between calls for a consistent capture.
 func (k *Kernel) RunToStep(n uint64) error {
 	k.Start()
 	return k.Eng.RunUntilStep(n)
@@ -393,7 +386,7 @@ func (k *Kernel) RunToStep(n uint64) error {
 // whichever comes first. A run that ends first — finished, stopped,
 // failed — is settled with Finish, and RunTo returns paused=false with
 // Finish's verdict. Otherwise the world is paused exactly at step n:
-// snapshot it, advance it with another RunTo, or end it with ContinueRun.
+// snapshot it, advance it with another RunTo, or end it with Run.
 func (k *Kernel) RunTo(n uint64) (paused bool, err error) {
 	if err := k.RunToStep(n); err != nil {
 		return false, k.Finish(err)
@@ -402,15 +395,6 @@ func (k *Kernel) RunTo(n uint64) (paused bool, err error) {
 		return false, k.Finish(nil)
 	}
 	return true, nil
-}
-
-// ContinueRun resumes a paused run to completion and settles it (spans,
-// profiler, flight trip, oracle verdict). The counterpart of RunToStep.
-func (k *Kernel) ContinueRun() error {
-	if !k.started {
-		panic("kernel: ContinueRun before Start")
-	}
-	return k.Finish(k.Eng.Run())
 }
 
 // Finish settles a completed run: balances open trace spans, finalizes the
@@ -581,8 +565,7 @@ type CPUSchedSnap struct {
 }
 
 // SchedSnap is the scheduler's state in wire form, for the flight
-// recorder's black boxes (the structured sibling of DebugState) and for
-// whole-simulation snapshots.
+// recorder's black boxes and for whole-simulation snapshots.
 type SchedSnap struct {
 	CPUs     []CPUSchedSnap `json:"cpus"`
 	Runq     []string       `json:"runq,omitempty"`
@@ -613,23 +596,6 @@ func (k *Kernel) SchedSnapshot() SchedSnap {
 		snap.Runq = append(snap.Runq, t.name)
 	}
 	return snap
-}
-
-// DebugState dumps scheduler state for diagnosing stuck simulations.
-func (k *Kernel) DebugState() string {
-	s := ""
-	for cpu := range k.current {
-		name := "<none>"
-		if t := k.current[cpu]; t != nil {
-			name = fmt.Sprintf("%s(state=%d)", t.name, t.state)
-		}
-		s += fmt.Sprintf("cpu%d: cur=%s idleProc=%v\n", cpu, name, k.idleProcs[cpu].State())
-	}
-	s += fmt.Sprintf("runq=%d:", len(k.runq))
-	for _, t := range k.runq {
-		s += " " + t.name
-	}
-	return s + "\n"
 }
 
 // threadExited accounts for a finished thread and stops the simulation

@@ -12,6 +12,7 @@ import (
 	"shootdown/internal/pmap"
 	"shootdown/internal/ptable"
 	"shootdown/internal/sim"
+	"shootdown/internal/snap"
 	"shootdown/internal/vm"
 )
 
@@ -433,7 +434,7 @@ func TestRunToPausesOrSettles(t *testing.T) {
 	if got := k.Eng.StepCount(); got != 10 {
 		t.Fatalf("paused at step %d, want 10", got)
 	}
-	if err := k.ContinueRun(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -448,6 +449,78 @@ func TestRunToPausesOrSettles(t *testing.T) {
 		}
 	}()
 	_ = k.Finish(nil)
+}
+
+// TestRunResumesPausedWorld checks the one run API: a world paused by
+// RunTo and finished by Run ends in the same state, byte for byte, as one
+// run start to finish, and running the settled world again panics in
+// Finish.
+func TestRunResumesPausedWorld(t *testing.T) {
+	build := func() *kernel.Kernel {
+		cfg := testConfig(4)
+		cfg.TimerInterval = 1_000_000
+		k, _ := kernel.New(cfg)
+		task, _ := k.NewTask("t")
+		task.Spawn("main", func(th *kernel.Thread) {
+			page, err := th.VMAllocate(mem.PageSize)
+			if err != nil {
+				t.Errorf("alloc: %v", err)
+				return
+			}
+			for i := 0; i < 3; i++ {
+				va := page + ptable.VAddr(i*8)
+				task.Spawn(fmt.Sprintf("child%d", i), func(c *kernel.Thread) {
+					for n := uint32(0); n < 40; n++ {
+						if c.Write(va, n) != nil {
+							return // the page went read-only
+						}
+						c.Compute(20_000)
+					}
+				})
+			}
+			th.Compute(400_000)
+			if err := th.VMProtect(page, page+mem.PageSize, pmap.ProtRead); err != nil {
+				t.Errorf("protect: %v", err)
+			}
+		})
+		return k
+	}
+	final := func(k *kernel.Kernel) *snap.Snapshot {
+		t.Helper()
+		s, err := k.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	whole := build()
+	if err := whole.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := final(whole)
+	if whole.Shoot.Stats().Syncs == 0 {
+		t.Fatal("the world made no shootdown")
+	}
+
+	resumed := build()
+	mid := whole.Eng.StepCount() / 2
+	if paused, err := resumed.RunTo(mid); !paused || err != nil {
+		t.Fatalf("RunTo(%d) = %v, %v; want paused", mid, paused, err)
+	}
+	if err := resumed.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, diff := snap.Equal(want, final(resumed)); !ok {
+		t.Fatalf("paused at step %d and resumed, the world ends differently: %s", mid, diff)
+	}
+
+	defer func() {
+		if r := recover(); r != "kernel: Finish called twice" {
+			t.Fatalf("second Run recovered %v, want Finish's panic", r)
+		}
+	}()
+	_ = resumed.Run()
 }
 
 func TestVMProtectInheritanceSyscalls(t *testing.T) {

@@ -54,6 +54,10 @@ type Device struct {
 	stats DevStats
 }
 
+// devQueueDepth bounds each device's invalidation queue; an overflow
+// collapses the queue to a single full flush.
+const devQueueDepth = 4
+
 // DevState is a device's lifecycle state.
 type DevState int
 
@@ -178,7 +182,7 @@ func (d *Device) PostInvalidate(ex *Exec, asid tlb.ASID, start, end ptable.VAddr
 	d.nextSeq++
 	d.stats.InvalsPosted++
 	req := DevRequest{Seq: seq, ASID: asid, Start: start, End: end, FlushAll: flushAll}
-	if d.overflow || len(d.queue) >= m.opts.DevQueueDepth {
+	if d.overflow || len(d.queue) >= devQueueDepth {
 		// Bounded queue: collapse to one full flush at the newest seq.
 		d.queue = d.queue[:0]
 		d.queue = append(d.queue, DevRequest{Seq: seq, FlushAll: true})

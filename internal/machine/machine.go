@@ -102,9 +102,6 @@ type Options struct {
 	// through a doorbell-rung invalidation queue instead. Default 0: the
 	// CPU-only machine the paper describes.
 	NumDevices int
-	// DevQueueDepth bounds each device's invalidation queue; an overflow
-	// collapses the queue to a single full flush. Default 4.
-	DevQueueDepth int
 	// SkipDevInval makes devices acknowledge invalidation requests
 	// without actually dropping the covered IOTLB entries. This is an
 	// intentional bug knob, the device-side sibling of SkipReviveFlush:
@@ -118,7 +115,7 @@ type Options struct {
 	// RemoteInvalidate enables a TLB port that lets one CPU invalidate
 	// entries in another CPU's TLB directly (MC88200-style, §9).
 	RemoteInvalidate bool
-	// Seed drives cost jitter and the Random TLB replacement policy.
+	// Seed drives cost jitter.
 	Seed int64
 	// Faults, when set, injects hardware misbehavior (dropped/delayed
 	// IPIs, spurious interrupts, bus jitter) into the machine. Nil runs
@@ -141,9 +138,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Costs == (Costs{}) {
 		o.Costs = DefaultCosts()
-	}
-	if o.DevQueueDepth == 0 {
-		o.DevQueueDepth = 4
 	}
 	return o
 }
@@ -251,16 +245,10 @@ func New(eng *sim.Engine, opts Options) *Machine {
 		m.prio[VecIPI] = IPLDevice
 	}
 	for i := 0; i < opts.NumCPUs; i++ {
-		cfg := opts.TLB
-		cfg.Seed = opts.Seed + int64(i)*7919
-		m.cpus = append(m.cpus, &CPU{m: m, id: i, TLB: tlb.New(cfg)})
+		m.cpus = append(m.cpus, &CPU{m: m, id: i, TLB: tlb.New(opts.TLB)})
 	}
 	for i := 0; i < opts.NumDevices; i++ {
-		cfg := opts.TLB
-		// Device IOTLB streams are seeded in a range disjoint from every
-		// CPU's, so adding a device never shifts a CPU's replacement draws.
-		cfg.Seed = opts.Seed + 500_009 + int64(i)*7919
-		m.devs = append(m.devs, newDevice(m, i, cfg))
+		m.devs = append(m.devs, newDevice(m, i, opts.TLB))
 	}
 	if m.faults != nil {
 		m.faults.SetClock(func() sim.Time { return eng.Now() })
@@ -751,16 +739,13 @@ func (l *SpinLock) Held() bool { return l.held }
 
 // Owner returns the holding CPU and its incarnation at acquisition, with
 // held=false when the lock is free. Snapshot capture uses this; protocol
-// code should use Held/HeldBy/HeldLive.
+// code should use Held/HeldLive.
 func (l *SpinLock) Owner() (cpu int, inc uint64, held bool) {
 	if !l.held {
 		return 0, 0, false
 	}
 	return l.owner, l.ownerInc, true
 }
-
-// HeldBy reports whether the lock is held by the given CPU.
-func (l *SpinLock) HeldBy(cpu int) bool { return l.held && l.owner == cpu }
 
 // HeldLive reports whether the lock is held by a processor that is still
 // alive in the incarnation that acquired it. A responder stalling "while

@@ -141,9 +141,6 @@ func New(m *mem.PhysMem) (*Table, error) {
 	return &Table{mem: m, root: root}, nil
 }
 
-// Root returns the directory frame (what the MMU base register would hold).
-func (t *Table) Root() mem.Frame { return t.root }
-
 func (t *Table) dirEntryAddr(va VAddr) mem.PAddr {
 	return t.root.Addr(va.DirIndex() * mem.WordSize)
 }

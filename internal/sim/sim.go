@@ -29,9 +29,7 @@
 package sim
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -631,40 +629,6 @@ func (e *Engine) Snapshot() EngineSnap {
 		snap.WaitCycle = append(snap.WaitCycle, p.name)
 	}
 	return snap
-}
-
-// Restore completes a replay-based restore of the engine to snapshot s.
-// Goroutine stacks cannot be captured, so restoring is rebuilding: the
-// caller constructs a fresh world from the same configuration, replays it
-// to s.Step (RunUntilStep), and then calls Restore, which verifies that
-// the replay landed on exactly the snapshotted state — event cursor,
-// clock, RNG stream position, and every live proc — and returns a diff
-// error otherwise. After a nil return the engine may continue running and
-// is guaranteed (by the byte-identity tests) to behave identically to the
-// run the snapshot was taken from.
-func (e *Engine) Restore(s EngineSnap) error {
-	got := e.Snapshot()
-	if got.Step != s.Step {
-		return fmt.Errorf("sim: restore: replay stopped at step %d, snapshot is at step %d", got.Step, s.Step)
-	}
-	if got.NowNS != s.NowNS {
-		return fmt.Errorf("sim: restore: clock %dns after replay, snapshot says %dns", got.NowNS, s.NowNS)
-	}
-	if got.ChaosDraws != s.ChaosDraws {
-		return fmt.Errorf("sim: restore: %d chaos draws after replay, snapshot says %d", got.ChaosDraws, s.ChaosDraws)
-	}
-	a, err := json.Marshal(got)
-	if err != nil {
-		return fmt.Errorf("sim: restore: %v", err)
-	}
-	b, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("sim: restore: %v", err)
-	}
-	if !bytes.Equal(a, b) {
-		return fmt.Errorf("sim: restore: replayed engine state diverges from snapshot at step %d:\n replay:   %s\n snapshot: %s", s.Step, a, b)
-	}
-	return nil
 }
 
 // WaitGraph renders a readable report of every live proc that is blocked or

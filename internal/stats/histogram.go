@@ -103,38 +103,6 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// Merge folds other's observations into h. Both histograms must have been
-// built with the same bucket layout (identical NewHistogram parameters);
-// mismatched layouts are rejected rather than silently misbinned. Merging
-// a nil or empty histogram is a no-op.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil || other.count == 0 {
-		return nil
-	}
-	if len(other.bounds) != len(h.bounds) {
-		return fmt.Errorf("stats: merging histograms with %d vs %d buckets",
-			len(h.bounds), len(other.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != other.bounds[i] {
-			return fmt.Errorf("stats: merging histograms with different bounds at bucket %d (%g vs %g)",
-				i, h.bounds[i], other.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	return nil
-}
-
 // Bucket is one histogram bucket in cumulative (Prometheus "le") form.
 type Bucket struct {
 	UpperBound float64 // math.Inf(1) for the overflow bucket

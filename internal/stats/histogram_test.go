@@ -78,65 +78,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(1, 1000, 5)
-	b := NewHistogram(1, 1000, 5)
-	a.ObserveAll(5, 50, 500)
-	b.ObserveAll(1, 2, 900, 5000) // includes an overflow observation
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if a.Count() != 7 {
-		t.Fatalf("Count = %d, want 7", a.Count())
-	}
-	if a.Sum() != 5+50+500+1+2+900+5000 {
-		t.Fatalf("Sum = %g", a.Sum())
-	}
-	if a.Min() != 1 || a.Max() != 5000 {
-		t.Fatalf("Min/Max = %g/%g", a.Min(), a.Max())
-	}
-	// The merged cumulative counts must equal observing everything into one
-	// histogram directly.
-	c := NewHistogram(1, 1000, 5)
-	c.ObserveAll(5, 50, 500, 1, 2, 900, 5000)
-	got, want := a.Buckets(), c.Buckets()
-	if len(got) != len(want) {
-		t.Fatalf("bucket count %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("bucket %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-	// Merging empty and nil histograms is a no-op.
-	before := a.Count()
-	if err := a.Merge(NewHistogram(1, 1000, 5)); err != nil {
-		t.Fatalf("Merge(empty): %v", err)
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("Merge(nil): %v", err)
-	}
-	if a.Count() != before {
-		t.Fatal("no-op merges changed the count")
-	}
-}
-
-func TestHistogramMergeRejectsMismatchedLayout(t *testing.T) {
-	a := NewHistogram(1, 1000, 5)
-	b := NewHistogram(1, 1000, 10)
-	b.Observe(10)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging different bucket counts should fail")
-	}
-	// Same bucket count (same decade span and resolution) but shifted
-	// bounds: must still be rejected.
-	c := NewHistogram(2, 2000, 5)
-	c.Observe(10)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merging different bounds should fail")
-	}
-}
-
 func TestHistogramQuantileInterpolates(t *testing.T) {
 	// All mass in one bucket: the interpolated quantile must move smoothly
 	// between that bucket's effective bounds rather than snapping to an edge.

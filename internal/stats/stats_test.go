@@ -103,8 +103,9 @@ func TestLeastSquaresErrors(t *testing.T) {
 
 func TestSampleAccumulates(t *testing.T) {
 	var s Sample
-	s.Add(1)
-	s.AddAll(2, 3)
+	for _, x := range []float64{1, 2, 3} {
+		s.Add(x)
+	}
 	if s.N() != 3 {
 		t.Fatalf("N = %d, want 3", s.N())
 	}

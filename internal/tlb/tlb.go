@@ -16,14 +16,13 @@
 //     writeback at all (RP3-style, which eliminates the need to stall
 //     responders).
 //
-// The TLB is fully associative with configurable size and replacement
-// policy, and optionally tags entries with address-space identifiers
+// The TLB is fully associative with a configurable size and FIFO or LRU
+// replacement, and optionally tags entries with address-space identifiers
 // (ASIDs), as on the MIPS R2000 discussed in Section 10.
 package tlb
 
 import (
 	"fmt"
-	"math/rand"
 
 	"shootdown/internal/ptable"
 )
@@ -35,7 +34,6 @@ type Replacement int
 const (
 	FIFO Replacement = iota
 	LRU
-	Random
 )
 
 func (r Replacement) String() string {
@@ -44,8 +42,6 @@ func (r Replacement) String() string {
 		return "FIFO"
 	case LRU:
 		return "LRU"
-	case Random:
-		return "Random"
 	default:
 		return fmt.Sprintf("Replacement(%d)", int(r))
 	}
@@ -99,8 +95,6 @@ type Config struct {
 	// Tagged enables ASID tags (entries from several address spaces
 	// coexist; no flush on context switch).
 	Tagged bool
-	// Seed drives the Random replacement policy deterministically.
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -176,12 +170,7 @@ type TLB struct {
 	cfg     Config //snap:derived configuration, reapplied from the experiment config on replay
 	entries []Entry
 	clock   uint64
-	rng     *rand.Rand //snap:derived rebuilt from cfg.Seed on restore; position attested by rng_draws
 	stats   Stats
-	// rngDraws counts victim draws consumed from rng (Random replacement
-	// only), so snapshots can attest the stream position directly instead
-	// of implying it from the eviction counter.
-	rngDraws uint64
 
 	// Observer, when non-nil, receives every TLB event (hit, miss, insert,
 	// evict, invalidate, flush).
@@ -202,7 +191,6 @@ func New(cfg Config) *TLB {
 	return &TLB{
 		cfg:     cfg,
 		entries: make([]Entry, cfg.Size),
-		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 }
 
@@ -287,9 +275,6 @@ func (t *TLB) victim() int {
 			}
 		}
 		return best
-	case Random:
-		t.rngDraws++
-		return t.rng.Intn(len(t.entries))
 	default: // FIFO
 		best, bestSeq := 0, t.entries[0].seq
 		for i := 1; i < len(t.entries); i++ {
@@ -406,24 +391,17 @@ type EntrySnap struct {
 }
 
 // Snap is the TLB's complete state in wire form (DESIGN.md §14): valid
-// entries in slot order, the logical clock that orders them, the event
-// counters, and the replacement stream's draw count. The stream itself is
-// rebuilt from the seed on restore and fast-forwarded by replay; rng_draws
-// attests the position explicitly rather than implying it from the
-// eviction counter.
+// entries in slot order, the logical clock that orders them, and the
+// event counters.
 type Snap struct {
 	Clock   uint64      `json:"clock"`
 	Entries []EntrySnap `json:"entries,omitempty"`
 	Stats   Stats       `json:"stats"`
-	// RNGDraws attests the replacement stream's position (Random mode
-	// only; omitted when no draw has happened, which keeps LRU/FIFO wire
-	// forms unchanged).
-	RNGDraws uint64 `json:"rng_draws,omitempty"`
 }
 
 // Snapshot captures the TLB's complete state in a fixed wire order.
 func (t *TLB) Snapshot() Snap {
-	s := Snap{Clock: t.clock, Stats: t.stats, RNGDraws: t.rngDraws}
+	s := Snap{Clock: t.clock, Stats: t.stats}
 	for i, e := range t.entries {
 		if !e.Valid {
 			continue

@@ -75,25 +75,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestRandomEvictionDeterministicBySeed(t *testing.T) {
-	fill := func(seed int64) []Entry {
-		b := New(Config{Size: 4, Replacement: Random, Seed: seed})
-		for i := 0; i < 20; i++ {
-			b.Insert(ptable.VAddr(i)<<mem.PageShift, ASIDNone, pte(uint32(i), true))
-		}
-		return b.Entries()
-	}
-	a1, a2 := fill(5), fill(5)
-	if len(a1) != 4 || len(a2) != 4 {
-		t.Fatalf("sizes: %d, %d", len(a1), len(a2))
-	}
-	for i := range a1 {
-		if a1[i].VA != a2[i].VA {
-			t.Fatal("same seed must give identical eviction sequence")
-		}
-	}
-}
-
 func TestInvalidatePage(t *testing.T) {
 	b := New(Config{Size: 4})
 	b.Insert(0x1000, ASIDNone, pte(1, true))
@@ -201,7 +182,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	for _, r := range []Replacement{FIFO, LRU, Random, Replacement(99)} {
+	for _, r := range []Replacement{FIFO, LRU, Replacement(99)} {
 		if r.String() == "" {
 			t.Fatal("empty Replacement string")
 		}
@@ -227,9 +208,9 @@ func TestCountWriteback(t *testing.T) {
 // entries survive invalidation, the central correctness property shootdown
 // relies on locally.
 func TestQuickNoStaleEntries(t *testing.T) {
-	for _, repl := range []Replacement{FIFO, LRU, Random} {
+	for _, repl := range []Replacement{FIFO, LRU} {
 		rng := rand.New(rand.NewSource(99))
-		b := New(Config{Size: 8, Replacement: repl, Seed: 3})
+		b := New(Config{Size: 8, Replacement: repl})
 		model := map[ptable.VAddr]ptable.PTE{} // what COULD legally be cached
 		for op := 0; op < 5000; op++ {
 			va := ptable.VAddr(rng.Intn(32)) << mem.PageShift

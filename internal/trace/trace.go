@@ -28,8 +28,7 @@ package trace
 import "fmt"
 
 // Category classifies an event by the layer that produced it. Categories
-// become the "cat" field of exported Chrome trace events and may be
-// selectively disabled to control trace volume.
+// become the "cat" field of exported Chrome trace events.
 type Category uint8
 
 // Event categories, one per instrumented layer.
@@ -50,7 +49,6 @@ const (
 	// rings, queue service, completions, resets, quarantines. Appended
 	// after CatMeta so pre-device category numbering is unchanged.
 	CatDevice
-	numCategories
 )
 
 func (c Category) String() string {
@@ -120,12 +118,10 @@ type Event struct {
 // stream. A nil *Tracer is a valid "observation off" value: every method is
 // a no-op on it.
 type Tracer struct {
-	events   []Event // nil for a stream with no ring
-	next     int
-	count    int
-	dropped  uint64
-	enabled  bool
-	disabled [numCategories]bool
+	events  []Event // nil for a stream with no ring
+	next    int
+	count   int
+	dropped uint64
 
 	base  int64 // offset added to every timestamp (see Rebase)
 	maxTS int64 // largest rebased timestamp recorded so far
@@ -137,46 +133,17 @@ type Tracer struct {
 	flight *Recorder
 }
 
-// New creates a tracer holding up to size records, initially enabled with
-// every category on. It returns an error for a non-positive size — buffer
-// sizes typically arrive from flags, and a bad flag should be a diagnosed
-// failure, not a crash.
+// New creates a tracer holding up to size records. It returns an error
+// for a non-positive size — buffer sizes typically arrive from flags, and
+// a bad flag should be a diagnosed failure, not a crash.
 func New(size int) (*Tracer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("trace: invalid tracer size %d (must be positive)", size)
 	}
 	return &Tracer{
 		events:    make([]Event, size),
-		enabled:   true,
 		procNames: map[int32]string{},
 	}, nil
-}
-
-// On enables recording (a stream with no ring has nothing to record into).
-func (t *Tracer) On() {
-	if t == nil {
-		return
-	}
-	t.enabled = t.events != nil
-}
-
-// Off disables recording.
-func (t *Tracer) Off() {
-	if t == nil {
-		return
-	}
-	t.enabled = false
-}
-
-// Enabled reports whether the tracer is recording. A nil tracer is not.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
-
-// SetCategory enables or disables one category.
-func (t *Tracer) SetCategory(c Category, on bool) {
-	if t == nil || c >= numCategories {
-		return
-	}
-	t.disabled[c] = !on
 }
 
 // Dropped returns the number of records lost to ring wraparound.
@@ -239,10 +206,9 @@ func (t *Tracer) Instant(ts int64, cpu int, cat Category, name string, a1, a2 in
 	t.record(Event{TS: ts, CPU: int32(cpu), Cat: cat, Ph: PhaseInstant, Name: name, Arg1: a1, Arg2: a2})
 }
 
-// record rebases ev and stores it, unless recording is off or its category
-// is disabled.
+// record rebases ev and stores it, unless the stream has no ring.
 func (t *Tracer) record(ev Event) {
-	if t == nil || !t.enabled || t.disabled[ev.Cat] {
+	if t == nil || t.events == nil {
 		return
 	}
 	ev.TS += t.base

@@ -28,43 +28,16 @@ func TestRingWrapAndDropped(t *testing.T) {
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.On()
-	tr.Off()
-	tr.SetCategory(CatTLB, false)
 	tr.Begin(1, 0, CatKernel, "x", 0, 0)
 	tr.End(2, 0, CatKernel, "x")
 	tr.Instant(3, 0, CatKernel, "y", 0, 0)
 	tr.Rebase("run")
 	tr.NameProc(1, "p")
-	if tr.Enabled() || tr.Len() != 0 || tr.Cap() != 0 || tr.Dropped() != 0 {
+	if tr.Len() != 0 || tr.Cap() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer reported state")
 	}
 	if tr.Events() != nil || tr.Select(CatKernel) != nil {
 		t.Fatal("nil tracer returned events")
-	}
-}
-
-func TestOnOffAndCategoryFilter(t *testing.T) {
-	tr := mustNew(t, 8)
-	tr.Off()
-	tr.Instant(1, 0, CatTLB, "tlb-hit", 0, 0)
-	if tr.Len() != 0 {
-		t.Fatal("recorded while off")
-	}
-	tr.On()
-	tr.SetCategory(CatTLB, false)
-	tr.Instant(2, 0, CatTLB, "tlb-hit", 0, 0)
-	tr.Instant(3, 0, CatMachine, "ipi-send", 0, 0)
-	if got := len(tr.Select(CatTLB)); got != 0 {
-		t.Fatalf("disabled category recorded %d events", got)
-	}
-	if got := len(tr.Select(CatMachine)); got != 1 {
-		t.Fatalf("enabled category recorded %d events, want 1", got)
-	}
-	tr.SetCategory(CatTLB, true)
-	tr.Instant(4, 0, CatTLB, "tlb-hit", 0, 0)
-	if got := len(tr.Select(CatTLB)); got != 1 {
-		t.Fatalf("re-enabled category recorded %d events, want 1", got)
 	}
 }
 

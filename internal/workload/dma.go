@@ -36,14 +36,10 @@ type dmaStream struct {
 }
 
 // StartDMA assembles the DMA kernel and spawns its streams without
-// running the engine; drive with Run/RunTo and harvest with CollectDMA.
-// At least one device is always configured.
+// running the engine, for callers that pause and snapshot the world
+// (step-bounded replay, the explorer's forked schedules); drive it with
+// RunTo and Run. At least one device is always configured.
 func StartDMA(cfg AppConfig) (*kernel.Kernel, error) { return start(dmaConfig(cfg), rigDMA) }
-
-// CollectDMA observes and harvests a settled DMA run.
-func CollectDMA(cfg AppConfig, k *kernel.Kernel) AppResult {
-	return collect(cfg, k, appResult("DMA"))
-}
 
 // dmaConfig gives the DMA workload its one default device.
 func dmaConfig(cfg AppConfig) AppConfig {

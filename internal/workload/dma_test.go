@@ -48,7 +48,7 @@ func TestDMAWedgedDeviceQuarantines(t *testing.T) {
 			WatchdogMaxRetries: 3,
 			WatchdogBackoffMax: 8_000_000,
 		},
-		Faults: &fault.Config{Seed: 11, DevWedge: 1.0},
+		Faults:  &fault.Config{Seed: 11, DevWedge: 1.0},
 		Observe: func(k *kernel.Kernel) { shoot = k.Shoot.Stats() },
 	})
 	if err != nil {

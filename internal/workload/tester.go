@@ -12,14 +12,15 @@ import (
 	"shootdown/internal/xpr"
 )
 
+// testerWarmup is how long the tester's children spin before the
+// reprotect: enough for every child to be dispatched and cache its entry.
+const testerWarmup sim.Time = 3_000_000 // 3 ms
+
 // TesterConfig configures the §5.1 TLB-consistency tester.
 type TesterConfig struct {
 	NCPUs    int // default 16
 	Children int // k child threads; causes one shootdown hitting k CPUs
 	Seed     int64
-	// Warmup is how long children spin before the reprotect (default 3 ms,
-	// enough for every child to be dispatched and cache its entry).
-	Warmup sim.Time
 	// KeepTimer leaves the clock interrupt running (the timer-flush
 	// baseline needs it).
 	KeepTimer bool
@@ -56,9 +57,6 @@ type TesterResult struct {
 func RunTester(cfg TesterConfig) (TesterResult, error) {
 	if cfg.NCPUs == 0 {
 		cfg.NCPUs = 16
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 3_000_000
 	}
 	if cfg.Children < 1 || cfg.Children >= cfg.NCPUs {
 		return TesterResult{}, fmt.Errorf("workload: tester needs 1 <= children < ncpus, got %d/%d", cfg.Children, cfg.NCPUs)
@@ -110,7 +108,7 @@ func rigTester(k *kernel.Kernel, cfg TesterConfig, res *TesterResult) error {
 				}
 			}))
 		}
-		th.Compute(cfg.Warmup)
+		th.Compute(testerWarmup)
 		t0 := th.Now()
 		if err := th.VMProtect(page, page+mem.PageSize, pmap.ProtRead); err != nil {
 			th.Fail(err)

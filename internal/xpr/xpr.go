@@ -5,7 +5,7 @@
 // from a free-running microsecond-resolution counter.
 //
 // The buffer is sized by the caller so it "never overflows during test
-// runs"; if it does wrap, the oldest records are lost and Wrapped reports it.
+// runs"; if it does wrap, the oldest records are lost and Dropped counts them.
 // Storage grows on demand up to that size, so a generous bound costs only
 // the records actually logged.
 package xpr
@@ -27,8 +27,6 @@ const (
 	// EvResponder records one responder interrupt-service elapsed time:
 	// Args = [elapsed ns, 0, 0, 0].
 	EvResponder
-	// EvUser is free for workload-defined events.
-	EvUser
 )
 
 func (id EventID) String() string {
@@ -37,8 +35,6 @@ func (id EventID) String() string {
 		return "initiator"
 	case EvResponder:
 		return "responder"
-	case EvUser:
-		return "user"
 	default:
 		return fmt.Sprintf("event(%d)", int(id))
 	}
@@ -84,24 +80,8 @@ func New(size int) *Buffer {
 	return &Buffer{size: size, enabled: true}
 }
 
-// On enables recording.
-func (b *Buffer) On() { b.enabled = true }
-
 // Off disables recording.
 func (b *Buffer) Off() { b.enabled = false }
-
-// Enabled reports whether the buffer is recording.
-func (b *Buffer) Enabled() bool { return b.enabled }
-
-// Reset discards all records (and keeps the enabled state and the
-// storage grown so far).
-func (b *Buffer) Reset() {
-	b.events = b.events[:0]
-	b.next, b.dropped = 0, 0
-}
-
-// Wrapped reports whether records have been lost to wraparound.
-func (b *Buffer) Wrapped() bool { return b.dropped > 0 }
 
 // Dropped returns the number of records lost to wraparound. Experiment
 // output surfaces this so a truncated measurement is never mistaken for a

@@ -27,20 +27,21 @@ func TestLogAndReadBack(t *testing.T) {
 	}
 }
 
+// TestOnOff checks that a new buffer records and that Off stops it
+// without touching what it holds or the drop count experiment output
+// reports.
 func TestOnOff(t *testing.T) {
-	b := New(4)
-	if !b.Enabled() {
-		t.Fatal("new buffer should be enabled")
+	b := New(2)
+	for i := 0; i < 7; i++ {
+		b.LogResponder(sim.Time(i), 0, 10)
+	}
+	if b.Len() != 2 || b.Dropped() != 5 {
+		t.Fatalf("new buffer: Len %d, Dropped %d, want 2 and 5", b.Len(), b.Dropped())
 	}
 	b.Off()
-	b.LogResponder(1, 0, 10)
-	if b.Len() != 0 {
-		t.Fatal("recorded while off")
-	}
-	b.On()
-	b.LogResponder(2, 0, 10)
-	if b.Len() != 1 {
-		t.Fatal("did not record while on")
+	b.LogResponder(99, 0, 10)
+	if got := times(b); !slices.Equal(got, []sim.Time{5, 6}) || b.Dropped() != 5 {
+		t.Fatalf("logging while off changed the buffer: holds %v, dropped %d", got, b.Dropped())
 	}
 }
 
@@ -49,8 +50,8 @@ func TestWraparound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.LogResponder(sim.Time(i), 0, sim.Time(i*1000))
 	}
-	if !b.Wrapped() {
-		t.Fatal("should have wrapped")
+	if b.Dropped() != 2 {
+		t.Fatalf("Dropped = %d, want 2", b.Dropped())
 	}
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", b.Len())
@@ -61,21 +62,6 @@ func TestWraparound(t *testing.T) {
 		if evs[i].Time != want {
 			t.Fatalf("evs[%d].Time = %d, want %d", i, evs[i].Time, want)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	b := New(2)
-	b.LogResponder(1, 0, 10)
-	b.LogResponder(2, 0, 10)
-	b.LogResponder(3, 0, 10)
-	b.Reset()
-	if b.Len() != 0 || b.Wrapped() {
-		t.Fatal("Reset did not clear state")
-	}
-	b.LogResponder(4, 0, 10)
-	if b.Len() != 1 {
-		t.Fatal("cannot log after reset")
 	}
 }
 
@@ -155,9 +141,6 @@ func TestBufferBehavior(t *testing.T) {
 			if b.Dropped() != tc.wantDropped {
 				t.Errorf("Dropped = %d, want %d", b.Dropped(), tc.wantDropped)
 			}
-			if b.Wrapped() != (tc.wantDropped > 0) {
-				t.Errorf("Wrapped = %v with %d dropped", b.Wrapped(), tc.wantDropped)
-			}
 			evs := b.Events()
 			if len(evs) != tc.wantLen {
 				t.Fatalf("Events len = %d, want %d", len(evs), tc.wantLen)
@@ -178,27 +161,6 @@ func TestBufferBehavior(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDroppedSurvivesUntilReset pins the contract experiment output relies
-// on: the drop count accumulates across wraps and only Reset clears it.
-func TestDroppedSurvivesUntilReset(t *testing.T) {
-	b := New(2)
-	for i := 0; i < 7; i++ {
-		b.LogResponder(sim.Time(i), 0, 10)
-	}
-	if b.Dropped() != 5 {
-		t.Fatalf("Dropped = %d, want 5", b.Dropped())
-	}
-	b.Off()
-	b.LogResponder(99, 0, 10)
-	if b.Dropped() != 5 {
-		t.Fatal("disabled logging changed the drop count")
-	}
-	b.Reset()
-	if b.Dropped() != 0 || b.Wrapped() {
-		t.Fatal("Reset did not clear drop state")
 	}
 }
 
@@ -255,7 +217,7 @@ func TestSustainedOverflowWithConsumer(t *testing.T) {
 }
 
 func TestEventIDString(t *testing.T) {
-	for _, id := range []EventID{EvInitiator, EvResponder, EvUser, EventID(42)} {
+	for _, id := range []EventID{EvInitiator, EvResponder, EventID(42)} {
 		if id.String() == "" {
 			t.Fatal("empty EventID string")
 		}
@@ -283,16 +245,16 @@ func TestGrowThenWrapBoundary(t *testing.T) {
 	}
 	for i := 0; i < size; i++ {
 		b.LogResponder(sim.Time(i), 0, 10)
-		if b.Len() != i+1 || b.Wrapped() || b.Dropped() != 0 {
-			t.Fatalf("after %d records: Len %d, Wrapped %v, Dropped %d", i+1, b.Len(), b.Wrapped(), b.Dropped())
+		if b.Len() != i+1 || b.Dropped() != 0 {
+			t.Fatalf("after %d records: Len %d, Dropped %d", i+1, b.Len(), b.Dropped())
 		}
 	}
 	if got := times(b); !slices.Equal(got, []sim.Time{0, 1, 2, 3}) {
 		t.Fatalf("full buffer holds %v", got)
 	}
 	b.LogResponder(4, 0, 10)
-	if b.Len() != size || !b.Wrapped() || b.Dropped() != 1 {
-		t.Fatalf("first overwrite: Len %d, Wrapped %v, Dropped %d", b.Len(), b.Wrapped(), b.Dropped())
+	if b.Len() != size || b.Dropped() != 1 {
+		t.Fatalf("first overwrite: Len %d, Dropped %d", b.Len(), b.Dropped())
 	}
 	if got := times(b); !slices.Equal(got, []sim.Time{1, 2, 3, 4}) {
 		t.Fatalf("after first overwrite buffer holds %v", got)
@@ -302,32 +264,5 @@ func TestGrowThenWrapBoundary(t *testing.T) {
 	}
 	if got := times(b); !slices.Equal(got, []sim.Time{7, 8, 9, 10}) || b.Dropped() != 7 {
 		t.Fatalf("after wrapping past the start: holds %v, dropped %d", got, b.Dropped())
-	}
-}
-
-// TestResetAfterWrap checks that a wrapped buffer, once Reset, grows and
-// wraps again from a clean start, in the storage it already had.
-func TestResetAfterWrap(t *testing.T) {
-	b := New(3)
-	for i := 0; i < 5; i++ {
-		b.LogResponder(sim.Time(i), 0, 10)
-	}
-	b.Reset()
-	if b.Len() != 0 || b.Wrapped() || b.Dropped() != 0 || len(b.Events()) != 0 {
-		t.Fatalf("Reset left Len %d, Wrapped %v, Dropped %d", b.Len(), b.Wrapped(), b.Dropped())
-	}
-	storage := &b.events[:1][0]
-	for i := 10; i < 13; i++ {
-		b.LogResponder(sim.Time(i), 0, 10)
-	}
-	if got := times(b); !slices.Equal(got, []sim.Time{10, 11, 12}) || b.Wrapped() {
-		t.Fatalf("after Reset and three records: holds %v, wrapped %v", got, b.Wrapped())
-	}
-	if &b.events[0] != storage {
-		t.Fatal("refilling after Reset reallocated the storage")
-	}
-	b.LogResponder(13, 0, 10)
-	if got := times(b); !slices.Equal(got, []sim.Time{11, 12, 13}) || b.Dropped() != 1 {
-		t.Fatalf("after wrapping again: holds %v, dropped %d", got, b.Dropped())
 	}
 }

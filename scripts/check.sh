@@ -1,9 +1,10 @@
 #!/bin/sh
 # Full local CI. Tier 1 (build + test + lint) is the hard floor — lint is
-# go vet plus the shootdownlint analyzer suite (DESIGN.md §10), which
-# machine-checks the simulator's determinism, IPL, and lock-ordering
-# invariants, and the test step includes the benchmark module's own tests
-# (bench/ is a separate module, so the root's go test ./... skips it).
+# go vet, a gofmt check that fails on any file `gofmt -l .` lists, and the
+# shootdownlint analyzer suite (DESIGN.md §10), which machine-checks the
+# simulator's determinism, IPL, and lock-ordering invariants, and the test
+# step includes the benchmark module's own tests (bench/ is a separate
+# module, so the root's go test ./... skips it).
 # Tier 2 runs the race detector over internal/sim and
 # internal/trace, the only packages allowed real concurrency (the
 # simconcurrency analyzer enforces that everything else stays in virtual
@@ -56,6 +57,14 @@ echo "== tier 1: (cd bench && go test .)"
 
 echo "== tier 1: go vet ./..."
 go vet ./...
+
+echo "== tier 1: gofmt -l . (every Go file is gofmt-clean)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: not formatted:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== tier 1: shootdownlint ./... (full analyzer suite, one invocation)"
 go run ./cmd/shootdownlint ./...
