@@ -122,7 +122,13 @@ func (c *checker) checkScope(body *ast.BlockStmt) {
 			if name == "" {
 				return
 			}
-			if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name == "_" {
+			id, ok := n.Lhs[0].(*ast.Ident)
+			if !ok {
+				// Stored into a field or element: the struct carries the
+				// restore obligation, like any other handoff.
+				return
+			}
+			if id.Name == "_" {
 				c.reportf(n.Pos(),
 					"result of %s is discarded: the saved IPL can never be restored", name)
 				return

@@ -123,6 +123,17 @@ func handoffStruct(ex *machine.Exec) *op {
 	return &op{prevIPL: prev}
 }
 
+// A raise result assigned straight to a field or element is stored: the
+// struct carries the obligation, as when a loop keeps the IPL its lock
+// acquisition saved.
+func handoffField(ex *machine.Exec, o *op) {
+	o.prevIPL = ex.RaiseIPL(machine.IPLHigh)
+}
+
+func handoffElement(ex *machine.Exec, l *machine.SpinLock, saved []machine.IPL) {
+	saved[0] = l.Lock(ex)
+}
+
 func handoffCallee(ex *machine.Exec) {
 	prev := ex.DisableAll()
 	finish(ex, prev)

@@ -153,6 +153,7 @@ type PostponedIPI struct {
 	pending    [][]core.Action
 	needed     []bool
 	locks      []machine.SpinLock
+	waits      []postponedWait // per initiator: the target it is waiting on
 	kernelPmap core.Pmap
 	userPmapOn func(int) core.Pmap
 	stats      PostponedStats
@@ -178,6 +179,7 @@ func NewPostponedIPI(m *machine.Machine) (*PostponedIPI, error) {
 		pending: make([][]core.Action, m.NumCPUs()),
 		needed:  make([]bool, m.NumCPUs()),
 		locks:   make([]machine.SpinLock, m.NumCPUs()),
+		waits:   make([]postponedWait, m.NumCPUs()),
 	}
 	for i := range s.locks {
 		s.locks[i] = machine.SpinLock{Name: fmt.Sprintf("postponed%d", i), MinIPL: machine.IPLHigh}
@@ -241,12 +243,22 @@ func (s *PostponedIPI) Finish(ex *machine.Exec, op *core.Op) {
 	}
 	ex.SendIPI(targets)
 	s.stats.IPIsSent += uint64(len(targets))
+	w := &s.waits[me]
 	for _, cpu := range targets {
-		cpu := cpu
-		op := op
-		ex.SpinWhile(func() bool { return s.needed[cpu] && op.Pmap.InUse(cpu) })
+		*w = postponedWait{s: s, cpu: cpu, pmap: op.Pmap}
+		ex.SpinWhile(w)
 	}
 }
+
+// postponedWait holds until target cpu has drained its postponed
+// invalidations or stopped using pmap.
+type postponedWait struct {
+	s    *PostponedIPI
+	cpu  int
+	pmap core.Pmap
+}
+
+func (w *postponedWait) Holds() bool { return w.s.needed[w.cpu] && w.pmap.InUse(w.cpu) }
 
 // respond drains the pending invalidations; no stall, no barrier.
 func (s *PostponedIPI) respond(ex *machine.Exec) {
@@ -279,6 +291,7 @@ func (s *PostponedIPI) GoActive(ex *machine.Exec) {
 type TimerFlush struct {
 	m         *machine.Machine
 	lastFlush []sim.Time
+	waits     []flushWait // per initiator: the processor it is waiting on
 	stats     TimerFlushStats
 }
 
@@ -297,7 +310,7 @@ func NewTimerFlush(m *machine.Machine) (*TimerFlush, error) {
 	if m.Options().TLB.Writeback == tlb.WritebackBlind {
 		return nil, fmt.Errorf("baseline: timer-flush strategy needs a TLB without blind R/M writeback")
 	}
-	return &TimerFlush{m: m, lastFlush: make([]sim.Time, m.NumCPUs())}, nil
+	return &TimerFlush{m: m, lastFlush: make([]sim.Time, m.NumCPUs()), waits: make([]flushWait, m.NumCPUs())}, nil
 }
 
 // Name implements core.Strategy.
@@ -334,15 +347,27 @@ func (s *TimerFlush) Finish(ex *machine.Exec, op *core.Op) {
 	}
 	me := ex.CPUID()
 	barrier := ex.Now()
+	w := &s.waits[me]
 	for cpu := 0; cpu < s.m.NumCPUs(); cpu++ {
 		if cpu == me || !op.Pmap.InUse(cpu) {
 			continue
 		}
-		cpu := cpu
-		ex.SpinWhile(func() bool {
-			return s.lastFlush[cpu] <= barrier && op.Pmap.InUse(cpu)
-		})
+		*w = flushWait{s: s, cpu: cpu, pmap: op.Pmap, barrier: barrier}
+		ex.SpinWhile(w)
 	}
+}
+
+// flushWait holds until processor cpu has flushed its TLB after barrier
+// or stopped using pmap.
+type flushWait struct {
+	s       *TimerFlush
+	cpu     int
+	pmap    core.Pmap
+	barrier sim.Time
+}
+
+func (w *flushWait) Holds() bool {
+	return w.s.lastFlush[w.cpu] <= w.barrier && w.pmap.InUse(w.cpu)
 }
 
 // GoIdle implements core.Strategy.

@@ -304,7 +304,7 @@ type Shootdown struct {
 	idle         []bool
 	actionNeeded []bool
 	queues       [][]Action
-	overflow     []bool
+	cpus         []cpuState
 	actionLocks  []machine.SpinLock
 
 	// memberLock serializes membership-sensitive transitions: an
@@ -339,6 +339,68 @@ type Shootdown struct {
 
 var _ Strategy = (*Shootdown)(nil)
 
+// cpuState is one processor's queue-overflow flag plus the conditions it
+// spins on: as a responder until no update it could observe is in
+// progress (stall), as an initiator until one responder (wait) or one
+// device (devWait) is done. They live here rather than in closures, so
+// parking one in the processor's loop slot costs no allocation. An
+// interrupt handler only ever stalls, so the initiator's waits are never
+// reused while they are parked.
+type cpuState struct {
+	overflow bool
+	stall    stallCond
+	wait     responderWait
+	devWait  deviceWait
+}
+
+// stallCond holds while a pmap that processor cpu can translate through
+// is being updated by a live initiator: the responder's phase-2 stall.
+// The paper's pseudo-code joins the two lock tests with &&, but the
+// responder must stall while EITHER pmap is being updated — otherwise it
+// could reload a stale entry from (or write R/M bits into) the
+// half-updated map; we implement the OR. The test is UpdateInProgress,
+// not Locked: a fail-stopped initiator's lock will never be released,
+// and its frozen half-update is processed like any other — the queued (or
+// escalated-to-flush) invalidations over-invalidate, which is always
+// safe.
+type stallCond struct {
+	s   *Shootdown
+	cpu int
+}
+
+func (c *stallCond) Holds() bool {
+	if c.s.kernelPmap != nil && c.s.kernelPmap.UpdateInProgress() {
+		return true
+	}
+	if c.s.userPmapOn != nil {
+		if up := c.s.userPmapOn(c.cpu); up != nil && up.UpdateInProgress() {
+			return true
+		}
+	}
+	return false
+}
+
+// responderWait holds until responder cpu acknowledges (leaves the
+// active set) or stops using [start, end) of p.
+type responderWait struct {
+	s          *Shootdown
+	cpu        int
+	p          Pmap
+	start, end ptable.VAddr
+}
+
+func (w *responderWait) Holds() bool {
+	return w.s.active[w.cpu] && inUseFor(w.p, w.cpu, w.start, w.end)
+}
+
+// deviceWait holds until device d completes request seq or goes offline.
+type deviceWait struct {
+	d   DeviceTLB
+	seq uint64
+}
+
+func (w *deviceWait) Holds() bool { return w.d.Online() && !w.d.Completed(w.seq) }
+
 // New creates the shootdown state for machine m and installs the responder
 // as the machine's IPI handler. Processors start active and not idle; the
 // kernel marks them idle via GoIdle.
@@ -351,11 +413,12 @@ func New(m *machine.Machine, opts Options) *Shootdown {
 		idle:         make([]bool, n),
 		actionNeeded: make([]bool, n),
 		queues:       make([][]Action, n),
-		overflow:     make([]bool, n),
+		cpus:         make([]cpuState, n),
 		actionLocks:  make([]machine.SpinLock, n),
 	}
 	for i := range s.active {
 		s.active[i] = true
+		s.cpus[i].stall = stallCond{s: s, cpu: i}
 		s.actionLocks[i] = machine.SpinLock{Name: fmt.Sprintf("action%d", i), MinIPL: machine.IPLHigh}
 	}
 	s.memberLock = machine.SpinLock{Name: "member", MinIPL: machine.IPLHigh}
@@ -460,7 +523,7 @@ type Snap struct {
 // just depth), lock holders, and counters. Output is deterministic: CPUs
 // in id order, queues in enqueue order.
 func (s *Shootdown) Snapshot() Snap {
-	snap := Snap{Stats: s.stats, InFlight: s.inFlight, MemberHeld: s.memberLock.Held()}
+	snap := Snap{Stats: s.stats, InFlight: s.inFlight, MemberHeld: s.memberLock.Holds()}
 	snap.RecoveryUS = append(snap.RecoveryUS, s.recoveryUS...)
 	for cpu := range s.active {
 		cs := CPUSnap{
@@ -469,7 +532,7 @@ func (s *Shootdown) Snapshot() Snap {
 			Idle:         s.idle[cpu],
 			ActionNeeded: s.actionNeeded[cpu],
 			QueueLen:     len(s.queues[cpu]),
-			Overflow:     s.overflow[cpu],
+			Overflow:     s.cpus[cpu].overflow,
 		}
 		for _, a := range s.queues[cpu] {
 			cs.Queue = append(cs.Queue, ActionSnap{
@@ -704,12 +767,13 @@ type waiter struct {
 // stale entry, and a dead (or cold-rebooted) TLB satisfies it.
 func (s *Shootdown) waitForResponder(ex *machine.Exec, p Pmap, w waiter, start, end ptable.VAddr) {
 	cpu := w.cpu
-	cond := func() bool { return s.active[cpu] && inUseFor(p, cpu, start, end) }
+	me := ex.CPUID()
+	cond := &s.cpus[me].wait
+	*cond = responderWait{s: s, cpu: cpu, p: p, start: start, end: end}
 	if s.opts.WatchdogTimeout <= 0 {
 		ex.SpinWhile(cond)
 		return
 	}
-	me := ex.CPUID()
 	timeout := s.opts.WatchdogTimeout
 	var firstTimeout sim.Time
 	escalated := false
@@ -729,7 +793,7 @@ func (s *Shootdown) waitForResponder(ex *machine.Exec, p Pmap, w waiter, start, 
 			s.m.Tracer().Trip(int64(ex.Now()), "watchdog",
 				fmt.Sprintf("cpu%d escalated to full flush after %d retries waiting on cpu%d", me, retry, cpu))
 			lprev := s.actionLocks[cpu].Lock(ex)
-			s.overflow[cpu] = true
+			s.cpus[cpu].overflow = true
 			s.queues[cpu] = s.queues[cpu][:0]
 			s.actionLocks[cpu].Unlock(ex, lprev)
 		}
@@ -773,12 +837,13 @@ type devWaiter struct {
 // recorded alongside the CPU watchdog's samples.
 func (s *Shootdown) waitForDevice(ex *machine.Exec, w devWaiter) {
 	d := w.dev
-	cond := func() bool { return d.Online() && !d.Completed(w.seq) }
+	me := ex.CPUID()
+	cond := &s.cpus[me].devWait
+	*cond = deviceWait{d: d, seq: w.seq}
 	if s.opts.WatchdogTimeout <= 0 {
 		ex.SpinWhile(cond)
 		return
 	}
-	me := ex.CPUID()
 	timeout := s.opts.WatchdogTimeout
 	var firstTimeout sim.Time
 	resetTried := false
@@ -847,11 +912,11 @@ func (s *Shootdown) memberRecheck(ex *machine.Exec, w waiter) (rescued bool) {
 func (s *Shootdown) enqueue(ex *machine.Exec, cpu int, a Action) {
 	ex.ChargeInstr()
 	s.stats.ActionsQueued++
-	if s.overflow[cpu] {
+	if s.cpus[cpu].overflow {
 		return // already flushing everything
 	}
 	if len(s.queues[cpu]) >= s.opts.QueueSize {
-		s.overflow[cpu] = true
+		s.cpus[cpu].overflow = true
 		s.queues[cpu] = s.queues[cpu][:0]
 		s.stats.QueueOverflows++
 		return
@@ -879,28 +944,11 @@ func (s *Shootdown) respond(ex *machine.Exec) {
 	for s.actionNeeded[me] {
 		s.stats.Responses++
 		// Phase 2: acknowledge, then stall until no initiator is mid-
-		// update on a pmap this processor can translate through. The
-		// paper's pseudo-code joins the two lock tests with &&, but the
-		// responder must stall while EITHER pmap is being updated —
-		// otherwise it could reload a stale entry from (or write R/M
-		// bits into) the half-updated map; we implement the OR. The test
-		// is UpdateInProgress, not Locked: a fail-stopped initiator's
-		// lock will never be released, and its frozen half-update is
-		// processed like any other — the queued (or escalated-to-flush)
-		// invalidations over-invalidate, which is always safe.
+		// update on a pmap this processor can translate through
+		// (stallCond).
 		s.active[me] = false
 		s.m.Tracer().Emit(trace.KindStallBegin, int64(ex.Now()), me, "shootdown-stall", 0, 0)
-		ex.SpinWhile(func() bool {
-			if s.kernelPmap != nil && s.kernelPmap.UpdateInProgress() {
-				return true
-			}
-			if s.userPmapOn != nil {
-				if up := s.userPmapOn(me); up != nil && up.UpdateInProgress() {
-					return true
-				}
-			}
-			return false
-		})
+		ex.SpinWhile(&s.cpus[me].stall)
 		s.m.Tracer().Emit(trace.KindSpinEnd, int64(ex.Now()), me, "shootdown-stall", 0, 0)
 		// Phase 4: the updates are done; invalidate and rejoin.
 		lprev := s.actionLocks[me].Lock(ex)
@@ -922,9 +970,9 @@ func (s *Shootdown) respond(ex *machine.Exec) {
 func (s *Shootdown) processActions(ex *machine.Exec, cpu int) {
 	defer func() {
 		s.queues[cpu] = s.queues[cpu][:0]
-		s.overflow[cpu] = false
+		s.cpus[cpu].overflow = false
 	}()
-	if s.overflow[cpu] {
+	if s.cpus[cpu].overflow {
 		s.flush(ex, tlb.ASIDNone)
 		return
 	}
@@ -1004,7 +1052,7 @@ func (s *Shootdown) OnCPUOnline(ex *machine.Exec) {
 	mprev := s.memberLock.Lock(ex)
 	lprev := s.actionLocks[me].Lock(ex)
 	s.queues[me] = s.queues[me][:0]
-	s.overflow[me] = false
+	s.cpus[me].overflow = false
 	s.actionNeeded[me] = false
 	s.actionLocks[me].Unlock(ex, lprev)
 	s.idle[me] = false

@@ -466,41 +466,33 @@ func (k *Kernel) enqueue(ex *machine.Exec, t *Thread) {
 	k.schedLock.Unlock(ex, prev)
 }
 
-// dequeue pops the next runnable thread, or nil.
-func (k *Kernel) dequeue(ex *machine.Exec) *Thread {
-	prev := k.schedLock.Lock(ex)
-	var t *Thread
-	if len(k.runq) > 0 {
-		t = k.runq[0]
-		copy(k.runq, k.runq[1:])
-		k.runq = k.runq[:len(k.runq)-1]
-	}
-	k.schedLock.Unlock(ex, prev)
-	return t
-}
+// idleQueue is the kernel as its idle loops poll it: the run queue under
+// the scheduler lock, and the stopping flag.
+type idleQueue Kernel
 
-// idleLoop is one CPU's idle thread: it polls for work with interrupts
-// enabled (so it responds to shootdown IPIs), drains queued consistency
-// actions before dispatching (the idle-processor optimization's contract),
-// and hands the CPU to the chosen thread.
+func (q *idleQueue) Stopping() bool { return q.stopping }
+func (q *idleQueue) Ready() bool    { return len(q.runq) > 0 }
+
+// idleLoop is one CPU's idle thread: it polls for work every IdleTick
+// with interrupts enabled (so it responds to shootdown IPIs), drains
+// queued consistency actions before dispatching (the idle-processor
+// optimization's contract), and hands the CPU to the chosen thread.
 func (k *Kernel) idleLoop(p *sim.Proc, cpu int) {
 	tr := k.cfg.Tracer
 	for {
 		ex := k.M.Attach(p, cpu)
 		k.Strategy.GoIdle(ex)
 		tr.Emit(trace.KindIdle, int64(ex.Now()), cpu, "idle", 0, 0)
-		var next *Thread
-		for !k.stopping {
-			if next = k.dequeue(ex); next != nil {
-				break
-			}
-			ex.Advance(k.cfg.IdleTick)
-		}
-		if next == nil { // stopping
+		prev, ok := ex.Poll(&k.schedLock, (*idleQueue)(k), k.cfg.IdleTick)
+		if !ok { // stopping
 			tr.End(int64(ex.Now()), cpu, trace.CatKernel, "idle")
 			ex.Detach()
 			return
 		}
+		next := k.runq[0]
+		copy(k.runq, k.runq[1:])
+		k.runq = k.runq[:len(k.runq)-1]
+		k.schedLock.Unlock(ex, prev)
 		k.Strategy.GoActive(ex)
 		tr.Emit(trace.KindDispatch, int64(ex.Now()), cpu, "idle", 0, 0)
 		ex.ChargeTime(k.M.Costs().ContextSwitch)

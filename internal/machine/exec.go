@@ -72,8 +72,9 @@ func (ex *Exec) Advance(d sim.Time) {
 }
 
 // advanceNoIRQ consumes d of virtual time without delivering interrupts
-// (used for atomic hardware actions like bus stalls and interrupt entry).
-// Preemption nudges are absorbed; pending vectors stay latched.
+// (used for atomic hardware actions like interrupt entry; a bus stall's
+// transactions sleep the same way in its loop). Preemption nudges are
+// absorbed; pending vectors stay latched.
 func (ex *Exec) advanceNoIRQ(d sim.Time) {
 	for d > 0 {
 		d -= ex.proc.Sleep(d)
@@ -159,89 +160,33 @@ func (ex *Exec) RaiseIPL(l IPL) IPL {
 // RestoreIPL sets the IPL back to a previously saved level and delivers any
 // interrupts the lowering unmasked.
 func (ex *Exec) RestoreIPL(l IPL) {
+	if ex.lowerIPL(l) {
+		ex.deliver()
+	}
+}
+
+// lowerIPL is RestoreIPL without the delivery: it sets the IPL to l and
+// reports whether that lowered it, in which case the caller owes a
+// delivery point.
+func (ex *Exec) lowerIPL(l IPL) bool {
 	lowering := l < ex.cpu.ipl
 	if lowering {
 		ex.machine.Tracer().Instant(int64(ex.Now()), ex.cpu.id, trace.CatMachine, "ipl-lower", int64(l), int64(ex.cpu.ipl))
 		ex.maskEdge(ex.cpu.ipl, l)
 	}
 	ex.cpu.ipl = l
-	if lowering {
-		ex.deliver()
-	}
+	return lowering
 }
 
 // DisableAll masks all interrupts (the pseudo-code's disable_interrupts)
 // and returns the previous level for RestoreIPL.
 func (ex *Exec) DisableAll() IPL { return ex.RaiseIPL(IPLHigh) }
 
-// SpinWhile spins (charging spin-check iterations, with interrupt delivery)
-// while cond returns true. Periodically the check misses in cache and
-// fetches the contended line over the bus; with many processors spinning
-// this is a significant share of bus load (Section 7.1).
-func (ex *Exec) SpinWhile(cond func() bool) {
-	period := ex.machine.costs.SpinBusPeriod
-	for i := 1; cond(); i++ {
-		ex.Advance(ex.machine.costs.SpinCheck)
-		if period > 0 && i%period == 0 {
-			ex.busStall("spin-refetch", 1)
-		}
-	}
-}
-
-// SpinWhileFor is SpinWhile bounded by a virtual-time budget: it returns
-// true when cond became false, or false once at least budget has elapsed
-// with cond still true (the shootdown watchdog's timeout primitive). Its
-// per-iteration costs mirror SpinWhile exactly, so enabling a watchdog that
-// never fires does not perturb simulation results.
-func (ex *Exec) SpinWhileFor(cond func() bool, budget sim.Time) bool {
-	period := ex.machine.costs.SpinBusPeriod
-	deadline := ex.Now() + budget
-	for i := 1; cond(); i++ {
-		if ex.Now() >= deadline {
-			return false
-		}
-		ex.Advance(ex.machine.costs.SpinCheck)
-		if period > 0 && i%period == 0 {
-			ex.busStall("spin-refetch", 1)
-		}
-	}
-	return true
-}
-
 // Stall consumes exactly d of virtual time without interrupt delivery and
 // without cost jitter (no simulation randomness). The fault injector's
 // slow-responder stalls go through this so an injected delay is charged
 // as-is and fault campaigns replay exactly.
 func (ex *Exec) Stall(d sim.Time) { ex.advanceNoIRQ(d) }
-
-// busStall issues n bus transactions one at a time, stalling for each
-// queueing delay. Issuing individually matters under contention: other
-// processors' transactions interleave with ours, so a multi-word burst
-// (an interrupt state save, a page copy) degrades sharply once the bus
-// saturates — the Section 7.1 congestion effect. site names the call
-// site for the profiler's per-site bus contention histograms.
-func (ex *Exec) busStall(site string, n int) {
-	if n <= 0 {
-		return
-	}
-	m := ex.machine
-	m.Tracer().Emit(trace.KindBusBegin, int64(ex.Now()), ex.cpu.id, site, int64(n), 0)
-	for i := 0; i < n; i++ {
-		now := ex.Now()
-		w := m.Bus.Reserve(now, 1)
-		// Bus transactions are far too frequent to trace individually; the
-		// signal is contention, so record only transactions that queued
-		// behind another CPU's traffic (arg1 = queueing delay in ns).
-		if q := w - m.Bus.Occupancy(); q > 0 {
-			m.Tracer().Emit(trace.KindBusWait, int64(now), ex.cpu.id, "bus-wait", int64(q), 0)
-		}
-		// Injected timing faults stretch the transaction beyond its
-		// reserved slot (marginal bus arbitration, retried cycles).
-		w += m.faults.BusJitter(ex.cpu.id)
-		ex.advanceNoIRQ(w)
-	}
-	m.Tracer().Emit(trace.KindBusEnd, int64(ex.Now()), ex.cpu.id, "", 0, 0)
-}
 
 // SendIPI posts shootdown interrupts to the target CPUs using the machine's
 // configured delivery hardware, charging the initiator accordingly.

@@ -220,6 +220,10 @@ type CPU struct {
 
 	userTable *ptable.Table
 	userASID  tlb.ASID
+
+	// loop is the slot the attached context's bus stalls, spins and idle
+	// polls run in (loop.go).
+	loop loop
 }
 
 // New builds a machine on the given engine.
@@ -569,10 +573,11 @@ func (c *CPU) UserTable() *ptable.Table { return c.userTable }
 // Current returns the execution context on this CPU, or nil.
 func (c *CPU) Current() *Exec { return c.cur }
 
-// takeDeliverable dequeues the highest-priority deliverable pending vector.
-// A vector posted with a delay (fault injection) stays latched but is not
-// deliverable before its arrival time.
-func (c *CPU) takeDeliverable() (Vector, bool) {
+// deliverable returns the highest-priority pending vector deliverable
+// now, leaving it latched. A vector posted with a delay (fault
+// injection) stays latched but is not deliverable before its arrival
+// time.
+func (c *CPU) deliverable() (Vector, bool) {
 	best := Vector(-1)
 	var bestPrio IPL = -1
 	now := c.m.Eng.Now()
@@ -581,11 +586,16 @@ func (c *CPU) takeDeliverable() (Vector, bool) {
 			best, bestPrio = v, c.m.prio[v]
 		}
 	}
-	if best < 0 {
-		return 0, false
+	return best, best >= 0
+}
+
+// takeDeliverable dequeues the highest-priority deliverable pending vector.
+func (c *CPU) takeDeliverable() (Vector, bool) {
+	v, ok := c.deliverable()
+	if ok {
+		c.pending[v] = false
 	}
-	c.pending[best] = false
-	return best, true
+	return v, ok
 }
 
 // tableFor resolves the translation root and ASID for a virtual address.
@@ -685,20 +695,20 @@ func (l *SpinLock) breakIfOwnerDead(m *Machine) bool {
 func (l *SpinLock) Lock(ex *Exec) IPL {
 	prev := ex.RaiseIPL(l.MinIPL)
 	ex.charge(ex.m().costs.LockAcquire)
-	tr := ex.m().Tracer()
 	t0 := ex.Now()
-	for spun := false; l.held && !l.breakIfOwnerDead(ex.m()); spun = true {
-		if !spun {
-			tr.Emit(trace.KindLockSpin, int64(ex.Now()), ex.CPUID(), l.Name, 0, 0)
-		}
-		ex.Advance(ex.m().costs.SpinCheck)
-	}
-	tr.Emit(trace.KindLockAcquire, int64(ex.Now()), ex.CPUID(), l.Name, int64(ex.Now()-t0), 0)
+	ex.spin(nil, l, never)
+	l.take(ex, t0)
+	return prev
+}
+
+// take records the caller as the lock's owner, its wait having begun at
+// t0. Lock, TryLock and Exec.Poll acquire through it.
+func (l *SpinLock) take(ex *Exec, t0 sim.Time) {
+	ex.m().Tracer().Emit(trace.KindLockAcquire, int64(ex.Now()), ex.CPUID(), l.Name, int64(ex.Now()-t0), 0)
 	l.held = true
 	l.owner = ex.CPUID()
 	l.ownerInc = ex.cpu.incarnation
 	l.heldAt = ex.Now()
-	return prev
 }
 
 // TryLock takes the lock if it is free, without spinning and without
@@ -710,16 +720,20 @@ func (l *SpinLock) TryLock(ex *Exec) bool {
 	if l.held && !l.breakIfOwnerDead(ex.m()) {
 		return false
 	}
-	ex.m().Tracer().Emit(trace.KindLockAcquire, int64(ex.Now()), ex.CPUID(), l.Name, 0, 0)
-	l.held = true
-	l.owner = ex.CPUID()
-	l.ownerInc = ex.cpu.incarnation
-	l.heldAt = ex.Now()
+	l.take(ex, ex.Now())
 	return true
 }
 
 // Unlock releases the lock and restores the saved IPL.
 func (l *SpinLock) Unlock(ex *Exec, prev IPL) {
+	l.mustOwn(ex)
+	ex.charge(ex.m().costs.LockRelease)
+	l.release(ex)
+	ex.RestoreIPL(prev)
+}
+
+// mustOwn panics unless the caller's CPU holds the lock.
+func (l *SpinLock) mustOwn(ex *Exec) {
 	if !l.held {
 		panic(fmt.Sprintf("machine: unlock of unheld lock %q", l.Name))
 	}
@@ -727,19 +741,23 @@ func (l *SpinLock) Unlock(ex *Exec, prev IPL) {
 		panic(fmt.Sprintf("machine: lock %q unlocked by cpu %d, held by cpu %d",
 			l.Name, ex.CPUID(), l.owner))
 	}
-	ex.charge(ex.m().costs.LockRelease)
-	ex.m().Tracer().Emit(trace.KindLockRelease, int64(ex.Now()), ex.CPUID(), l.Name, int64(ex.Now()-l.heldAt), 0)
-	l.held = false
-	ex.RestoreIPL(prev)
 }
 
-// Held reports whether the lock is currently held by anyone. The shootdown
-// responder spins on this without acquiring.
-func (l *SpinLock) Held() bool { return l.held }
+// release frees the lock, recording how long it was held. Unlock and
+// Exec.Poll release through it.
+func (l *SpinLock) release(ex *Exec) {
+	ex.m().Tracer().Emit(trace.KindLockRelease, int64(ex.Now()), ex.CPUID(), l.Name, int64(ex.Now()-l.heldAt), 0)
+	l.held = false
+}
+
+// Holds reports whether the lock is currently held by anyone. It makes a
+// lock a spin condition: SpinWhile(&l) waits for l to be free without
+// acquiring it.
+func (l *SpinLock) Holds() bool { return l.held }
 
 // Owner returns the holding CPU and its incarnation at acquisition, with
 // held=false when the lock is free. Snapshot capture uses this; protocol
-// code should use Held/HeldLive.
+// code should use Holds/HeldLive.
 func (l *SpinLock) Owner() (cpu int, inc uint64, held bool) {
 	if !l.held {
 		return 0, 0, false

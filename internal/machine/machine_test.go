@@ -445,7 +445,7 @@ func TestSpinLockMutualExclusionAndIPL(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if lock.Held() {
+	if lock.Holds() {
 		t.Fatal("lock leaked")
 	}
 }

@@ -293,7 +293,7 @@ func (pm *Pmap) snap() PmapSnap {
 }
 
 // Locked implements core.Pmap.
-func (pm *Pmap) Locked() bool { return pm.lock.Held() }
+func (pm *Pmap) Locked() bool { return pm.lock.Holds() }
 
 // UpdateInProgress implements core.Pmap: the lock is held by a processor
 // that is still alive in the incarnation that acquired it. A fail-stopped
@@ -546,7 +546,7 @@ func (pm *Pmap) Activate(ex *machine.Exec, cpu int) {
 	}
 	pm.sys.stats.Activations++
 	for {
-		ex.SpinWhile(pm.lock.Held)
+		ex.SpinWhile(&pm.lock)
 		s := ex.DisableAll()
 		if pm.lock.TryLock(ex) {
 			pm.sys.M.CPU(cpu).SetUserTable(pm.Table, pm.asid)

@@ -50,3 +50,42 @@ func BenchmarkSimEngineHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// ticks is a Stepper that sleeps d, n times.
+type ticks struct {
+	n int
+	d sim.Time
+}
+
+func (t *ticks) Step(sim.Time) (sim.Time, bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	t.n--
+	return t.d, true
+}
+
+// BenchmarkSimEngineRepeat measures one loop step: the engine runs a
+// Repeat loop's Step on its own stack, with no coroutine switch. As in
+// BenchmarkSimEngineHandoff, two procs take turns among 16 chaos
+// sleepers, here each in a Repeat loop, so every step is a loop step.
+func BenchmarkSimEngineRepeat(b *testing.B) {
+	eng := sim.New(sim.WithChaos(1))
+	for i := 0; i < 16; i++ {
+		eng.Spawn("sleeper", func(p *sim.Proc) { p.Sleep(1 << 50) })
+	}
+	if err := eng.RunUntil(0); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		eng.Spawn(fmt.Sprintf("loop%d", i), func(p *sim.Proc) {
+			p.Sleep(sim.Time(i))
+			p.Repeat(&ticks{n: (b.N - i + 1) / 2, d: 2})
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := eng.RunUntil(1 << 49); err != nil {
+		b.Fatal(err)
+	}
+}

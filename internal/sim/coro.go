@@ -2,11 +2,7 @@
 
 package sim
 
-import (
-	"fmt"
-	"iter"
-	"runtime/debug"
-)
+import "iter"
 
 // start makes fn p's body, run as an iter.Pull coroutine that has not
 // started yet: the engine's first p.next() enters fn, each p.yield in
@@ -20,7 +16,12 @@ func (p *Proc) start(fn func(*Proc)) {
 		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
-				p.panicked = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+				p.eng.stepping = false
+				if sp, ok := r.(stepPanic); ok {
+					p.panicked = sp.err
+				} else {
+					p.panicked = panicError(p, r)
+				}
 			}
 		}()
 		fn(p)

@@ -13,7 +13,10 @@
 // trip. A proc keeps its run-heap slot while it runs, and a Sleep that
 // leaves it the unique next proc to run continues in place, doing the
 // engine's step bookkeeping itself instead of switching out and straight
-// back (DESIGN.md §18). iter needs go1.23 while go.mod stays at go 1.22
+// back. A wait loop written as a Stepper and run with Proc.Repeat goes
+// further: once the proc has yielded, the engine calls its Step on its
+// own stack at each wake-up and resumes the coroutine only when the loop
+// ends (DESIGN.md §18). iter needs go1.23 while go.mod stays at go 1.22
 // (the bench module pins go 1.22 and builds against this one), so coro.go
 // alone carries a go1.23 build constraint; building the package takes a
 // go1.23 or newer toolchain.
@@ -34,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -106,6 +110,11 @@ type Proc struct {
 	waitReason string
 	waitOn     []*Proc
 
+	// loop is the Stepper of the Repeat the proc yielded from: while it
+	// is set, run calls its Step at each wake-up instead of resuming the
+	// coroutine, and clears it when the loop ends.
+	loop Stepper
+
 	// next resumes the body until its next Sleep or Block (true) or its
 	// end (false); yield, called from inside the body, suspends it and
 	// returns control to next's caller. Both are set by start (coro.go).
@@ -153,9 +162,14 @@ type Engine struct {
 	// proc next.
 	limit     Time   //snap:transient set by every Run call
 	stepLimit uint64 //snap:transient set by every Run call
-	// inlineSteps counts the resumptions Sleep began in place, without a
-	// coroutine switch.
+	// inlineSteps counts the resumptions Sleep and Repeat began in place,
+	// without a coroutine switch; loopSteps counts those run served by
+	// calling a Repeat loop's Step on its own stack, also without one.
 	inlineSteps uint64 //snap:transient host-cost counter; in-place and switched steps are the same event
+	loopSteps   uint64 //snap:transient host-cost counter; loop steps and switched steps are the same event
+	// stepping is set while a Stepper's Step runs, so Sleep and Block can
+	// refuse to run inside one.
+	stepping bool //snap:transient set only within a step; snapshots are taken between steps
 
 	// step counts completed proc resumptions — the engine's monotone event
 	// cursor. Snapshots key on it: rebuilding a world from the same
@@ -284,10 +298,17 @@ func (e *Engine) RunUntilStep(n uint64) error { return e.run(-1, n) }
 // StepCount returns the number of proc resumptions completed so far.
 func (e *Engine) StepCount() uint64 { return e.step }
 
-// InlineSteps returns how many of the resumptions so far Sleep began in
-// place, without a coroutine switch; the rest were switched. Either kind
-// is one step of StepCount.
+// InlineSteps returns how many of the resumptions so far began in place,
+// in Sleep or a Repeat loop, without a coroutine switch. Each kind of
+// resumption is one step of StepCount.
 func (e *Engine) InlineSteps() uint64 { return e.inlineSteps }
+
+// LoopSteps returns how many of the resumptions so far run served by
+// calling a Repeat loop's Step on its own stack, without a coroutine
+// switch. A wake-up whose Step ends the loop is not one: run switches to
+// the coroutine to return from Repeat. Steps neither in place nor loop
+// steps were switched.
+func (e *Engine) LoopSteps() uint64 { return e.loopSteps }
 
 // ChaosDraws returns the number of draws consumed from the chaos stream.
 func (e *Engine) ChaosDraws() uint64 { return e.chaosDraws }
@@ -312,7 +333,13 @@ func (e *Engine) run(limit Time, stepLimit uint64) error {
 				e.maxTime, top.wake, top.name, e.WaitGraph())
 		}
 		p := e.pick()
+		from := p.clock
 		e.enter(p)
+		if p.loop != nil && e.loopStep(p, p.clock-from) {
+			e.cur = nil
+			e.step++
+			continue
+		}
 		_, suspended := p.next()
 		e.cur = nil
 		e.step++
@@ -352,6 +379,38 @@ func (e *Engine) enter(p *Proc) {
 	p.state = StateRunning
 	e.cur = p
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "run", 0, 0)
+}
+
+// loopStep runs the Repeat loop p yielded from on the engine's stack,
+// from a wake-up that slept slept, and reports whether p sleeps again.
+// Otherwise the loop is over and run resumes the coroutine, which
+// returns from Repeat; a panic in Step is handed to the coroutine to
+// raise there, so it ends p as it would have in the literal loop.
+func (e *Engine) loopStep(p *Proc, slept Time) (asleep bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.stepping = false
+			p.loop = nil
+			p.panicked = panicError(p, r)
+			asleep = false
+		}
+	}()
+	if d, more := e.callStep(p.loop, slept); more {
+		e.loopSteps++
+		if p.loopOn(p.loop, d) {
+			return true
+		}
+	}
+	p.loop = nil
+	return false
+}
+
+// callStep calls s.Step, marking the engine as inside a Step meanwhile.
+func (e *Engine) callStep(s Stepper, slept Time) (Time, bool) {
+	e.stepping = true
+	d, more := s.Step(slept)
+	e.stepping = false
+	return d, more
 }
 
 // resumesNext reports whether run, were p to yield now from Sleep, would
@@ -489,6 +548,9 @@ func (p *Proc) mustBeCurrent(op string) {
 	if p.eng.cur != p {
 		panic(fmt.Sprintf("sim: %s called on proc %q which is not running (state %v)", op, p.name, p.state))
 	}
+	if p.eng.stepping {
+		panic(fmt.Sprintf("sim: %s called from inside a Stepper's Step on proc %q; Step must return its next sleep instead", op, p.name))
+	}
 }
 
 // Sleep advances the proc's clock by up to d, letting every proc due
@@ -497,6 +559,19 @@ func (p *Proc) mustBeCurrent(op string) {
 // does not advance time but lets the other procs due now run first.
 func (p *Proc) Sleep(d Time) Time {
 	p.mustBeCurrent("Sleep")
+	e := p.eng
+	start := p.sleep(d)
+	if e.resumesNext(p) {
+		e.resumeInPlace(p)
+	} else {
+		p.yield(struct{}{})
+	}
+	return p.clock - start
+}
+
+// sleep schedules the running proc to wake d after its clock, which it
+// returns: Sleep's bookkeeping, shared with Repeat and run's loop steps.
+func (p *Proc) sleep(d Time) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %d on proc %q", d, p.name))
 	}
@@ -505,17 +580,78 @@ func (p *Proc) Sleep(d Time) Time {
 	p.preempted = false
 	e.tracer.Instant(int64(start), p.id, trace.CatSim, "sleep", int64(d), 0)
 	e.schedule(p, start+d)
-	if e.resumesNext(p) {
-		// Yielding would only make run switch straight back here: end
-		// this step and begin the next in place, as run would.
-		e.step++
-		e.inlineSteps++
-		e.enter(p)
-	} else {
-		p.yield(struct{}{})
-	}
-	return p.clock - start
+	return start
 }
+
+// resumeInPlace ends the step of p, which has just slept and would be
+// run's next pick (resumesNext), and begins the next one as run would:
+// yielding would only make run switch straight back.
+func (e *Engine) resumeInPlace(p *Proc) {
+	e.step++
+	e.inlineSteps++
+	e.enter(p)
+}
+
+// Stepper is a wait loop written as its step function. Step is given how
+// long the previous sleep lasted (0 on the first call; less than asked
+// if the proc was preempted) and returns the next sleep, or more=false
+// once the loop is over.
+type Stepper interface {
+	Step(slept Time) (d Time, more bool)
+}
+
+// Repeat runs s to its end. It behaves exactly like
+//
+//	for d, more := s.Step(0); more; d, more = s.Step(p.Sleep(d)) {}
+//
+// with the same steps, sequence numbers, tie draws and trace events;
+// only the host stack Step runs on differs. Once the proc has yielded,
+// the engine calls Step at each wake-up on its own stack and resumes the
+// proc's coroutine only when Step ends the loop, so a loop's wake-ups
+// cost no coroutine switch. Step must only compute: Sleep or Block
+// called from inside it panics. A panic in Step ends the proc with that
+// panic, as it would in the loop above.
+func (p *Proc) Repeat(s Stepper) {
+	p.mustBeCurrent("Repeat")
+	if d, more := p.eng.callStep(s, 0); !more || !p.loopOn(s, d) {
+		return
+	}
+	p.loop = s
+	p.yield(struct{}{})
+	// run ran the rest of the loop, or caught Step's panic.
+	if err := p.panicked; err != nil {
+		p.panicked = nil
+		panic(stepPanic{err})
+	}
+}
+
+// loopOn sleeps d for s and, while each wake-up continues in place as
+// Sleep's would (resumesNext), runs s on, on whichever stack calls it.
+// It reports whether p is left asleep with the loop unfinished, for the
+// caller to yield to run or, in run, to return.
+func (p *Proc) loopOn(s Stepper, d Time) (asleep bool) {
+	e := p.eng
+	for more := true; more; {
+		start := p.sleep(d)
+		if !e.resumesNext(p) {
+			return true
+		}
+		e.resumeInPlace(p)
+		d, more = e.callStep(s, p.clock-start)
+	}
+	return false
+}
+
+// panicError is the error a proc that panicked with r ends with. Called
+// while the panic unwinds, it captures the panicking stack.
+func panicError(p *Proc, r any) error {
+	return fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+}
+
+// stepPanic carries a panic that Step raised on the engine's stack into
+// the proc's coroutine, where start's recover turns it back into the
+// proc's panic error.
+type stepPanic struct{ err error }
 
 // Block parks the proc until another proc calls Wake on it.
 func (p *Proc) Block() {

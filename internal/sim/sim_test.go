@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSingleProcAdvancesTime(t *testing.T) {
@@ -565,9 +566,12 @@ func TestKillExcludesFromLiveProcs(t *testing.T) {
 // TestFinishedProcsReleaseTheirGoroutines pins the coroutine lifecycle: a
 // body that returns ends its sequence function, so its goroutine exits.
 // A body whose end were yielded instead would stay parked forever, one
-// goroutine per finished proc.
+// goroutine per finished proc. Goroutines exit asynchronously (an earlier
+// test's goroutine may still be on its way out), so the baseline is taken
+// once the count has held still for a while, and the final count gets a
+// bounded while to fall back to it; it must then equal it exactly.
 func TestFinishedProcsReleaseTheirGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	e := New()
 	for i := 0; i < 100; i++ {
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -581,9 +585,29 @@ func TestFinishedProcsReleaseTheirGoroutines(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := runtime.NumGoroutine(); got != base {
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); got != base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	if got != base {
 		t.Fatalf("%d goroutines after all 100 procs finished, want the baseline %d", got, base)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 ms, or after 5 s.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline, still := time.Now().Add(5*time.Second), 0; still < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 // TestPanicAfterSleepsNamesProcAndStack checks that a panic deep into a

@@ -390,22 +390,35 @@ func alternating(e *Engine) {
 	}
 }
 
-// TestEngineStepAllocatesNothing pins that an engine step, in place or
-// switched, allocates nothing on the host, among 16 chaos sleepers.
+// alternatingLoops is alternating with each proc's sleeps run as a
+// Repeat loop: every step is a loop step, served on the engine's stack.
+func alternatingLoops(e *Engine) {
+	for i := 0; i < 2; i++ {
+		e.Spawn(fmt.Sprintf("loop%d", i), func(p *Proc) {
+			p.Sleep(Time(i))
+			p.Repeat(&countdown{n: 1 << 16, d: 2})
+		})
+	}
+}
+
+// TestEngineStepAllocatesNothing pins that an engine step, in place,
+// switched or a loop step, allocates nothing on the host, among 16 chaos
+// sleepers.
 func TestEngineStepAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		inPlace bool
-		spawn   func(e *Engine)
+		name          string
+		inPlace, loop bool
+		spawn         func(e *Engine)
 	}{
-		{"in-place", true, func(e *Engine) {
+		{"in-place", true, false, func(e *Engine) {
 			e.Spawn("ticker", func(p *Proc) {
 				for i := 0; i < 1<<16; i++ {
 					p.Sleep(1)
 				}
 			})
 		}},
-		{"handoff", false, alternating},
+		{"handoff", false, false, alternating},
+		{"loop", false, true, alternatingLoops},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := queuedEngine(t, 16, true)
@@ -421,12 +434,15 @@ func TestEngineStepAllocatesNothing(t *testing.T) {
 				}
 			}
 			step() // let the run heap's scratch reach its final size
-			inline := e.InlineSteps()
+			inline, loop := e.InlineSteps(), e.LoopSteps()
 			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 				t.Errorf("%v allocations per %d steps, want 0", allocs, steps)
 			}
 			if inPlace := e.InlineSteps() > inline; inPlace != tc.inPlace {
 				t.Errorf("steps continued in place: %v, want %v", inPlace, tc.inPlace)
+			}
+			if looped := e.LoopSteps()-loop == 51*steps; looped != tc.loop {
+				t.Errorf("%d of %d steps were loop steps; want all: %v", e.LoopSteps()-loop, 51*steps, tc.loop)
 			}
 		})
 	}
