@@ -207,17 +207,21 @@ func (t *Thread) maybeResched() {
 	}
 }
 
+// reschedPending is a thread as the condition that the timer has marked
+// its quantum expired: Compute's slices stop for it.
+type reschedPending Thread
+
+func (r *reschedPending) Holds() bool { return r.needResched }
+
 // Compute burns d of virtual CPU time, checking for preemption at ~100 µs
-// boundaries.
+// boundaries. Only the timer handler, run at a slice's delivery points,
+// marks the quantum expired, so the slices between preemptions run as
+// one loop on the engine's stack. A preemption may move the thread to
+// another CPU, so each run of slices starts from the current t.ex.
 func (t *Thread) Compute(d sim.Time) {
 	const chunk = 100_000
 	for d > 0 {
-		step := d
-		if step > chunk {
-			step = chunk
-		}
-		t.ex.Advance(step)
-		d -= step
+		d = t.ex.AdvanceChunks(d, chunk, (*reschedPending)(t))
 		t.maybeResched()
 	}
 }

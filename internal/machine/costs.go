@@ -139,7 +139,7 @@ func DefaultCosts() Costs {
 }
 
 // jitter perturbs a cost by ±JitterPct using the machine's seeded RNG.
-func (c Costs) jitter(rng *rand.Rand, t sim.Time) sim.Time {
+func (c *Costs) jitter(rng *rand.Rand, t sim.Time) sim.Time {
 	if c.JitterPct <= 0 || t == 0 {
 		return t
 	}

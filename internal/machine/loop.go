@@ -23,12 +23,12 @@ type IdleQueue interface {
 	Ready() bool
 }
 
-// The processor's wait loops — bus stalls, spins and idle polls — run
-// as sim.Steppers in their CPU's one loop slot, so the engine steps
-// them at each wake-up without resuming the execution context's
-// coroutine (sim.Proc.Repeat). Each loop is written once, here, and
-// charges exactly the sleeps, bus transactions, jitter draws and trace
-// events of the straight-line code it replaces.
+// The processor's loops — bus stalls, spins, idle polls and chunked
+// advances — run as sim.Steppers in their CPU's one loop slot, so the
+// engine steps them at each wake-up without resuming the execution
+// context's coroutine (sim.Proc.Repeat). Each loop is written once,
+// here, and charges exactly the sleeps, bus transactions, jitter draws
+// and trace events of the straight-line code it replaces.
 //
 // An interrupt is the only thing a loop cannot do on the engine's stack.
 // At every point where the straight-line code would call deliver, Step
@@ -43,9 +43,10 @@ type IdleQueue interface {
 type loopKind uint8
 
 const (
-	loopBus  loopKind = iota // Exec.busStall
-	loopSpin                 // Exec.SpinWhile, SpinWhileFor, SpinLock.Lock's spin
-	loopPoll                 // Exec.Poll
+	loopBus   loopKind = iota // Exec.busStall
+	loopSpin                  // Exec.SpinWhile, SpinWhileFor, SpinLock.Lock's spin
+	loopPoll                  // Exec.Poll
+	loopChunk                 // Exec.AdvanceChunks
 )
 
 // loopPhase is where a loop resumes once its current sleep is over.
@@ -59,9 +60,10 @@ const (
 	phPollSpin                     // acquisition charged: spin until the lock is free
 	phPollTake                     // lock free: take it and test the queue
 	phPollRelease                  // release charged: drop the lock and lower the IPL
+	phChunkSliced                  // a slice is charged and its trailing delivery done
 )
 
-// loop is a CPU's loop slot, one sim.Stepper for all three kinds.
+// loop is a CPU's loop slot, one sim.Stepper for all four kinds.
 type loop struct {
 	ex       *Exec
 	kind     loopKind
@@ -77,6 +79,7 @@ type loop struct {
 
 	// A spin tests cond, or for a lock acquisition lock (held by a live
 	// owner), until deadline; checks numbers the test in progress from 1.
+	// A chunked advance tests cond, its stop condition, after each slice.
 	cond     Cond
 	lock     *SpinLock
 	checks   int
@@ -88,6 +91,9 @@ type loop struct {
 	tick     sim.Time
 	waitFrom sim.Time
 	prev     IPL
+
+	// A chunked advance charges left in slices of at most tick.
+	left sim.Time
 }
 
 // newLoop resets the CPU's loop slot for a loop of the given kind.
@@ -211,6 +217,15 @@ func (l *loop) Step(slept sim.Time) (sim.Time, bool) {
 			// The lowering's delivery point and the tick's first one are
 			// the same instant: the check below serves both.
 			l.d, l.irq, l.phase = l.tick, true, phPollTop
+
+		case phChunkSliced:
+			l.left -= min(l.left, l.tick)
+			if l.left == 0 || l.cond.Holds() {
+				return l.stop(false)
+			}
+			// The next slice's leading delivery point is the trailing one
+			// just passed, so the check below finds nothing new.
+			l.d = min(l.left, l.tick)
 		}
 		// Begin the sleep the phase set up: an Advance delivers before it
 		// sleeps; a zero sleep goes straight on to the next phase.
@@ -299,4 +314,17 @@ func (ex *Exec) Poll(l *SpinLock, q IdleQueue, tick sim.Time) (prev IPL, ok bool
 	lp.lock, lp.queue, lp.tick, lp.deadline = l, q, tick, never
 	lp = ex.runLoop()
 	return lp.prev, lp.phase == phPollTake
+}
+
+// AdvanceChunks charges d as a run of Advance(min(left, chunk)) slices,
+// where left is what is still to charge, and returns left: 0 once d is
+// all charged, or what remains when stop holds after a slice. stop is
+// tested only between slices, once a slice is charged and its trailing
+// delivery point is past, so it sees what that slice's handlers did; the
+// first slice runs whatever stop says.
+func (ex *Exec) AdvanceChunks(d, chunk sim.Time, stop Cond) (left sim.Time) {
+	l := ex.newLoop(loopChunk, phChunkSliced)
+	l.cond, l.tick, l.left = stop, chunk, d
+	l.d, l.irq = min(d, chunk), true
+	return ex.runLoop().left
 }

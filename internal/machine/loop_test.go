@@ -68,16 +68,29 @@ func refPoll(ex *Exec, l *SpinLock, q IdleQueue, tick sim.Time) (IPL, bool) {
 	return 0, false
 }
 
+func refAdvanceChunks(ex *Exec, d, chunk sim.Time, stop Cond) sim.Time {
+	for d > 0 {
+		slice := min(d, chunk)
+		ex.Advance(slice)
+		d -= slice
+		if d > 0 && stop.Holds() {
+			return d
+		}
+	}
+	return 0
+}
+
 // loops is one implementation of the wait loops a scenario runs.
 type loops struct {
-	spinWhile func(ex *Exec, c Cond)
-	poll      func(ex *Exec, l *SpinLock, q IdleQueue, tick sim.Time) (IPL, bool)
-	busStall  func(ex *Exec, site string, n int)
+	spinWhile     func(ex *Exec, c Cond)
+	poll          func(ex *Exec, l *SpinLock, q IdleQueue, tick sim.Time) (IPL, bool)
+	busStall      func(ex *Exec, site string, n int)
+	advanceChunks func(ex *Exec, d, chunk sim.Time, stop Cond) sim.Time
 }
 
 var (
-	machineLoops   = loops{(*Exec).SpinWhile, (*Exec).Poll, (*Exec).busStall}
-	referenceLoops = loops{refSpinWhile, refPoll, refBusStall}
+	machineLoops   = loops{(*Exec).SpinWhile, (*Exec).Poll, (*Exec).busStall, (*Exec).AdvanceChunks}
+	referenceLoops = loops{refSpinWhile, refPoll, refBusStall, refAdvanceChunks}
 )
 
 // flagCond holds while its flag is set.
@@ -91,6 +104,19 @@ type countCond struct{ n int }
 func (c *countCond) Holds() bool {
 	c.n--
 	return c.n >= 0
+}
+
+// markCond is a chunked advance's stop condition, set by a timer
+// handler as the kernel's quantum expiry is; it logs every test.
+type markCond struct {
+	set  bool
+	m    *Machine
+	logf func(string, ...any)
+}
+
+func (c *markCond) Holds() bool {
+	c.logf("stop tested at %d: %v", c.m.Eng.Now(), c.set)
+	return c.set
 }
 
 // testQueue is an IdleQueue driven by the scenario.
@@ -155,6 +181,37 @@ var loopScenarios = []struct {
 			ex.SendIPI([]int{0})
 			ex.Advance(100_000)
 			q.stopping = true
+		})
+	}},
+	{"chunks", func(m *Machine, lp loops, logf func(string, ...any)) {
+		c := &markCond{m: m, logf: logf}
+		m.SetHandler(VecTimer, func(ex *Exec, v Vector) {
+			logf("timer handler on cpu%d at %d", ex.CPUID(), ex.Now())
+			c.set = true
+		})
+		spawnOn(m, "computer", 0, func(ex *Exec) {
+			ex.Advance(1_000) // slices end at 101 µs, 201 µs, ... until a handler runs
+			left := sim.Time(950_000)
+			for i := 0; left > 0; i++ {
+				left = lp.advanceChunks(ex, left, 100_000, c)
+				logf("chunks left %d at %d", left, ex.Now())
+				// The first return leaves stop holding: the next call
+				// still runs one slice.
+				if i > 0 {
+					c.set = false
+				}
+			}
+			ex.Advance(1_000)
+		})
+		spawnOn(m, "poster", 1, func(ex *Exec) {
+			ex.Advance(98_000)
+			m.Post(0, VecTimer) // its nudge lands after the first slice: delivered at the boundary
+			ex.Advance(60_000)
+			ex.SendIPI([]int{0}) // masked by the timer handler: delivered at the same boundary
+			ex.Advance(200_000)
+			ex.SendIPI([]int{0}) // mid-slice
+			ex.Advance(10_000)
+			m.Post(0, VecTimer) // mid-slice, while the IPI's handler runs: stop holds at the slice's end
 		})
 	}},
 	{"bus", func(m *Machine, lp loops, logf func(string, ...any)) {
@@ -240,10 +297,13 @@ func runLoopScenario(t *testing.T, scenario func(*Machine, loops, func(string, .
 }
 
 // TestLoopsMatchReference posts IPIs to a CPU mid-SpinWhile, mid-idle-
-// poll (mid-tick, and while the poll spins masked on its lock) and
-// mid-bus-stall, and checks that every handler runs at the same virtual
-// time, and the whole trace-event sequence is the same, as when the CPU
-// runs the straight-line reference loop. The machine's loops must also
+// poll (mid-tick, and while the poll spins masked on its lock), mid-
+// bus-stall and into a chunked advance (mid-slice and at a slice
+// boundary, with timer handlers that make its stop condition hold, and
+// a call entered with stop already holding), and checks that every
+// handler runs at the same virtual time, and the whole trace-event
+// sequence is the same, as when the CPU runs the straight-line
+// reference loop. The machine's loops must also
 // have run steps on the engine's stack.
 func TestLoopsMatchReference(t *testing.T) {
 	for _, sc := range loopScenarios {

@@ -428,14 +428,11 @@ func (e *Engine) resumesNext(p *Proc) bool {
 // slot while it runs, until Sleep re-keys it or Block or its end removes
 // it.
 func (e *Engine) pick() *Proc {
-	if e.chaos == nil || len(e.runq) < 2 {
+	if e.chaos == nil || e.runq.rootAlone() {
 		return e.runq[0]
 	}
 	tied := e.runq.ties(e.tied[:0])
 	e.tied = tied
-	if len(tied) == 1 {
-		return tied[0]
-	}
 	slices.SortFunc(tied, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
 	// The chaos draw is consumed even when a forced choice overrides it, so
 	// the schedule after a forced prefix continues the base run's stream:
@@ -901,6 +898,13 @@ func (h *runHeap) push(p *Proc) {
 	p.heapIdx = len(*h)
 	*h = append(*h, p)
 	h.up(p.heapIdx)
+}
+
+// rootAlone reports whether no other proc shares the root's wake. Ties
+// form a subtree hanging from the root (see ties), so it is enough that
+// neither of the root's children does.
+func (h runHeap) rootAlone() bool {
+	return (len(h) < 2 || h[1].wake != h[0].wake) && (len(h) < 3 || h[2].wake != h[0].wake)
 }
 
 // ties appends to buf the procs whose wake equals the root's, in walk

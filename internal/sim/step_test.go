@@ -67,7 +67,8 @@ func bySeq(ps []*Proc) []*Proc {
 // TestTieWalkMatchesScan builds run heaps through Spawn, Preempt, Kill,
 // Wake and Sleep at a few wake times, so ties are everywhere, and checks
 // after every operation and every step that the walk from the root finds
-// the same seq-sorted tied set as a scan of the whole queue. It also
+// the same seq-sorted tied set as a scan of the whole queue, and that
+// pick skips the walk exactly when the scan finds a single proc. It also
 // checks that a Sleep only continues in place when no proc shares the
 // sleeper's wake, so no chaos draw is skipped.
 func TestTieWalkMatchesScan(t *testing.T) {
@@ -85,6 +86,9 @@ func TestTieWalkMatchesScan(t *testing.T) {
 			walk, scan := bySeq(e.runq.ties(nil)), bySeq(scanTies(e.runq))
 			if !slices.Equal(walk, scan) {
 				t.Fatalf("trial %d step %d: walk found %d tied procs, scan %d", trial, e.step, len(walk), len(scan))
+			}
+			if alone := e.runq.rootAlone(); alone != (len(scan) == 1) {
+				t.Fatalf("trial %d step %d: pick's fast path %v with %d tied procs", trial, e.step, alone, len(scan))
 			}
 			maxTied = max(maxTied, len(scan))
 		}
