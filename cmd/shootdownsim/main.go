@@ -6,23 +6,16 @@
 //
 //	shootdownsim [flags] <experiment>...
 //
-// Experiments: fig2, table1, table2, table3, table4, overhead, perturb,
-// scale, strategies, ipimodes, highprio, idleopt, threshold, queue,
-// taggedtlb, pools, pageout, faults, chaos, devices, explore, timetravel,
-// profile, all.
+// The experiments are the entries of experiments.Catalog — Figure 2,
+// Tables 1-4, §6.1, §8, the §9 ablations, and this repository's
+// extensions, robustness campaigns and profiles — plus "all", which runs
+// every one; `shootdownsim -h` lists them.
 //
 // -faults injects deterministic hardware faults (dropped/delayed IPIs, slow
 // responders, bus jitter) into every kernel; -failstop and -hotplug add
 // processor fail-stop and hot-plug faults; -oracle attaches an independent
 // TLB-consistency checker that fails a run if any stale translation is
-// granted. The faults experiment runs a full campaign of fault scenarios
-// against the watchdog-hardened protocol; the chaos experiment runs
-// fail-stop/hot-plug schedules against a churn workload and delta-debugs
-// any failing schedule into a minimal reproducer, replayable with -repro.
-// The explore experiment forks the schedule at racy shootdown tie decisions
-// (DPOR-lite) hunting for interleaving-dependent violations; timetravel
-// snapshots a run mid-flight and proves replay-based restore is
-// byte-identical.
+// granted. -repro replays a minimized reproducer from a chaos campaign.
 //
 // -trace captures a Chrome trace-event (Perfetto) session timeline of every
 // kernel the experiments build; -metrics writes a Prometheus-style counter
@@ -35,9 +28,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"shootdown/internal/experiments"
 	"shootdown/internal/fault"
@@ -46,130 +41,84 @@ import (
 	"shootdown/internal/sim"
 )
 
-var (
-	seed      = flag.Int64("seed", 42, "simulation seed (jitter, scheduling, workload randomness)")
-	runs      = flag.Int("runs", 10, "runs per data point for the fig2/scale sweeps")
-	format    = flag.String("format", "table", "result output format: table, json, or csv")
-	faults    = flag.String("faults", "", `fault-injection spec applied to every kernel, e.g. "drop=0.1,delay=0.2,delaymax=2ms" (keys: drop, delay, delaymax, slow, slowmax, stuck, stuckfor, spurious, jitter, jittermax, failstop, failby, revive, reviveafter; "none" disables). The faults experiment adds this as a custom scenario.`)
-	oracleOn  = flag.Bool("oracle", false, "attach the independent TLB-consistency oracle to every kernel; any stale translation granted fails the run")
-	failstop  = flag.Bool("failstop", false, `processor fail-stop faults in every kernel (shorthand for -faults "failstop=0.9,failby=8ms"); failed CPUs stay down`)
-	hotplug   = flag.Bool("hotplug", false, `fail-stop plus hot-plug: failed CPUs revive with a cold TLB (shorthand for -faults "failstop=0.9,failby=8ms,revive=1,reviveafter=4ms")`)
-	repro     = flag.String("repro", "", "replay a minimized chaos reproducer JSON file (from the chaos or devices experiments or testdata corpus) and exit; exits non-zero if the replay diverges from the recorded verdict")
-	chaosbug  = flag.Bool("chaosbug", false, "plant the intentional stale-translation bug in the chaos and devices experiments' runs (stale-TLB-after-revive and skip-dev-inval respectively), so the campaigns fail on purpose (pair with -flight to exercise the black-box path end to end)")
-	devices   = flag.Int("devices", 2, "device-TLB count for the devices experiment's DMA-streaming workload")
-	devfault  = flag.String("devfaults", "", `extra device-fault spec run as a custom scenario of the devices experiment, e.g. "devwedge=0.3,devstall=0.5,devstallmax=6ms" (keys: devstall, devstallmax, devdrop, devwedge, devreorder)`)
-	budget    = flag.Int("explorebudget", 24, "schedule budget for the explore experiment: max forked schedules; same budget and seed explore the byte-identical set")
-	travelAt  = flag.Duration("at", 5*time.Millisecond, "virtual-time instant the timetravel experiment snapshots and restores to")
-	hostout   = flag.String("hostcost", "", "write the hostcost experiment's host-cost/v1 JSON artifact to this file")
-	hostprofD = flag.String("hostprof", "", "also capture real cpu.pprof/heap.pprof profiles of the hostcost experiment into this directory")
-	commit    = flag.String("commit", "", "commit hash stamped into the hostcost artifact's provenance")
-)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// cli carries the shared -trace/-tracebuf/-metrics/-profile plumbing.
-var cli = experiments.CLI{Tool: "shootdownsim"}
-
-func init() { cli.RegisterFlags(flag.CommandLine, 1<<21) }
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: shootdownsim [flags] <experiment>...
-
-Reproduces the evaluation of the Mach TLB shootdown paper (ASPLOS 1989)
-on a simulated 16-processor Encore Multimax.
-
-experiments:
-  fig2        Figure 2: basic costs of TLB shootdown (1..15 processors)
-  table1      Table 1: effect of lazy evaluation (Mach build, Parthenon)
-  table2      Table 2: kernel pmap shootdowns, initiator side
-  table3      Table 3: user pmap shootdowns, initiator side
-  table4      Table 4: responder results
-  overhead    Section 8: machine-wide overhead per application
-  perturb     Section 6.1: instrumentation perturbation check
-  scale       Sections 8/11: scaling to larger machines (measured, not
-              just extrapolated)
-  strategies  Ablation: shootdown vs hardware remote-invalidate vs
-              postponed-IPI vs timer-flush
-  ipimodes    Ablation: unicast vs multicast vs broadcast interrupts
-  highprio    Ablation: high-priority software interrupt
-  idleopt     Ablation: idle-processor optimization
-  threshold   Ablation: invalidate-vs-flush threshold
-  queue       Ablation: consistency-action queue sizing
-  taggedtlb   Extension: ASID-tagged TLBs with lazy release (§10)
-  pools       Extension: processor pools for NUMA machines (§8)
-  pageout     Extension: pageout under memory pressure (§5)
-  faults      Robustness: fault-injection campaign (dropped/delayed IPIs,
-              slow/stuck responders) with watchdog recovery and the
-              TLB-consistency oracle
-  chaos       Robustness: processor fail-stop & hot-plug campaign against
-              the churn workload, with delta-debugging minimization of any
-              failing fault schedule (replay one with -repro)
-  devices     Robustness: IOMMU/device-TLB chaos campaign against the
-              DMA-streaming workload — stalled completions, deaf doorbells,
-              wedged queues, and CPU fail-stop during a device stall — with
-              the quarantine ladder armed and the stale-DMA oracle checking
-              every transfer (-devices sets the device count, -devfaults
-              adds a custom scenario)
-  explore     Robustness: DPOR-lite schedule explorer — fork the run at
-              every racy shootdown tie decision within -explorebudget,
-              replay each fork down the other branch, and shrink any
-              violation found via restore-to-prefix delta debugging
-  timetravel  Robustness: snapshot the hot-plug churn run at -at virtual
-              time, rebuild and replay a fresh world to the same event
-              boundary, and verify restore is byte-identical (then verify
-              both continuations match too)
-  profile     Observability: the Figure 2 workload under the virtual-time
-              profiler, every shootdown's critical path reconstructed and
-              its cost attributed to phases (pair with -profile <dir>)
-  hostcost    Observability: host-cost attribution — real wall time and
-              heap bytes of the simulator itself, every allocation charged
-              to the function and package that made it, phase by phase
-              (fig2, table1, snapshot). -hostcost <file> writes the
-              host-cost/v1 artifact; -hostprof <dir> adds cpu/heap pprof
-              profiles
-  all         everything above
-
-flags:
-`)
-	flag.PrintDefaults()
-}
-
-func main() {
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	if *repro != "" {
-		replayRepro(*repro)
-		return
+// run is the whole command: it parses argv, runs the named experiments,
+// and returns the exit status.
+func run(argv []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("shootdownsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed      = fs.Int64("seed", 42, "simulation seed (jitter, scheduling, workload randomness)")
+		runs      = fs.Int("runs", 10, "runs per data point of the sweeps (Figure 2, scaling, profiling)")
+		format    = fs.String("format", "table", "result output format: table, json, or csv")
+		faults    = fs.String("faults", "", `fault-injection spec applied to every kernel, e.g. "drop=0.1,delay=0.2,delaymax=2ms" (keys: drop, delay, delaymax, slow, slowmax, stuck, stuckfor, spurious, jitter, jittermax, failstop, failby, revive, reviveafter; "none" disables). The fault campaign adds this as a custom scenario.`)
+		oracleOn  = fs.Bool("oracle", false, "attach the independent TLB-consistency oracle to every kernel; any stale translation granted fails the run")
+		failstop  = fs.Bool("failstop", false, `processor fail-stop faults in every kernel (shorthand for -faults "failstop=0.9,failby=8ms"); failed CPUs stay down`)
+		hotplug   = fs.Bool("hotplug", false, `fail-stop plus hot-plug: failed CPUs revive with a cold TLB (shorthand for -faults "failstop=0.9,failby=8ms,revive=1,reviveafter=4ms")`)
+		repro     = fs.String("repro", "", "replay a minimized reproducer JSON file (from a chaos campaign or the testdata corpus) and exit; exits non-zero if the replay diverges from the recorded verdict")
+		chaosbug  = fs.Bool("chaosbug", false, "plant the intentional stale-translation bug in the fail-stop and device chaos campaigns' runs (stale-TLB-after-revive and skip-dev-inval respectively) and the schedule explorer's, so they fail on purpose (pair with -flight to exercise the black-box path end to end)")
+		devices   = fs.Int("devices", 2, "device-TLB count of the device chaos campaign's DMA-streaming workload")
+		devfault  = fs.String("devfaults", "", `extra device-fault spec run as a custom scenario of the device chaos campaign, e.g. "devwedge=0.3,devstall=0.5,devstallmax=6ms" (keys: devstall, devstallmax, devdrop, devwedge, devreorder)`)
+		budget    = fs.Int("explorebudget", 24, "schedule budget of the schedule explorer: max forked schedules; same budget and seed explore the byte-identical set")
+		travelAt  = fs.Duration("at", 5*time.Millisecond, "virtual-time instant the time-travel check snapshots and restores to")
+		hostout   = fs.String("hostcost", "", "write the host-cost attribution's host-cost/v1 JSON artifact to this file")
+		hostprofD = fs.String("hostprof", "", "also capture real cpu.pprof/heap.pprof profiles of the whole invocation (meant for host-cost attribution) into this directory")
+		commit    = fs.String("commit", "", "commit hash stamped into the host-cost artifact's provenance")
+	)
+	// cli carries the shared -trace/-tracebuf/-metrics/-profile plumbing.
+	cli := experiments.CLI{Tool: "shootdownsim"}
+	cli.RegisterFlags(fs, 1<<21)
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(argv); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "shootdownsim: "+format+"\n", a...)
+		return code
+	}
+	if *repro != "" {
+		return replayRepro(*repro, stdout, stderr)
+	}
+	names := fs.Args()
+	if len(names) == 0 {
+		fs.Usage()
+		return 2
 	}
 	switch *format {
 	case "table", "json", "csv":
 	default:
-		fmt.Fprintf(os.Stderr, "shootdownsim: unknown format %q (want table, json, or csv)\n", *format)
-		os.Exit(2)
+		return fail(2, "unknown format %q (want table, json, or csv)", *format)
+	}
+	known := map[string]bool{"all": true}
+	for _, e := range experiments.Catalog {
+		known[e.Name] = true
 	}
 	want := map[string]bool{}
-	for _, a := range args {
-		want[a] = true
+	for _, n := range names {
+		if !known[n] {
+			fmt.Fprintf(stderr, "shootdownsim: unknown experiment %q\n\n", n)
+			fs.Usage()
+			return 2
+		}
+		want[n] = true
 	}
-	all := want["all"]
 
 	// Observability hooks: one session tracer and one profiler shared by
 	// every kernel the experiments build, and a metrics snapshot of the
 	// last completed run.
 	inp, err := cli.Instrument()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shootdownsim: %v\n", err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
 	in := *inp
 	if *faults != "" {
 		fc, err := fault.ParseSpec(*faults)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "shootdownsim: -faults: %v\n", err)
-			os.Exit(2)
+			return fail(2, "-faults: %v", err)
 		}
 		fc.Seed = *seed
 		in.Faults = &fc
@@ -187,226 +136,110 @@ func main() {
 	}
 	in.Oracle = *oracleOn
 
-	// Wall clock injected into the shrink/explore campaigns: the simulated
-	// packages may not read real time themselves, so package main hands
-	// them a millisecond counter.
+	// The wall clock and the host sampler read real time, ReadMemStats
+	// and pprof — all banned inside the simulated packages — so package
+	// main constructs them and injects them.
 	progStart := time.Now()
-	wallMS := func() int64 { return time.Since(progStart).Milliseconds() }
-
-	// Tables 2-4 and the overhead analysis share one set of application
-	// runs; compute them lazily and only once.
-	var tables *experiments.TablesResult
-	getTables := func() (*experiments.TablesResult, error) {
-		if tables != nil {
-			return tables, nil
+	args := &experiments.Args{
+		Seed:          *seed,
+		Runs:          *runs,
+		In:            in,
+		PlantBug:      *chaosbug,
+		Devices:       *devices,
+		DevFaults:     *devfault,
+		ExploreBudget: *budget,
+		At:            sim.Time(*travelAt),
+		WallClock:     func() int64 { return time.Since(progStart).Milliseconds() },
+		Sampler:       hostprof.NewSampler(),
+		Commit:        *commit,
+	}
+	if *hostprofD != "" {
+		if err := args.Sampler.StartProfiles(*hostprofD); err != nil {
+			return fail(1, "-hostprof: %v", err)
 		}
-		r, err := experiments.Tables234(*seed, in)
-		if err != nil {
-			return nil, err
-		}
-		tables = &r
-		return tables, nil
-	}
-
-	type job struct {
-		name string
-		run  func() (any, string, error)
-	}
-	jobs := []job{
-		{"fig2", func() (any, string, error) {
-			r, err := experiments.Fig2(*seed, *runs, in)
-			return r, r.Render(), err
-		}},
-		{"table1", func() (any, string, error) {
-			r, err := experiments.Table1(*seed, in)
-			return r, r.Render(), err
-		}},
-		{"table2", func() (any, string, error) {
-			r, err := getTables()
-			if err != nil {
-				return nil, "", err
+		defer func() {
+			if err := args.Sampler.StopProfiles(); err != nil && code == 0 {
+				code = fail(1, "-hostprof: %v", err)
 			}
-			return r, r.RenderTable2(), nil
-		}},
-		{"table3", func() (any, string, error) {
-			r, err := getTables()
-			if err != nil {
-				return nil, "", err
-			}
-			return r, r.RenderTable3(), nil
-		}},
-		{"table4", func() (any, string, error) {
-			r, err := getTables()
-			if err != nil {
-				return nil, "", err
-			}
-			return r, r.RenderTable4(), nil
-		}},
-		{"overhead", func() (any, string, error) {
-			r, err := getTables()
-			if err != nil {
-				return nil, "", err
-			}
-			return r, r.RenderOverhead(), nil
-		}},
-		{"perturb", func() (any, string, error) {
-			r, err := experiments.Perturbation(*seed, in)
-			return r, r.Render(), err
-		}},
-		{"scale", func() (any, string, error) {
-			r, err := experiments.Scale(*seed, *runs, in)
-			return r, r.Render(), err
-		}},
-		{"strategies", func() (any, string, error) {
-			r, err := experiments.StrategyCompare(*seed, nil, in)
-			return r, r.Render(), err
-		}},
-		{"ipimodes", func() (any, string, error) {
-			r, err := experiments.IPIModes(*seed, nil, in)
-			return r, r.Render(), err
-		}},
-		{"highprio", func() (any, string, error) {
-			r, err := experiments.HighPriorityIPI(*seed, in)
-			return r, r.Render(), err
-		}},
-		{"idleopt", func() (any, string, error) {
-			r, err := experiments.IdleOpt(*seed, in)
-			return r, r.Render(), err
-		}},
-		{"threshold", func() (any, string, error) {
-			r, err := experiments.FlushThreshold(*seed, 16, in)
-			return r, r.Render(), err
-		}},
-		{"queue", func() (any, string, error) {
-			r, err := experiments.QueueSize(*seed, in)
-			return r, r.Render(), err
-		}},
-		{"taggedtlb", func() (any, string, error) {
-			r, err := experiments.TaggedTLB(*seed, in)
-			return r, r.Render(), err
-		}},
-		{"pools", func() (any, string, error) {
-			r, err := experiments.Pools(*seed, 8, in)
-			return r, r.Render(), err
-		}},
-		{"pageout", func() (any, string, error) {
-			r, err := experiments.Pageout(*seed, in)
-			return r, r.Render(), err
-		}},
-		{"faults", func() (any, string, error) {
-			r, err := experiments.FaultCampaign(*seed, in)
-			return r, r.Render(), err
-		}},
-		{"chaos", func() (any, string, error) {
-			r, err := experiments.ChaosCampaign(*seed,
-				experiments.ChaosOptions{Shrink: true, PlantBug: *chaosbug, WallClock: wallMS}, in)
-			return r, r.Render(), err
-		}},
-		{"devices", func() (any, string, error) {
-			r, err := experiments.DeviceChaosCampaign(*seed, experiments.DeviceChaosOptions{
-				Devices:   *devices,
-				Shrink:    true,
-				PlantBug:  *chaosbug,
-				ExtraSpec: *devfault,
-				WallClock: wallMS,
-			}, in)
-			return r, r.Render(), err
-		}},
-		{"explore", func() (any, string, error) {
-			r, err := experiments.ExploreCampaign(*seed,
-				experiments.ExploreOptions{Budget: *budget, PlantBug: *chaosbug, WallClock: wallMS})
-			return r, r.Render(), err
-		}},
-		{"timetravel", func() (any, string, error) {
-			r, err := experiments.TimeTravel(*seed, sim.Time(*travelAt), 0)
-			return r, r.Render(), err
-		}},
-		{"profile", func() (any, string, error) {
-			r, err := experiments.Profile(*seed, *runs, in)
-			return r, r.Render(), err
-		}},
-		{"hostcost", func() (any, string, error) {
-			// The sampler reads the real clock, ReadMemStats, the memory
-			// profile, and pprof — all banned inside the simulated
-			// packages — so package main constructs it and injects it,
-			// like the wall clock above.
-			sampler := hostprof.NewSampler()
-			if *hostprofD != "" {
-				if err := sampler.StartProfiles(*hostprofD); err != nil {
-					return nil, "", err
-				}
-			}
-			r, err := experiments.HostCost(*seed, experiments.HostCostOptions{
-				Sampler: sampler,
-				Commit:  *commit,
-			}, in)
-			if *hostprofD != "" {
-				if perr := sampler.StopProfiles(); perr != nil && err == nil {
-					err = perr
-				}
-			}
-			if err != nil {
-				return nil, "", err
-			}
-			if *hostout != "" {
-				if werr := writeHostCost(*hostout, r.Report); werr != nil {
-					return nil, "", werr
-				}
-				fmt.Fprintf(os.Stderr, "shootdownsim: wrote host-cost artifact to %s\n", *hostout)
-			}
-			return r, r.Render(), nil
-		}},
-	}
-
-	known := map[string]bool{"all": true}
-	for _, j := range jobs {
-		known[j.name] = true
-	}
-	for _, a := range args {
-		if !known[a] {
-			fmt.Fprintf(os.Stderr, "shootdownsim: unknown experiment %q\n\n", a)
-			usage()
-			os.Exit(2)
-		}
+		}()
 	}
 
 	var results []experiments.Named
-	for _, j := range jobs {
-		if !all && !want[j.name] {
+	for _, e := range experiments.Catalog {
+		if !want["all"] && !want[e.Name] {
 			continue
 		}
 		start := time.Now()
-		res, text, err := j.run()
+		res, err := e.Run(args)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "shootdownsim: %s: %v\n", j.name, err)
-			os.Exit(1)
+			return fail(1, "%s: %v", e.Name, err)
 		}
-		results = append(results, experiments.Named{Name: j.name, Result: res})
+		if hc, ok := res.(experiments.HostCostResult); ok && *hostout != "" {
+			if err := writeHostCost(*hostout, hc.Report); err != nil {
+				return fail(1, "%s: %v", e.Name, err)
+			}
+			fmt.Fprintf(stderr, "shootdownsim: wrote host-cost artifact to %s\n", *hostout)
+		}
+		results = append(results, experiments.Named{Name: e.Name, Result: res})
 		if *format == "table" {
-			fmt.Println(text)
-			fmt.Printf("[%s completed in %.1fs wall clock]\n\n", j.name, time.Since(start).Seconds())
+			fmt.Fprintln(stdout, res.Render())
+			fmt.Fprintf(stdout, "[%s completed in %.1fs wall clock]\n\n", e.Name, time.Since(start).Seconds())
 		}
 	}
 
 	switch *format {
 	case "json":
-		if err := experiments.WriteJSON(os.Stdout, experiments.Envelope{
+		if err := experiments.WriteJSON(stdout, experiments.Envelope{
 			Seed: *seed, Runs: *runs, Experiments: results,
 		}); err != nil {
-			fmt.Fprintf(os.Stderr, "shootdownsim: json: %v\n", err)
-			os.Exit(1)
+			return fail(1, "json: %v", err)
 		}
 	case "csv":
-		if err := experiments.WriteCSV(os.Stdout, results); err != nil {
-			fmt.Fprintf(os.Stderr, "shootdownsim: csv: %v\n", err)
-			os.Exit(1)
+		if err := experiments.WriteCSV(stdout, results); err != nil {
+			return fail(1, "csv: %v", err)
 		}
 	}
 
 	if err := cli.Finish(); err != nil {
-		fmt.Fprintf(os.Stderr, "shootdownsim: %v\n", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
+	return 0
+}
+
+// usage prints the command's synopsis, the catalog's experiments and the
+// flags.
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprint(w, `usage: shootdownsim [flags] <experiment>...
+
+Reproduces the evaluation of the Mach TLB shootdown paper (ASPLOS 1989)
+on a simulated 16-processor Encore Multimax.
+
+experiments:
+`)
+	for _, e := range append(experiments.Catalog, experiments.Experiment{Name: "all", Doc: "everything above"}) {
+		fmt.Fprintf(w, "  %-10s  %s\n", e.Name, strings.Join(wrap(e.Doc, 62), "\n"+strings.Repeat(" ", 14)))
+	}
+	fmt.Fprint(w, "\nflags:\n")
+	fs.PrintDefaults()
+}
+
+// wrap breaks s into lines of at most width characters at spaces (a
+// longer word gets a line of its own).
+func wrap(s string, width int) []string {
+	var lines []string
+	line := ""
+	for _, word := range strings.Fields(s) {
+		if line != "" && utf8.RuneCountInString(line+" "+word) > width {
+			lines = append(lines, line)
+			line = ""
+		}
+		if line != "" {
+			line += " "
+		}
+		line += word
+	}
+	return append(lines, line)
 }
 
 // writeHostCost writes the host-cost/v1 artifact to path.
@@ -424,37 +257,37 @@ func writeHostCost(path string, r *hostprof.Report) error {
 
 // replayRepro re-executes a minimized chaos reproducer: exit 0 only if
 // the replay reaches exactly the recorded verdict.
-func replayRepro(path string) {
+func replayRepro(path string, stdout, stderr io.Writer) int {
 	r, err := shrink.Load(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shootdownsim: -repro: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "shootdownsim: -repro: %v\n", err)
+		return 2
 	}
 	verdict, detail, err := experiments.ReplayRepro(r)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shootdownsim: -repro: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "shootdownsim: -repro: %v\n", err)
+		return 2
 	}
 	keep := make([]string, len(r.Keep))
 	for i, id := range r.Keep {
 		keep[i] = id.String()
 	}
-	fmt.Printf("repro %s: workload=%s ncpus=%d seed=%d schedule=[%s]\n",
+	fmt.Fprintf(stdout, "repro %s: workload=%s ncpus=%d seed=%d schedule=[%s]\n",
 		path, r.Workload, r.NCPUs, r.Seed, strings.Join(keep, " "))
 	if verdict == r.Verdict {
-		fmt.Printf("replay reproduced the recorded verdict %q", verdict)
+		fmt.Fprintf(stdout, "replay reproduced the recorded verdict %q", verdict)
 		if detail != "" {
-			fmt.Printf(": %s", firstLine(detail))
+			fmt.Fprintf(stdout, ": %s", firstLine(detail))
 		}
-		fmt.Println()
-		return
+		fmt.Fprintln(stdout)
+		return 0
 	}
-	fmt.Printf("DIVERGENCE: replay verdict %q, recorded %q", verdict, r.Verdict)
+	fmt.Fprintf(stdout, "DIVERGENCE: replay verdict %q, recorded %q", verdict, r.Verdict)
 	if detail != "" {
-		fmt.Printf(" (%s)", firstLine(detail))
+		fmt.Fprintf(stdout, " (%s)", firstLine(detail))
 	}
-	fmt.Println()
-	os.Exit(1)
+	fmt.Fprintln(stdout)
+	return 1
 }
 
 func firstLine(s string) string {

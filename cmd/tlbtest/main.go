@@ -20,12 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"shootdown/internal/baseline"
 	"shootdown/internal/core"
 	"shootdown/internal/experiments"
 	"shootdown/internal/machine"
-	"shootdown/internal/tlb"
 	"shootdown/internal/workload"
 )
 
@@ -59,26 +59,14 @@ func main() {
 		cfg.App.Strategy = func(*machine.Machine) (core.Strategy, error) {
 			return baseline.NewNone(), nil
 		}
-	case "hardware-remote":
-		cfg.App.RemoteInvalidate = true
-		cfg.App.TLB = tlb.Config{Writeback: tlb.WritebackInterlocked}
-		cfg.App.Strategy = func(m *machine.Machine) (core.Strategy, error) {
-			return baseline.NewHardwareRemote(m)
-		}
-	case "postponed-ipi":
-		cfg.App.TLB = tlb.Config{Writeback: tlb.WritebackNone}
-		cfg.App.Strategy = func(m *machine.Machine) (core.Strategy, error) {
-			return baseline.NewPostponedIPI(m)
-		}
-	case "timer-flush":
-		cfg.KeepTimer = true
-		cfg.App.TLB = tlb.Config{Writeback: tlb.WritebackInterlocked}
-		cfg.App.Strategy = func(m *machine.Machine) (core.Strategy, error) {
-			return baseline.NewTimerFlush(m)
-		}
 	default:
-		fmt.Fprintf(os.Stderr, "tlbtest: unknown strategy %q\n", *strategy)
-		os.Exit(2)
+		i := slices.IndexFunc(experiments.Mechanisms, func(m experiments.Mechanism) bool { return m.Name == *strategy })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "tlbtest: unknown strategy %q\n", *strategy)
+			os.Exit(2)
+		}
+		cfg.KeepTimer = experiments.Mechanisms[i].KeepTimer
+		cfg.App = experiments.Mechanisms[i].App
 	}
 
 	in, err := cli.Instrument()

@@ -31,39 +31,38 @@ type StrategyRow struct {
 	Consistent bool
 }
 
-// strategyCases enumerates the comparable mechanisms with the hardware
-// each one requires.
-func strategyCases() []struct {
-	name      string
-	keepTimer bool
-	app       workload.AppConfig
-} {
-	return []struct {
-		name      string
-		keepTimer bool
-		app       workload.AppConfig
-	}{
-		{"mach-shootdown", false, workload.AppConfig{}},
-		{"hardware-remote", false, workload.AppConfig{
-			RemoteInvalidate: true,
-			TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
-			Strategy: func(m *machine.Machine) (core.Strategy, error) {
-				return baseline.NewHardwareRemote(m)
-			},
-		}},
-		{"postponed-ipi", false, workload.AppConfig{
-			TLB: tlb.Config{Writeback: tlb.WritebackNone},
-			Strategy: func(m *machine.Machine) (core.Strategy, error) {
-				return baseline.NewPostponedIPI(m)
-			},
-		}},
-		{"timer-flush", true, workload.AppConfig{
-			TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},
-			Strategy: func(m *machine.Machine) (core.Strategy, error) {
-				return baseline.NewTimerFlush(m)
-			},
-		}},
-	}
+// Mechanism is an alternative to Mach's shootdown (§3, §9) with the
+// hardware it requires.
+type Mechanism struct {
+	Name string
+	// KeepTimer keeps the clock interrupt the tester otherwise stops;
+	// timer-flush relies on it.
+	KeepTimer bool
+	App       workload.AppConfig
+}
+
+// Mechanisms are the alternatives StrategyCompare measures against Mach's
+// shootdown; cmd/tlbtest's -strategy accepts their names.
+var Mechanisms = []Mechanism{
+	{"hardware-remote", false, workload.AppConfig{
+		RemoteInvalidate: true,
+		TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
+		Strategy: func(m *machine.Machine) (core.Strategy, error) {
+			return baseline.NewHardwareRemote(m)
+		},
+	}},
+	{"postponed-ipi", false, workload.AppConfig{
+		TLB: tlb.Config{Writeback: tlb.WritebackNone},
+		Strategy: func(m *machine.Machine) (core.Strategy, error) {
+			return baseline.NewPostponedIPI(m)
+		},
+	}},
+	{"timer-flush", true, workload.AppConfig{
+		TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},
+		Strategy: func(m *machine.Machine) (core.Strategy, error) {
+			return baseline.NewTimerFlush(m)
+		},
+	}},
 }
 
 // StrategyCompare measures the vm_protect latency of each mechanism.
@@ -73,17 +72,17 @@ func StrategyCompare(seed int64, ks []int, ins ...Instrument) (StrategyCompareRe
 		ks = []int{2, 6, 12}
 	}
 	var out StrategyCompareResult
-	for _, c := range strategyCases() {
+	for _, c := range append([]Mechanism{{Name: "mach-shootdown"}}, Mechanisms...) {
 		for _, k := range ks {
 			res, err := workload.RunTester(workload.TesterConfig{
 				NCPUs: 16, Children: k, Seed: seed + int64(k),
-				KeepTimer: c.keepTimer, App: in.App(c.app),
+				KeepTimer: c.KeepTimer, App: in.App(c.App),
 			})
 			if err != nil {
-				return out, fmt.Errorf("%s k=%d: %w", c.name, k, err)
+				return out, fmt.Errorf("%s k=%d: %w", c.Name, k, err)
 			}
 			out.Rows = append(out.Rows, StrategyRow{
-				Strategy: c.name, Children: k,
+				Strategy: c.Name, Children: k,
 				ProtectUS: res.ProtectUS, Consistent: !res.Inconsistent,
 			})
 		}

@@ -16,7 +16,7 @@ import (
 	"shootdown/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/artifact_digests.json from this build")
+var update = flag.Bool("update", false, "rewrite the seed-7 pins under testdata from this build")
 
 const digestsPath = "testdata/artifact_digests.json"
 

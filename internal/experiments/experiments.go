@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (Sections 5-8) plus the Section 9 hardware-option ablations.
 // Each experiment returns a structured result with a Render method that
-// prints rows in the shape the paper reports; cmd/shootdownsim exposes
-// them on the command line and the repository benchmarks re-run them.
+// prints rows in the shape the paper reports. Catalog lists them in one
+// ordered list, which cmd/shootdownsim runs and TestExperimentDigests
+// pins; the repository benchmarks re-run some of them directly.
 package experiments
 
 import (

@@ -1,133 +1,224 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
-const resultDigestsPath = "testdata/experiment_digests.json"
+// pinnedDir holds one file per pinned result, <name>.json: the result's
+// JSON exactly as json.Marshal emits it.
+const pinnedDir = "testdata/results"
 
-// digestSeed is the seed every pinned experiment runs at.
-const digestSeed = 7
+// pinArgs are cmd/shootdownsim's flag defaults at seed 7, except that the
+// run-count sweeps (fig2, scale, profile) run once per point.
+func pinArgs() *Args {
+	return &Args{Seed: 7, Runs: 1, Devices: 2, ExploreBudget: 24, At: 5_000_000}
+}
 
-// pinnedExperiments lists every deterministic experiment with the
-// arguments cmd/shootdownsim passes it, except that the run-count sweeps
-// (fig2, scale, profile) run once per point. hostcost is absent: it
-// measures the host, not the simulated machine. chaos and devices also
-// run with the planted bug, so the shrink-and-reproducer path is pinned
-// too.
-var pinnedExperiments = []struct {
+type pin struct {
 	name string
-	run  func() (any, error)
-}{
-	{"fig2", func() (any, error) { return Fig2(digestSeed, 1) }},
-	{"table1", func() (any, error) { return Table1(digestSeed) }},
-	{"tables234", func() (any, error) { return Tables234(digestSeed) }},
-	{"perturb", func() (any, error) { return Perturbation(digestSeed) }},
-	{"scale", func() (any, error) { return Scale(digestSeed, 1) }},
-	{"strategies", func() (any, error) { return StrategyCompare(digestSeed, nil) }},
-	{"ipimodes", func() (any, error) { return IPIModes(digestSeed, nil) }},
-	{"highprio", func() (any, error) { return HighPriorityIPI(digestSeed) }},
-	{"idleopt", func() (any, error) { return IdleOpt(digestSeed) }},
-	{"threshold", func() (any, error) { return FlushThreshold(digestSeed, 16) }},
-	{"queue", func() (any, error) { return QueueSize(digestSeed) }},
-	{"taggedtlb", func() (any, error) { return TaggedTLB(digestSeed) }},
-	{"pools", func() (any, error) { return Pools(digestSeed, 8) }},
-	{"pageout", func() (any, error) { return Pageout(digestSeed) }},
-	{"faults", func() (any, error) { return FaultCampaign(digestSeed) }},
-	{"chaos", func() (any, error) { return ChaosCampaign(digestSeed, ChaosOptions{Shrink: true}) }},
-	{"chaos+bug", func() (any, error) {
-		return ChaosCampaign(digestSeed, ChaosOptions{Shrink: true, PlantBug: true})
-	}},
-	{"devices", func() (any, error) {
-		return DeviceChaosCampaign(digestSeed, DeviceChaosOptions{Devices: 2, Shrink: true})
-	}},
-	{"devices+bug", func() (any, error) {
-		return DeviceChaosCampaign(digestSeed, DeviceChaosOptions{Devices: 2, Shrink: true, PlantBug: true})
-	}},
-	{"explore", func() (any, error) { return ExploreCampaign(digestSeed, ExploreOptions{Budget: 24}) }},
-	{"timetravel", func() (any, error) { return TimeTravel(digestSeed, 5_000_000, 0) }},
-	{"profile", func() (any, error) { return Profile(digestSeed, 1) }},
+	raw  []byte
+}
+
+// pinnedResults runs every catalog entry but hostcost, which measures the
+// host rather than the simulated machine, and returns each result's JSON
+// in catalog order. chaos and devices also run with PlantBug, as
+// chaos+bug and devices+bug, so the shrink-and-reproducer path is pinned
+// too.
+func pinnedResults(t *testing.T) []pin {
+	t.Helper()
+	var pins []pin
+	run := func(name string, e Experiment, a *Args) {
+		res, err := e.Run(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pins = append(pins, pin{name, raw})
+	}
+	a := pinArgs()
+	bug := pinArgs()
+	bug.PlantBug = true
+	for _, e := range Catalog {
+		if e.Name == "hostcost" {
+			continue
+		}
+		run(e.Name, e, a)
+		if e.Name == "chaos" || e.Name == "devices" {
+			run(e.Name+"+bug", e, bug)
+		}
+	}
+	return pins
 }
 
 // TestExperimentDigests pins the virtual-time results of every
-// deterministic experiment at seed 7: each result's JSON is hashed with
-// 64-bit FNV-1a (the hash internal/snap uses) and compared against
-// testdata/experiment_digests.json. Any change to a simulated number —
-// a cost constant, an event reordering, a harvest that reads a counter
-// at a different moment — fails here and names the experiment. Re-bless
-// an intended change with `make bless`.
+// deterministic catalog experiment at seed 7: each result's JSON must
+// equal its file under testdata/results byte for byte. Any change to a
+// simulated number — a cost constant, an event reordering, a harvest that
+// reads a counter at a different moment — fails here, naming the
+// experiment and the first JSON value that moved. Re-bless an intended
+// change with `make bless`.
 func TestExperimentDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	got := map[string]string{}
-	for _, e := range pinnedExperiments {
-		res, err := e.run()
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		raw, err := json.Marshal(res)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		got[e.name] = bytesDigest(t, raw)
-	}
-
+	pins := pinnedResults(t)
 	if *update {
-		writeDigests(t, resultDigestsPath, got)
+		stale, _ := filepath.Glob(filepath.Join(pinnedDir, "*.json"))
+		for _, f := range stale {
+			if err := os.Remove(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.MkdirAll(pinnedDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pins {
+			if err := os.WriteFile(filepath.Join(pinnedDir, p.name+".json"), p.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return
 	}
-	want := readDigests(t, resultDigestsPath)
-	names := make([]string, 0, len(got))
-	for name := range got {
-		names = append(names, name)
+	files, err := filepath.Glob(filepath.Join(pinnedDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if got[name] != want[name] {
-			t.Errorf("experiment %s: result digest %s, pinned %s", name, got[name], want[name])
+	stale := map[string]bool{}
+	for _, f := range files {
+		stale[strings.TrimSuffix(filepath.Base(f), ".json")] = true
+	}
+	for _, p := range pins {
+		delete(stale, p.name)
+		want, err := os.ReadFile(filepath.Join(pinnedDir, p.name+".json"))
+		if err != nil {
+			t.Errorf("%s: %v (run make bless to pin it)", p.name, err)
+			continue
+		}
+		if !bytes.Equal(want, p.raw) {
+			t.Errorf("%s %s", p.name, firstDiff(want, p.raw))
 		}
 	}
-	if len(want) != len(got) {
-		t.Errorf("pinned %d experiments, ran %d", len(want), len(got))
+	for _, name := range sortedKeys(stale) {
+		t.Errorf("%s is pinned, but no experiment produces it", name)
+	}
+	if t.Failed() {
+		t.Log("make bless re-pins an intended change")
 	}
 }
 
-// bytesDigest returns the 64-bit FNV-1a digest of raw in hex.
-func bytesDigest(t *testing.T, raw []byte) string {
-	t.Helper()
-	h := fnv.New64a()
-	h.Write(raw)
-	return fmt.Sprintf("%016x", h.Sum64())
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
-// writeDigests blesses a digest file from this build.
-func writeDigests(t *testing.T, path string, digests map[string]string) {
-	t.Helper()
-	raw, err := json.MarshalIndent(digests, "", "  ")
+// leaf is one scalar (or empty container) of a JSON document with its
+// path from the root, e.g. .Runs[2].KernelEvents.
+type leaf struct{ path, val string }
+
+// jsonLeaves lists raw's leaves in document order.
+func jsonLeaves(raw []byte) ([]leaf, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var out []leaf
+	var walk func(path string) error
+	walk = func(path string) error {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		switch v := tok.(type) {
+		case json.Delim:
+			n := 0
+			for ; dec.More(); n++ {
+				child := fmt.Sprintf("%s[%d]", path, n)
+				if v == '{' {
+					key, err := dec.Token()
+					if err != nil {
+						return err
+					}
+					child = path + "." + key.(string)
+				}
+				if err := walk(child); err != nil {
+					return err
+				}
+			}
+			end, err := dec.Token()
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				out = append(out, leaf{path, fmt.Sprintf("%v%v", v, end)})
+			}
+		case nil:
+			out = append(out, leaf{path, "null"})
+		case string:
+			out = append(out, leaf{path, fmt.Sprintf("%q", v)})
+		default:
+			out = append(out, leaf{path, fmt.Sprint(v)})
+		}
+		return nil
+	}
+	if err := walk(""); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("trailing data after the document")
+	}
+	return out, nil
+}
+
+// firstDiff names the first leaf, in document order, where got departs
+// from want, as "path: pinned → got".
+func firstDiff(want, got []byte) string {
+	w, err := jsonLeaves(want)
 	if err != nil {
-		t.Fatal(err)
+		return fmt.Sprintf("pinned JSON does not parse: %v", err)
 	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	g, err := jsonLeaves(got)
+	if err != nil {
+		return fmt.Sprintf("result JSON does not parse: %v", err)
 	}
+	for i := 0; i < len(w) || i < len(g); i++ {
+		switch {
+		case i == len(w):
+			return fmt.Sprintf("%s: (absent) → %s", g[i].path, g[i].val)
+		case i == len(g):
+			return fmt.Sprintf("%s: %s → (absent)", w[i].path, w[i].val)
+		case w[i].path != g[i].path:
+			return fmt.Sprintf("%s: %s → %s: %s", w[i].path, w[i].val, g[i].path, g[i].val)
+		case w[i].val != g[i].val:
+			return fmt.Sprintf("%s: %s → %s", w[i].path, w[i].val, g[i].val)
+		}
+	}
+	return "differs in bytes, not in any value"
 }
 
-// readDigests loads a committed digest file.
-func readDigests(t *testing.T, path string) map[string]string {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run make bless to create it)", err)
+func TestFirstDiff(t *testing.T) {
+	for _, c := range []struct{ want, got, diff string }{
+		{`{"Runs":[{"KernelEvents":204},{"KernelEvents":204}]}`, `{"Runs":[{"KernelEvents":204},{"KernelEvents":200}]}`,
+			".Runs[1].KernelEvents: 204 → 200"},
+		{`{"A":"x","B":[]}`, `{"A":"y","B":[1]}`, `.A: "x" → "y"`},
+		{`{"A":1,"B":[]}`, `{"A":1,"B":[1]}`, ".B: [] → .B[0]: 1"},
+		{`{"A":1}`, `{"A":1,"B":null}`, ".B: (absent) → null"},
+		{`{"A":1.5}`, `{"A": 1.5}`, "differs in bytes, not in any value"},
+	} {
+		if got := firstDiff([]byte(c.want), []byte(c.got)); got != c.diff {
+			t.Errorf("firstDiff(%s, %s) = %q, want %q", c.want, c.got, got, c.diff)
+		}
 	}
-	want := map[string]string{}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	return want
 }

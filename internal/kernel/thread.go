@@ -107,7 +107,6 @@ func (t *Task) Spawn(name string, body func(*Thread)) *Thread {
 		th.body(th)
 		th.exit()
 	})
-	th.proc.Tag = th
 	// The proc was spawned runnable; park it until the scheduler picks it.
 	k.runq = append(k.runq, th)
 	return th

@@ -123,9 +123,6 @@ type Proc struct {
 	// panicked is the error a panicking body ended with, set by start's
 	// recover wrapper.
 	panicked error
-
-	// Tag is arbitrary user data (e.g. the kernel thread running here).
-	Tag interface{}
 }
 
 // Name returns the proc's diagnostic name.
