@@ -27,8 +27,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-lint: ## go vet + the shootdownlint analyzer suite (DESIGN.md §10)
+lint: ## go vet + gofmt + the shootdownlint analyzer suite (DESIGN.md §10)
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/shootdownlint ./...
 
 test:

@@ -65,18 +65,18 @@ var Mechanisms = []Mechanism{
 	}},
 }
 
+// strategyKs are the page users StrategyCompare measures each mechanism
+// at.
+var strategyKs = []int{2, 6, 12}
+
 // StrategyCompare measures the vm_protect latency of each mechanism.
-func StrategyCompare(seed int64, ks []int, ins ...Instrument) (StrategyCompareResult, error) {
-	in := pick(ins)
-	if len(ks) == 0 {
-		ks = []int{2, 6, 12}
-	}
+func StrategyCompare(a *Args) (StrategyCompareResult, error) {
 	var out StrategyCompareResult
 	for _, c := range append([]Mechanism{{Name: "mach-shootdown"}}, Mechanisms...) {
-		for _, k := range ks {
+		for _, k := range strategyKs {
 			res, err := workload.RunTester(workload.TesterConfig{
-				NCPUs: 16, Children: k, Seed: seed + int64(k),
-				KeepTimer: c.KeepTimer, App: in.App(c.App),
+				NCPUs: 16, Children: k, Seed: a.Seed + int64(k),
+				KeepTimer: c.KeepTimer, App: a.In.App(c.App),
 			})
 			if err != nil {
 				return out, fmt.Errorf("%s k=%d: %w", c.Name, k, err)
@@ -113,18 +113,17 @@ type IPIModeResult struct {
 	Rows map[string][]float64 // mode -> shootdown µs per k
 }
 
+// ipiModeKs are the processor counts IPIModes shoots at.
+var ipiModeKs = []int{1, 3, 6, 9, 12, 15}
+
 // IPIModes sweeps the shootdown cost across delivery hardware.
-func IPIModes(seed int64, ks []int, ins ...Instrument) (IPIModeResult, error) {
-	in := pick(ins)
-	if len(ks) == 0 {
-		ks = []int{1, 3, 6, 9, 12, 15}
-	}
-	out := IPIModeResult{Ks: ks, Rows: map[string][]float64{}}
+func IPIModes(a *Args) (IPIModeResult, error) {
+	out := IPIModeResult{Ks: ipiModeKs, Rows: map[string][]float64{}}
 	for _, mode := range []machine.IPIMode{machine.IPIUnicast, machine.IPIMulticast, machine.IPIBroadcast} {
-		for _, k := range ks {
+		for _, k := range ipiModeKs {
 			res, err := workload.RunTester(workload.TesterConfig{
-				NCPUs: 16, Children: k, Seed: seed + int64(k),
-				App: in.App(workload.AppConfig{IPIMode: mode}),
+				NCPUs: 16, Children: k, Seed: a.Seed + int64(k),
+				App: a.In.App(workload.AppConfig{IPIMode: mode}),
 			})
 			if err != nil {
 				return out, err
@@ -173,12 +172,11 @@ type HighPriorityIPIResult struct {
 // in long device-masked critical sections while another processor shoots
 // the kernel pmap — on stock hardware and with the high-priority software
 // interrupt, comparing kernel-shootdown latency distributions.
-func HighPriorityIPI(seed int64, ins ...Instrument) (HighPriorityIPIResult, error) {
-	in := pick(ins)
+func HighPriorityIPI(a *Args) (HighPriorityIPIResult, error) {
 	var out HighPriorityIPIResult
 	run := func(hp bool) ([]float64, error) {
-		k, err := in.runWorld(kernel.Config{
-			Machine: machine.Options{NumCPUs: 4, MemFrames: 2048, Seed: seed, HighPriorityIPI: hp},
+		k, err := a.In.runWorld(kernel.Config{
+			Machine: machine.Options{NumCPUs: 4, MemFrames: 2048, Seed: a.Seed, HighPriorityIPI: hp},
 		}, func(k *kernel.Kernel) error {
 			ktask := k.KernelTask()
 			// Two responders alternating long device-masked critical sections
@@ -259,12 +257,11 @@ type IdleOptResult struct {
 
 // IdleOpt measures kernel-pmap shootdown cost on a machine where all other
 // processors are idle, with and without the optimization.
-func IdleOpt(seed int64, ins ...Instrument) (IdleOptResult, error) {
-	in := pick(ins)
+func IdleOpt(a *Args) (IdleOptResult, error) {
 	var out IdleOptResult
 	run := func(disable bool) (float64, uint64, error) {
-		k, err := in.runWorld(kernel.Config{
-			Machine:   machine.Options{NumCPUs: 16, MemFrames: 2048, Seed: seed},
+		k, err := a.In.runWorld(kernel.Config{
+			Machine:   machine.Options{NumCPUs: 16, MemFrames: 2048, Seed: a.Seed},
 			Shootdown: core.Options{DisableIdleOptimization: disable},
 		}, func(k *kernel.Kernel) error {
 			k.KernelTask().Spawn("worker", func(th *kernel.Thread) {
@@ -328,15 +325,15 @@ type ThresholdRow struct {
 	FullFlushes uint64
 }
 
-// FlushThreshold reprotects a Pages-page range cached by 4 CPUs under
-// various thresholds.
-func FlushThreshold(seed int64, pages int, ins ...Instrument) (ThresholdResult, error) {
-	if pages == 0 {
-		pages = 16
-	}
-	out := ThresholdResult{Pages: pages}
+// thresholdPages is the size of the range FlushThreshold reprotects.
+const thresholdPages = 16
+
+// FlushThreshold reprotects a thresholdPages-page range cached by 4 CPUs
+// under various thresholds.
+func FlushThreshold(a *Args) (ThresholdResult, error) {
+	out := ThresholdResult{Pages: thresholdPages}
 	for _, thr := range []int{1, 4, 8, 16, 64} {
-		res, err := runRangeProtect(seed, pages, core.Options{FlushThreshold: thr}, pick(ins))
+		res, err := runRangeProtect(a.Seed, core.Options{FlushThreshold: thr}, a.In)
 		if err != nil {
 			return out, err
 		}
@@ -353,9 +350,9 @@ type rangeProtectResult struct {
 	stats     core.Stats
 }
 
-// runRangeProtect builds a 6-CPU machine, lets 4 threads cache a multi-page
-// writable range, and reprotects the whole range.
-func runRangeProtect(seed int64, pages int, opts core.Options, in Instrument) (rangeProtectResult, error) {
+// runRangeProtect builds a 6-CPU machine, lets 4 threads cache a
+// thresholdPages-page writable range, and reprotects the whole range.
+func runRangeProtect(seed int64, opts core.Options, in Instrument) (rangeProtectResult, error) {
 	var out rangeProtectResult
 	k, err := in.runWorld(kernel.Config{
 		Machine:   machine.Options{NumCPUs: 6, MemFrames: 2048, Seed: seed},
@@ -366,7 +363,7 @@ func runRangeProtect(seed int64, pages int, opts core.Options, in Instrument) (r
 			return err
 		}
 		task.Spawn("main", func(th *kernel.Thread) {
-			va, err := th.VMAllocate(uint32(pages * mem.PageSize))
+			va, err := th.VMAllocate(uint32(thresholdPages * mem.PageSize))
 			if err != nil {
 				th.Fail(err)
 				return
@@ -376,7 +373,7 @@ func runRangeProtect(seed int64, pages int, opts core.Options, in Instrument) (r
 				i := i
 				task.Spawn(fmt.Sprintf("user%d", i), func(c *kernel.Thread) {
 					for !done {
-						for p := 0; p < pages; p++ {
+						for p := 0; p < thresholdPages; p++ {
 							if c.Write(va+ptable.VAddr(p*mem.PageSize), uint32(i)) != nil {
 								break
 							}
@@ -387,7 +384,7 @@ func runRangeProtect(seed int64, pages int, opts core.Options, in Instrument) (r
 			}
 			th.Compute(4_000_000)
 			t0 := th.Now()
-			if err := th.VMProtect(va, va+ptable.VAddr(pages*mem.PageSize), pmap.ProtRead); err != nil {
+			if err := th.VMProtect(va, va+ptable.VAddr(thresholdPages*mem.PageSize), pmap.ProtRead); err != nil {
 				th.Fail(err)
 				return
 			}
@@ -432,12 +429,11 @@ type QueueRow struct {
 
 // QueueSize issues many small kernel shootdowns at a machine whose other
 // processors are idle, so their action queues accumulate until drained.
-func QueueSize(seed int64, ins ...Instrument) (QueueResult, error) {
-	in := pick(ins)
+func QueueSize(a *Args) (QueueResult, error) {
 	var out QueueResult
 	for _, q := range []int{1, 2, 4, 8, 32} {
-		k, err := in.runWorld(kernel.Config{
-			Machine:   machine.Options{NumCPUs: 4, MemFrames: 2048, Seed: seed},
+		k, err := a.In.runWorld(kernel.Config{
+			Machine:   machine.Options{NumCPUs: 4, MemFrames: 2048, Seed: a.Seed},
 			Shootdown: core.Options{QueueSize: q},
 		}, func(k *kernel.Kernel) error {
 			ktask := k.KernelTask()

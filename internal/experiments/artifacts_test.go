@@ -62,7 +62,7 @@ func TestArtifactDigests(t *testing.T) {
 	got["fig2/metrics.txt"] = digestOf(t, func(w io.Writer) error { _, err := metrics.WriteTo(w); return err })
 
 	p := profile.New()
-	if _, err := Profile(7, 1, Instrument{Profiler: p}); err != nil {
+	if _, err := Profile(&Args{Seed: 7, Runs: 1, In: Instrument{Profiler: p}}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

@@ -30,7 +30,7 @@ type scenarioOutcome struct {
 func (o *scenarioOutcome) outcome() *scenarioOutcome { return o }
 
 // shrinkOutcome is the trailing columns of a chaos-campaign row: the
-// shrink results, when the run failed and shrinking was enabled.
+// shrink results, when the run failed.
 type shrinkOutcome struct {
 	ScheduleLen int             `json:",omitempty"` // events in the failing schedule
 	Shrunk      []fault.EventID `json:",omitempty"` // 1-minimal subset
@@ -67,32 +67,25 @@ type rowPtr[R any] interface {
 // bug, and the cell each scenario's fault config runs in.
 type campaign struct {
 	kind      string // names the campaign in errors
-	seed      int64
 	scenarios []scenario
 	bug       string // planted bug recorded on each row ("" = none)
 	cell      func(fault.Config) explore.Cell
-
-	shrink        bool
-	maxShrinkRuns int // default 48
-	wallClock     func() int64
 }
 
 // runCampaign is the scenario loop ChaosCampaign and DeviceChaosCampaign
-// share. Each scenario runs in a flight-armed cell under its own fault
-// seed, is observed once and harvested into its row, and, if it failed
-// and shrinking is on, is delta-debugged down to a 1-minimal fault
-// schedule and packaged as a replayable reproducer.
-func runCampaign[R any, P rowPtr[R]](c campaign, in Instrument) ([]R, error) {
-	if c.maxShrinkRuns == 0 {
-		c.maxShrinkRuns = 48
-	}
+// share. Each scenario runs in a cell armed with a's flight recorder under
+// its own fault seed, is observed once and harvested into its row, and, if
+// it failed, is delta-debugged down to a 1-minimal fault schedule and
+// packaged as a replayable reproducer.
+func runCampaign[R any, P rowPtr[R]](a *Args, c campaign) ([]R, error) {
+	in := a.In
 	var rows []R
 	for i, sc := range c.scenarios {
 		fc, err := fault.ParseSpec(sc.Spec)
 		if err != nil {
 			return rows, fmt.Errorf("experiments: %s scenario %s: %w", c.kind, sc.Name, err)
 		}
-		fc.Seed = c.seed + int64(i)*257
+		fc.Seed = a.Seed + int64(i)*257
 		var row R
 		p := P(&row)
 		out := p.outcome()
@@ -108,14 +101,14 @@ func runCampaign[R any, P rowPtr[R]](c campaign, in Instrument) ([]R, error) {
 			p.harvest(k)
 		})
 		out.Verdict, out.Err = verdict, detail
-		if verdict != VerdictOK && c.shrink {
+		if verdict != VerdictOK {
 			s := p.shrinkResult()
 			s.ScheduleLen = len(events)
 			rw := explore.NewRewinder(cell, verdict, events, endStep)
-			if c.wallClock != nil {
-				rw.SetWallClock(c.wallClock)
+			if a.WallClock != nil {
+				rw.SetWallClock(a.WallClock)
 			}
-			r := rw.Minimize(c.maxShrinkRuns)
+			r := rw.Minimize()
 			s.Shrunk = r.Keep
 			s.ShrinkTests = r.Tests
 			repro := explore.BuildRepro(cell, verdict, events, r.Keep, r.Meta)

@@ -33,6 +33,10 @@ const (
 	VerdictError    = explore.VerdictError
 )
 
+// churnCPUs is the machine size of the churn fixture that the chaos,
+// explore and timetravel experiments share.
+const churnCPUs = 6
+
 // campaignCell assembles the shared chaos fixture over the explore
 // substrate: churn at half scale, hardened watchdog, oracle attached.
 func campaignCell(seed int64, ncpus int, fc fault.Config, bug bool) explore.Cell {
@@ -89,56 +93,31 @@ type ChaosResult struct {
 // Failures counts non-ok runs.
 func (r ChaosResult) Failures() int { return failures(r.Runs) }
 
-// ChaosOptions tunes the campaign.
-type ChaosOptions struct {
-	NCPUs int // default 6
-	// PlantBug enables the intentional stale-TLB-after-revive bug
-	// (machine.Options.SkipReviveFlush) in every run, to demonstrate
-	// detection and minimization end to end.
-	PlantBug bool
-	// Shrink runs delta debugging on failing schedules; MaxShrinkRuns
-	// bounds the re-executions per failure (default 48).
-	Shrink        bool
-	MaxShrinkRuns int
-	// WallClock, when set, is a millisecond clock injected by package
-	// main; shrink campaigns stamp their wall time into reproducer
-	// metadata with it. (This package is simulated code and may not read
-	// real time itself.)
-	WallClock func() int64
-}
-
 // ChaosCampaign runs every fail-stop/hot-plug scenario against the churn
-// workload. A failing run (which, with PlantBug, is the expected outcome
-// of the hot-plug scenarios) is delta-debugged down to a 1-minimal fault
-// schedule and packaged as a replayable reproducer.
-func ChaosCampaign(seed int64, opt ChaosOptions, ins ...Instrument) (ChaosResult, error) {
-	in := pick(ins)
-	if opt.NCPUs == 0 {
-		opt.NCPUs = 6
-	}
+// workload. A failing run (which, with a.PlantBug planting the
+// stale-TLB-after-revive bug, machine.Options.SkipReviveFlush, is the
+// expected outcome of the hot-plug scenarios) is delta-debugged down to a
+// 1-minimal fault schedule and packaged as a replayable reproducer.
+func ChaosCampaign(a *Args) (ChaosResult, error) {
 	bug := ""
-	if opt.PlantBug {
+	if a.PlantBug {
 		bug = "skip-revive-flush"
 	}
-	runs, err := runCampaign[ChaosRun](campaign{
+	runs, err := runCampaign[ChaosRun](a, campaign{
 		kind:      "chaos",
-		seed:      seed,
 		scenarios: chaosScenarios,
 		bug:       bug,
 		cell: func(fc fault.Config) explore.Cell {
-			return campaignCell(seed, opt.NCPUs, fc, opt.PlantBug)
+			return campaignCell(a.Seed, churnCPUs, fc, a.PlantBug)
 		},
-		shrink:        opt.Shrink,
-		maxShrinkRuns: opt.MaxShrinkRuns,
-		wallClock:     opt.WallClock,
-	}, in)
-	return ChaosResult{Seed: seed, NCPUs: opt.NCPUs, Runs: runs}, err
+	})
+	return ChaosResult{Seed: a.Seed, NCPUs: churnCPUs, Runs: runs}, err
 }
 
 // ReplayRepro re-executes a minimized reproducer and reports the verdict
 // it produced. A healthy reproducer yields exactly its recorded verdict;
 // anything else is a divergence (fixed bug, or a nondeterminism bug).
-func ReplayRepro(r shrink.Repro, ins ...Instrument) (string, string, error) {
+func ReplayRepro(r shrink.Repro) (string, string, error) {
 	if err := r.Validate(); err != nil {
 		return "", "", err
 	}
@@ -147,10 +126,8 @@ func ReplayRepro(r shrink.Repro, ins ...Instrument) (string, string, error) {
 	default:
 		return "", "", fmt.Errorf("experiments: repro workload %q not supported", r.Workload)
 	}
-	in := pick(ins)
 	cell := campaignCell(r.Seed, r.NCPUs, r.Faults, r.Bug == "skip-revive-flush")
 	cell.Ties = r.Ties
-	cell.Flight = in.Flight
 	cell.Workload = r.Workload
 	cell.Devices = r.Devices
 	cell.DevBug = r.Bug == "skip-dev-inval"
@@ -158,7 +135,7 @@ func ReplayRepro(r shrink.Repro, ins ...Instrument) (string, string, error) {
 	// 1-minimal for "a violation fires", so the replay stops there too
 	// instead of running on into whatever the masked world does next.
 	cell.StopOnViolation = true
-	verdict, detail, _ := cell.Run(in.Observe)
+	verdict, detail, _ := cell.Run(nil)
 	return verdict, detail, nil
 }
 

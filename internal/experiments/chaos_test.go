@@ -15,7 +15,7 @@ import (
 // with a clean verdict and zero oracle violations — no shootdown ever
 // waits on a dead processor, every revived TLB comes up cold.
 func TestChaosCampaignSurvivesWithoutBug(t *testing.T) {
-	res, err := ChaosCampaign(7, ChaosOptions{})
+	res, err := ChaosCampaign(&Args{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestChaosCampaignSurvivesWithoutBug(t *testing.T) {
 // shrinker minimizes the fault schedule to a handful of events, and the
 // reproducer replays to the identical verdict.
 func TestStaleReviveBugShrinks(t *testing.T) {
-	res, err := ChaosCampaign(7, ChaosOptions{PlantBug: true, Shrink: true})
+	res, err := ChaosCampaign(&Args{Seed: 7, PlantBug: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRegenerateCorpus(t *testing.T) {
 	if os.Getenv("REGEN_CORPUS") == "" {
 		t.Skip("set REGEN_CORPUS=1 to rewrite testdata/corpus")
 	}
-	res, err := ChaosCampaign(7, ChaosOptions{PlantBug: true, Shrink: true})
+	res, err := ChaosCampaign(&Args{Seed: 7, PlantBug: true})
 	if err != nil {
 		t.Fatal(err)
 	}

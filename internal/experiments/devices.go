@@ -81,73 +81,46 @@ type DeviceChaosResult struct {
 // Failures counts non-ok runs.
 func (r DeviceChaosResult) Failures() int { return failures(r.Runs) }
 
-// DeviceChaosOptions tunes the device campaign.
-type DeviceChaosOptions struct {
-	NCPUs   int // default 4
-	Devices int // default 2
-	// PlantBug enables the intentional stale-device-TLB bug
-	// (machine.Options.SkipDevInval) in every run: devices acknowledge
-	// invalidations without performing them, to demonstrate stale-DMA
-	// detection and minimization end to end.
-	PlantBug bool
-	// Shrink runs delta debugging on failing schedules; MaxShrinkRuns
-	// bounds the re-executions per failure (default 48).
-	Shrink        bool
-	MaxShrinkRuns int
-	// ExtraSpec, when non-empty, is appended as a "custom" scenario (the
-	// CLI's -devfaults flag).
-	ExtraSpec string
-	// WallClock, when set, is a millisecond clock injected by package
-	// main (see ChaosOptions.WallClock).
-	WallClock func() int64
-}
+// deviceCPUs is the machine size of the device campaign's DMA-streaming
+// fixture.
+const deviceCPUs = 4
 
-// deviceCampaignCell assembles the shared device-chaos fixture: the
-// DMA-streaming workload at half scale, hardened watchdog, oracle
-// shadowing every device TLB.
-func deviceCampaignCell(seed int64, opt DeviceChaosOptions, fc fault.Config) explore.Cell {
-	return explore.Cell{
-		Seed:      seed,
-		NCPUs:     opt.NCPUs,
-		Workload:  "dma",
-		Devices:   opt.Devices,
-		Fault:     fc,
-		DevBug:    opt.PlantBug,
-		Shootdown: campaignWatchdog,
-	}
-}
-
-// DeviceChaosCampaign runs every device-chaos scenario against the
-// DMA-streaming workload. A failing run (which, with PlantBug, is the
-// expected outcome) is delta-debugged down to a 1-minimal fault schedule
-// and packaged as a replayable reproducer, exactly like the CPU campaign.
-func DeviceChaosCampaign(seed int64, opt DeviceChaosOptions, ins ...Instrument) (DeviceChaosResult, error) {
-	in := pick(ins)
-	if opt.NCPUs == 0 {
-		opt.NCPUs = 4
-	}
-	if opt.Devices == 0 {
-		opt.Devices = 2
-	}
+// DeviceChaosCampaign runs every device-chaos scenario, plus a.DevFaults
+// as a "custom" scenario when set, against the DMA-streaming workload on
+// a.Devices device TLBs. A failing run (which, with a.PlantBug planting
+// the stale-device-TLB bug, machine.Options.SkipDevInval, so that devices
+// acknowledge invalidations without performing them, is the expected
+// outcome) is delta-debugged down to a 1-minimal fault schedule and
+// packaged as a replayable reproducer, exactly like the CPU campaign.
+func DeviceChaosCampaign(a *Args) (DeviceChaosResult, error) {
 	scenarios := deviceScenarios
-	if opt.ExtraSpec != "" {
-		scenarios = append(scenarios, scenario{"custom", opt.ExtraSpec})
+	if a.DevFaults != "" {
+		scenarios = append(scenarios, scenario{"custom", a.DevFaults})
 	}
 	bug := ""
-	if opt.PlantBug {
+	if a.PlantBug {
 		bug = "skip-dev-inval"
 	}
-	runs, err := runCampaign[DeviceChaosRun](campaign{
-		kind:          "device",
-		seed:          seed,
-		scenarios:     scenarios,
-		bug:           bug,
-		cell:          func(fc fault.Config) explore.Cell { return deviceCampaignCell(seed, opt, fc) },
-		shrink:        opt.Shrink,
-		maxShrinkRuns: opt.MaxShrinkRuns,
-		wallClock:     opt.WallClock,
-	}, in)
-	return DeviceChaosResult{Seed: seed, NCPUs: opt.NCPUs, Devices: opt.Devices, Runs: runs}, err
+	// The shared device-chaos fixture: the DMA-streaming workload at half
+	// scale, hardened watchdog, oracle shadowing every device TLB.
+	cell := func(fc fault.Config) explore.Cell {
+		return explore.Cell{
+			Seed:      a.Seed,
+			NCPUs:     deviceCPUs,
+			Workload:  "dma",
+			Devices:   a.Devices,
+			Fault:     fc,
+			DevBug:    a.PlantBug,
+			Shootdown: campaignWatchdog,
+		}
+	}
+	runs, err := runCampaign[DeviceChaosRun](a, campaign{
+		kind:      "device",
+		scenarios: scenarios,
+		bug:       bug,
+		cell:      cell,
+	})
+	return DeviceChaosResult{Seed: a.Seed, NCPUs: deviceCPUs, Devices: a.Devices, Runs: runs}, err
 }
 
 // Render prints the device campaign.

@@ -19,7 +19,7 @@ import (
 // run also asserts the escalations actually fired. The campaign is run
 // twice and must be byte-identical: device chaos is still simulation.
 func TestDeviceChaosCampaignSurvivesWithoutBug(t *testing.T) {
-	res, err := DeviceChaosCampaign(7, DeviceChaosOptions{})
+	res, err := DeviceChaosCampaign(&Args{Seed: 7, Devices: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestDeviceChaosCampaignSurvivesWithoutBug(t *testing.T) {
 		t.Error("no run lost a CPU and stalled a device in the same window")
 	}
 
-	again, err := DeviceChaosCampaign(7, DeviceChaosOptions{})
+	again, err := DeviceChaosCampaign(&Args{Seed: 7, Devices: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestDeviceChaosCampaignSurvivesWithoutBug(t *testing.T) {
 // the same ReplayRepro path the CPU corpus uses — to the identical
 // verdict, twice.
 func TestDeviceBugShrinks(t *testing.T) {
-	res, err := DeviceChaosCampaign(7, DeviceChaosOptions{PlantBug: true, Shrink: true})
+	res, err := DeviceChaosCampaign(&Args{Seed: 7, Devices: 2, PlantBug: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRegenerateDeviceCorpus(t *testing.T) {
 	if os.Getenv("REGEN_CORPUS") == "" {
 		t.Skip("set REGEN_CORPUS=1 to rewrite testdata/corpus")
 	}
-	res, err := DeviceChaosCampaign(7, DeviceChaosOptions{PlantBug: true, Shrink: true})
+	res, err := DeviceChaosCampaign(&Args{Seed: 7, Devices: 2, PlantBug: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,15 +20,25 @@ type Fig2Result struct {
 	workload.BasicCostResult
 }
 
+// fig2Ks are Figure 2's child-thread counts, 1..15: every number of
+// other processors on the 16-CPU machine.
+var fig2Ks = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
 // Fig2 runs the consistency tester with 1..15 child threads on a 16-CPU
-// machine, runs times each, and fits the paper's trend line on 1..12.
+// machine, runs times each, and fits the paper's trend line on 1..12. It
+// is the one experiment function that does not take *Args: the
+// repository benchmark calls it with its own run count and instrument.
 func Fig2(seed int64, runs int, ins ...Instrument) (Fig2Result, error) {
+	var in Instrument
+	if len(ins) > 0 {
+		in = ins[0]
+	}
 	res, err := workload.RunBasicCost(workload.BasicCostConfig{
 		NCPUs:    16,
-		MaxK:     15,
+		Ks:       fig2Ks,
 		Runs:     runs,
 		BaseSeed: seed,
-		App:      pick(ins).App(workload.AppConfig{}),
+		App:      in.App(workload.AppConfig{}),
 	})
 	return Fig2Result{res}, err
 }
@@ -62,8 +72,8 @@ type Table1Result struct {
 }
 
 // Table1 runs the Mach build and Parthenon with lazy evaluation on and off.
-func Table1(seed int64, ins ...Instrument) (Table1Result, error) {
-	in := pick(ins)
+func Table1(a *Args) (Table1Result, error) {
+	in, seed := a.In, a.Seed
 	var out Table1Result
 	for i, lazyOff := range []bool{false, true} {
 		m, err := workload.RunMachBuild(in.App(workload.AppConfig{Seed: seed, LazyDisabled: lazyOff}))
@@ -128,13 +138,12 @@ type TablesResult struct {
 }
 
 // Tables234 runs the four applications with the instrumented kernel.
-func Tables234(seed int64, ins ...Instrument) (TablesResult, error) {
-	in := pick(ins)
+func Tables234(a *Args) (TablesResult, error) {
 	var out TablesResult
 	for _, run := range []func(workload.AppConfig) (workload.AppResult, error){
 		workload.RunMachBuild, workload.RunParthenon, workload.RunAgora, workload.RunCamelot,
 	} {
-		r, err := run(in.App(workload.AppConfig{Seed: seed}))
+		r, err := run(a.In.App(workload.AppConfig{Seed: a.Seed}))
 		if err != nil {
 			return out, err
 		}
@@ -244,8 +253,8 @@ type PerturbationResult struct {
 // Perturbation runs Parthenon (lazy disabled, as the paper did to maximize
 // sensitivity) with and without instrumentation, and measures run-to-run
 // spread across seeds for comparison.
-func Perturbation(seed int64, ins ...Instrument) (PerturbationResult, error) {
-	in := pick(ins)
+func Perturbation(a *Args) (PerturbationResult, error) {
+	in, seed := a.In, a.Seed
 	var out PerturbationResult
 	on, err := workload.RunParthenon(in.App(workload.AppConfig{Seed: seed, LazyDisabled: true}))
 	if err != nil {
@@ -305,11 +314,12 @@ type ScalePoint struct {
 
 // Scale fits the trend line on the 16-CPU machine and then actually builds
 // larger simulated machines to compare measurement against extrapolation
-// (the paper could only extrapolate; the simulator can measure).
-func Scale(seed int64, runs int, ins ...Instrument) (ScaleResult, error) {
-	in := pick(ins)
+// (the paper could only extrapolate; the simulator can measure). The fit
+// is a's Figure 2 sweep, shared with the fig2 entry.
+func Scale(a *Args) (ScaleResult, error) {
+	seed, runs := a.Seed, a.Runs
 	var out ScaleResult
-	fit, err := Fig2(seed, runs, ins...)
+	fit, err := a.fig2()
 	if err != nil {
 		return out, err
 	}
@@ -321,7 +331,7 @@ func Scale(seed int64, runs int, ins ...Instrument) (ScaleResult, error) {
 		for r := 0; r < runs; r++ {
 			res, err := workload.RunTester(workload.TesterConfig{
 				NCPUs: n, Children: n - 1, Seed: seed + int64(n*100+r),
-				App: in.App(workload.AppConfig{}),
+				App: a.In.App(workload.AppConfig{}),
 			})
 			if err != nil {
 				return out, err

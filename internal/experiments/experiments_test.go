@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestTable1Renders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow apps")
 	}
-	r, err := Table1(42)
+	r, err := Table1(&Args{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestTables234Render(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow apps")
 	}
-	r, err := Tables234(42)
+	r, err := Tables234(&Args{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestPerturbationRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	r, err := Perturbation(42)
+	r, err := Perturbation(&Args{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestScaleRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
-	r, err := Scale(11, 2)
+	r, err := Scale(&Args{Seed: 11, Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestStrategyCompare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	r, err := StrategyCompare(5, []int{2, 6})
+	r, err := StrategyCompare(&Args{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +150,16 @@ func TestIPIModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	r, err := IPIModes(5, []int{2, 10, 15})
+	r, err := IPIModes(&Args{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// At 15 targets the multicast hardware must beat the unicast loop.
-	u, m := r.Rows["unicast"][2], r.Rows["multicast"][2]
+	i := slices.Index(r.Ks, 15)
+	if i < 0 {
+		t.Fatalf("sweep %v has no k=15", r.Ks)
+	}
+	u, m := r.Rows["unicast"][i], r.Rows["multicast"][i]
 	if m >= u {
 		t.Errorf("multicast (%.0f) should beat unicast (%.0f) at k=15", m, u)
 	}
@@ -167,7 +172,7 @@ func TestHighPriorityIPIAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	r, err := HighPriorityIPI(42)
+	r, err := HighPriorityIPI(&Args{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +186,7 @@ func TestHighPriorityIPIAblation(t *testing.T) {
 }
 
 func TestIdleOptAblation(t *testing.T) {
-	r, err := IdleOpt(3)
+	r, err := IdleOpt(&Args{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +205,7 @@ func TestIdleOptAblation(t *testing.T) {
 }
 
 func TestFlushThresholdAblation(t *testing.T) {
-	r, err := FlushThreshold(3, 16)
+	r, err := FlushThreshold(&Args{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +226,7 @@ func TestFlushThresholdAblation(t *testing.T) {
 }
 
 func TestQueueSizeAblation(t *testing.T) {
-	r, err := QueueSize(3)
+	r, err := QueueSize(&Args{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +243,7 @@ func TestQueueSizeAblation(t *testing.T) {
 }
 
 func TestTaggedTLBExtension(t *testing.T) {
-	r, err := TaggedTLB(3)
+	r, err := TaggedTLB(&Args{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +262,7 @@ func TestTaggedTLBExtension(t *testing.T) {
 }
 
 func TestPoolsExtension(t *testing.T) {
-	r, err := Pools(3, 8)
+	r, err := Pools(&Args{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +286,7 @@ func TestPoolsExtension(t *testing.T) {
 }
 
 func TestPageoutExtension(t *testing.T) {
-	r, err := Pageout(3)
+	r, err := Pageout(&Args{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,22 +14,6 @@ import (
 // simultaneously, which is what opens the racy tie windows worth forking.
 const exploreSpec = "failstop=0.9,failby=8ms,revive=1,reviveafter=4ms"
 
-// ExploreOptions tunes the schedule-exploration experiment.
-type ExploreOptions struct {
-	NCPUs int // default 6
-	// Budget bounds the number of forked schedules (default 24); the same
-	// budget and seed explore the byte-identical set of schedules.
-	Budget int
-	// PlantBug enables the intentional stale-TLB-after-revive bug, so the
-	// explorer has an interleaving-dependent violation to find.
-	PlantBug bool
-	// MaxShrinkRuns bounds the shrink campaign on the first violation.
-	MaxShrinkRuns int
-	// WallClock is the millisecond clock injected by package main for
-	// shrink-campaign accounting (this package may not read real time).
-	WallClock func() int64
-}
-
 // ExploreResult wraps the explorer's output for the experiment envelope.
 type ExploreResult struct {
 	explore.Result
@@ -37,25 +21,21 @@ type ExploreResult struct {
 
 // ExploreCampaign runs the DPOR-lite schedule explorer over the chaos
 // fixture: one instrumented base run to log racy tie decisions, then one
-// forked replay per untaken branch, every violation fed into the
-// restore-to-prefix shrink -> reproducer pipeline.
-func ExploreCampaign(seed int64, opt ExploreOptions) (ExploreResult, error) {
-	if opt.NCPUs == 0 {
-		opt.NCPUs = 6
-	}
+// forked replay per untaken branch within a.ExploreBudget (0 = the
+// explorer's default), every violation fed into the restore-to-prefix
+// shrink -> reproducer pipeline. a.PlantBug plants the
+// stale-TLB-after-revive bug, so the explorer has an
+// interleaving-dependent violation to find.
+func ExploreCampaign(a *Args) (ExploreResult, error) {
 	fc, err := fault.ParseSpec(exploreSpec)
 	if err != nil {
 		return ExploreResult{}, fmt.Errorf("experiments: explore: %w", err)
 	}
 	// Same per-scenario seeding as the chaos campaign's hotplug row, so a
 	// violation found here replays under `chaos` tooling unchanged.
-	fc.Seed = seed + 257
-	cell := campaignCell(seed, opt.NCPUs, fc, opt.PlantBug)
-	r, err := explore.Explore(cell, explore.Options{
-		Budget:        opt.Budget,
-		MaxShrinkRuns: opt.MaxShrinkRuns,
-		WallClock:     opt.WallClock,
-	})
+	fc.Seed = a.Seed + 257
+	cell := campaignCell(a.Seed, churnCPUs, fc, a.PlantBug)
+	r, err := explore.Explore(cell, explore.Options{Budget: a.ExploreBudget, WallClock: a.WallClock})
 	return ExploreResult{r}, err
 }
 

@@ -91,8 +91,8 @@ func (r FaultCampaignResult) Failures() int {
 // translation. An Instrument carrying its own Faults config adds a "custom"
 // scenario. A failed run is recorded, not fatal: the campaign's verdict is
 // the Completed column.
-func FaultCampaign(seed int64, ins ...Instrument) (FaultCampaignResult, error) {
-	in := pick(ins)
+func FaultCampaign(a *Args) (FaultCampaignResult, error) {
+	in, seed := a.In, a.Seed
 	res := FaultCampaignResult{Seed: seed}
 
 	scenarios := faultScenarios

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestFaultCampaignSmoke(t *testing.T) {
-	r, err := FaultCampaign(1)
+	r, err := FaultCampaign(&Args{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

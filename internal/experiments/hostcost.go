@@ -7,18 +7,6 @@ import (
 	"shootdown/internal/workload"
 )
 
-// HostCostOptions configures the host-cost experiment.
-type HostCostOptions struct {
-	// Sampler measures real wall time and allocator statistics per phase.
-	// It must be constructed by host-side code (package main calls
-	// hostprof.NewSampler) and injected here: the simdeterminism analyzer
-	// bans the constructor — and every other real-clock entry point —
-	// inside this package.
-	Sampler *hostprof.Sampler
-	// Commit, when set, is stamped into the artifact's provenance.
-	Commit string
-}
-
 // HostCostResult carries the sealed host-cost/v1 report.
 type HostCostResult struct {
 	Report *hostprof.Report
@@ -42,19 +30,20 @@ const hostCostFig2Runs = 3
 //
 //	fig2     — experiments.Fig2(seed, hostCostFig2Runs): the headline
 //	           phase, the whole Figure 2 sweep at three runs per point.
-//	table1   — experiments.Table1(seed): the lazy-evaluation workloads.
+//	table1   — experiments.Table1(a): the lazy-evaluation workloads.
 //	snapshot — a paused churn world plus one whole-simulation snapshot,
 //	           the unit the shrinker and explorer amortize.
 //
+// a.Sampler measures each phase and a.Commit is stamped into the report.
 // The returned report names the top allocating functions — where a host
 // speed overhaul must aim first.
-func HostCost(seed int64, opts HostCostOptions, ins ...Instrument) (HostCostResult, error) {
+func HostCost(a *Args) (HostCostResult, error) {
 	var out HostCostResult
-	if opts.Sampler == nil {
+	if a.Sampler == nil {
 		return out, fmt.Errorf("hostcost: no sampler (construct hostprof.NewSampler in package main and inject it)")
 	}
-	in := pick(ins)
-	phase := opts.Sampler.Phase
+	seed, in := a.Seed, a.In
+	phase := a.Sampler.Phase
 
 	if err := phase("fig2", func() error {
 		_, err := Fig2(seed, hostCostFig2Runs, in)
@@ -63,7 +52,7 @@ func HostCost(seed int64, opts HostCostOptions, ins ...Instrument) (HostCostResu
 		return out, fmt.Errorf("hostcost: fig2 phase: %w", err)
 	}
 	if err := phase("table1", func() error {
-		_, err := Table1(seed, in)
+		_, err := Table1(a)
 		return err
 	}); err != nil {
 		return out, fmt.Errorf("hostcost: table1 phase: %w", err)
@@ -87,11 +76,11 @@ func HostCost(seed int64, opts HostCostOptions, ins ...Instrument) (HostCostResu
 		return out, fmt.Errorf("hostcost: snapshot phase: %w", err)
 	}
 
-	rep, err := opts.Sampler.Report("fig2")
+	rep, err := a.Sampler.Report("fig2")
 	if err != nil {
 		return out, err
 	}
-	rep.Commit = opts.Commit
+	rep.Commit = a.Commit
 	out.Report = rep
 	return out, nil
 }

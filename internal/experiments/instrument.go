@@ -15,8 +15,8 @@ import (
 )
 
 // Instrument carries optional observability hooks through an experiment's
-// kernel runs. Every experiment function accepts a trailing variadic
-// Instrument; passing none runs uninstrumented, exactly as before.
+// kernel runs. An experiment reads it from Args.In (Fig2 from its
+// trailing variadic parameter); the zero Instrument runs uninstrumented.
 //
 // Tracer, Profiler and Flight are shared by every kernel the experiment
 // builds, joined into each kernel's one observation stream (trace.Stream;
@@ -27,8 +27,14 @@ import (
 // time or consumes simulation randomness, so instrumented results are
 // bit-identical to uninstrumented ones. Experiments that assemble a bare
 // machine with no kernel (Pools) attach the stream but never call Observe.
-// Instruments may also carry a fault-injection config and the oracle switch;
-// experiments propagate them to every kernel they build.
+//
+// Faults and Oracle do not reach every experiment. The ones that run
+// package workload's applications or assemble kernels of their own take
+// both; the fault campaign runs Faults as one more scenario of its own.
+// Pools builds a bare machine and ignores both. The chaos and devices
+// campaigns, explore and timetravel run their own fault scenarios with the
+// oracle always on; of the hooks, chaos and devices take only Observe and
+// Flight, and explore and timetravel none.
 type Instrument struct {
 	Tracer  *trace.Tracer
 	Observe func(*kernel.Kernel)
@@ -48,14 +54,6 @@ type Instrument struct {
 	// the recorder's directory. Like the other hooks it charges no virtual
 	// time, so results are bit-identical with and without it.
 	Flight *trace.Recorder
-}
-
-// pick flattens the optional variadic instrument parameter.
-func pick(ins []Instrument) Instrument {
-	if len(ins) == 0 {
-		return Instrument{}
-	}
-	return ins[0]
 }
 
 // App applies the instrument to a workload configuration, for the

@@ -45,24 +45,47 @@ func TestDirectExperimentsObserveEveryWorld(t *testing.T) {
 	cases := []struct {
 		name   string
 		worlds int
-		run    func(Instrument) error
+		run    func(*Args) (Result, error)
 	}{
-		{"highprio", 2, func(in Instrument) error { _, err := HighPriorityIPI(7, in); return err }},
-		{"idleopt", 2, func(in Instrument) error { _, err := IdleOpt(7, in); return err }},
-		{"threshold", 5, func(in Instrument) error { _, err := FlushThreshold(7, 16, in); return err }},
-		{"queue", 5, func(in Instrument) error { _, err := QueueSize(7, in); return err }},
-		{"taggedtlb", 2, func(in Instrument) error { _, err := TaggedTLB(7, in); return err }},
-		{"pageout", 1, func(in Instrument) error { _, err := Pageout(7, in); return err }},
+		{"highprio", 2, run(HighPriorityIPI)},
+		{"idleopt", 2, run(IdleOpt)},
+		{"threshold", 5, run(FlushThreshold)},
+		{"queue", 5, run(QueueSize)},
+		{"taggedtlb", 2, run(TaggedTLB)},
+		{"pageout", 1, run(Pageout)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			calls := 0
-			if err := c.run(Instrument{Observe: func(*kernel.Kernel) { calls++ }}); err != nil {
+			if _, err := c.run(&Args{Seed: 7, In: Instrument{Observe: func(*kernel.Kernel) { calls++ }}}); err != nil {
 				t.Fatal(err)
 			}
 			if calls != c.worlds {
 				t.Fatalf("Observe called %d times, want once for each of %d worlds", calls, c.worlds)
 			}
 		})
+	}
+}
+
+// TestScaleReusesFig2Sweep runs the fig2 and scale catalog entries through
+// one *Args, as `shootdownsim all` does: the Figure 2 sweep (15 worlds per
+// run) must happen once, so Observe sees it plus scale's five machine
+// sizes per run.
+func TestScaleReusesFig2Sweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the Figure 2 sweep")
+	}
+	const runs = 1
+	worlds := 0
+	a := &Args{Seed: 7, Runs: runs, In: Instrument{Observe: func(*kernel.Kernel) { worlds++ }}}
+	for _, e := range Catalog {
+		if e.Name == "fig2" || e.Name == "scale" {
+			if _, err := e.Run(a); err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+		}
+	}
+	if want := 15*runs + 5*runs; worlds != want {
+		t.Fatalf("fig2 then scale observed %d worlds, want %d", worlds, want)
 	}
 }

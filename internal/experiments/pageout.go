@@ -26,13 +26,12 @@ type PageoutResult struct {
 // Pageout runs a memory-pressure scenario: worker threads loop over a
 // working set while a pageout daemon evicts cold pages; the workers fault
 // them back in. Every byte must survive the round trips.
-func Pageout(seed int64, ins ...Instrument) (PageoutResult, error) {
-	in := pick(ins)
+func Pageout(a *Args) (PageoutResult, error) {
 	var out PageoutResult
 	const pages = 48
 	intact := true
-	k, err := in.runWorld(kernel.Config{
-		Machine: machine.Options{NumCPUs: 4, MemFrames: 4096, Seed: seed},
+	k, err := a.In.runWorld(kernel.Config{
+		Machine: machine.Options{NumCPUs: 4, MemFrames: 4096, Seed: a.Seed},
 	}, func(k *kernel.Kernel) error {
 		task, err := k.NewTask("pressure")
 		if err != nil {

@@ -31,15 +31,15 @@ type PoolsRow struct {
 	PooledUS float64 // pool-confined kernel shootdown
 }
 
+// poolSize is the number of processors in each pool.
+const poolSize = 8
+
 // Pools measures pooled vs global kernel shootdowns on busy machines of
 // increasing size.
-func Pools(seed int64, poolSize int, ins ...Instrument) (PoolsResult, error) {
-	if poolSize == 0 {
-		poolSize = 8
-	}
+func Pools(a *Args) (PoolsResult, error) {
 	out := PoolsResult{PoolSize: poolSize}
 	for _, n := range []int{16, 32, 64} {
-		g, p, err := runPoolCase(seed, n, poolSize, pick(ins))
+		g, p, err := runPoolCase(a.Seed, n, a.In)
 		if err != nil {
 			return out, err
 		}
@@ -51,7 +51,7 @@ func Pools(seed int64, poolSize int, ins ...Instrument) (PoolsResult, error) {
 // runPoolCase builds an n-CPU machine with every processor busy, maps one
 // kernel page in a pool-0-confined region and one in the global region,
 // and measures the initiator time of reprotecting each.
-func runPoolCase(seed int64, ncpu, poolSize int, in Instrument) (globalUS, pooledUS float64, err error) {
+func runPoolCase(seed int64, ncpu int, in Instrument) (globalUS, pooledUS float64, err error) {
 	obs := trace.Stream(in.Tracer, in.Flight, in.Profiler)
 	eng := sim.New(sim.WithMaxTime(120_000_000_000), sim.WithTracer(obs))
 	m := machine.New(eng, machine.Options{NumCPUs: ncpu, MemFrames: 4096, Seed: seed})

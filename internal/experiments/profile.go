@@ -54,37 +54,25 @@ type ProfileResult struct {
 }
 
 // Profile runs the basic-cost tester at each responder count under one
-// shared profiler and reconstructs every user shootdown's critical path.
-// It reproduces the paper's cost-attribution narrative: responder cost is
-// dominated by IPL-masked intervals, and bus contention explains the
-// departure from the linear trend at 12+ processors.
-func Profile(seed int64, runs int, ins ...Instrument) (ProfileResult, error) {
-	if runs <= 0 {
-		runs = 1
-	}
-	in := pick(ins)
+// shared profiler (a.In's, or a fresh one) and reconstructs every user
+// shootdown's critical path. It reproduces the paper's cost-attribution
+// narrative: responder cost is dominated by IPL-masked intervals, and bus
+// contention explains the departure from the linear trend at 12+
+// processors.
+func Profile(a *Args) (ProfileResult, error) {
+	in := a.In
 	if in.Profiler == nil {
 		in.Profiler = profile.New()
 	}
 	p := in.Profiler
-	for _, k := range profileKs {
-		for run := 0; run < runs; run++ {
-			res, err := workload.RunTester(workload.TesterConfig{
-				NCPUs:    16,
-				Children: k,
-				Seed:     seed + int64(k*1000+run),
-				App:      in.App(workload.AppConfig{}),
-			})
-			if err != nil {
-				return ProfileResult{}, fmt.Errorf("profile: k=%d run=%d: %w", k, run, err)
-			}
-			if res.Inconsistent {
-				return ProfileResult{}, fmt.Errorf("profile: TLB inconsistency at k=%d run=%d", k, run)
-			}
-			if res.UserEvents != 1 {
-				return ProfileResult{}, fmt.Errorf("profile: k=%d run=%d caused %d user shootdowns, want 1", k, run, res.UserEvents)
-			}
-		}
+	if _, err := workload.RunBasicCost(workload.BasicCostConfig{
+		NCPUs:    16,
+		Ks:       profileKs,
+		Runs:     max(a.Runs, 1),
+		BaseSeed: a.Seed,
+		App:      in.App(workload.AppConfig{}),
+	}); err != nil {
+		return ProfileResult{}, fmt.Errorf("profile: %w", err)
 	}
 
 	out := ProfileResult{Prof: p}

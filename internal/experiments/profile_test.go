@@ -14,7 +14,7 @@ import (
 // rises sharply past 12 processors.
 func TestProfileShapes(t *testing.T) {
 	const runs = 2
-	r, err := Profile(42, runs)
+	r, err := Profile(&Args{Seed: 42, Runs: runs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestProfileShapes(t *testing.T) {
 // of the seed.
 func TestProfileDeterministic(t *testing.T) {
 	fold := func() []byte {
-		r, err := Profile(42, 1)
+		r, err := Profile(&Args{Seed: 42, Runs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestProfileDeterministic(t *testing.T) {
 // share one attribution stream).
 func TestProfileUsesSuppliedProfiler(t *testing.T) {
 	p := profile.New()
-	r, err := Profile(7, 1, Instrument{Profiler: p})
+	r, err := Profile(&Args{Seed: 7, Runs: 1, In: Instrument{Profiler: p}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +99,12 @@ func TestProfileUsesSuppliedProfiler(t *testing.T) {
 // shootdowns of every machine size are reconstructed, and profiling leaves
 // the measured costs unchanged.
 func TestPoolsProfilesItsShootdowns(t *testing.T) {
-	plain, err := Pools(3, 8)
+	plain, err := Pools(&Args{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := profile.New()
-	r, err := Pools(3, 8, Instrument{Profiler: p})
+	r, err := Pools(&Args{Seed: 3, In: Instrument{Profiler: p}})
 	if err != nil {
 		t.Fatal(err)
 	}

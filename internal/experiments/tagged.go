@@ -31,16 +31,15 @@ type TaggedTLBRow struct {
 // TaggedTLB runs a context-switch-heavy workload — two tasks alternating
 // on one processor, each touching a working set every slice — on both
 // TLB designs.
-func TaggedTLB(seed int64, ins ...Instrument) (TaggedTLBResult, error) {
-	in := pick(ins)
+func TaggedTLB(a *Args) (TaggedTLBResult, error) {
 	var out TaggedTLBResult
 	run := func(tagged bool) (TaggedTLBRow, error) {
 		var row TaggedTLBRow
 		const pages = 12
 		const rounds = 60
-		k, err := in.runWorld(kernel.Config{
+		k, err := a.In.runWorld(kernel.Config{
 			Machine: machine.Options{
-				NumCPUs: 1, MemFrames: 2048, Seed: seed,
+				NumCPUs: 1, MemFrames: 2048, Seed: a.Seed,
 				TLB: tlb.Config{Tagged: tagged},
 			},
 		}, func(k *kernel.Kernel) error {

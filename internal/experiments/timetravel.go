@@ -7,7 +7,6 @@ import (
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
-	"shootdown/internal/sim"
 	"shootdown/internal/snap"
 )
 
@@ -37,22 +36,20 @@ type TimeTravelResult struct {
 }
 
 // TimeTravel demonstrates snapshot/restore end to end on the hot-plug
-// chaos fixture: map the requested virtual time to an event boundary,
+// chaos fixture: map the requested virtual time a.At to an event boundary,
 // snapshot the original world there, rebuild a fresh world and replay it
 // to the same boundary, verify byte identity, then run both worlds to
 // completion and verify their final states match too. A digest mismatch is
 // returned as an error — restore is verified, never assumed.
-func TimeTravel(seed int64, at sim.Time, ncpus int) (TimeTravelResult, error) {
-	if ncpus == 0 {
-		ncpus = 6
-	}
-	res := TimeTravelResult{Seed: seed, NCPUs: ncpus, AtNS: int64(at)}
+func TimeTravel(a *Args) (TimeTravelResult, error) {
+	seed, at := a.Seed, a.At
+	res := TimeTravelResult{Seed: seed, NCPUs: churnCPUs, AtNS: int64(at)}
 	fc, err := fault.ParseSpec(chaosScenarios[1].Spec) // hotplug: the busy fixture
 	if err != nil {
 		return res, err
 	}
 	fc.Seed = seed + 257
-	cell := campaignCell(seed, ncpus, fc, false)
+	cell := campaignCell(seed, churnCPUs, fc, false)
 
 	// Scout: drive a throwaway world by virtual time to learn which event
 	// step the requested instant lands on. (The engine's cursor is steps,

@@ -60,9 +60,6 @@ type Options struct {
 	// Budget bounds the number of forked schedules (default 24). The same
 	// budget and seed always explore the byte-identical set of schedules.
 	Budget int
-	// MaxShrinkRuns bounds the shrink campaign on the first violation
-	// (default 48).
-	MaxShrinkRuns int
 	// WallClock, when set, is a millisecond clock injected by package
 	// main for shrink-campaign accounting.
 	WallClock func() int64
@@ -71,9 +68,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Budget == 0 {
 		o.Budget = 24
-	}
-	if o.MaxShrinkRuns == 0 {
-		o.MaxShrinkRuns = 48
 	}
 	return o
 }
@@ -186,7 +180,7 @@ func Explore(cell Cell, opt Options) (Result, error) {
 		if opt.WallClock != nil {
 			rw.SetWallClock(opt.WallClock)
 		}
-		sres := rw.Minimize(opt.MaxShrinkRuns)
+		sres := rw.Minimize()
 		repro := BuildRepro(f.cell, f.verdict, f.events, sres.Keep, sres.Meta)
 		res.Repro = &repro
 	}

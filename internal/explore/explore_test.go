@@ -30,7 +30,7 @@ func hotplugCell(t *testing.T, seed int64, bug bool) Cell {
 // violation within its budget and the restore-to-prefix shrinker must
 // minimize it to a handful of fault events.
 func TestExplorerFindsAndShrinksViolation(t *testing.T) {
-	res, err := Explore(hotplugCell(t, 7, true), Options{Budget: 8, MaxShrinkRuns: 48})
+	res, err := Explore(hotplugCell(t, 7, true), Options{Budget: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestExplorerFindsAndShrinksViolation(t *testing.T) {
 // TestExplorerDeterministic pins the budget policy: same cell, same
 // budget, same explored set — byte for byte, forks and reproducer alike.
 func TestExplorerDeterministic(t *testing.T) {
-	a, err := Explore(hotplugCell(t, 7, true), Options{Budget: 6, MaxShrinkRuns: 24})
+	a, err := Explore(hotplugCell(t, 7, true), Options{Budget: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Explore(hotplugCell(t, 7, true), Options{Budget: 6, MaxShrinkRuns: 24})
+	b, err := Explore(hotplugCell(t, 7, true), Options{Budget: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

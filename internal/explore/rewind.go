@@ -64,14 +64,19 @@ func (r *Rewinder) SetWallClock(fn func() int64) { r.wall = fn }
 // Meta returns the campaign accounting accumulated so far.
 func (r *Rewinder) Meta() shrink.Meta { return r.meta }
 
-// Minimize runs restore-to-prefix ddmin over the base failing schedule
-// and returns the 1-minimal subset with campaign accounting attached.
-func (r *Rewinder) Minimize(maxRuns int) shrink.Result {
+// maxShrinkRuns bounds the candidate re-executions of one shrink
+// campaign.
+const maxShrinkRuns = 48
+
+// Minimize runs restore-to-prefix ddmin over the base failing schedule,
+// at most maxShrinkRuns candidates, and returns the 1-minimal subset with
+// campaign accounting attached.
+func (r *Rewinder) Minimize() shrink.Result {
 	var startMS int64
 	if r.wall != nil {
 		startMS = r.wall()
 	}
-	res := shrink.MinimizeFromPrefix(r.baseEvents, r.test, maxRuns)
+	res := shrink.MinimizeFromPrefix(r.baseEvents, r.test, maxShrinkRuns)
 	m := r.meta
 	m.Tests = res.Tests
 	if r.wall != nil {

@@ -181,16 +181,17 @@ type BasicCostPoint struct {
 
 // BasicCostConfig parameterizes the Figure 2 sweep.
 type BasicCostConfig struct {
-	NCPUs    int // default 16
-	MaxK     int // default NCPUs-1
-	Runs     int // per k; default 10
+	NCPUs    int   // default 16
+	Ks       []int // child-thread counts to sweep
+	Runs     int   // per k; default 10
 	BaseSeed int64
 	App      AppConfig
 }
 
 // BasicCostResult is the Figure 2 reproduction: per-k means, the
-// least-squares trend line fitted to 1..12 (excluding the congested tail,
-// as the paper does), and the predicted time at 100 processors (§11).
+// least-squares trend line fitted to the points with k ≤ 12 (excluding
+// the congested tail, as the paper does), and the predicted time at 100
+// processors (§11).
 type BasicCostResult struct {
 	Points  []BasicCostPoint
 	Fit     stats.Fit
@@ -202,20 +203,17 @@ type BasicCostResult struct {
 }
 
 // RunBasicCost measures the basic cost of shootdown: for each k, run the
-// tester Runs times and record the initiator elapsed time of the single
-// k-processor shootdown.
+// tester Runs times (seed BaseSeed + k*1000 + run) and record the
+// initiator elapsed time of the single k-processor shootdown.
 func RunBasicCost(cfg BasicCostConfig) (BasicCostResult, error) {
 	if cfg.NCPUs == 0 {
 		cfg.NCPUs = 16
-	}
-	if cfg.MaxK == 0 {
-		cfg.MaxK = cfg.NCPUs - 1
 	}
 	if cfg.Runs == 0 {
 		cfg.Runs = 10
 	}
 	var out BasicCostResult
-	for k := 1; k <= cfg.MaxK; k++ {
+	for _, k := range cfg.Ks {
 		pt := BasicCostPoint{Processors: k}
 		for run := 0; run < cfg.Runs; run++ {
 			res, err := RunTester(TesterConfig{
@@ -225,7 +223,7 @@ func RunBasicCost(cfg BasicCostConfig) (BasicCostResult, error) {
 				App:      cfg.App,
 			})
 			if err != nil {
-				return out, err
+				return out, fmt.Errorf("workload: k=%d run=%d: %w", k, run, err)
 			}
 			if res.Inconsistent {
 				return out, fmt.Errorf("workload: TLB inconsistency at k=%d run=%d", k, run)
@@ -242,15 +240,12 @@ func RunBasicCost(cfg BasicCostConfig) (BasicCostResult, error) {
 	}
 	// Fit the trend line on the uncongested region (the paper excludes
 	// 13-15, where bus contention bends the curve).
-	out.FitMaxK = 12
-	if out.FitMaxK > cfg.MaxK {
-		out.FitMaxK = cfg.MaxK
-	}
 	var xs, ys []float64
 	for _, pt := range out.Points {
-		if pt.Processors <= out.FitMaxK {
+		if pt.Processors <= 12 {
 			xs = append(xs, float64(pt.Processors))
 			ys = append(ys, pt.MeanUS)
+			out.FitMaxK = max(out.FitMaxK, pt.Processors)
 		}
 	}
 	fit, err := stats.LeastSquares(xs, ys)

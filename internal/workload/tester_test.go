@@ -38,7 +38,7 @@ func TestTesterConfigValidation(t *testing.T) {
 }
 
 func TestBasicCostSmall(t *testing.T) {
-	res, err := RunBasicCost(BasicCostConfig{NCPUs: 8, MaxK: 5, Runs: 3, BaseSeed: 7})
+	res, err := RunBasicCost(BasicCostConfig{NCPUs: 8, Ks: []int{1, 2, 3, 4, 5}, Runs: 3, BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
