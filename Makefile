@@ -2,7 +2,8 @@
 # pass: tier-1 (build + test + lint), tier-2 (race-detector tests over the
 # packages with real concurrency), and an end-to-end smoke run of the
 # observability layer plus a determinism check of the fault-injection
-# campaign.
+# campaign. The tier-1 and tier-2 steps are defined here only;
+# scripts/check.sh runs them as `make tier1 tier2`.
 
 GO ?= go
 
@@ -11,14 +12,10 @@ GO ?= go
 check: ## tier-1 + tier-2 + observability and fault-campaign smoke tests
 	./scripts/check.sh
 
-tier1: ## the hard floor: build + tests + static analysis
-	$(GO) build ./...
-	$(GO) test ./...
+tier1: build test lint ## the hard floor: build + tests (the bench module's too) + static analysis
 	cd bench && $(GO) test .
-	$(MAKE) lint
 
-tier2: ## race detector + chaos-campaign survival and corpus replay
-	$(GO) test -race ./internal/sim/... ./internal/trace/...
+tier2: race ## race detector + chaos-campaign survival and corpus replay
 	$(GO) test ./internal/experiments -run 'ChaosCampaignSurvivesWithoutBug|StaleReviveBugShrinks|CorpusReplay|DeviceBugShrinks|DeviceQuarantineBlackBox'
 
 build:
@@ -27,8 +24,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-lint: ## go vet + gofmt + the shootdownlint analyzer suite (DESIGN.md §10)
-	$(GO) vet ./...
+lint: vet ## go vet + gofmt + the shootdownlint analyzer suite (DESIGN.md §10)
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/shootdownlint ./...

@@ -144,11 +144,11 @@ func (c *checker) checkScope(body *ast.BlockStmt) {
 // raiseName reports whether call is a raise primitive, returning its
 // display name ("" if not).
 func (c *checker) raiseName(call *ast.CallExpr) string {
-	fn := calleeFunc(c.pass, call)
+	fn := summary.Callee(c.pass.TypesInfo, call)
 	if fn == nil {
 		return ""
 	}
-	recv := receiverTypeName(fn)
+	recv := summary.ReceiverTypeName(fn)
 	if recv == "" || fn.Pkg() == nil || fn.Pkg().Name() != "machine" {
 		return ""
 	}
@@ -472,7 +472,7 @@ func (w *siteWalker) firstBlockingCall(n ast.Node) (token.Pos, string, bool) {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(w.c.pass, call)
+		fn := summary.Callee(w.c.pass.TypesInfo, call)
 		if fn == nil {
 			return true
 		}
@@ -516,12 +516,6 @@ func (w *siteWalker) usesObj(n ast.Node) bool {
 		return true
 	})
 	return found
-}
-
-func receiverTypeName(fn *types.Func) string { return summary.ReceiverTypeName(fn) }
-
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	return summary.Callee(pass.TypesInfo, call)
 }
 
 func isPanic(pass *analysis.Pass, e ast.Expr) bool {

@@ -283,7 +283,7 @@ func (w *walker) checkCall(call *ast.CallExpr, h []held) {
 	if len(h) == 0 {
 		return
 	}
-	fn := calleeFunc(w.c.pass, call)
+	fn := summary.Callee(w.c.pass.TypesInfo, call)
 	if fn == nil {
 		return
 	}
@@ -358,7 +358,7 @@ func (c *checker) mayAcquire(fn *types.Func) map[string]bool {
 		}
 		return dst
 	}
-	if isInterfaceMethod(fn) {
+	if summary.IsInterfaceMethod(fn) {
 		out := map[string]bool{}
 		c.ix.EachFunc(func(full string, s *summary.FuncSummary) {
 			if methodName(full) == fn.Name() {
@@ -375,14 +375,6 @@ func (c *checker) mayAcquire(fn *types.Func) map[string]bool {
 
 // --- helpers -------------------------------------------------------------
 
-func isInterfaceMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return types.IsInterface(sig.Recv().Type())
-}
-
 // methodName extracts the bare method name from a types.Func.FullName like
 // "(*shootdown/internal/core.Shootdown).Sync".
 func methodName(full string) string {
@@ -392,8 +384,4 @@ func methodName(full string) string {
 		}
 	}
 	return full
-}
-
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	return summary.Callee(pass.TypesInfo, call)
 }

@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"shootdown/internal/analysis"
+	"shootdown/internal/analysis/summary"
 )
 
 // Analyzer is the simdeterminism analysis.
@@ -94,7 +95,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // checkCall flags calls to the forbidden wall-clock/env/global-rand
 // functions.
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass, call)
+	fn := summary.Callee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -186,24 +187,9 @@ func firstEffectCall(pass *analysis.Pass, body *ast.BlockStmt) *ast.CallExpr {
 	return found
 }
 
-// calleeFunc resolves the static callee of a call, or nil.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
-}
-
 // callName renders a call target for a diagnostic.
 func callName(pass *analysis.Pass, call *ast.CallExpr) string {
-	if fn := calleeFunc(pass, call); fn != nil {
+	if fn := summary.Callee(pass.TypesInfo, call); fn != nil {
 		if fn.Pkg() != nil && fn.Pkg() != pass.Pkg {
 			return fn.Pkg().Name() + "." + fn.Name()
 		}

@@ -141,7 +141,7 @@ func (c *collector) call(call *ast.CallExpr) {
 	if IsBlockingBase(fn) {
 		c.out.Blocks = true
 	}
-	if isInterfaceMethod(fn) {
+	if IsInterfaceMethod(fn) {
 		return // not statically resolvable; consumers handle by name
 	}
 	if c.out.Calls == nil {
@@ -467,7 +467,9 @@ func ReceiverTypeName(fn *types.Func) string {
 	return ""
 }
 
-func isInterfaceMethod(fn *types.Func) bool {
+// IsInterfaceMethod reports whether fn is an interface method, whose
+// callee is only known at run time.
+func IsInterfaceMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false

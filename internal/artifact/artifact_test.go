@@ -119,7 +119,7 @@ func shoot(seq, cpu, pages int, busNS, spinNS int64) profile.ShootExport {
 		LastCPU: 9,
 		Responders: []profile.RespExport{{
 			CPU: 9, PostNS: send, DeliverNS: send + 500, AckNS: ack,
-			BusNS: busNS, SpinNS: spinNS, OtherNS: 5_000, Why: "bus",
+			Components: profile.Components{BusNS: busNS, SpinNS: spinNS, OtherNS: 5_000, Why: "bus"},
 		}},
 	}
 }
@@ -164,14 +164,6 @@ func TestDiffIdentityAlignment(t *testing.T) {
 	}
 	if !strings.Contains(rep.Verdict, "no virtual-time movement") {
 		t.Fatalf("verdict %q, want no movement (matched records are identical)", rep.Verdict)
-	}
-}
-
-// EdgesOf on a local-only shootdown charges everything to setup.
-func TestEdgesOfLocalOnly(t *testing.T) {
-	e := EdgesOf(profile.ShootExport{Seq: 0, CPU: 1, StartNS: 100, EndNS: 400, LastCPU: -1})
-	if e.SetupNS != 300 || e.SendNS != 0 || e.WaitNS != 0 || e.FinishNS != 0 {
-		t.Fatalf("local-only edges = %+v, want setup 300 only", e)
 	}
 }
 

@@ -14,55 +14,6 @@ import (
 	"shootdown/internal/profile"
 )
 
-// Edges is one shootdown's critical-path edge durations in virtual ns.
-// Zero-valued edges mean the shootdown never reached that node (local-only
-// shootdown, or the run ended mid-flight).
-type Edges struct {
-	// SetupNS: Sync entry → IPIs out. SendNS: IPIs out → spin entry.
-	// WaitNS: spin entry → last ack. FinishNS: last ack → Sync return.
-	SetupNS, SendNS, WaitNS, FinishNS int64
-	// Last-responder post→ack attribution (zero when no responder acked).
-	PendNS, IRQNS, DispatchNS, BusNS, SpinNS, OtherNS int64
-}
-
-// SyncNS is the end-to-end latency covered by the edges.
-func (e Edges) SyncNS() int64 { return e.SetupNS + e.SendNS + e.WaitNS + e.FinishNS }
-
-// EdgesOf computes a record's critical-path edges. Records that never
-// completed (EndNS 0) or never sent IPIs yield partial edges.
-func EdgesOf(r profile.ShootExport) Edges {
-	var e Edges
-	if r.SendNS > 0 {
-		e.SetupNS = r.SendNS - r.StartNS
-	} else if r.EndNS > 0 {
-		e.SetupNS = r.EndNS - r.StartNS // local-only: the whole sync is setup
-		return e
-	}
-	if r.WaitNS > 0 && r.SendNS > 0 {
-		e.SendNS = r.WaitNS - r.SendNS
-	}
-	lastAck := int64(0)
-	for _, resp := range r.Responders {
-		if resp.CPU == r.LastCPU && resp.AckNS > 0 {
-			lastAck = resp.AckNS
-			e.PendNS, e.IRQNS, e.DispatchNS = resp.PendNS, resp.IRQNS, resp.DispatchNS
-			e.BusNS, e.SpinNS, e.OtherNS = resp.BusNS, resp.SpinNS, resp.OtherNS
-		}
-	}
-	if lastAck > 0 && r.WaitNS > 0 {
-		e.WaitNS = lastAck - r.WaitNS
-		if e.WaitNS < 0 {
-			e.WaitNS = 0
-		}
-		if r.EndNS > 0 {
-			e.FinishNS = r.EndNS - lastAck
-		}
-	} else if r.EndNS > 0 && r.WaitNS > 0 {
-		e.WaitNS = r.EndNS - r.WaitNS
-	}
-	return e
-}
-
 // FormatDAG renders one shootdown's DAG: the initiator's edge chain and
 // every responder leg with its attribution.
 func FormatDAG(exp *profile.ShootdownsExport, r profile.ShootExport) string {
@@ -71,7 +22,7 @@ func FormatDAG(exp *profile.ShootdownsExport, r profile.ShootExport) string {
 	if r.Kernel {
 		kind = "kernel"
 	}
-	e := EdgesOf(r)
+	e := profile.PathOf(r)
 	fmt.Fprintf(&b, "shootdown #%d: initiator cpu%d, %s pmap, %d page(s), sync %.1fus\n",
 		r.Seq, r.CPU, kind, r.Pages, float64(e.SyncNS())/1e3)
 	fmt.Fprintf(&b, "  setup %.1fus -> send %.1fus -> wait %.1fus -> finish %.1fus\n",
@@ -108,18 +59,17 @@ type identity struct {
 	Nth    int
 }
 
-// byIdentity indexes an export's records.
-func byIdentity(exp *profile.ShootdownsExport) map[identity]profile.ShootExport {
+// identities returns each record's identity, in record order.
+func identities(exp *profile.ShootdownsExport) []identity {
 	nth := map[identity]int{}
-	out := map[identity]profile.ShootExport{}
-	for _, r := range exp.Records {
+	ids := make([]identity, len(exp.Records))
+	for i, r := range exp.Records {
 		base := identity{CPU: r.CPU, Kernel: r.Kernel, Pages: r.Pages}
-		key := base
-		key.Nth = nth[base]
+		ids[i] = base
+		ids[i].Nth = nth[base]
 		nth[base]++
-		out[key] = r
 	}
-	return out
+	return ids
 }
 
 // EdgeDelta is one DAG edge's aggregate across every matched shootdown.
@@ -146,66 +96,58 @@ type DiffReport struct {
 	Verdict string
 }
 
+// edgeNames label the initiator's critical-path edges, then the last
+// responder's post→ack components, in the order edges lists them.
+var edgeNames = [...]string{"setup", "send", "wait", "finish", "pend", "irq", "dispatch", "bus", "spin", "other"}
+
+// edges lists a critical path's edge durations, then its last responder's
+// components (zero when no responder acked).
+func edges(cp profile.CriticalPath) [len(edgeNames)]int64 {
+	e := [len(edgeNames)]int64{cp.SetupNS, cp.SendNS, cp.WaitNS, cp.FinishNS}
+	if l := cp.Last; l != nil {
+		e[4], e[5], e[6], e[7], e[8], e[9] = l.PendNS, l.IRQNS, l.DispatchNS, l.BusNS, l.SpinNS, l.OtherNS
+	}
+	return e
+}
+
 // DiffShootdowns aligns two runs by shootdown identity and attributes the
 // virtual-time delta to DAG edges. Old records are walked in begin order
 // (not map order), so the report is deterministic.
 func DiffShootdowns(oldExp, newExp *profile.ShootdownsExport) *DiffReport {
-	newBy := byIdentity(newExp)
+	newBy := map[identity]profile.ShootExport{}
+	for i, id := range identities(newExp) {
+		newBy[id] = newExp.Records[i]
+	}
 	rep := &DiffReport{}
-	var oldSum, newSum Edges
-	nth := map[identity]int{}
-	for _, oldRec := range oldExp.Records {
-		base := identity{CPU: oldRec.CPU, Kernel: oldRec.Kernel, Pages: oldRec.Pages}
-		key := base
-		key.Nth = nth[base]
-		nth[base]++
-		newRec, ok := newBy[key]
+	var oldSum, newSum [len(edgeNames)]int64
+	for i, id := range identities(oldExp) {
+		oldRec := oldExp.Records[i]
+		newRec, ok := newBy[id]
 		if !ok {
 			rep.OldOnly++
 			continue
 		}
 		rep.Matched++
-		oe, ne := EdgesOf(oldRec), EdgesOf(newRec)
-		addEdges(&oldSum, oe)
-		addEdges(&newSum, ne)
-		rep.OldSyncNS += oe.SyncNS()
-		rep.NewSyncNS += ne.SyncNS()
+		oc, nc := profile.PathOf(oldRec), profile.PathOf(newRec)
+		oe, ne := edges(oc), edges(nc)
+		for i := range oe {
+			oldSum[i] += oe[i]
+			newSum[i] += ne[i]
+		}
+		rep.OldSyncNS += oc.SyncNS()
+		rep.NewSyncNS += nc.SyncNS()
 	}
 	rep.NewOnly = len(newBy) - rep.Matched
-	rep.Edges = []EdgeDelta{
-		edgeDelta("setup", oldSum.SetupNS, newSum.SetupNS),
-		edgeDelta("send", oldSum.SendNS, newSum.SendNS),
-		edgeDelta("wait", oldSum.WaitNS, newSum.WaitNS),
-		edgeDelta("finish", oldSum.FinishNS, newSum.FinishNS),
-	}
-	rep.RespEdges = []EdgeDelta{
-		edgeDelta("pend", oldSum.PendNS, newSum.PendNS),
-		edgeDelta("irq", oldSum.IRQNS, newSum.IRQNS),
-		edgeDelta("dispatch", oldSum.DispatchNS, newSum.DispatchNS),
-		edgeDelta("bus", oldSum.BusNS, newSum.BusNS),
-		edgeDelta("spin", oldSum.SpinNS, newSum.SpinNS),
-		edgeDelta("other", oldSum.OtherNS, newSum.OtherNS),
+	for i, name := range edgeNames {
+		d := EdgeDelta{Edge: name, OldNS: oldSum[i], NewNS: newSum[i], DeltaNS: newSum[i] - oldSum[i]}
+		if i < 4 {
+			rep.Edges = append(rep.Edges, d)
+		} else {
+			rep.RespEdges = append(rep.RespEdges, d)
+		}
 	}
 	rep.Verdict = verdict(rep)
 	return rep
-}
-
-// addEdges accumulates e into sum.
-func addEdges(sum *Edges, e Edges) {
-	sum.SetupNS += e.SetupNS
-	sum.SendNS += e.SendNS
-	sum.WaitNS += e.WaitNS
-	sum.FinishNS += e.FinishNS
-	sum.PendNS += e.PendNS
-	sum.IRQNS += e.IRQNS
-	sum.DispatchNS += e.DispatchNS
-	sum.BusNS += e.BusNS
-	sum.SpinNS += e.SpinNS
-	sum.OtherNS += e.OtherNS
-}
-
-func edgeDelta(name string, oldNS, newNS int64) EdgeDelta {
-	return EdgeDelta{Edge: name, OldNS: oldNS, NewNS: newNS, DeltaNS: newNS - oldNS}
 }
 
 // verdict names the edge with the largest absolute delta; a wait-edge
@@ -283,7 +225,7 @@ func SlowestShootdown(exp *profile.ShootdownsExport) (profile.ShootExport, bool)
 	recs := append([]profile.ShootExport(nil), exp.Records...)
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	for _, r := range recs {
-		ns := EdgesOf(r).SyncNS()
+		ns := profile.PathOf(r).SyncNS()
 		if ns > bestNS {
 			best, bestNS, found = r, ns, true
 		}

@@ -63,12 +63,11 @@ type rowPtr[R any] interface {
 	campaignRow
 }
 
-// campaign is one chaos campaign's fixture: its scenarios, its planted
-// bug, and the cell each scenario's fault config runs in.
+// campaign is one chaos campaign's fixture: its scenarios and the cell
+// each scenario's fault config runs in (which names the planted bug).
 type campaign struct {
 	kind      string // names the campaign in errors
 	scenarios []scenario
-	bug       string // planted bug recorded on each row ("" = none)
 	cell      func(fault.Config) explore.Cell
 }
 
@@ -89,9 +88,9 @@ func runCampaign[R any, P rowPtr[R]](a *Args, c campaign) ([]R, error) {
 		var row R
 		p := P(&row)
 		out := p.outcome()
-		out.Scenario, out.Spec, out.Bug = sc.Name, sc.Spec, c.bug
-		var endStep uint64
 		cell := c.cell(fc)
+		out.Scenario, out.Spec, out.Bug = sc.Name, sc.Spec, cell.Bug
+		var endStep uint64
 		cell.Flight = in.Flight
 		verdict, detail, events := cell.Run(func(k *kernel.Kernel) {
 			if in.Observe != nil {
@@ -101,7 +100,7 @@ func runCampaign[R any, P rowPtr[R]](a *Args, c campaign) ([]R, error) {
 			p.harvest(k)
 		})
 		out.Verdict, out.Err = verdict, detail
-		if verdict != VerdictOK {
+		if verdict != kernel.VerdictOK {
 			s := p.shrinkResult()
 			s.ScheduleLen = len(events)
 			rw := explore.NewRewinder(cell, verdict, events, endStep)
@@ -123,7 +122,7 @@ func runCampaign[R any, P rowPtr[R]](a *Args, c campaign) ([]R, error) {
 func failures[R any, P rowPtr[R]](rows []R) int {
 	n := 0
 	for i := range rows {
-		if P(&rows[i]).outcome().Verdict != VerdictOK {
+		if P(&rows[i]).outcome().Verdict != kernel.VerdictOK {
 			n++
 		}
 	}
@@ -136,7 +135,7 @@ func renderFailures[R any, P rowPtr[R]](b *strings.Builder, rows []R) {
 	for i := range rows {
 		p := P(&rows[i])
 		out := p.outcome()
-		if out.Verdict == VerdictOK {
+		if out.Verdict == kernel.VerdictOK {
 			continue
 		}
 		fmt.Fprintf(b, "\nFAIL %s (%s): %s\n", out.Scenario, out.Verdict, firstLine(out.Err))

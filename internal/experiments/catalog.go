@@ -61,6 +61,14 @@ func (a *Args) fig2() (Fig2Result, error) {
 	return *a.fig2r, nil
 }
 
+// plant names the bug a campaign plants: bug when a.PlantBug, else none.
+func (a *Args) plant(bug string) string {
+	if a.PlantBug {
+		return bug
+	}
+	return ""
+}
+
 // Experiment is one catalog entry: its command-line name, a one-paragraph
 // description for usage text, and how it runs.
 type Experiment struct {

@@ -23,23 +23,14 @@ var chaosScenarios = []scenario{
 	{"failstop+chaos", "failstop=0.7,failby=8ms,revive=0.8,reviveafter=4ms,drop=0.10,delay=0.10,delaymax=1ms,slow=0.20,slowmax=300us,spurious=0.05"},
 }
 
-// Chaos run verdicts (the explore package owns the classification; these
-// aliases keep the experiment surface stable).
-const (
-	VerdictOK       = explore.VerdictOK
-	VerdictOracle   = explore.VerdictOracle
-	VerdictDeadlock = explore.VerdictDeadlock
-	VerdictTimeout  = explore.VerdictTimeout
-	VerdictError    = explore.VerdictError
-)
-
 // churnCPUs is the machine size of the churn fixture that the chaos,
 // explore and timetravel experiments share.
 const churnCPUs = 6
 
 // campaignCell assembles the shared chaos fixture over the explore
-// substrate: churn at half scale, hardened watchdog, oracle attached.
-func campaignCell(seed int64, ncpus int, fc fault.Config, bug bool) explore.Cell {
+// substrate: churn at half scale, hardened watchdog, oracle attached, and
+// bug ("" = none) planted.
+func campaignCell(seed int64, ncpus int, fc fault.Config, bug string) explore.Cell {
 	return explore.Cell{
 		Seed:      seed,
 		NCPUs:     ncpus,
@@ -99,16 +90,11 @@ func (r ChaosResult) Failures() int { return failures(r.Runs) }
 // expected outcome of the hot-plug scenarios) is delta-debugged down to a
 // 1-minimal fault schedule and packaged as a replayable reproducer.
 func ChaosCampaign(a *Args) (ChaosResult, error) {
-	bug := ""
-	if a.PlantBug {
-		bug = "skip-revive-flush"
-	}
 	runs, err := runCampaign[ChaosRun](a, campaign{
 		kind:      "chaos",
 		scenarios: chaosScenarios,
-		bug:       bug,
 		cell: func(fc fault.Config) explore.Cell {
-			return campaignCell(a.Seed, churnCPUs, fc, a.PlantBug)
+			return campaignCell(a.Seed, churnCPUs, fc, a.plant(shrink.BugSkipReviveFlush))
 		},
 	})
 	return ChaosResult{Seed: a.Seed, NCPUs: churnCPUs, Runs: runs}, err
@@ -126,11 +112,10 @@ func ReplayRepro(r shrink.Repro) (string, string, error) {
 	default:
 		return "", "", fmt.Errorf("experiments: repro workload %q not supported", r.Workload)
 	}
-	cell := campaignCell(r.Seed, r.NCPUs, r.Faults, r.Bug == "skip-revive-flush")
+	cell := campaignCell(r.Seed, r.NCPUs, r.Faults, r.Bug)
 	cell.Ties = r.Ties
 	cell.Workload = r.Workload
 	cell.Devices = r.Devices
-	cell.DevBug = r.Bug == "skip-dev-inval"
 	// Replay under the shrinker's judging semantics: the schedule is
 	// 1-minimal for "a violation fires", so the replay stops there too
 	// instead of running on into whatever the masked world does next.

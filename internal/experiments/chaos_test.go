@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"shootdown/internal/fault/shrink"
+	"shootdown/internal/kernel"
 )
 
 // TestChaosCampaignSurvivesWithoutBug is the tentpole acceptance run: with
@@ -24,7 +25,7 @@ func TestChaosCampaignSurvivesWithoutBug(t *testing.T) {
 	}
 	sawFail, sawRevive := false, false
 	for _, run := range res.Runs {
-		if run.Verdict != VerdictOK {
+		if run.Verdict != kernel.VerdictOK {
 			t.Errorf("%s: verdict %s: %s", run.Scenario, run.Verdict, run.Err)
 		}
 		if run.Violations != 0 {
@@ -53,7 +54,7 @@ func TestStaleReviveBugShrinks(t *testing.T) {
 	}
 	var hit *ChaosRun
 	for i := range res.Runs {
-		if res.Runs[i].Verdict == VerdictOracle {
+		if res.Runs[i].Verdict == kernel.VerdictOracle {
 			hit = &res.Runs[i]
 			break
 		}

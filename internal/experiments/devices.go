@@ -7,6 +7,7 @@ import (
 
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
+	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
 )
 
@@ -97,10 +98,6 @@ func DeviceChaosCampaign(a *Args) (DeviceChaosResult, error) {
 	if a.DevFaults != "" {
 		scenarios = append(scenarios, scenario{"custom", a.DevFaults})
 	}
-	bug := ""
-	if a.PlantBug {
-		bug = "skip-dev-inval"
-	}
 	// The shared device-chaos fixture: the DMA-streaming workload at half
 	// scale, hardened watchdog, oracle shadowing every device TLB.
 	cell := func(fc fault.Config) explore.Cell {
@@ -110,14 +107,13 @@ func DeviceChaosCampaign(a *Args) (DeviceChaosResult, error) {
 			Workload:  "dma",
 			Devices:   a.Devices,
 			Fault:     fc,
-			DevBug:    a.PlantBug,
+			Bug:       a.plant(shrink.BugSkipDevInval),
 			Shootdown: campaignWatchdog,
 		}
 	}
 	runs, err := runCampaign[DeviceChaosRun](a, campaign{
 		kind:      "device",
 		scenarios: scenarios,
-		bug:       bug,
 		cell:      cell,
 	})
 	return DeviceChaosResult{Seed: a.Seed, NCPUs: deviceCPUs, Devices: a.Devices, Runs: runs}, err

@@ -9,6 +9,7 @@ import (
 	"shootdown/internal/artifact"
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
+	"shootdown/internal/kernel"
 	"shootdown/internal/trace"
 )
 
@@ -37,7 +38,7 @@ func deviceFlightCell(t *testing.T, dir string) (verdict string, box []byte) {
 		Fault: fc, Shootdown: campaignWatchdog, Flight: fr,
 	}
 	verdict, detail, _ := cell.Run(nil)
-	if verdict != VerdictOK {
+	if verdict != kernel.VerdictOK {
 		t.Fatalf("wedged-device run did not survive: %s (%s)", verdict, detail)
 	}
 	ents, err := os.ReadDir(dir)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"shootdown/internal/fault/shrink"
+	"shootdown/internal/kernel"
 )
 
 // TestDeviceChaosCampaignSurvivesWithoutBug is the device tentpole
@@ -28,7 +29,7 @@ func TestDeviceChaosCampaignSurvivesWithoutBug(t *testing.T) {
 	}
 	sawQuarantine, sawEscalation, sawCrossLayer := false, false, false
 	for _, run := range res.Runs {
-		if run.Verdict != VerdictOK {
+		if run.Verdict != kernel.VerdictOK {
 			t.Errorf("%s: verdict %s: %s", run.Scenario, run.Verdict, run.Err)
 		}
 		if run.Violations != 0 {
@@ -81,7 +82,7 @@ func TestDeviceBugShrinks(t *testing.T) {
 	}
 	var hit *DeviceChaosRun
 	for i := range res.Runs {
-		if res.Runs[i].Verdict == VerdictOracle {
+		if res.Runs[i].Verdict == kernel.VerdictOracle {
 			hit = &res.Runs[i]
 			break
 		}

@@ -7,6 +7,7 @@ import (
 
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
+	"shootdown/internal/fault/shrink"
 )
 
 // exploreSpec is the fault scenario the schedule explorer runs under: the
@@ -34,7 +35,7 @@ func ExploreCampaign(a *Args) (ExploreResult, error) {
 	// Same per-scenario seeding as the chaos campaign's hotplug row, so a
 	// violation found here replays under `chaos` tooling unchanged.
 	fc.Seed = a.Seed + 257
-	cell := campaignCell(a.Seed, churnCPUs, fc, a.PlantBug)
+	cell := campaignCell(a.Seed, churnCPUs, fc, a.plant(shrink.BugSkipReviveFlush))
 	r, err := explore.Explore(cell, explore.Options{Budget: a.ExploreBudget, WallClock: a.WallClock})
 	return ExploreResult{r}, err
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"shootdown/internal/fault"
+	"shootdown/internal/fault/shrink"
+	"shootdown/internal/kernel"
 	"shootdown/internal/trace"
 )
 
@@ -25,7 +27,7 @@ func flightCell(t *testing.T, dir string) (verdict string, box []byte) {
 		t.Fatal(err)
 	}
 	fc.Seed = 7
-	cell := campaignCell(7, 4, fc, true)
+	cell := campaignCell(7, 4, fc, shrink.BugSkipReviveFlush)
 	cell.Flight = fr
 	verdict, _, _ = cell.Run(nil)
 	ents, err := os.ReadDir(dir)
@@ -48,7 +50,7 @@ func flightCell(t *testing.T, dir string) (verdict string, box []byte) {
 func TestChaosFailureDumpsDeterministicBlackBox(t *testing.T) {
 	v1, box1 := flightCell(t, t.TempDir())
 	v2, box2 := flightCell(t, t.TempDir())
-	if v1 == VerdictOK {
+	if v1 == kernel.VerdictOK {
 		t.Fatalf("planted bug did not fail the run (verdict %s)", v1)
 	}
 	if v1 != v2 {

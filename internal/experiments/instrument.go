@@ -58,12 +58,16 @@ type Instrument struct {
 
 // App applies the instrument to a workload configuration, for the
 // experiments and commands (cmd/tlbtest) that run package workload's
-// applications.
+// applications. It adds the instrument's hooks and erases nothing the
+// configuration asked for: the oracle stays on if either asks for it,
+// and the configuration's faults stand unless the instrument has some.
 func (in Instrument) App(c workload.AppConfig) workload.AppConfig {
 	c.Tracer = in.Tracer
 	c.Observe = in.Observe
-	c.Faults = in.Faults
-	c.Oracle = in.Oracle
+	if in.Faults != nil {
+		c.Faults = in.Faults
+	}
+	c.Oracle = c.Oracle || in.Oracle
 	c.Profiler = in.Profiler
 	c.Flight = in.Flight
 	c.ShootdownOptions = in.watchdog(c.ShootdownOptions)
@@ -77,7 +81,7 @@ func (in Instrument) App(c workload.AppConfig) workload.AppConfig {
 // harvesting (nil if the world could not be built) and the run's error.
 func (in Instrument) runWorld(c kernel.Config, rig func(*kernel.Kernel) error) (*kernel.Kernel, error) {
 	c.Tracer = trace.Stream(in.Tracer, in.Flight, in.Profiler)
-	c.Oracle = in.Oracle
+	c.Oracle = c.Oracle || in.Oracle
 	if in.Faults != nil && in.Faults.Enabled() {
 		c.Machine.Faults = fault.New(*in.Faults)
 	}

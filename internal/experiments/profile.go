@@ -76,33 +76,25 @@ func Profile(a *Args) (ProfileResult, error) {
 	}
 
 	out := ProfileResult{Prof: p}
-	irqLat := p.IRQLatencyNS()
-	recs := p.Shootdowns()
+	cps := p.CriticalPaths()
 	for _, k := range profileKs {
 		pt := ProfilePoint{Processors: k}
 		var sync, pend, irq, disp, bus, maskedShare, busShare float64
-		for _, rec := range recs {
-			if rec.Kernel || len(rec.Resp) != k || rec.EndT == 0 {
-				continue
-			}
-			last := rec.LastResponder()
-			if last == nil {
-				continue
-			}
-			comp := last.Attribution(irqLat)
-			window := float64(last.AckT - last.PostT)
-			if window <= 0 {
+		for _, cp := range cps {
+			last := cp.Last
+			window := float64(last.AckNS - last.PostNS)
+			if cp.Rec.Kernel || len(cp.Rec.Responders) != k || window <= 0 {
 				continue
 			}
 			pt.Shootdowns++
-			sync += float64(rec.EndT-rec.StartT) / 1000
-			pend += float64(comp.PendNS) / 1000
-			irq += float64(comp.IRQNS) / 1000
-			disp += float64(comp.DispatchNS+comp.OtherNS) / 1000
-			bus += float64(comp.BusNS) / 1000
-			maskedShare += float64(comp.PendNS+comp.DispatchNS) / window
-			busShare += float64(comp.BusNS) / window
-			switch comp.Why {
+			sync += float64(cp.SyncNS()) / 1000
+			pend += float64(last.PendNS) / 1000
+			irq += float64(last.IRQNS) / 1000
+			disp += float64(last.DispatchNS+last.OtherNS) / 1000
+			bus += float64(last.BusNS) / 1000
+			maskedShare += float64(last.PendNS+last.DispatchNS) / window
+			busShare += float64(last.BusNS) / window
+			switch last.Why {
 			case "masked":
 				pt.WhyMasked++
 			case "dispatch":

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"shootdown/internal/explore"
 	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
 	"shootdown/internal/profile"
@@ -79,7 +78,7 @@ func captureRun(t *testing.T, wl, spec string, seed int64, pauseAt uint64) snapC
 		cap.pausedDig = s.Digest
 		runErr = k.Run()
 	}
-	cap.verdict = explore.Classify(runErr)
+	cap.verdict = kernel.Verdict(runErr)
 	var tb, pb bytes.Buffer
 	if err := tr.WriteChromeTrace(&tb); err != nil {
 		t.Fatal(err)

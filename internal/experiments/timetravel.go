@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"shootdown/internal/explore"
 	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
 	"shootdown/internal/snap"
@@ -49,7 +48,7 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 		return res, err
 	}
 	fc.Seed = seed + 257
-	cell := campaignCell(seed, churnCPUs, fc, false)
+	cell := campaignCell(seed, churnCPUs, fc, "")
 
 	// Scout: drive a throwaway world by virtual time to learn which event
 	// step the requested instant lands on. (The engine's cursor is steps,
@@ -94,7 +93,7 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 		res.Layers = append(res.Layers, l.Name)
 	}
 	res.Digest = s1.Digest
-	res.FinalVerdict = explore.Classify(k1.Run())
+	res.FinalVerdict = kernel.Verdict(k1.Run())
 	f1, err := k1.Snapshot()
 	if err != nil {
 		return res, err
@@ -113,7 +112,7 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 	if !ok {
 		return res, fmt.Errorf("experiments: restore diverged at step %d: %s", res.Step, firstLine(diff))
 	}
-	res.RestoredVerdict = explore.Classify(k2.Run())
+	res.RestoredVerdict = kernel.Verdict(k2.Run())
 	f2, err := k2.Snapshot()
 	if err != nil {
 		return res, err

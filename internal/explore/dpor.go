@@ -111,7 +111,7 @@ func Explore(cell Cell, opt Options) (Result, error) {
 		ties = append(ties, Tie{TieDecision: d, Racy: k.Shoot != nil && k.Shoot.RaceWindowOpen()})
 	})
 	runErr := k.Run()
-	res.BaseVerdict = Classify(runErr)
+	res.BaseVerdict = kernel.Verdict(runErr)
 	if runErr != nil {
 		res.BaseDetail = runErr.Error()
 	}
@@ -135,7 +135,7 @@ func Explore(cell Cell, opt Options) (Result, error) {
 		}
 		fails = append(fails, f)
 	}
-	if res.BaseVerdict != VerdictOK {
+	if res.BaseVerdict != kernel.VerdictOK {
 		note(failing{cell: cell, verdict: res.BaseVerdict, detail: res.BaseDetail,
 			events: k.M.Faults().Events(), endStep: res.BaseSteps})
 	}
@@ -166,7 +166,7 @@ func Explore(cell Cell, opt Options) (Result, error) {
 			fork := Fork{Seq: t.Seq, Pick: p, Ties: forced, Verdict: verdict,
 				Detail: firstLine(detail), EndStep: endStep}
 			res.Forks = append(res.Forks, fork)
-			if verdict != VerdictOK {
+			if verdict != kernel.VerdictOK {
 				note(failing{cell: fc, verdict: verdict, detail: detail, events: events, endStep: endStep})
 			}
 		}

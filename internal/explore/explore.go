@@ -21,41 +21,14 @@
 package explore
 
 import (
-	"errors"
-	"strings"
-
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
+	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
 	"shootdown/internal/sim"
 	"shootdown/internal/trace"
 	"shootdown/internal/workload"
 )
-
-// Run verdicts, shared with the experiments layer.
-const (
-	VerdictOK       = "ok"
-	VerdictOracle   = "oracle"   // consistency violation (the interesting failure)
-	VerdictDeadlock = "deadlock" // blocked procs, none runnable
-	VerdictTimeout  = "timeout"  // virtual-time bound hit (livelock/hang)
-	VerdictError    = "error"    // anything else
-)
-
-// Classify maps a run error to a verdict string shrink tests compare.
-func Classify(err error) string {
-	switch {
-	case err == nil:
-		return VerdictOK
-	case errors.Is(err, sim.ErrDeadlock):
-		return VerdictDeadlock
-	case strings.Contains(err.Error(), "oracle:"):
-		return VerdictOracle
-	case strings.Contains(err.Error(), "virtual time limit"):
-		return VerdictTimeout
-	default:
-		return VerdictError
-	}
-}
 
 // Cell is one deterministic churn run under a fault config: the fixture
 // the chaos campaign, the shrinker, and the explorer all re-execute. Two
@@ -71,11 +44,9 @@ type Cell struct {
 	Workload string
 	// Devices is the device-TLB count for the "dma" workload.
 	Devices int
-	// Bug plants the intentional stale-TLB-after-revive bug.
-	Bug bool
-	// DevBug plants the intentional stale-device-TLB bug (devices
-	// acknowledge invalidations without performing them).
-	DevBug bool
+	// Bug names the intentional bug to plant: "" (none),
+	// shrink.BugSkipReviveFlush or shrink.BugSkipDevInval.
+	Bug string
 	// Shootdown tunes the protocol (the campaign passes its hardened
 	// watchdog configuration).
 	Shootdown core.Options
@@ -121,9 +92,9 @@ func (c Cell) app() workload.AppConfig {
 		Scale:              c.Scale,
 		ShootdownOptions:   c.Shootdown,
 		Oracle:             true,
-		BugSkipReviveFlush: c.Bug,
+		BugSkipReviveFlush: c.Bug == shrink.BugSkipReviveFlush,
 		NumDevices:         c.Devices,
-		BugSkipDevInval:    c.DevBug,
+		BugSkipDevInval:    c.Bug == shrink.BugSkipDevInval,
 		MaxVirtualTime:     c.MaxVirtualTime,
 		Faults:             &fc,
 		ForcedTies:         c.Ties,
@@ -161,7 +132,7 @@ const flightSnapshotStep = 2000
 func (c Cell) Run(obs func(*kernel.Kernel)) (verdict, detail string, events []fault.Event) {
 	k, err := c.Start()
 	if err != nil {
-		return VerdictError, err.Error(), nil
+		return kernel.VerdictError, err.Error(), nil
 	}
 	if c.StopOnViolation {
 		armStopOnViolation(k)
@@ -185,5 +156,5 @@ func (c Cell) Run(obs func(*kernel.Kernel)) (verdict, detail string, events []fa
 	if runErr != nil {
 		detail = runErr.Error()
 	}
-	return Classify(runErr), detail, events
+	return kernel.Verdict(runErr), detail, events
 }

@@ -6,6 +6,8 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
+	"shootdown/internal/fault/shrink"
+	"shootdown/internal/kernel"
 )
 
 // testWatchdog mirrors the chaos campaign's hardened protocol options.
@@ -22,7 +24,11 @@ func hotplugCell(t *testing.T, seed int64, bug bool) Cell {
 		t.Fatal(err)
 	}
 	fc.Seed = seed + 257
-	return Cell{Seed: seed, NCPUs: 4, Fault: fc, Bug: bug, Shootdown: testWatchdog}
+	c := Cell{Seed: seed, NCPUs: 4, Fault: fc, Shootdown: testWatchdog}
+	if bug {
+		c.Bug = shrink.BugSkipReviveFlush
+	}
+	return c
 }
 
 // TestExplorerFindsAndShrinksViolation is the acceptance pin: with the
@@ -43,8 +49,8 @@ func TestExplorerFindsAndShrinksViolation(t *testing.T) {
 	if res.Repro == nil {
 		t.Fatal("no reproducer built from the violations")
 	}
-	if res.Repro.Verdict != VerdictOracle {
-		t.Fatalf("reproducer verdict %q, want %q", res.Repro.Verdict, VerdictOracle)
+	if res.Repro.Verdict != kernel.VerdictOracle {
+		t.Fatalf("reproducer verdict %q, want %q", res.Repro.Verdict, kernel.VerdictOracle)
 	}
 	if n := len(res.Repro.Keep); n == 0 || n > 5 {
 		t.Fatalf("shrunk schedule has %d events, want 1..5 (from %d)", n, res.ScheduleLen)
@@ -105,7 +111,7 @@ func TestCleanCellExploresWithoutViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BaseVerdict != VerdictOK {
+	if res.BaseVerdict != kernel.VerdictOK {
 		t.Fatalf("base run failed without a bug: %s (%s)", res.BaseVerdict, res.BaseDetail)
 	}
 	if res.Violations != 0 {

@@ -115,14 +115,14 @@ func (r *Rewinder) runCandidate(mask []fault.EventID, boundary uint64) string {
 	cfg.Fault.Mask = mask
 	k, err := cfg.Start()
 	if err != nil {
-		return VerdictError
+		return kernel.VerdictError
 	}
 	armStopOnViolation(k)
 	// A run that dies inside the prefix (deadlock, time bound, panic), or
 	// ends before the boundary (completed, or stopped on a violation), is
 	// settled and judged as is.
 	if paused, err := k.RunTo(boundary); !paused {
-		return Classify(err)
+		return kernel.Verdict(err)
 	}
 	r.checkLadder(k, boundary)
 	paused, err := k.RunTo(r.suffixBound())
@@ -131,9 +131,9 @@ func (r *Rewinder) runCandidate(mask []fault.EventID, boundary uint64) string {
 		// Suffix budget exhausted without reproducing the base failure:
 		// the candidate does not fail. The paused world is abandoned, as
 		// the engine already abandons deadlocked worlds.
-		return VerdictOK
+		return kernel.VerdictOK
 	}
-	return Classify(err)
+	return kernel.Verdict(err)
 }
 
 // checkLadder verifies the candidate's replayed prefix against the
@@ -224,7 +224,7 @@ func BuildRepro(c Cell, verdict string, events []fault.Event, keep []fault.Event
 		}
 		return cfg.Mask[i].Seq < cfg.Mask[j].Seq
 	})
-	r := shrink.Repro{
+	return shrink.Repro{
 		Version:  shrink.ReproVersion,
 		Workload: c.Workload,
 		Seed:     c.Seed,
@@ -233,14 +233,8 @@ func BuildRepro(c Cell, verdict string, events []fault.Event, keep []fault.Event
 		Faults:   cfg,
 		Keep:     keep,
 		Verdict:  verdict,
+		Bug:      c.Bug,
 		Ties:     c.Ties,
 		Shrink:   meta,
 	}
-	switch {
-	case c.DevBug:
-		r.Bug = "skip-dev-inval"
-	case c.Bug:
-		r.Bug = "skip-revive-flush"
-	}
-	return r
 }

@@ -181,6 +181,16 @@ func MaskFor(all, keep []fault.EventID) []fault.EventID {
 // ReproVersion is the current reproducer file format version.
 const ReproVersion = 1
 
+// The planted bugs a reproducer can name (Repro.Bug).
+const (
+	// BugSkipReviveFlush plants the stale-TLB-after-revive bug: a revived
+	// CPU comes back online without flushing its TLB.
+	BugSkipReviveFlush = "skip-revive-flush"
+	// BugSkipDevInval plants the stale-device-TLB bug: devices acknowledge
+	// invalidations without performing them.
+	BugSkipDevInval = "skip-dev-inval"
+)
+
 // Repro is a replayable chaos reproducer: everything needed to rebuild
 // the failing run, minimized.
 type Repro struct {
@@ -191,7 +201,7 @@ type Repro struct {
 	Faults   fault.Config    `json:"faults"`         // fault config, Mask set to replay only Keep
 	Keep     []fault.EventID `json:"keep"`           // the minimized schedule (informational; Mask is operative)
 	Verdict  string          `json:"verdict"`        // what the failing run produced ("oracle", "deadlock", …)
-	Bug      string          `json:"bug,omitempty"`  // planted-bug knob, if any ("skip-revive-flush", "skip-dev-inval")
+	Bug      string          `json:"bug,omitempty"`  // planted bug, if any (BugSkipReviveFlush, BugSkipDevInval)
 	Note     string          `json:"note,omitempty"` // free-form provenance
 	// Devices is the device-TLB count for device-bearing workloads
 	// ("dma"). Omitted — and zero — for the CPU-only reproducers, which
@@ -221,6 +231,11 @@ func (r *Repro) Validate() error {
 	}
 	if r.Verdict == "" || r.Verdict == "ok" {
 		return fmt.Errorf("shrink: repro verdict %q is not a failure", r.Verdict)
+	}
+	switch r.Bug {
+	case "", BugSkipReviveFlush, BugSkipDevInval:
+	default:
+		return fmt.Errorf("shrink: repro names unknown bug %q", r.Bug)
 	}
 	return nil
 }

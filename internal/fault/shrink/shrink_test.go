@@ -125,6 +125,8 @@ func TestLoadRejectsBadRepros(t *testing.T) {
 		{Version: ReproVersion, Workload: "", NCPUs: 2, Verdict: "oracle"},
 		{Version: ReproVersion, Workload: "w", NCPUs: 0, Verdict: "oracle"},
 		{Version: ReproVersion, Workload: "w", NCPUs: 2, Verdict: "ok"},
+		// A misspelled bug would otherwise replay a world with no bug.
+		{Version: ReproVersion, Workload: "w", NCPUs: 2, Verdict: "oracle", Bug: "skip-revive-flsh"},
 	}
 	for i, r := range bad {
 		path := filepath.Join(t.TempDir(), "bad.json")

@@ -9,7 +9,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
@@ -409,20 +408,39 @@ func (k *Kernel) Finish(err error) error {
 	k.closeOpenSpans()
 	k.cfg.Tracer.Emit(trace.KindRunEnd, int64(k.Eng.Now()), -1, "", 0, 0)
 	if err != nil {
-		reason := "error"
-		switch {
-		case errors.Is(err, sim.ErrDeadlock):
-			reason = "deadlock"
-		case strings.Contains(err.Error(), "virtual time limit"):
-			reason = "timeout"
-		}
-		k.cfg.Tracer.Trip(int64(k.Eng.Now()), reason, err.Error())
+		k.cfg.Tracer.Trip(int64(k.Eng.Now()), Verdict(err), err.Error())
 	}
 	if err == nil {
 		k.Oracle.Check()
 		err = k.Oracle.Err()
 	}
 	return err
+}
+
+// Run verdicts: how a world's run ended, as Verdict names it.
+const (
+	VerdictOK       = "ok"
+	VerdictOracle   = "oracle"   // TLB-consistency violation (oracle.ErrViolation)
+	VerdictDeadlock = "deadlock" // blocked procs, none runnable (sim.ErrDeadlock)
+	VerdictTimeout  = "timeout"  // virtual-time bound hit (sim.ErrTimeLimit)
+	VerdictError    = "error"    // anything else
+)
+
+// Verdict classifies a run's error: the flight recorder's trip reason,
+// the campaigns' row verdict and the reproducer's recorded verdict.
+func Verdict(err error) string {
+	switch {
+	case err == nil:
+		return VerdictOK
+	case errors.Is(err, oracle.ErrViolation):
+		return VerdictOracle
+	case errors.Is(err, sim.ErrDeadlock):
+		return VerdictDeadlock
+	case errors.Is(err, sim.ErrTimeLimit):
+		return VerdictTimeout
+	default:
+		return VerdictError
+	}
 }
 
 // closeOpenSpans balances the per-CPU trace timelines after the engine

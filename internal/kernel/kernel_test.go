@@ -9,10 +9,12 @@ import (
 	"shootdown/internal/kernel"
 	"shootdown/internal/machine"
 	"shootdown/internal/mem"
+	"shootdown/internal/oracle"
 	"shootdown/internal/pmap"
 	"shootdown/internal/ptable"
 	"shootdown/internal/sim"
 	"shootdown/internal/snap"
+	"shootdown/internal/tlb"
 	"shootdown/internal/vm"
 )
 
@@ -797,4 +799,76 @@ func TestStaleReviveBugCaughtByOracle(t *testing.T) {
 	if err == nil {
 		t.Fatal("run with planted bug reported no error")
 	}
+}
+
+// TestVerdictClassifiesRunErrors checks that Verdict names how a run ended
+// from its error's identity, not its text: a proc that panics with an
+// oracle-like message is an error, not an oracle violation.
+func TestVerdictClassifiesRunErrors(t *testing.T) {
+	engine := func(opts []sim.Option, body func(*sim.Proc)) func() error {
+		return func() error {
+			e := sim.New(opts...)
+			e.Spawn("p", body)
+			return e.Run()
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"ok", func() error {
+			k, err := kernel.New(testConfig(2))
+			if err != nil {
+				return err
+			}
+			task, _ := k.NewTask("t")
+			task.Spawn("w", func(th *kernel.Thread) { th.Compute(1000) })
+			return k.Run()
+		}, kernel.VerdictOK},
+		{"deadlock", engine(nil, func(p *sim.Proc) { p.Block() }), kernel.VerdictDeadlock},
+		{"time limit", engine([]sim.Option{sim.WithMaxTime(1000)}, func(p *sim.Proc) { p.Sleep(2000) }), kernel.VerdictTimeout},
+		{"oracle violation", staleUseErr, kernel.VerdictOracle},
+		{"panic naming the oracle", engine(nil, func(p *sim.Proc) {
+			panic("oracle: 1 TLB-consistency violation(s)")
+		}), kernel.VerdictError},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.run()
+			if got := kernel.Verdict(err); got != c.want {
+				t.Fatalf("Verdict(%v) = %q, want %q", err, got, c.want)
+			}
+		})
+	}
+}
+
+// staleUseErr runs a one-CPU machine that remaps a cached kernel page
+// without invalidating its TLB entry, and returns the oracle's error.
+func staleUseErr() error {
+	eng := sim.New()
+	m := machine.New(eng, machine.Options{NumCPUs: 1, MemFrames: 256, Costs: machine.DefaultCosts()})
+	kt, err := ptable.New(m.Phys)
+	if err != nil {
+		return err
+	}
+	m.SetKernelTable(kt)
+	o := oracle.New(m)
+	o.Track(kt, tlb.ASIDNone, true)
+	m.SetMMUObserver(o)
+	va := ptable.VAddr(machine.KernelBase + 0x4000)
+	eng.Spawn("main", func(p *sim.Proc) {
+		ex := m.Attach(p, 0)
+		defer ex.Detach()
+		f1, _ := m.Phys.AllocFrame()
+		f2, _ := m.Phys.AllocFrame()
+		kt.Enter(va, ptable.Make(f1, true))
+		ex.Read(va)
+		kt.Update(va, ptable.Make(f2, true))
+		ex.Read(va) // stale hit
+	})
+	if err := eng.Run(); err != nil {
+		return err
+	}
+	return o.Err()
 }

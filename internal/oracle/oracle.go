@@ -29,6 +29,7 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -429,19 +430,18 @@ func (o *Oracle) Violations() []Violation {
 	return out
 }
 
-// Err returns nil if no violation was observed, else an error summarizing
-// the first few.
+// ErrViolation is wrapped by every error Err returns.
+var ErrViolation = errors.New("oracle")
+
+// Err returns nil if no violation was observed, else an error wrapping
+// ErrViolation that summarizes the first few.
 func (o *Oracle) Err() error {
 	if o == nil || o.stats.Violations == 0 {
 		return nil
 	}
-	msg := fmt.Sprintf("oracle: %d TLB-consistency violation(s)", o.stats.Violations)
-	max := len(o.violations)
-	if max > 3 {
-		max = 3
+	first := ""
+	for _, v := range o.violations[:min(len(o.violations), 3)] {
+		first += "\n  " + v.String()
 	}
-	for _, v := range o.violations[:max] {
-		msg += "\n  " + v.String()
-	}
-	return fmt.Errorf("%s", msg)
+	return fmt.Errorf("%w: %d TLB-consistency violation(s)%s", ErrViolation, o.stats.Violations, first)
 }

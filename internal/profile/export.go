@@ -23,15 +23,9 @@ type RespExport struct {
 	AckNS        int64 `json:"ack_ns,omitempty"`
 	FlushNS      int64 `json:"flush_ns,omitempty"`
 	MaskedAtPost bool  `json:"masked_at_post,omitempty"`
-	// The post→ack latency attribution (Components), precomputed with the
-	// machine's interrupt latency.
-	PendNS     int64  `json:"pend_ns,omitempty"`
-	IRQNS      int64  `json:"irq_ns,omitempty"`
-	DispatchNS int64  `json:"dispatch_ns,omitempty"`
-	BusNS      int64  `json:"bus_ns,omitempty"`
-	SpinNS     int64  `json:"spin_ns,omitempty"`
-	OtherNS    int64  `json:"other_ns,omitempty"`
-	Why        string `json:"why,omitempty"`
+	// The post→ack latency attribution, precomputed with the machine's
+	// interrupt latency.
+	Components
 }
 
 // ShootExport is one shootdown instance's DAG in wire form.
@@ -80,18 +74,15 @@ func ExportShootdowns(p *Profiler) ShootdownsExport {
 			se.LastCPU = last.CPU
 		}
 		for _, rr := range rec.Resp {
-			re := RespExport{
+			se.Responders = append(se.Responders, RespExport{
 				CPU:          rr.CPU,
 				PostNS:       rr.PostT,
 				DeliverNS:    rr.DeliverT,
 				AckNS:        rr.AckT,
 				FlushNS:      rr.FlushT,
 				MaskedAtPost: rr.MaskedAtPost,
-			}
-			c := rr.Attribution(out.IRQLatNS)
-			re.PendNS, re.IRQNS, re.DispatchNS = c.PendNS, c.IRQNS, c.DispatchNS
-			re.BusNS, re.SpinNS, re.OtherNS, re.Why = c.BusNS, c.SpinNS, c.OtherNS, c.Why
-			se.Responders = append(se.Responders, re)
+				Components:   rr.Attribution(out.IRQLatNS),
+			})
 		}
 		out.Records = append(out.Records, se)
 	}

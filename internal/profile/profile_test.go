@@ -292,6 +292,37 @@ func TestLateAckIgnoredForLast(t *testing.T) {
 	}
 }
 
+// TestPathOfLocalOnly checks that a local-only shootdown charges its whole
+// sync to setup.
+func TestPathOfLocalOnly(t *testing.T) {
+	c := PathOf(ShootExport{Seq: 0, CPU: 1, StartNS: 100, EndNS: 400, LastCPU: -1})
+	if c.SetupNS != 300 || c.SendNS != 0 || c.WaitNS != 0 || c.FinishNS != 0 || c.Last != nil {
+		t.Fatalf("local-only edges = %+v, want setup 300 only", c)
+	}
+}
+
+// TestPathOfMidFlight checks that a shootdown the run ended mid-flight
+// keeps the edges it completed, and that CriticalPaths leaves it out.
+func TestPathOfMidFlight(t *testing.T) {
+	r := ShootExport{StartNS: 100, SendNS: 150, WaitNS: 160, LastCPU: 2,
+		Responders: []RespExport{{CPU: 1}, {CPU: 2, PostNS: 150, AckNS: 300}}}
+	c := PathOf(r)
+	if c.SetupNS != 50 || c.SendNS != 10 || c.WaitNS != 140 || c.FinishNS != 0 || c.Last == nil || c.Last.CPU != 2 {
+		t.Fatalf("acked mid-flight edges = %+v, want 50/10/140/0 with cpu2 last", c)
+	}
+	r.LastCPU, r.Responders[1].AckNS = -1, 0
+	if c := PathOf(r); c.SetupNS != 50 || c.SendNS != 10 || c.WaitNS != 0 || c.Last != nil {
+		t.Fatalf("unacked mid-flight edges = %+v, want 50/10/0/0 and no last responder", c)
+	}
+
+	p := New()
+	emit(p, trace.KindSyncBegin, 0, 0, "shootdown-sync", 1, 0)
+	emit(p, trace.KindExpect, 10, 0, "", 1, 0)
+	if cps := p.CriticalPaths(); len(cps) != 0 {
+		t.Fatalf("mid-flight shootdown has a critical path: %+v", cps)
+	}
+}
+
 // TestNilProfilerSafe checks the exported methods are no-ops on a nil
 // receiver, and that a nil profiler consumes no kinds, so a stream never
 // subscribes it.

@@ -134,12 +134,12 @@ func (p *Profiler) WriteCriticalPath(w io.Writer) error {
 			kind = "kernel"
 		}
 		fmt.Fprintf(w, "  %4d %12.1f %4d %-6s %7d %8.1f %6.1f %5.1f %6.1f %6.1f %5d %8.1f %6.1f %7.1f %6.1f  %s\n",
-			cp.Rec.Seq, float64(cp.Rec.StartT)/1000, cp.Rec.CPU, kind, len(cp.Rec.Resp),
+			cp.Rec.Seq, float64(cp.Rec.StartNS)/1000, cp.Rec.CPU, kind, len(cp.Rec.Responders),
 			float64(cp.SyncNS())/1000, float64(cp.SetupNS)/1000, float64(cp.SendNS)/1000,
 			float64(cp.WaitNS)/1000, float64(cp.FinishNS)/1000,
-			cp.Last.CPU, float64(cp.LastComp.PendNS)/1000, float64(cp.LastComp.IRQNS)/1000,
-			float64(cp.LastComp.DispatchNS+cp.LastComp.OtherNS)/1000, float64(cp.LastComp.BusNS)/1000,
-			cp.LastComp.Why)
+			cp.Last.CPU, float64(cp.Last.PendNS)/1000, float64(cp.Last.IRQNS)/1000,
+			float64(cp.Last.DispatchNS+cp.Last.OtherNS)/1000, float64(cp.Last.BusNS)/1000,
+			cp.Last.Why)
 	}
 
 	var sync, setup, send, wait, finish, pend, irq, disp, bus int64
@@ -150,11 +150,11 @@ func (p *Profiler) WriteCriticalPath(w io.Writer) error {
 		send += cp.SendNS
 		wait += cp.WaitNS
 		finish += cp.FinishNS
-		pend += cp.LastComp.PendNS
-		irq += cp.LastComp.IRQNS
-		disp += cp.LastComp.DispatchNS + cp.LastComp.OtherNS
-		bus += cp.LastComp.BusNS
-		why[cp.LastComp.Why]++
+		pend += cp.Last.PendNS
+		irq += cp.Last.IRQNS
+		disp += cp.Last.DispatchNS + cp.Last.OtherNS
+		bus += cp.Last.BusNS
+		why[cp.Last.Why]++
 	}
 	n := float64(len(cps))
 	fmt.Fprintf(w, "\naggregate means over %d shootdowns (us):\n", len(cps))

@@ -10,8 +10,6 @@ package profile
 // the machine- and responder-side events know which instance they belong
 // to even when the trace ring has long since wrapped.
 
-import "sort"
-
 // RespRecord is one responder's leg of a shootdown DAG. Timestamps are
 // rebased virtual nanoseconds; zero means the event never happened (the
 // initiator released the responder lazily, or the run ended first).
@@ -37,22 +35,22 @@ type Components struct {
 	// PendNS: time the posted IPI sat undeliverable beyond the hardware
 	// interrupt latency — the paper's "masked interval" while a device
 	// handler or high-IPL section held the responder.
-	PendNS int64
+	PendNS int64 `json:"pend_ns,omitempty"`
 	// IRQNS: hardware interrupt latency actually incurred.
-	IRQNS int64
+	IRQNS int64 `json:"irq_ns,omitempty"`
 	// DispatchNS: deliver→ack time executing with the IPI vector masked —
 	// interrupt state save, dispatch, and handler entry.
-	DispatchNS int64
+	DispatchNS int64 `json:"dispatch_ns,omitempty"`
 	// BusNS: deliver→ack time stalled on the shared bus (state-save
 	// writes queueing behind other processors' traffic).
-	BusNS int64
+	BusNS int64 `json:"bus_ns,omitempty"`
 	// SpinNS: deliver→ack time spinning (lock or barrier).
-	SpinNS int64
+	SpinNS int64 `json:"spin_ns,omitempty"`
 	// OtherNS: the unattributed remainder of deliver→ack.
-	OtherNS int64
+	OtherNS int64 `json:"other_ns,omitempty"`
 	// Why names the dominant cause among the paper's three candidates:
 	// "masked" (pend), "dispatch", or "bus".
-	Why string
+	Why string `json:"why,omitempty"`
 }
 
 // TotalNS is the responder's full post→ack latency.
@@ -253,50 +251,65 @@ func (p *Profiler) Shootdowns() []*ShootRecord {
 	return p.records
 }
 
-// CriticalPath is one completed shootdown's end-to-end attribution.
+// CriticalPath is one shootdown's critical path: its sync split into
+// four edges, and the responder whose acknowledgment ended the wait.
 type CriticalPath struct {
-	Rec *ShootRecord
-	// SetupNS: begin → IPIs out (member scan, action queueing, local
-	// flush, all under the pmap lock). SendNS: IPI send → wait-loop entry.
-	// WaitNS: spinning for the last acknowledgment. FinishNS: last ack →
-	// Sync return.
+	Rec ShootExport
+	// SetupNS: Sync entry → IPIs out (member scan, action queueing, local
+	// flush, all under the pmap lock). SendNS: IPIs out → spin entry.
+	// WaitNS: spin entry → last ack. FinishNS: last ack → Sync return.
+	// An edge the shootdown never reached is zero: a local-only shootdown
+	// is all setup, and one the run ended mid-flight keeps the edges it
+	// completed.
 	SetupNS, SendNS, WaitNS, FinishNS int64
-	Last                              *RespRecord
-	LastComp                          Components
+	// Last is the last responder (Rec.LastCPU) with its post→ack
+	// attribution; nil if no responder acked before Sync returned.
+	Last *RespExport
 }
 
-// SyncNS is the shootdown's end-to-end latency.
-func (c CriticalPath) SyncNS() int64 { return c.Rec.EndT - c.Rec.StartT }
+// SyncNS is the end-to-end latency the edges cover.
+func (c CriticalPath) SyncNS() int64 { return c.SetupNS + c.SendNS + c.WaitNS + c.FinishNS }
 
-// CriticalPaths computes the critical path of every completed shootdown
+// PathOf splits one exported shootdown, complete or not, into its
+// critical-path edges. It is the one implementation of the split: the
+// profiler's critical-path report, the profile experiment, and tlbtrace's
+// dag and diff all read it.
+func PathOf(r ShootExport) CriticalPath {
+	c := CriticalPath{Rec: r}
+	for i := range r.Responders {
+		if resp := &r.Responders[i]; resp.CPU == r.LastCPU && resp.AckNS > 0 {
+			c.Last = resp
+		}
+	}
+	if r.SendNS > 0 {
+		c.SetupNS = r.SendNS - r.StartNS
+	} else if r.EndNS > 0 {
+		c.SetupNS = r.EndNS - r.StartNS // local-only: the whole sync is setup
+		return c
+	}
+	if r.WaitNS > 0 && r.SendNS > 0 {
+		c.SendNS = r.WaitNS - r.SendNS
+	}
+	switch {
+	case c.Last != nil && r.WaitNS > 0:
+		c.WaitNS = max(c.Last.AckNS-r.WaitNS, 0)
+		if r.EndNS > 0 {
+			c.FinishNS = r.EndNS - c.Last.AckNS
+		}
+	case r.EndNS > 0 && r.WaitNS > 0:
+		c.WaitNS = r.EndNS - r.WaitNS
+	}
+	return c
+}
+
+// CriticalPaths returns the critical path of every completed shootdown
 // that had at least one acknowledged responder, in begin order.
 func (p *Profiler) CriticalPaths() []CriticalPath {
-	if p == nil {
-		return nil
-	}
 	var out []CriticalPath
-	for _, rec := range p.records {
-		if rec.EndT == 0 {
-			continue
+	for _, r := range ExportShootdowns(p).Records {
+		if r.EndNS > 0 && r.LastCPU >= 0 {
+			out = append(out, PathOf(r))
 		}
-		last := rec.LastResponder()
-		if last == nil {
-			continue
-		}
-		cp := CriticalPath{
-			Rec:      rec,
-			SetupNS:  rec.SendT - rec.StartT,
-			SendNS:   rec.WaitT - rec.SendT,
-			WaitNS:   last.AckT - rec.WaitT,
-			FinishNS: rec.EndT - last.AckT,
-			Last:     last,
-			LastComp: last.Attribution(p.irqLatNS),
-		}
-		if cp.WaitNS < 0 {
-			cp.WaitNS = 0
-		}
-		out = append(out, cp)
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Rec.Seq < out[b].Rec.Seq })
 	return out
 }

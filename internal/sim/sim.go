@@ -59,6 +59,10 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // ErrDeadlock is returned by Run when live procs remain but none can run.
 var ErrDeadlock = errors.New("sim: deadlock: blocked procs remain but none are runnable")
 
+// ErrTimeLimit is wrapped by the error Run returns when the next wake-up
+// lies beyond the engine's virtual-time bound.
+var ErrTimeLimit = errors.New("sim: virtual time limit")
+
 // State enumerates proc lifecycle states.
 type State int
 
@@ -326,8 +330,8 @@ func (e *Engine) run(limit Time, stepLimit uint64) error {
 			return nil
 		}
 		if e.maxTime > 0 && top.wake > e.maxTime {
-			return fmt.Errorf("sim: virtual time limit %v exceeded (next wake %v, proc %q)\n%s",
-				e.maxTime, top.wake, top.name, e.WaitGraph())
+			return fmt.Errorf("%w %v exceeded (next wake %v, proc %q)\n%s",
+				ErrTimeLimit, e.maxTime, top.wake, top.name, e.WaitGraph())
 		}
 		p := e.pick()
 		from := p.clock

@@ -1,10 +1,11 @@
 #!/bin/sh
-# Full local CI. Tier 1 (build + test + lint) is the hard floor — lint is
-# go vet, a gofmt check that fails on any file `gofmt -l .` lists, and the
-# shootdownlint analyzer suite (DESIGN.md §10), which machine-checks the
-# simulator's determinism, IPL, and lock-ordering invariants, and the test
-# step includes the benchmark module's own tests (bench/ is a separate
-# module, so the root's go test ./... skips it).
+# Full local CI. Tier 1 and tier 2 are the Makefile's `tier1` and `tier2`
+# targets, defined there only. Tier 1 (build + test + lint) is the hard
+# floor — lint is go vet, a gofmt check that fails on any file `gofmt -l .`
+# lists, and the shootdownlint analyzer suite (DESIGN.md §10), which
+# machine-checks the simulator's determinism, IPL, and lock-ordering
+# invariants, and the test step includes the benchmark module's own tests
+# (bench/ is a separate module, so the root's go test ./... skips it).
 # Tier 2 runs the race detector over internal/sim and
 # internal/trace, the only packages allowed real concurrency (the
 # simconcurrency analyzer enforces that everything else stays in virtual
@@ -46,34 +47,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: go build ./..."
-go build ./...
-
-echo "== tier 1: go test ./..."
-go test ./...
-
-echo "== tier 1: (cd bench && go test .)"
-(cd bench && go test .)
-
-echo "== tier 1: go vet ./..."
-go vet ./...
-
-echo "== tier 1: gofmt -l . (every Go file is gofmt-clean)"
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-	echo "gofmt: not formatted:"
-	echo "$unformatted"
-	exit 1
-fi
-
-echo "== tier 1: shootdownlint ./... (full analyzer suite, one invocation)"
-go run ./cmd/shootdownlint ./...
-
-echo "== tier 2: go test -race ./internal/sim/... ./internal/trace/..."
-go test -race ./internal/sim/... ./internal/trace/...
-
-echo "== tier 2: chaos campaign survival + reproducer corpus replay"
-go test ./internal/experiments -run 'ChaosCampaignSurvivesWithoutBug|StaleReviveBugShrinks|CorpusReplay|DeviceBugShrinks|DeviceQuarantineBlackBox'
+echo "== tier 1 and tier 2: make tier1 tier2 (the Makefile defines both)"
+${MAKE:-make} tier1 tier2
 
 echo "== smoke: shootdownsim trace/metrics/json"
 tmp=$(mktemp -d)
