@@ -9,6 +9,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
@@ -110,6 +111,7 @@ type Kernel struct {
 	runq      []*Thread
 	current   []*Thread   // per CPU
 	idleProcs []*sim.Proc // per CPU
+	idleNotes []idleNote  // per CPU: each idle proc's wait annotation
 	live      int         // live (not exited) threads
 	stopping  bool
 	started   bool
@@ -340,8 +342,10 @@ func (k *Kernel) Start() {
 	}
 	k.started = true
 	k.idleProcs = make([]*sim.Proc, k.M.NumCPUs())
+	k.idleNotes = make([]idleNote, k.M.NumCPUs())
 	for cpu := 0; cpu < k.M.NumCPUs(); cpu++ {
 		cpu := cpu
+		k.idleNotes[cpu].cpu = cpu
 		k.idleProcs[cpu] = k.Eng.Spawn(fmt.Sprintf("idle%d", cpu), func(p *sim.Proc) {
 			k.idleLoop(p, cpu)
 		})
@@ -497,6 +501,7 @@ func (q *idleQueue) Ready() bool    { return len(q.runq) > 0 }
 // optimization's contract), and hands the CPU to the chosen thread.
 func (k *Kernel) idleLoop(p *sim.Proc, cpu int) {
 	tr := k.cfg.Tracer
+	note := &k.idleNotes[cpu]
 	for {
 		ex := k.M.Attach(p, cpu)
 		k.Strategy.GoIdle(ex)
@@ -531,9 +536,25 @@ func (k *Kernel) idleLoop(p *sim.Proc, cpu int) {
 		k.current[cpu] = next
 		ex.Detach()
 		k.Eng.Wake(next.proc)
-		p.SetWaiting(fmt.Sprintf("idle loop: waiting for thread %q to release cpu%d", next.name, cpu), next.proc)
+		note.thread, note.on[0] = next, next.proc
+		p.SetWaiting(note, note.on[:]...)
 		p.Block() // until the thread returns the CPU
 	}
+}
+
+// idleNote is an idle proc's wait annotation while a dispatched thread
+// holds its CPU; like waitNote, it renders only when read.
+type idleNote struct {
+	cpu    int
+	thread *Thread
+	on     [1]*sim.Proc
+}
+
+func (w *idleNote) String() string {
+	b := append(make([]byte, 0, 96), "idle loop: waiting for thread "...)
+	b = strconv.AppendQuote(b, w.thread.name)
+	b = append(b, " to release cpu"...)
+	return string(strconv.AppendInt(b, int64(w.cpu), 10))
 }
 
 // releaseCPU is called on the thread's own proc to give the CPU back to

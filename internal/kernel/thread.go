@@ -3,6 +3,8 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"shootdown/internal/machine"
 	"shootdown/internal/pmap"
@@ -90,8 +92,34 @@ type Thread struct {
 
 	// waitReason and waitOn, when set before a blocking call, annotate the
 	// proc's entry in the engine's wait graph; yieldTo consumes them.
-	waitReason string
+	waitReason fmt.Stringer
 	waitOn     []*sim.Proc
+	// note backs the join and mutex annotations.
+	note waitNote
+}
+
+// waitNote is a wait annotation naming another thread, kept in a record
+// its owner reuses so that blocking allocates nothing: the engine renders
+// it only when a snapshot or the wait graph reads it.
+type waitNote struct {
+	format string       // the reason, with one %q verb for the thread's name
+	thread *Thread      // the thread waited on
+	on     [1]*sim.Proc // its proc, the wait-graph edge
+}
+
+// String renders the reason as fmt.Sprintf(w.format, w.thread.name)
+// would, in one allocation.
+func (w *waitNote) String() string {
+	before, after, _ := strings.Cut(w.format, "%q")
+	b := append(make([]byte, 0, 96), before...)
+	b = strconv.AppendQuote(b, w.thread.name)
+	return string(append(b, after...))
+}
+
+// waitFor annotates the thread's next block as waiting on th.
+func (t *Thread) waitFor(format string, th *Thread) {
+	t.note = waitNote{format: format, thread: th, on: [1]*sim.Proc{th.proc}}
+	t.waitReason, t.waitOn = &t.note, t.note.on[:]
 }
 
 // Spawn creates a thread in the task and makes it runnable. It may be
@@ -101,7 +129,7 @@ func (t *Task) Spawn(name string, body func(*Thread)) *Thread {
 	th := &Thread{k: k, task: t, name: name, body: body, state: threadReady}
 	k.live++
 	th.proc = k.Eng.Spawn(fmt.Sprintf("thread:%s", name), func(p *sim.Proc) {
-		p.SetWaiting("spawned: waiting for first dispatch")
+		p.SetWaiting(sim.Reason("spawned: waiting for first dispatch"))
 		p.Block() // wait for first dispatch
 		th.ex = k.M.Attach(p, th.cpu)
 		th.body(th)
@@ -153,12 +181,12 @@ func (t *Thread) Fail(err error) { t.Err = err }
 func (t *Thread) yieldTo(newState threadState) {
 	k := t.k
 	reason, deps := t.waitReason, t.waitOn
-	t.waitReason, t.waitOn = "", nil
-	if reason == "" {
+	t.waitReason, t.waitOn = nil, nil
+	if reason == nil {
 		if newState == threadReady {
-			reason = "ready: waiting for redispatch"
+			reason = sim.Reason("ready: waiting for redispatch")
 		} else {
-			reason = "blocked: waiting for wakeup"
+			reason = sim.Reason("blocked: waiting for wakeup")
 		}
 	}
 	if newState == threadReady {
@@ -193,8 +221,7 @@ func (t *Thread) Join(other *Thread) {
 		return
 	}
 	other.joiners = append(other.joiners, t)
-	t.waitReason = fmt.Sprintf("join: waiting for thread %q to exit", other.name)
-	t.waitOn = []*sim.Proc{other.proc}
+	t.waitFor("join: waiting for thread %q to exit", other)
 	t.blockSelf()
 }
 
@@ -355,7 +382,7 @@ func (t *Thread) P(s *Semaphore) {
 	t.ex.ChargeInstr()
 	for s.count == 0 {
 		s.waiters = append(s.waiters, t)
-		t.waitReason = "semaphore: waiting for V"
+		t.waitReason = sim.Reason("semaphore: waiting for V")
 		t.blockSelf()
 	}
 	s.count--
@@ -384,8 +411,7 @@ func (t *Thread) Lock(mu *Mutex) {
 	t.ex.ChargeInstr()
 	for mu.holder != nil {
 		mu.waiters = append(mu.waiters, t)
-		t.waitReason = fmt.Sprintf("mutex: waiting for thread %q to unlock", mu.holder.name)
-		t.waitOn = []*sim.Proc{mu.holder.proc}
+		t.waitFor("mutex: waiting for thread %q to unlock", mu.holder)
 		t.blockSelf()
 	}
 	mu.holder = t

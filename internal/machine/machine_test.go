@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -599,4 +600,31 @@ func TestReadAllocatesNothing(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBuildCostIndependentOfMemorySize: physical memory costs the host
+// only the frames handed out, so a machine with 256 times the memory
+// takes exactly as many allocations, and about as many bytes, to build.
+func TestBuildCostIndependentOfMemorySize(t *testing.T) {
+	build := func(frames int) (allocs float64, bytes uint64) {
+		opts := testOptions(16)
+		opts.MemFrames = frames
+		var before, after runtime.MemStats
+		//lint:allow simdeterminism the test measures the host cost of a build; no simulated result reads it
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(5, func() { New(sim.New(), opts) })
+		//lint:allow simdeterminism the test measures the host cost of a build; no simulated result reads it
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 6 // AllocsPerRun adds a warm-up run
+	}
+	smallAllocs, smallBytes := build(4096)
+	largeAllocs, largeBytes := build(1 << 20)
+	if smallAllocs != largeAllocs {
+		t.Errorf("building a 16-CPU machine: %v allocations at 4096 frames, %v at 1<<20", smallAllocs, largeAllocs)
+	}
+	// One word per configured frame would be 8 MB at 1<<20 frames; allow
+	// only run-to-run noise.
+	if largeBytes > smallBytes+64<<10 {
+		t.Errorf("building a 16-CPU machine: %d B at 4096 frames, %d B at 1<<20", smallBytes, largeBytes)
+	}
 }

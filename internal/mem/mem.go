@@ -1,6 +1,10 @@
 // Package mem implements the simulated physical memory of the machine:
-// a fixed pool of 4 KB page frames, word (32-bit) addressed, with a simple
-// free-list frame allocator.
+// a fixed-size pool of 4 KB page frames, word (32-bit) addressed. The
+// frame allocator reuses the most recently freed frame, else hands out
+// the lowest never-used one, for reproducible layouts. Memory costs the
+// host only the frames a world has touched: building a PhysMem is O(1)
+// whatever its configured size, and the frame table grows to the highest
+// frame handed out so far.
 //
 // Page tables (package ptable) live inside this memory, so TLB hardware
 // reloads and reference/modify-bit writebacks are real in-memory reads and
@@ -32,31 +36,36 @@ func (f Frame) Addr(off uint32) PAddr { return PAddr(uint32(f)<<PageShift | off&
 func FrameOf(pa PAddr) Frame { return Frame(pa >> PageShift) }
 
 // PhysMem is the machine's physical memory.
+//
+// The free pool is the recycled stack plus the never-used range
+// [len(frames), total). AllocFrame pops the stack first and otherwise
+// takes the lowest never-used frame, so frames are handed out exactly as
+// by an eager list [total-1 … 0] that FreeFrame appends to and AllocFrame
+// pops from the end.
 type PhysMem struct {
-	frames    [][]uint32 // nil until allocated
-	free      []Frame
+	frames    []*[WordsPerPage]uint32 // frames below the high-water mark; nil = free
+	recycled  []Frame                 // freed frames, last freed reused first
+	total     int                     // configured size in frames
 	allocated int
 }
 
-// New creates a physical memory of nframes page frames.
+// New creates a physical memory of nframes page frames. It allocates no
+// frame storage: frames cost host memory only once handed out.
 func New(nframes int) *PhysMem {
 	if nframes <= 0 {
 		panic(fmt.Sprintf("mem: invalid frame count %d", nframes))
 	}
-	m := &PhysMem{frames: make([][]uint32, nframes)}
-	// Hand out low frames first for reproducible layouts.
-	for f := nframes - 1; f >= 0; f-- {
-		m.free = append(m.free, Frame(f))
-	}
-	return m
+	return &PhysMem{total: nframes}
 }
 
 // Digest returns an FNV-1a hash over the allocation state and the contents
 // of every allocated frame, in frame order. Snapshots carry this instead
-// of the frames themselves (a full machine is tens of megabytes); two
-// memories with equal digests hold the same page tables, PTE flag bits,
-// and workload data. Unallocated frames hash as absent, so an alloc/free
-// cycle that zeroes a frame still changes the free-list component.
+// of the frames themselves; two memories with equal digests hold the same
+// page tables, PTE flag bits, and workload data. Unallocated frames hash
+// as absent, so an alloc/free cycle that zeroes a frame still changes the
+// free-pool component. The free pool hashes in eager-list order (never-used
+// frames from the top down, then the recycled stack), so the digest does
+// not depend on how much of the frame table has been materialised.
 func (m *PhysMem) Digest() string {
 	const (
 		offset64 = 14695981039346656037
@@ -69,9 +78,12 @@ func (m *PhysMem) Digest() string {
 			h *= prime64
 		}
 	}
-	word(uint32(len(m.frames)))
+	word(uint32(m.total))
 	word(uint32(m.allocated))
-	for _, f := range m.free {
+	for f := m.total - 1; f >= len(m.frames); f-- {
+		word(uint32(f))
+	}
+	for _, f := range m.recycled {
 		word(uint32(f))
 	}
 	for i, fr := range m.frames {
@@ -87,22 +99,28 @@ func (m *PhysMem) Digest() string {
 }
 
 // TotalFrames returns the configured physical memory size in frames.
-func (m *PhysMem) TotalFrames() int { return len(m.frames) }
+func (m *PhysMem) TotalFrames() int { return m.total }
 
 // FreeFrames returns the number of unallocated frames.
-func (m *PhysMem) FreeFrames() int { return len(m.free) }
+func (m *PhysMem) FreeFrames() int { return len(m.recycled) + m.total - len(m.frames) }
 
 // AllocatedFrames returns the number of frames currently allocated.
 func (m *PhysMem) AllocatedFrames() int { return m.allocated }
 
 // AllocFrame allocates one zeroed frame.
 func (m *PhysMem) AllocFrame() (Frame, error) {
-	if len(m.free) == 0 {
+	var f Frame
+	switch {
+	case len(m.recycled) > 0:
+		f = m.recycled[len(m.recycled)-1]
+		m.recycled = m.recycled[:len(m.recycled)-1]
+	case len(m.frames) < m.total:
+		f = Frame(len(m.frames))
+		m.frames = append(m.frames, nil)
+	default:
 		return 0, fmt.Errorf("mem: out of physical memory (%d frames in use)", m.allocated)
 	}
-	f := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	m.frames[f] = make([]uint32, WordsPerPage)
+	m.frames[f] = new([WordsPerPage]uint32)
 	m.allocated++
 	return f, nil
 }
@@ -111,11 +129,11 @@ func (m *PhysMem) AllocFrame() (Frame, error) {
 // panics: it indicates a kernel bug, which the simulation should expose
 // loudly rather than absorb.
 func (m *PhysMem) FreeFrame(f Frame) {
-	if int(f) >= len(m.frames) || m.frames[f] == nil {
+	if !m.FrameAllocated(f) {
 		panic(fmt.Sprintf("mem: free of unallocated frame %d", f))
 	}
 	m.frames[f] = nil
-	m.free = append(m.free, f)
+	m.recycled = append(m.recycled, f)
 	m.allocated--
 }
 
@@ -128,7 +146,7 @@ func (m *PhysMem) FrameAllocated(f Frame) bool {
 	return int(f) < len(m.frames) && m.frames[f] != nil
 }
 
-func (m *PhysMem) frameFor(pa PAddr, op string) []uint32 {
+func (m *PhysMem) frameFor(pa PAddr, op string) *[WordsPerPage]uint32 {
 	f := FrameOf(pa)
 	if int(f) >= len(m.frames) || m.frames[f] == nil {
 		panic(fmt.Sprintf("mem: %s of unallocated physical address %#x (frame %d)", op, pa, f))
@@ -142,7 +160,7 @@ func (m *PhysMem) ReadWord(pa PAddr) uint32 {
 	if pa%WordSize != 0 {
 		panic(fmt.Sprintf("mem: unaligned read at %#x", pa))
 	}
-	return m.frameFor(pa, "read")[(pa&PageMask)/WordSize]
+	return m.frameFor(pa, "read")[pa/WordSize%WordsPerPage]
 }
 
 // WriteWord writes the 32-bit word at pa.
@@ -150,7 +168,7 @@ func (m *PhysMem) WriteWord(pa PAddr, v uint32) {
 	if pa%WordSize != 0 {
 		panic(fmt.Sprintf("mem: unaligned write at %#x", pa))
 	}
-	m.frameFor(pa, "write")[(pa&PageMask)/WordSize] = v
+	m.frameFor(pa, "write")[pa/WordSize%WordsPerPage] = v
 }
 
 // CopyFrame copies the contents of frame src into frame dst
@@ -158,13 +176,5 @@ func (m *PhysMem) WriteWord(pa PAddr, v uint32) {
 func (m *PhysMem) CopyFrame(dst, src Frame) {
 	d := m.frameFor(PAddr(dst)<<PageShift, "copy-dst")
 	s := m.frameFor(PAddr(src)<<PageShift, "copy-src")
-	copy(d, s)
-}
-
-// ZeroFrame clears every word of the frame.
-func (m *PhysMem) ZeroFrame(f Frame) {
-	d := m.frameFor(PAddr(f)<<PageShift, "zero")
-	for i := range d {
-		d[i] = 0
-	}
+	*d = *s
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -67,7 +69,7 @@ func TestFrameReuseIsZeroed(t *testing.T) {
 	}
 }
 
-func TestCopyAndZeroFrame(t *testing.T) {
+func TestCopyFrame(t *testing.T) {
 	m := New(2)
 	a, _ := m.AllocFrame()
 	b, _ := m.AllocFrame()
@@ -79,10 +81,6 @@ func TestCopyAndZeroFrame(t *testing.T) {
 		if got := m.ReadWord(b.Addr(i * WordSize)); got != i*3 {
 			t.Fatalf("copied word %d = %d, want %d", i, got, i*3)
 		}
-	}
-	m.ZeroFrame(b)
-	if got := m.ReadWord(b.Addr(0)); got != 0 {
-		t.Fatalf("zeroed frame word = %d", got)
 	}
 }
 
@@ -155,5 +153,137 @@ func TestQuickReadBack(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// eagerMem is the reference allocator PhysMem must match: a frame table
+// of every configured frame and an eager free list [n-1 … 0] that frees
+// append to and allocations pop from the end.
+type eagerMem struct {
+	frames    [][]uint32
+	free      []Frame
+	allocated int
+}
+
+func newEager(n int) *eagerMem {
+	e := &eagerMem{frames: make([][]uint32, n)}
+	for f := n - 1; f >= 0; f-- {
+		e.free = append(e.free, Frame(f))
+	}
+	return e
+}
+
+func (e *eagerMem) alloc() (Frame, error) {
+	if len(e.free) == 0 {
+		return 0, fmt.Errorf("mem: out of physical memory (%d frames in use)", e.allocated)
+	}
+	f := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	e.frames[f] = make([]uint32, WordsPerPage)
+	e.allocated++
+	return f, nil
+}
+
+func (e *eagerMem) release(f Frame) {
+	e.frames[f] = nil
+	e.free = append(e.free, f)
+	e.allocated--
+}
+
+func (e *eagerMem) digest() string {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	word := func(v uint32) {
+		for s := 0; s < 32; s += 8 {
+			h ^= uint64(byte(v >> s))
+			h *= prime64
+		}
+	}
+	word(uint32(len(e.frames)))
+	word(uint32(e.allocated))
+	for _, f := range e.free {
+		word(uint32(f))
+	}
+	for i, fr := range e.frames {
+		if fr == nil {
+			continue
+		}
+		word(uint32(i))
+		for _, v := range fr {
+			word(v)
+		}
+	}
+	return fmt.Sprintf("%016x", h)
+}
+
+// TestMatchesEagerFreeList runs random alloc/free/write mixes to
+// exhaustion and back against the eager reference, comparing the frame
+// handed out, the exhaustion error, the counters and the digest after
+// every operation.
+func TestMatchesEagerFreeList(t *testing.T) {
+	// The digest hashes every allocated word, so the large size gets
+	// fewer seeds to keep the test fast.
+	for _, c := range []struct{ n, seeds int }{{1, 20}, {4, 20}, {64, 2}} {
+		n := c.n
+		for seed := int64(1); seed <= int64(c.seeds); seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m, ref := New(n), newEager(n)
+			var live []Frame
+			check := func(op string) {
+				t.Helper()
+				if m.FreeFrames() != len(ref.free) || m.AllocatedFrames() != ref.allocated || m.TotalFrames() != n {
+					t.Fatalf("n=%d seed=%d after %s: free/alloc/total %d/%d/%d, want %d/%d/%d", n, seed, op,
+						m.FreeFrames(), m.AllocatedFrames(), m.TotalFrames(), len(ref.free), ref.allocated, n)
+				}
+				if got, want := m.Digest(), ref.digest(); got != want {
+					t.Fatalf("n=%d seed=%d after %s: digest %s, want %s", n, seed, op, got, want)
+				}
+			}
+			check("New")
+			// Each phase leans toward allocation until the pool is
+			// exhausted, then toward freeing, so both the never-used
+			// range and the recycled stack are exercised in every order.
+			for phase := 0; phase < 6; phase++ {
+				allocBias := 0.8
+				if phase%2 == 1 {
+					allocBias = 0.2
+				}
+				for step := 0; step < 3*n+8; step++ {
+					if len(live) == 0 || rng.Float64() < allocBias {
+						f, err := m.AllocFrame()
+						rf, rerr := ref.alloc()
+						if fmt.Sprint(err) != fmt.Sprint(rerr) || (err == nil && f != rf) {
+							t.Fatalf("n=%d seed=%d: alloc = %d, %v; want %d, %v", n, seed, f, err, rf, rerr)
+						}
+						if err == nil {
+							live = append(live, f)
+							v := rng.Uint32()
+							w := uint32(rng.Intn(WordsPerPage))
+							m.WriteWord(f.Addr(w*WordSize), v)
+							ref.frames[f][w] = v
+						}
+						check("alloc")
+						continue
+					}
+					i := rng.Intn(len(live))
+					f := live[i]
+					live = append(live[:i], live[i+1:]...)
+					m.FreeFrame(f)
+					ref.release(f)
+					check("free")
+				}
+			}
+		}
+	}
+}
+
+// TestNewIsConstantCost: building a memory allocates its header and
+// nothing proportional to its configured size.
+func TestNewIsConstantCost(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { New(1 << 20) }); n > 1 {
+		t.Fatalf("New(1<<20) made %v allocations, want at most 1", n)
 	}
 }

@@ -110,8 +110,9 @@ type Proc struct {
 
 	// waitReason and waitOn annotate what a blocked proc is waiting for,
 	// feeding the engine's wait graph. Set via SetWaiting before blocking;
-	// cleared by Wake (or ClearWaiting).
-	waitReason string
+	// cleared by Wake (or ClearWaiting). The reason renders only when a
+	// snapshot or the wait graph reads it.
+	waitReason fmt.Stringer
 	waitOn     []*Proc
 
 	// loop is the Stepper of the Repeat the proc yielded from: while it
@@ -660,24 +661,39 @@ func (p *Proc) Block() {
 	p.yield(struct{}{})
 }
 
+// Reason is a fixed wait annotation for SetWaiting.
+type Reason string
+
+func (r Reason) String() string { return string(r) }
+
 // SetWaiting annotates the proc with a human-readable reason — and,
 // optionally, the procs it is waiting on — before it blocks, so that if the
 // simulation deadlocks or hits its time limit the engine can report a wait
 // graph instead of a bare list of stuck procs. Wake clears the annotation.
-func (p *Proc) SetWaiting(reason string, on ...*Proc) {
+// The reason is rendered only when read, so a caller that keeps it in a
+// reusable record blocks without allocating; a nil reason clears it.
+func (p *Proc) SetWaiting(reason fmt.Stringer, on ...*Proc) {
 	p.waitReason = reason
 	p.waitOn = on
 }
 
 // ClearWaiting removes the proc's wait annotation.
 func (p *Proc) ClearWaiting() {
-	p.waitReason = ""
+	p.waitReason = nil
 	p.waitOn = nil
 }
 
 // Waiting returns the proc's wait annotation (empty when not waiting).
 func (p *Proc) Waiting() (reason string, on []*Proc) {
-	return p.waitReason, p.waitOn
+	return p.reason(), p.waitOn
+}
+
+// reason renders the proc's wait reason ("" when not waiting).
+func (p *Proc) reason() string {
+	if p.waitReason == nil {
+		return ""
+	}
+	return p.waitReason.String()
 }
 
 // Wake makes a blocked proc runnable at the engine's current time.
@@ -734,6 +750,15 @@ func (e *Engine) Snapshot() EngineSnap {
 		ChaosDraws: e.chaosDraws,
 		Ties:       e.tieSeq,
 	}
+	live := 0
+	for _, p := range e.procs {
+		if p.state != StateDone {
+			live++
+		}
+	}
+	if live > 0 {
+		snap.Procs = make([]ProcSnap, 0, live)
+	}
 	var blocked []*Proc
 	for _, p := range e.procs {
 		if p.state == StateDone {
@@ -745,7 +770,7 @@ func (e *Engine) Snapshot() EngineSnap {
 			State:      p.state.String(),
 			ClockNS:    int64(p.clock),
 			Preempted:  p.preempted,
-			WaitReason: p.waitReason,
+			WaitReason: p.reason(),
 		}
 		if p.state == StateSleeping {
 			ps.WakeNS = int64(p.wake)
@@ -755,7 +780,7 @@ func (e *Engine) Snapshot() EngineSnap {
 			ps.WaitOn = append(ps.WaitOn, d.name)
 		}
 		snap.Procs = append(snap.Procs, ps)
-		if p.state == StateBlocked || p.waitReason != "" {
+		if p.state == StateBlocked || ps.WaitReason != "" {
 			blocked = append(blocked, p)
 		}
 	}
@@ -775,7 +800,7 @@ func (e *Engine) WaitGraph() string {
 		if p.state == StateDone {
 			continue
 		}
-		if p.state == StateBlocked || p.waitReason != "" {
+		if p.state == StateBlocked || p.reason() != "" {
 			nodes = append(nodes, p)
 		}
 	}
@@ -786,8 +811,8 @@ func (e *Engine) WaitGraph() string {
 	b.WriteString("wait graph:\n")
 	for _, p := range nodes {
 		fmt.Fprintf(&b, "  %q [%v]", p.name, p.state)
-		if p.waitReason != "" {
-			fmt.Fprintf(&b, " waiting: %s", p.waitReason)
+		if reason := p.reason(); reason != "" {
+			fmt.Fprintf(&b, " waiting: %s", reason)
 		}
 		if len(p.waitOn) > 0 {
 			names := make([]string, len(p.waitOn))

@@ -443,12 +443,12 @@ func TestWaitGraphInDeadlockError(t *testing.T) {
 	e := New()
 	var a, b *Proc
 	a = e.Spawn("a", func(p *Proc) {
-		p.SetWaiting("lock held by b", b)
+		p.SetWaiting(Reason("lock held by b"), b)
 		p.Block()
 	})
 	b = e.Spawn("b", func(p *Proc) {
 		p.Sleep(10) // let a block first so the dependency pointers are live
-		p.SetWaiting("lock held by a", a)
+		p.SetWaiting(Reason("lock held by a"), a)
 		p.Block()
 	})
 	err := e.Run()
@@ -467,7 +467,7 @@ func TestWaitGraphClearedByWake(t *testing.T) {
 	e := New()
 	var target *Proc
 	target = e.Spawn("target", func(p *Proc) {
-		p.SetWaiting("waiting for waker")
+		p.SetWaiting(Reason("waiting for waker"))
 		p.Block()
 	})
 	e.Spawn("waker", func(p *Proc) {
@@ -521,7 +521,7 @@ func TestKillBlockedProcAvoidsDeadlock(t *testing.T) {
 	e := New()
 	var victim *Proc
 	victim = e.Spawn("victim", func(p *Proc) {
-		p.SetWaiting("never-coming")
+		p.SetWaiting(Reason("never-coming"))
 		p.Block()
 	})
 	e.Spawn("killer", func(p *Proc) {
