@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices explore timetravel hostcost bless
+.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices explore timetravel hostcost bless loc
 
 check: ## tier-1 + tier-2 + observability and fault-campaign smoke tests
 	./scripts/check.sh
@@ -63,3 +63,11 @@ hostcost: ## host-cost attribution: per-function/package allocation tables + val
 
 bless: ## re-bless the seed-7 pins (observation-artifact digests and the experiment results under internal/experiments/testdata/results) after an intended change
 	$(GO) test ./internal/experiments -run '^(TestArtifactDigests|TestExperimentDigests)$$' -count=1 -update
+
+# golines counts the Go lines under internal/, cmd/ and examples/,
+# testdata excluded, that also match the find predicate $(1).
+golines = find internal cmd examples -name '*.go' ! -path '*/testdata/*' $(1) | xargs cat | wc -l
+
+loc: ## the net line count each CHANGES.md entry reports: non-test and test Go lines
+	@echo "non-test Go lines: $$($(call golines,! -name '*_test.go'))"
+	@echo "test Go lines: $$($(call golines,-name '*_test.go'))"

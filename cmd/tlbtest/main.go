@@ -47,11 +47,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := workload.TesterConfig{
-		NCPUs:    *cpus,
-		Children: *children,
-		Seed:     *seed,
-	}
+	cfg := workload.TesterConfig{Children: *children}
 	switch *strategy {
 	case "shootdown":
 		// default strategy
@@ -74,8 +70,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlbtest: %v\n", err)
 		os.Exit(2)
 	}
-	// Apply the hooks without clobbering the strategy/hardware overrides
-	// the -strategy switch just installed.
+	// Set the machine and apply the hooks without clobbering the
+	// strategy/hardware overrides the -strategy switch just installed.
+	cfg.App.NCPUs, cfg.App.Seed = *cpus, *seed
 	cfg.App = in.App(cfg.App)
 
 	res, err := workload.RunTester(cfg)

@@ -20,8 +20,9 @@ func main() {
 
 	fmt.Println("=== run 1: no consistency mechanism (the problem) ===")
 	broken, err := workload.RunTester(workload.TesterConfig{
-		NCPUs: 8, Children: children, Seed: 1,
+		Children: children,
 		App: workload.AppConfig{
+			NCPUs: 8, Seed: 1,
 			Strategy: func(*machine.Machine) (core.Strategy, error) {
 				return baseline.NewNone(), nil
 			},
@@ -34,7 +35,7 @@ func main() {
 
 	fmt.Println("\n=== run 2: Mach shootdown algorithm (the fix) ===")
 	fixed, err := workload.RunTester(workload.TesterConfig{
-		NCPUs: 8, Children: children, Seed: 1,
+		Children: children, App: workload.AppConfig{NCPUs: 8, Seed: 1},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -32,7 +32,9 @@ func main() {
 		fig2.At100US/1000)
 
 	fmt.Println("measuring an actual 64-processor simulated machine (63 processors shot at)...")
-	res, err := workload.RunTester(workload.TesterConfig{NCPUs: 64, Children: 63, Seed: 7})
+	res, err := workload.RunTester(workload.TesterConfig{
+		Children: 63, App: workload.AppConfig{NCPUs: 64, Seed: 7},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

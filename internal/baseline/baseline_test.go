@@ -23,8 +23,9 @@ func run(t *testing.T, cfg workload.TesterConfig) workload.TesterResult {
 
 func TestNoneStrategyShowsTheProblem(t *testing.T) {
 	res := run(t, workload.TesterConfig{
-		NCPUs: 6, Children: 4, Seed: 3,
+		Children: 4,
 		App: workload.AppConfig{
+			NCPUs: 6, Seed: 3,
 			Strategy: func(*machine.Machine) (core.Strategy, error) { return baseline.NewNone(), nil },
 		},
 	})
@@ -35,8 +36,9 @@ func TestNoneStrategyShowsTheProblem(t *testing.T) {
 
 func TestHardwareRemoteMaintainsConsistency(t *testing.T) {
 	res := run(t, workload.TesterConfig{
-		NCPUs: 6, Children: 4, Seed: 3,
+		Children: 4,
 		App: workload.AppConfig{
+			NCPUs: 6, Seed: 3,
 			RemoteInvalidate: true,
 			TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
@@ -73,8 +75,9 @@ func TestHardwareRemoteValidation(t *testing.T) {
 
 func TestPostponedIPIMaintainsConsistency(t *testing.T) {
 	res := run(t, workload.TesterConfig{
-		NCPUs: 6, Children: 4, Seed: 3,
+		Children: 4,
 		App: workload.AppConfig{
+			NCPUs: 6, Seed: 3,
 			TLB: tlb.Config{Writeback: tlb.WritebackNone},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
 				return baseline.NewPostponedIPI(m)
@@ -95,9 +98,10 @@ func TestPostponedIPIValidation(t *testing.T) {
 
 func TestTimerFlushMaintainsConsistency(t *testing.T) {
 	res := run(t, workload.TesterConfig{
-		NCPUs: 6, Children: 4, Seed: 3,
+		Children:  4,
 		KeepTimer: true, // the strategy lives off the clock interrupt
 		App: workload.AppConfig{
+			NCPUs: 6, Seed: 3,
 			TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
 				return baseline.NewTimerFlush(m)
@@ -126,10 +130,11 @@ func TestTimerFlushValidation(t *testing.T) {
 // mechanisms: hardware remote invalidation beats the software shootdown,
 // and both beat timer-flushing by a wide margin (§9's cost/benefit frame).
 func TestStrategyLatencyOrdering(t *testing.T) {
-	shoot := run(t, workload.TesterConfig{NCPUs: 8, Children: 6, Seed: 5})
+	shoot := run(t, workload.TesterConfig{Children: 6, App: workload.AppConfig{NCPUs: 8, Seed: 5}})
 	hw := run(t, workload.TesterConfig{
-		NCPUs: 8, Children: 6, Seed: 5,
+		Children: 6,
 		App: workload.AppConfig{
+			NCPUs: 8, Seed: 5,
 			RemoteInvalidate: true,
 			TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
@@ -138,8 +143,9 @@ func TestStrategyLatencyOrdering(t *testing.T) {
 		},
 	})
 	timer := run(t, workload.TesterConfig{
-		NCPUs: 8, Children: 6, Seed: 5, KeepTimer: true,
+		Children: 6, KeepTimer: true,
 		App: workload.AppConfig{
+			NCPUs: 8, Seed: 5,
 			TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
 				return baseline.NewTimerFlush(m)

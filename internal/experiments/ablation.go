@@ -74,9 +74,10 @@ func StrategyCompare(a *Args) (StrategyCompareResult, error) {
 	var out StrategyCompareResult
 	for _, c := range append([]Mechanism{{Name: "mach-shootdown"}}, Mechanisms...) {
 		for _, k := range strategyKs {
+			app := c.App
+			app.NCPUs, app.Seed = 16, a.Seed+int64(k)
 			res, err := workload.RunTester(workload.TesterConfig{
-				NCPUs: 16, Children: k, Seed: a.Seed + int64(k),
-				KeepTimer: c.KeepTimer, App: a.In.App(c.App),
+				Children: k, KeepTimer: c.KeepTimer, App: a.In.App(app),
 			})
 			if err != nil {
 				return out, fmt.Errorf("%s k=%d: %w", c.Name, k, err)
@@ -122,8 +123,8 @@ func IPIModes(a *Args) (IPIModeResult, error) {
 	for _, mode := range []machine.IPIMode{machine.IPIUnicast, machine.IPIMulticast, machine.IPIBroadcast} {
 		for _, k := range ipiModeKs {
 			res, err := workload.RunTester(workload.TesterConfig{
-				NCPUs: 16, Children: k, Seed: a.Seed + int64(k),
-				App: a.In.App(workload.AppConfig{IPIMode: mode}),
+				Children: k,
+				App:      a.In.App(workload.AppConfig{NCPUs: 16, Seed: a.Seed + int64(k), IPIMode: mode}),
 			})
 			if err != nil {
 				return out, err

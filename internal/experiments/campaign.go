@@ -103,15 +103,8 @@ func runCampaign[R any, P rowPtr[R]](a *Args, c campaign) ([]R, error) {
 		if verdict != kernel.VerdictOK {
 			s := p.shrinkResult()
 			s.ScheduleLen = len(events)
-			rw := explore.NewRewinder(cell, verdict, events, endStep)
-			if a.WallClock != nil {
-				rw.SetWallClock(a.WallClock)
-			}
-			r := rw.Minimize()
-			s.Shrunk = r.Keep
-			s.ShrinkTests = r.Tests
-			repro := explore.BuildRepro(cell, verdict, events, r.Keep, r.Meta)
-			s.Repro = &repro
+			repro := explore.Shrink(cell, verdict, events, endStep, a.WallClock)
+			s.Shrunk, s.ShrinkTests, s.Repro = repro.Keep, repro.Shrink.Tests, &repro
 		}
 		rows = append(rows, row)
 	}

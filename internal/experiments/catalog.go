@@ -110,7 +110,7 @@ var Catalog = []Experiment{
 		run(DeviceChaosCampaign)},
 	{"explore", "Robustness: DPOR-lite schedule explorer — fork the run at every racy shootdown tie " +
 		"decision within -explorebudget, replay each fork down the other branch, and shrink any " +
-		"violation found via restore-to-prefix delta debugging",
+		"violation found via bounded-replay delta debugging",
 		run(ExploreCampaign)},
 	{"timetravel", "Robustness: snapshot the hot-plug churn run at -at virtual time, rebuild and " +
 		"replay a fresh world to the same event boundary, and verify restore is byte-identical " +

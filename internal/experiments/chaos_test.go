@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,6 +123,41 @@ func TestCorpusReplay(t *testing.T) {
 			}
 		})
 	}
+	// Reproducers written while the shrinker kept a snapshot ladder carry
+	// its four counters in their shrink block; they must still load,
+	// validate and replay.
+	t.Run("retired-ladder-keys", func(t *testing.T) {
+		data, err := os.ReadFile(filepath.Join("testdata", "corpus", "cpufail-devstall-stale-dma.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["shrink"] = json.RawMessage(`{"tests": 3, "restore_hits": 0, "full_replays": 2, "prefix_steps_reused": 0, "suffix_steps": 910}`)
+		if data, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ladder.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := shrink.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Shrink == nil || r.Shrink.Tests != 3 {
+			t.Fatalf("shrink block lost its test count: %+v", r.Shrink)
+		}
+		verdict, detail, err := ReplayRepro(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if verdict != r.Verdict {
+			t.Fatalf("replay verdict %s (%s), recorded %s", verdict, detail, r.Verdict)
+		}
+	})
 }
 
 // TestRegenerateCorpus rebuilds the committed reproducers from scratch.

@@ -34,11 +34,9 @@ func Fig2(seed int64, runs int, ins ...Instrument) (Fig2Result, error) {
 		in = ins[0]
 	}
 	res, err := workload.RunBasicCost(workload.BasicCostConfig{
-		NCPUs:    16,
-		Ks:       fig2Ks,
-		Runs:     runs,
-		BaseSeed: seed,
-		App:      in.App(workload.AppConfig{}),
+		Ks:   fig2Ks,
+		Runs: runs,
+		App:  in.App(workload.AppConfig{NCPUs: 16, Seed: seed}),
 	})
 	return Fig2Result{res}, err
 }
@@ -330,8 +328,8 @@ func Scale(a *Args) (ScaleResult, error) {
 		var sample stats.Sample
 		for r := 0; r < runs; r++ {
 			res, err := workload.RunTester(workload.TesterConfig{
-				NCPUs: n, Children: n - 1, Seed: seed + int64(n*100+r),
-				App: a.In.App(workload.AppConfig{}),
+				Children: n - 1,
+				App:      a.In.App(workload.AppConfig{NCPUs: n, Seed: seed + int64(n*100+r)}),
 			})
 			if err != nil {
 				return out, err

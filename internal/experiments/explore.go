@@ -23,8 +23,8 @@ type ExploreResult struct {
 // ExploreCampaign runs the DPOR-lite schedule explorer over the chaos
 // fixture: one instrumented base run to log racy tie decisions, then one
 // forked replay per untaken branch within a.ExploreBudget (0 = the
-// explorer's default), every violation fed into the restore-to-prefix
-// shrink -> reproducer pipeline. a.PlantBug plants the
+// explorer's default), the first violation shrunk into a reproducer by
+// bounded-replay delta debugging. a.PlantBug plants the
 // stale-TLB-after-revive bug, so the explorer has an
 // interleaving-dependent violation to find.
 func ExploreCampaign(a *Args) (ExploreResult, error) {
@@ -64,8 +64,7 @@ func (r ExploreResult) Render() string {
 		fmt.Fprintf(&b, "first violation shrunk: %d -> %d events (verdict %s)\n",
 			r.ScheduleLen, len(r.Repro.Keep), r.Repro.Verdict)
 		if m := r.Repro.Shrink; m != nil {
-			fmt.Fprintf(&b, "shrink campaign: %d tests, %d restore hits, %d full replays, %d prefix steps reused, %d suffix steps live\n",
-				m.Tests, m.RestoreHits, m.FullReplays, m.PrefixStepsReused, m.SuffixSteps)
+			fmt.Fprintf(&b, "shrink campaign: %d tests\n", m.Tests)
 		}
 		ids := make([]string, len(r.Repro.Keep))
 		for i, id := range r.Repro.Keep {

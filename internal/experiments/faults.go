@@ -123,9 +123,7 @@ func FaultCampaign(a *Args) (FaultCampaignResult, error) {
 			switch wl {
 			case "tester":
 				var tr workload.TesterResult
-				tr, runErr = workload.RunTester(workload.TesterConfig{
-					NCPUs: 8, Children: 6, Seed: seed, App: app,
-				})
+				tr, runErr = workload.RunTester(workload.TesterConfig{Children: 6, App: app})
 				if runErr == nil && tr.Inconsistent {
 					runErr = fmt.Errorf("tester observed a TLB inconsistency")
 				}

@@ -66,11 +66,9 @@ func Profile(a *Args) (ProfileResult, error) {
 	}
 	p := in.Profiler
 	if _, err := workload.RunBasicCost(workload.BasicCostConfig{
-		NCPUs:    16,
-		Ks:       profileKs,
-		Runs:     max(a.Runs, 1),
-		BaseSeed: a.Seed,
-		App:      in.App(workload.AppConfig{}),
+		Ks:   profileKs,
+		Runs: max(a.Runs, 1),
+		App:  in.App(workload.AppConfig{NCPUs: 16, Seed: a.Seed}),
 	}); err != nil {
 		return ProfileResult{}, fmt.Errorf("profile: %w", err)
 	}

@@ -25,8 +25,8 @@ type Fork struct {
 	Ties    []int  `json:"ties"` // full forced prefix handed to the engine
 	Verdict string `json:"verdict"`
 	Detail  string `json:"detail,omitempty"`
-	// EndStep and Events carry what a shrink campaign needs when this
-	// fork violated.
+	// EndStep is the engine step the fork's run ended at; if this fork's
+	// violation is the one shrunk, Shrink bounds its candidates by it.
 	EndStep uint64 `json:"end_step"`
 }
 
@@ -49,8 +49,8 @@ type Result struct {
 	Violations         int `json:"violations"`
 	DistinctViolations int `json:"distinct_violations"`
 
-	// Repro is the first violation found, shrunk through the
-	// restore-to-prefix pipeline; ScheduleLen is its pre-shrink size.
+	// Repro is the first violation found, shrunk by Shrink; ScheduleLen
+	// is its pre-shrink size.
 	Repro       *shrink.Repro `json:"repro,omitempty"`
 	ScheduleLen int           `json:"schedule_len,omitempty"`
 }
@@ -85,9 +85,8 @@ type failing struct {
 // recording every chaos tie and whether the shootdown race window was
 // open; then, racy tie by racy tie and branch by branch in deterministic
 // order, fork the schedule by forcing the base prefix plus the flipped
-// pick and replaying. Every oracle violation found feeds the
-// restore-to-prefix shrink -> reproducer pipeline (the first one is
-// minimized; all are counted).
+// pick and replaying. Every oracle violation found is counted, and the
+// first is shrunk into a reproducer.
 //
 // Exploration is exhaustive-within-budget, not heuristic: for B budget
 // the forks are the first B (tie, alternative-pick) pairs in (ordinal,
@@ -172,16 +171,11 @@ func Explore(cell Cell, opt Options) (Result, error) {
 		}
 	}
 
-	// Shrink the first violation through the restore-to-prefix pipeline.
+	// Shrink the first violation into a reproducer.
 	if len(fails) > 0 {
 		f := fails[0]
 		res.ScheduleLen = len(f.events)
-		rw := NewRewinder(f.cell, f.verdict, f.events, f.endStep)
-		if opt.WallClock != nil {
-			rw.SetWallClock(opt.WallClock)
-		}
-		sres := rw.Minimize()
-		repro := BuildRepro(f.cell, f.verdict, f.events, sres.Keep, sres.Meta)
+		repro := Shrink(f.cell, f.verdict, f.events, f.endStep, opt.WallClock)
 		res.Repro = &repro
 	}
 	return res, nil

@@ -1,14 +1,14 @@
 // Package explore is the schedule-space side of the robustness tooling: a
-// shared deterministic run fixture (Cell), a restore-to-prefix shrink
-// harness (Rewinder), and a DPOR-lite schedule explorer that forks a run
-// at racy tie decisions and replays each fork down the other branch.
+// shared deterministic run fixture (Cell), a fault-schedule shrinker
+// (Shrink), and a DPOR-lite schedule explorer that forks a run at racy tie
+// decisions and replays each fork down the other branch.
 //
-// All three stand on the same substrate: the engine's event-step cursor is
-// a total order over scheduling decisions, whole-simulation snapshots
-// (kernel.Snapshot) pin the state at any step boundary, and replaying a
-// fresh world with the same (config, seed, mask, forced ties) lands on
-// byte-identical state — so "restore to step n" is "rebuild and replay to
-// n", verified by snapshot digest rather than assumed.
+// All three stand on the same substrate: replaying a fresh world with the
+// same (config, seed, mask, forced ties) lands on byte-identical state,
+// and masking a fault event suppresses its effect without perturbing any
+// RNG stream. So a shrink candidate is simply the failing run rebuilt with
+// more events masked, and an explorer fork is the base run rebuilt with
+// one tie decision flipped.
 //
 // The race model is deliberately coarse (hence DPOR-*lite*): any chaos tie
 // broken while a shootdown is in flight (an initiator between Begin and
@@ -59,10 +59,10 @@ type Cell struct {
 	// re-executions pass nil so dozens of replays don't each dump a box.
 	Flight *trace.Recorder
 	// StopOnViolation stops the engine at the first oracle violation, the
-	// semantics the restore-to-prefix shrinker judges candidates under. A
-	// minimized reproducer must be replayed with this set: its schedule is
-	// 1-minimal for "a violation fires", not for whatever the run would go
-	// on to do afterwards (a masked schedule may time out long after the
+	// semantics Shrink judges candidates under. A minimized reproducer
+	// must be replayed with this set: its schedule is 1-minimal for "a
+	// violation fires", not for whatever the run would go on to do
+	// afterwards (a masked schedule may time out long after the
 	// violation a full run would be classified by).
 	StopOnViolation bool
 }

@@ -487,8 +487,8 @@ func (in *Injector) SetClock(fn func() sim.Time) {
 
 // SetStepClock wires the engine's event-step counter so events record the
 // step at which each decision landed. Like SetClock, it is informational
-// only; the explorer and shrinker use it to align fault events with
-// snapshot boundaries.
+// only: the step rides in the event log a flight recorder's black box
+// carries, placing each fault on the same cursor as its snapshots.
 func (in *Injector) SetStepClock(fn func() uint64) {
 	if in != nil {
 		in.stepClock = fn
@@ -862,8 +862,8 @@ func (in *Injector) generatePlan(ncpu int) {
 // NotePlanWake stamps a plan event's log entry with the current engine
 // step, at the moment the lifecycle driver wakes to apply it. Plan events
 // are logged at generation time (step 0); the wake step is the first point
-// at which masking the event could change the run, which is what the
-// restore-to-prefix shrinker keys its divergence boundary on.
+// at which masking the event could change the run, so the log (and the
+// black box that embeds it) places a fail or revive where it took effect.
 func (in *Injector) NotePlanWake(ev CPUEvent) {
 	if in == nil {
 		return

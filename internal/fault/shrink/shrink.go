@@ -28,35 +28,20 @@ import (
 // It must be deterministic: same keep set, same verdict.
 type Test func(keep []fault.EventID) bool
 
-// PrefixTest is a Test that also receives the engine step at which the
-// candidate first diverges from the base failing run — the step of the
-// earliest masked event. Up to that step the candidate's world is
-// byte-identical to the base run's (masking never perturbs an RNG
-// stream), so a restore-aware harness replays the shared prefix against a
-// snapshot ladder and only runs the suffix live. divergeStep is the
-// maximum uint64 when nothing is masked (the candidate is the base run).
-type PrefixTest func(keep []fault.EventID, divergeStep uint64) bool
-
 // Result summarizes a minimization.
 type Result struct {
 	Keep  []fault.EventID // 1-minimal failing subset, in original order
 	Tests int             // how many test runs the search used
-	Meta  *Meta           // campaign accounting, when the harness supplied it
 }
 
 // Meta is the shrink-campaign accounting embedded in reproducer JSON: how
-// many candidate runs the search used, how many reused a verified prefix
-// snapshot versus building a fresh ladder rung, and how much of the
-// simulation was skipped versus run live. WallMS is populated only when
-// the harness injects a wall clock (the experiments layer is simulated
-// code and may not read real time itself).
+// many candidate runs the search used and, when the harness injects a
+// wall clock, how long they took (the experiments layer is simulated code
+// and may not read real time itself). Every candidate is simulated from
+// step 0.
 type Meta struct {
-	Tests             int    `json:"tests"`
-	RestoreHits       int    `json:"restore_hits"`
-	FullReplays       int    `json:"full_replays"`
-	PrefixStepsReused uint64 `json:"prefix_steps_reused"`
-	SuffixSteps       uint64 `json:"suffix_steps"`
-	WallMS            int64  `json:"wall_ms,omitempty"`
+	Tests  int   `json:"tests"`
+	WallMS int64 `json:"wall_ms,omitempty"`
 }
 
 // Minimize runs ddmin over the full failing schedule. The caller asserts
@@ -115,33 +100,6 @@ func Minimize(all []fault.EventID, test Test, maxTests int) Result {
 	}
 	res.Keep = cur
 	return res
-}
-
-// MinimizeFromPrefix is Minimize for restore-aware harnesses: it takes
-// the base run's full event log (whose Step fields place each decision on
-// the engine's event cursor) and hands every candidate to the test along
-// with its divergence step, so the harness can restore to the longest
-// common prefix instead of replaying from t=0.
-func MinimizeFromPrefix(all []fault.Event, test PrefixTest, maxTests int) Result {
-	ids := make([]fault.EventID, len(all))
-	stepOf := make(map[fault.EventID]uint64, len(all))
-	for i, e := range all {
-		ids[i] = e.ID
-		stepOf[e.ID] = e.Step
-	}
-	return Minimize(ids, func(keep []fault.EventID) bool {
-		kept := make(map[fault.EventID]bool, len(keep))
-		for _, id := range keep {
-			kept[id] = true
-		}
-		diverge := ^uint64(0)
-		for _, id := range ids {
-			if !kept[id] && stepOf[id] < diverge {
-				diverge = stepOf[id]
-			}
-		}
-		return test(keep, diverge)
-	}, maxTests)
 }
 
 // split partitions events into n nearly-equal contiguous chunks.
@@ -212,8 +170,8 @@ type Repro struct {
 	// explorer: the failure lives in an interleaving the seed alone would
 	// not take. Absent for plain chaos-campaign reproducers.
 	Ties []int `json:"ties,omitempty"`
-	// Shrink records how the minimization campaign went (restore hits vs
-	// full replays), so the restore-to-prefix win is visible in CI logs.
+	// Shrink records how the minimization campaign went: how many
+	// candidate runs it took.
 	Shrink *Meta `json:"shrink,omitempty"`
 }
 

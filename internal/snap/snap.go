@@ -8,9 +8,9 @@
 // consumer rebuilds the world from the same (config, seed), replays
 // deterministically to Step, takes a fresh snapshot, and compares digests.
 // Equal digests prove the replayed world is byte-identical to the one the
-// snapshot was taken from — which is exactly the guarantee the
-// restore-to-prefix shrinker and the DPOR-lite explorer need before they
-// run a divergent suffix.
+// snapshot was taken from — which is what time travel
+// (experiments.TimeTravel) and a black box's embedded restore point rely
+// on.
 //
 // Layer order is fixed by the producer (internal/kernel snapshots in the
 // same order as the flight-recorder providers) and participates in the

@@ -16,7 +16,7 @@ func BenchmarkSingleShootdown(b *testing.B) {
 	var total float64
 	for i := 0; i < b.N; i++ {
 		r, err := workload.RunTester(workload.TesterConfig{
-			NCPUs: 8, Children: 4, Seed: benchSeed + int64(i),
+			Children: 4, App: workload.AppConfig{NCPUs: 8, Seed: benchSeed + int64(i)},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -66,8 +66,8 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 
 // BenchmarkSnapshotRestore measures replay-based restore end to end:
 // rebuild a fresh world from the same configuration, replay it to the
-// snapshot step, and verify the digest matches — the unit of work the
-// restore-to-prefix shrinker and the explorer amortize.
+// snapshot step, and verify the digest matches — the unit of work a
+// time-travel restore (experiments.TimeTravel) costs.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	want, err := pausedWorld(b, benchSeed).Snapshot()
 	if err != nil {
@@ -120,7 +120,7 @@ func TestWorldAllocationCeilings(t *testing.T) {
 			run     func() error
 		}{
 			{"RunTester", testerAllocCeiling, func() error {
-				_, err := workload.RunTester(workload.TesterConfig{NCPUs: 8, Children: 4, Seed: seed})
+				_, err := workload.RunTester(workload.TesterConfig{Children: 4, App: workload.AppConfig{NCPUs: 8, Seed: seed}})
 				return err
 			}},
 			{"Snapshot", snapshotAllocCeiling, func() error {

@@ -23,7 +23,8 @@ func assertUnperturbed(t *testing.T, o observers) {
 	t.Helper()
 	run := func(app AppConfig) TesterResult {
 		t.Helper()
-		res, err := RunTester(TesterConfig{NCPUs: 8, Children: 4, Seed: 7, App: app})
+		app.NCPUs, app.Seed = 8, 7
+		res, err := RunTester(TesterConfig{Children: 4, App: app})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestObservationIsPerturbationFree(t *testing.T) {
 // run with the kernel's final state visible.
 func TestObserveHookSeesFinishedKernel(t *testing.T) {
 	var ms *trace.MetricSet
-	cfg := TesterConfig{NCPUs: 8, Children: 4, Seed: 7}
+	cfg := TesterConfig{Children: 4, App: AppConfig{NCPUs: 8, Seed: 7}}
 	cfg.App.Observe = func(k *kernel.Kernel) { ms = k.Metrics() }
 	if _, err := RunTester(cfg); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestObserveOncePerWorld(t *testing.T) {
 		{"churn", func(c AppConfig) error { _, err := RunChurn(c); return err }},
 		{"dma", func(c AppConfig) error { _, err := RunDMA(c); return err }},
 		{"tester", func(c AppConfig) error {
-			_, err := RunTester(TesterConfig{NCPUs: 8, Children: 4, Seed: c.Seed, App: c})
+			_, err := RunTester(TesterConfig{Children: 4, App: c})
 			return err
 		}},
 	}

@@ -18,13 +18,12 @@ const testerWarmup sim.Time = 3_000_000 // 3 ms
 
 // TesterConfig configures the §5.1 TLB-consistency tester.
 type TesterConfig struct {
-	NCPUs    int // default 16
 	Children int // k child threads; causes one shootdown hitting k CPUs
-	Seed     int64
 	// KeepTimer leaves the clock interrupt running (the timer-flush
 	// baseline needs it).
 	KeepTimer bool
-	// Strategy/hardware overrides for ablations.
+	// App is the machine the tester runs on: its CPU count (default 16),
+	// seed, and strategy/hardware overrides for ablations.
 	App AppConfig
 }
 
@@ -55,15 +54,10 @@ type TesterResult struct {
 // children all take unrecoverable write faults; any counter that moved
 // after the snapshot reveals an inconsistent TLB entry.
 func RunTester(cfg TesterConfig) (TesterResult, error) {
-	if cfg.NCPUs == 0 {
-		cfg.NCPUs = 16
+	app := cfg.App.withDefaults()
+	if cfg.Children < 1 || cfg.Children >= app.NCPUs {
+		return TesterResult{}, fmt.Errorf("workload: tester needs 1 <= children < ncpus, got %d/%d", cfg.Children, app.NCPUs)
 	}
-	if cfg.Children < 1 || cfg.Children >= cfg.NCPUs {
-		return TesterResult{}, fmt.Errorf("workload: tester needs 1 <= children < ncpus, got %d/%d", cfg.Children, cfg.NCPUs)
-	}
-	app := cfg.App
-	app.NCPUs = cfg.NCPUs
-	app.Seed = cfg.Seed
 	// The basic-cost experiment wants exactly one shootdown and no
 	// scheduler noise: no preemption timer (unless the strategy under
 	// test needs the clock, e.g. timer-flush).
@@ -181,11 +175,11 @@ type BasicCostPoint struct {
 
 // BasicCostConfig parameterizes the Figure 2 sweep.
 type BasicCostConfig struct {
-	NCPUs    int   // default 16
-	Ks       []int // child-thread counts to sweep
-	Runs     int   // per k; default 10
-	BaseSeed int64
-	App      AppConfig
+	Ks   []int // child-thread counts to sweep
+	Runs int   // per k; default 10
+	// App is every run's machine: its CPU count (default 16) and its Seed,
+	// the base of each run's seed.
+	App AppConfig
 }
 
 // BasicCostResult is the Figure 2 reproduction: per-k means, the
@@ -203,12 +197,9 @@ type BasicCostResult struct {
 }
 
 // RunBasicCost measures the basic cost of shootdown: for each k, run the
-// tester Runs times (seed BaseSeed + k*1000 + run) and record the
+// tester Runs times (seed App.Seed + k*1000 + run) and record the
 // initiator elapsed time of the single k-processor shootdown.
 func RunBasicCost(cfg BasicCostConfig) (BasicCostResult, error) {
-	if cfg.NCPUs == 0 {
-		cfg.NCPUs = 16
-	}
 	if cfg.Runs == 0 {
 		cfg.Runs = 10
 	}
@@ -216,12 +207,9 @@ func RunBasicCost(cfg BasicCostConfig) (BasicCostResult, error) {
 	for _, k := range cfg.Ks {
 		pt := BasicCostPoint{Processors: k}
 		for run := 0; run < cfg.Runs; run++ {
-			res, err := RunTester(TesterConfig{
-				NCPUs:    cfg.NCPUs,
-				Children: k,
-				Seed:     cfg.BaseSeed + int64(k*1000+run),
-				App:      cfg.App,
-			})
+			app := cfg.App
+			app.Seed += int64(k*1000 + run)
+			res, err := RunTester(TesterConfig{Children: k, App: app})
 			if err != nil {
 				return out, fmt.Errorf("workload: k=%d run=%d: %w", k, run, err)
 			}

@@ -5,7 +5,7 @@ import (
 )
 
 func TestTesterDetectsNoInconsistencyWithShootdown(t *testing.T) {
-	res, err := RunTester(TesterConfig{NCPUs: 8, Children: 4, Seed: 1})
+	res, err := RunTester(TesterConfig{Children: 4, App: AppConfig{NCPUs: 8, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,16 +29,16 @@ func TestTesterDetectsNoInconsistencyWithShootdown(t *testing.T) {
 }
 
 func TestTesterConfigValidation(t *testing.T) {
-	if _, err := RunTester(TesterConfig{NCPUs: 4, Children: 4}); err == nil {
+	if _, err := RunTester(TesterConfig{Children: 4, App: AppConfig{NCPUs: 4}}); err == nil {
 		t.Fatal("children == ncpus should be rejected")
 	}
-	if _, err := RunTester(TesterConfig{NCPUs: 4, Children: 0}); err == nil {
+	if _, err := RunTester(TesterConfig{Children: 0, App: AppConfig{NCPUs: 4}}); err == nil {
 		t.Fatal("zero children should be rejected")
 	}
 }
 
 func TestBasicCostSmall(t *testing.T) {
-	res, err := RunBasicCost(BasicCostConfig{NCPUs: 8, Ks: []int{1, 2, 3, 4, 5}, Runs: 3, BaseSeed: 7})
+	res, err := RunBasicCost(BasicCostConfig{Ks: []int{1, 2, 3, 4, 5}, Runs: 3, App: AppConfig{NCPUs: 8, Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

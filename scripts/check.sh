@@ -44,6 +44,11 @@
 # The whole script takes about a minute on a 2-vCPU x86-64 VM with a
 # warm build cache; the hostcost stage, every allocation profiled, takes
 # about 5 s of it.
+#
+# `make loc` prints the non-test and test Go line counts (internal/, cmd/
+# and examples/, testdata excluded) that each CHANGES.md entry reports as
+# its net line count; it is a report, not a gate, so this script does not
+# run it.
 set -eu
 cd "$(dirname "$0")/.."
 
