@@ -61,7 +61,7 @@ hostcost: ## host-cost attribution: per-function/package allocation tables + val
 	$(GO) run ./cmd/shootdownsim -seed 7 -hostcost /tmp/shootdown-hostcost.json hostcost >/dev/null
 	$(GO) run ./cmd/tlbtrace hostcost -validate -mincoverage 99 -budget scripts/hostcost-budget.txt /tmp/shootdown-hostcost.json
 
-bless: ## re-bless the seed-7 pins (observation-artifact digests and the experiment results under internal/experiments/testdata/results) after an intended change
+bless: ## re-bless the seed-7 pins (observation-artifact digests, and each experiment's result JSON and rendered text under internal/experiments/testdata/results) after an intended change
 	$(GO) test ./internal/experiments -run '^(TestArtifactDigests|TestExperimentDigests)$$' -count=1 -update
 
 # golines counts the Go lines under internal/, cmd/ and examples/,

@@ -12,8 +12,9 @@ import (
 	"testing"
 )
 
-// pinnedDir holds one file per pinned result, <name>.json: the result's
-// JSON exactly as json.Marshal emits it.
+// pinnedDir holds two files per pinned result: <name>.json, the result's
+// JSON exactly as json.Marshal emits it, and <name>.txt, the text
+// `shootdownsim -format table` prints for it.
 const pinnedDir = "testdata/results"
 
 // pinArgs are cmd/shootdownsim's flag defaults at seed 7, except that the
@@ -23,13 +24,24 @@ func pinArgs() *Args {
 }
 
 type pin struct {
+	name       string
+	json, text []byte
+}
+
+// pinFile is one file under pinnedDir and its bytes.
+type pinFile struct {
 	name string
 	raw  []byte
 }
 
+// files are p's two files, JSON first.
+func (p pin) files() []pinFile {
+	return []pinFile{{p.name + ".json", p.json}, {p.name + ".txt", p.text}}
+}
+
 // pinnedResults runs every catalog entry but hostcost, which measures the
 // host rather than the simulated machine, and returns each result's JSON
-// in catalog order. chaos and devices also run with PlantBug, as
+// and rendered text in catalog order. chaos and devices also run with PlantBug, as
 // chaos+bug and devices+bug, so the shrink-and-reproducer path is pinned
 // too.
 func pinnedResults(t *testing.T) []pin {
@@ -44,7 +56,7 @@ func pinnedResults(t *testing.T) []pin {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pins = append(pins, pin{name, raw})
+		pins = append(pins, pin{name, raw, []byte(res.Render())})
 	}
 	a := pinArgs()
 	bug := pinArgs()
@@ -62,51 +74,64 @@ func pinnedResults(t *testing.T) []pin {
 }
 
 // TestExperimentDigests pins the virtual-time results of every
-// deterministic catalog experiment at seed 7: each result's JSON must
-// equal its file under testdata/results byte for byte. Any change to a
-// simulated number — a cost constant, an event reordering, a harvest that
-// reads a counter at a different moment — fails here, naming the
-// experiment and the first JSON value that moved. Re-bless an intended
-// change with `make bless`.
+// deterministic catalog experiment at seed 7: each result's JSON and its
+// rendered text must equal its files under testdata/results byte for
+// byte. Any change to a simulated number — a cost constant, an event
+// reordering, a harvest that reads a counter at a different moment —
+// fails here, naming the experiment and the first JSON value or text line
+// that moved. Re-bless an intended change with `make bless`.
 func TestExperimentDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
 	pins := pinnedResults(t)
 	if *update {
-		stale, _ := filepath.Glob(filepath.Join(pinnedDir, "*.json"))
-		for _, f := range stale {
-			if err := os.Remove(f); err != nil {
-				t.Fatal(err)
+		for _, pat := range []string{"*.json", "*.txt"} {
+			stale, _ := filepath.Glob(filepath.Join(pinnedDir, pat))
+			for _, f := range stale {
+				if err := os.Remove(f); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := os.MkdirAll(pinnedDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pins {
-			if err := os.WriteFile(filepath.Join(pinnedDir, p.name+".json"), p.raw, 0o644); err != nil {
-				t.Fatal(err)
+			for _, f := range p.files() {
+				if err := os.WriteFile(filepath.Join(pinnedDir, f.name), f.raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		return
 	}
-	files, err := filepath.Glob(filepath.Join(pinnedDir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	stale := map[string]bool{}
-	for _, f := range files {
-		stale[strings.TrimSuffix(filepath.Base(f), ".json")] = true
+	for _, pat := range []string{"*.json", "*.txt"} {
+		files, err := filepath.Glob(filepath.Join(pinnedDir, pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			stale[filepath.Base(f)] = true
+		}
 	}
 	for _, p := range pins {
-		delete(stale, p.name)
-		want, err := os.ReadFile(filepath.Join(pinnedDir, p.name+".json"))
-		if err != nil {
-			t.Errorf("%s: %v (run make bless to pin it)", p.name, err)
-			continue
-		}
-		if !bytes.Equal(want, p.raw) {
-			t.Errorf("%s %s", p.name, firstDiff(want, p.raw))
+		for _, f := range p.files() {
+			delete(stale, f.name)
+			want, err := os.ReadFile(filepath.Join(pinnedDir, f.name))
+			if err != nil {
+				t.Errorf("%s: %v (run make bless to pin it)", f.name, err)
+				continue
+			}
+			if bytes.Equal(want, f.raw) {
+				continue
+			}
+			if filepath.Ext(f.name) == ".json" {
+				t.Errorf("%s %s", p.name, firstDiff(want, f.raw))
+			} else {
+				t.Errorf("%s %s", f.name, firstLineDiff(want, f.raw))
+			}
 		}
 	}
 	for _, name := range sortedKeys(stale) {
@@ -115,6 +140,23 @@ func TestExperimentDigests(t *testing.T) {
 	if t.Failed() {
 		t.Log("make bless re-pins an intended change")
 	}
+}
+
+// firstLineDiff names the first line where got departs from want, as
+// "line n: pinned → got".
+func firstLineDiff(want, got []byte) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		switch {
+		case i == len(w):
+			return fmt.Sprintf("line %d: (absent) → %q", i+1, g[i])
+		case i == len(g):
+			return fmt.Sprintf("line %d: %q → (absent)", i+1, w[i])
+		case w[i] != g[i]:
+			return fmt.Sprintf("line %d: %q → %q", i+1, w[i], g[i])
+		}
+	}
+	return "differs in bytes, not in any line"
 }
 
 func sortedKeys(m map[string]bool) []string {
