@@ -47,7 +47,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := workload.TesterConfig{Children: *children}
+	cfg := workload.TesterConfig{Children: *children, App: workload.AppConfig{NoTimer: true}}
 	switch *strategy {
 	case "shootdown":
 		// default strategy
@@ -61,7 +61,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tlbtest: unknown strategy %q\n", *strategy)
 			os.Exit(2)
 		}
-		cfg.KeepTimer = experiments.Mechanisms[i].KeepTimer
 		cfg.App = experiments.Mechanisms[i].App
 	}
 

@@ -22,7 +22,7 @@ func main() {
 	broken, err := workload.RunTester(workload.TesterConfig{
 		Children: children,
 		App: workload.AppConfig{
-			NCPUs: 8, Seed: 1,
+			NCPUs: 8, Seed: 1, NoTimer: true,
 			Strategy: func(*machine.Machine) (core.Strategy, error) {
 				return baseline.NewNone(), nil
 			},
@@ -35,7 +35,7 @@ func main() {
 
 	fmt.Println("\n=== run 2: Mach shootdown algorithm (the fix) ===")
 	fixed, err := workload.RunTester(workload.TesterConfig{
-		Children: children, App: workload.AppConfig{NCPUs: 8, Seed: 1},
+		Children: children, App: workload.AppConfig{NCPUs: 8, Seed: 1, NoTimer: true},
 	})
 	if err != nil {
 		log.Fatal(err)

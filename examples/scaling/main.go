@@ -33,7 +33,7 @@ func main() {
 
 	fmt.Println("measuring an actual 64-processor simulated machine (63 processors shot at)...")
 	res, err := workload.RunTester(workload.TesterConfig{
-		Children: 63, App: workload.AppConfig{NCPUs: 64, Seed: 7},
+		Children: 63, App: workload.AppConfig{NCPUs: 64, Seed: 7, NoTimer: true},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,7 @@ func TestNoneStrategyShowsTheProblem(t *testing.T) {
 	res := run(t, workload.TesterConfig{
 		Children: 4,
 		App: workload.AppConfig{
-			NCPUs: 6, Seed: 3,
+			NCPUs: 6, Seed: 3, NoTimer: true,
 			Strategy: func(*machine.Machine) (core.Strategy, error) { return baseline.NewNone(), nil },
 		},
 	})
@@ -38,7 +38,7 @@ func TestHardwareRemoteMaintainsConsistency(t *testing.T) {
 	res := run(t, workload.TesterConfig{
 		Children: 4,
 		App: workload.AppConfig{
-			NCPUs: 6, Seed: 3,
+			NCPUs: 6, Seed: 3, NoTimer: true,
 			RemoteInvalidate: true,
 			TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
@@ -77,7 +77,7 @@ func TestPostponedIPIMaintainsConsistency(t *testing.T) {
 	res := run(t, workload.TesterConfig{
 		Children: 4,
 		App: workload.AppConfig{
-			NCPUs: 6, Seed: 3,
+			NCPUs: 6, Seed: 3, NoTimer: true,
 			TLB: tlb.Config{Writeback: tlb.WritebackNone},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
 				return baseline.NewPostponedIPI(m)
@@ -98,10 +98,9 @@ func TestPostponedIPIValidation(t *testing.T) {
 
 func TestTimerFlushMaintainsConsistency(t *testing.T) {
 	res := run(t, workload.TesterConfig{
-		Children:  4,
-		KeepTimer: true, // the strategy lives off the clock interrupt
+		Children: 4,
 		App: workload.AppConfig{
-			NCPUs: 6, Seed: 3,
+			NCPUs: 6, Seed: 3, // the timer stays on: the strategy lives off the clock interrupt
 			TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
 				return baseline.NewTimerFlush(m)
@@ -130,11 +129,11 @@ func TestTimerFlushValidation(t *testing.T) {
 // mechanisms: hardware remote invalidation beats the software shootdown,
 // and both beat timer-flushing by a wide margin (§9's cost/benefit frame).
 func TestStrategyLatencyOrdering(t *testing.T) {
-	shoot := run(t, workload.TesterConfig{Children: 6, App: workload.AppConfig{NCPUs: 8, Seed: 5}})
+	shoot := run(t, workload.TesterConfig{Children: 6, App: workload.AppConfig{NCPUs: 8, Seed: 5, NoTimer: true}})
 	hw := run(t, workload.TesterConfig{
 		Children: 6,
 		App: workload.AppConfig{
-			NCPUs: 8, Seed: 5,
+			NCPUs: 8, Seed: 5, NoTimer: true,
 			RemoteInvalidate: true,
 			TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
 			Strategy: func(m *machine.Machine) (core.Strategy, error) {
@@ -143,7 +142,7 @@ func TestStrategyLatencyOrdering(t *testing.T) {
 		},
 	})
 	timer := run(t, workload.TesterConfig{
-		Children: 6, KeepTimer: true,
+		Children: 6,
 		App: workload.AppConfig{
 			NCPUs: 8, Seed: 5,
 			TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},

@@ -35,29 +35,30 @@ type StrategyRow struct {
 // hardware it requires.
 type Mechanism struct {
 	Name string
-	// KeepTimer keeps the clock interrupt the tester otherwise stops;
-	// timer-flush relies on it.
-	KeepTimer bool
-	App       workload.AppConfig
+	// App is the hardware and strategy; only timer-flush, which lives off
+	// the clock interrupt, keeps the preemption timer.
+	App workload.AppConfig
 }
 
 // Mechanisms are the alternatives StrategyCompare measures against Mach's
 // shootdown; cmd/tlbtest's -strategy accepts their names.
 var Mechanisms = []Mechanism{
-	{"hardware-remote", false, workload.AppConfig{
+	{"hardware-remote", workload.AppConfig{
+		NoTimer:          true,
 		RemoteInvalidate: true,
 		TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
 		Strategy: func(m *machine.Machine) (core.Strategy, error) {
 			return baseline.NewHardwareRemote(m)
 		},
 	}},
-	{"postponed-ipi", false, workload.AppConfig{
-		TLB: tlb.Config{Writeback: tlb.WritebackNone},
+	{"postponed-ipi", workload.AppConfig{
+		NoTimer: true,
+		TLB:     tlb.Config{Writeback: tlb.WritebackNone},
 		Strategy: func(m *machine.Machine) (core.Strategy, error) {
 			return baseline.NewPostponedIPI(m)
 		},
 	}},
-	{"timer-flush", true, workload.AppConfig{
+	{"timer-flush", workload.AppConfig{
 		TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},
 		Strategy: func(m *machine.Machine) (core.Strategy, error) {
 			return baseline.NewTimerFlush(m)
@@ -72,13 +73,12 @@ var strategyKs = []int{2, 6, 12}
 // StrategyCompare measures the vm_protect latency of each mechanism.
 func StrategyCompare(a *Args) (StrategyCompareResult, error) {
 	var out StrategyCompareResult
-	for _, c := range append([]Mechanism{{Name: "mach-shootdown"}}, Mechanisms...) {
+	mach := Mechanism{Name: "mach-shootdown", App: workload.AppConfig{NoTimer: true}}
+	for _, c := range append([]Mechanism{mach}, Mechanisms...) {
 		for _, k := range strategyKs {
 			app := c.App
 			app.NCPUs, app.Seed = 16, a.Seed+int64(k)
-			res, err := workload.RunTester(workload.TesterConfig{
-				Children: k, KeepTimer: c.KeepTimer, App: a.In.App(app),
-			})
+			res, err := workload.RunTester(workload.TesterConfig{Children: k, App: a.In.App(app)})
 			if err != nil {
 				return out, fmt.Errorf("%s k=%d: %w", c.Name, k, err)
 			}
@@ -124,7 +124,7 @@ func IPIModes(a *Args) (IPIModeResult, error) {
 		for _, k := range ipiModeKs {
 			res, err := workload.RunTester(workload.TesterConfig{
 				Children: k,
-				App:      a.In.App(workload.AppConfig{NCPUs: 16, Seed: a.Seed + int64(k), IPIMode: mode}),
+				App:      a.In.App(workload.AppConfig{NCPUs: 16, Seed: a.Seed + int64(k), IPIMode: mode, NoTimer: true}),
 			})
 			if err != nil {
 				return out, err

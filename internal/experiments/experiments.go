@@ -36,7 +36,7 @@ func Fig2(seed int64, runs int, ins ...Instrument) (Fig2Result, error) {
 	res, err := workload.RunBasicCost(workload.BasicCostConfig{
 		Ks:   fig2Ks,
 		Runs: runs,
-		App:  in.App(workload.AppConfig{NCPUs: 16, Seed: seed}),
+		App:  in.App(workload.AppConfig{NCPUs: 16, Seed: seed, NoTimer: true}),
 	})
 	return Fig2Result{res}, err
 }
@@ -329,7 +329,7 @@ func Scale(a *Args) (ScaleResult, error) {
 		for r := 0; r < runs; r++ {
 			res, err := workload.RunTester(workload.TesterConfig{
 				Children: n - 1,
-				App:      a.In.App(workload.AppConfig{NCPUs: n, Seed: seed + int64(n*100+r)}),
+				App:      a.In.App(workload.AppConfig{NCPUs: n, Seed: seed + int64(n*100+r), NoTimer: true}),
 			})
 			if err != nil {
 				return out, err

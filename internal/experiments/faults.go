@@ -123,6 +123,7 @@ func FaultCampaign(a *Args) (FaultCampaignResult, error) {
 			switch wl {
 			case "tester":
 				var tr workload.TesterResult
+				app.NoTimer = true
 				tr, runErr = workload.RunTester(workload.TesterConfig{Children: 6, App: app})
 				if runErr == nil && tr.Inconsistent {
 					runErr = fmt.Errorf("tester observed a TLB inconsistency")

@@ -68,7 +68,7 @@ func Profile(a *Args) (ProfileResult, error) {
 	if _, err := workload.RunBasicCost(workload.BasicCostConfig{
 		Ks:   profileKs,
 		Runs: max(a.Runs, 1),
-		App:  in.App(workload.AppConfig{NCPUs: 16, Seed: a.Seed}),
+		App:  in.App(workload.AppConfig{NCPUs: 16, Seed: a.Seed, NoTimer: true}),
 	}); err != nil {
 		return ProfileResult{}, fmt.Errorf("profile: %w", err)
 	}

@@ -16,7 +16,7 @@ func BenchmarkSingleShootdown(b *testing.B) {
 	var total float64
 	for i := 0; i < b.N; i++ {
 		r, err := workload.RunTester(workload.TesterConfig{
-			Children: 4, App: workload.AppConfig{NCPUs: 8, Seed: benchSeed + int64(i)},
+			Children: 4, App: workload.AppConfig{NCPUs: 8, Seed: benchSeed + int64(i), NoTimer: true},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -120,7 +120,7 @@ func TestWorldAllocationCeilings(t *testing.T) {
 			run     func() error
 		}{
 			{"RunTester", testerAllocCeiling, func() error {
-				_, err := workload.RunTester(workload.TesterConfig{Children: 4, App: workload.AppConfig{NCPUs: 8, Seed: seed}})
+				_, err := workload.RunTester(workload.TesterConfig{Children: 4, App: workload.AppConfig{NCPUs: 8, Seed: seed, NoTimer: true}})
 				return err
 			}},
 			{"Snapshot", snapshotAllocCeiling, func() error {

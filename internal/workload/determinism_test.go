@@ -23,7 +23,7 @@ func assertUnperturbed(t *testing.T, o observers) {
 	t.Helper()
 	run := func(app AppConfig) TesterResult {
 		t.Helper()
-		app.NCPUs, app.Seed = 8, 7
+		app.NCPUs, app.Seed, app.NoTimer = 8, 7, true
 		res, err := RunTester(TesterConfig{Children: 4, App: app})
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestObservationIsPerturbationFree(t *testing.T) {
 // run with the kernel's final state visible.
 func TestObserveHookSeesFinishedKernel(t *testing.T) {
 	var ms *trace.MetricSet
-	cfg := TesterConfig{Children: 4, App: AppConfig{NCPUs: 8, Seed: 7}}
+	cfg := TesterConfig{Children: 4, App: AppConfig{NCPUs: 8, Seed: 7, NoTimer: true}}
 	cfg.App.Observe = func(k *kernel.Kernel) { ms = k.Metrics() }
 	if _, err := RunTester(cfg); err != nil {
 		t.Fatal(err)

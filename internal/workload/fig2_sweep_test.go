@@ -12,7 +12,7 @@ func TestFig2Calibration(t *testing.T) {
 		t.Skip("full 16-CPU sweep is slow")
 	}
 	res, err := RunBasicCost(BasicCostConfig{
-		Ks: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, Runs: 4, App: AppConfig{NCPUs: 16, Seed: 11},
+		Ks: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, Runs: 4, App: AppConfig{NCPUs: 16, Seed: 11, NoTimer: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,6 +24,7 @@ func TestObserveOncePerWorld(t *testing.T) {
 		{"churn", func(c AppConfig) error { _, err := RunChurn(c); return err }},
 		{"dma", func(c AppConfig) error { _, err := RunDMA(c); return err }},
 		{"tester", func(c AppConfig) error {
+			c.NoTimer = true
 			_, err := RunTester(TesterConfig{Children: 4, App: c})
 			return err
 		}},

@@ -19,11 +19,11 @@ const testerWarmup sim.Time = 3_000_000 // 3 ms
 // TesterConfig configures the §5.1 TLB-consistency tester.
 type TesterConfig struct {
 	Children int // k child threads; causes one shootdown hitting k CPUs
-	// KeepTimer leaves the clock interrupt running (the timer-flush
-	// baseline needs it).
-	KeepTimer bool
 	// App is the machine the tester runs on: its CPU count (default 16),
-	// seed, and strategy/hardware overrides for ablations.
+	// seed, clock, and strategy/hardware overrides for ablations. The
+	// basic-cost measurement wants exactly one shootdown and no scheduler
+	// noise, so its callers set NoTimer; the timer-flush baseline keeps
+	// the clock, which its strategy lives off.
 	App AppConfig
 }
 
@@ -58,10 +58,6 @@ func RunTester(cfg TesterConfig) (TesterResult, error) {
 	if cfg.Children < 1 || cfg.Children >= app.NCPUs {
 		return TesterResult{}, fmt.Errorf("workload: tester needs 1 <= children < ncpus, got %d/%d", cfg.Children, app.NCPUs)
 	}
-	// The basic-cost experiment wants exactly one shootdown and no
-	// scheduler noise: no preemption timer (unless the strategy under
-	// test needs the clock, e.g. timer-flush).
-	app.NoTimer = !cfg.KeepTimer
 	var res TesterResult
 	return run(app,
 		func(k *kernel.Kernel, _ AppConfig) error { return rigTester(k, cfg, &res) },
@@ -198,7 +194,8 @@ type BasicCostResult struct {
 
 // RunBasicCost measures the basic cost of shootdown: for each k, run the
 // tester Runs times (seed App.Seed + k*1000 + run) and record the
-// initiator elapsed time of the single k-processor shootdown.
+// initiator elapsed time of the single k-processor shootdown. Figure 2's
+// callers set App.NoTimer, so no preemption adds a second shootdown.
 func RunBasicCost(cfg BasicCostConfig) (BasicCostResult, error) {
 	if cfg.Runs == 0 {
 		cfg.Runs = 10

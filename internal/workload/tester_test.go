@@ -5,7 +5,7 @@ import (
 )
 
 func TestTesterDetectsNoInconsistencyWithShootdown(t *testing.T) {
-	res, err := RunTester(TesterConfig{Children: 4, App: AppConfig{NCPUs: 8, Seed: 1}})
+	res, err := RunTester(TesterConfig{Children: 4, App: AppConfig{NCPUs: 8, Seed: 1, NoTimer: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestTesterConfigValidation(t *testing.T) {
 }
 
 func TestBasicCostSmall(t *testing.T) {
-	res, err := RunBasicCost(BasicCostConfig{Ks: []int{1, 2, 3, 4, 5}, Runs: 3, App: AppConfig{NCPUs: 8, Seed: 7}})
+	res, err := RunBasicCost(BasicCostConfig{Ks: []int{1, 2, 3, 4, 5}, Runs: 3, App: AppConfig{NCPUs: 8, Seed: 7, NoTimer: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
