@@ -182,7 +182,10 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		}
 		results = append(results, experiments.Named{Name: e.Name, Result: res})
 		if *format == "table" {
-			fmt.Fprintln(stdout, res.Render())
+			if err := experiments.WriteText(stdout, res.Doc()); err != nil {
+				return fail(1, "%s: %v", e.Name, err)
+			}
+			fmt.Fprintln(stdout)
 			fmt.Fprintf(stdout, "[%s completed in %.1fs wall clock]\n\n", e.Name, time.Since(start).Seconds())
 		}
 	}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/baseline"
 	"shootdown/internal/core"
@@ -91,20 +89,18 @@ func StrategyCompare(a *Args) (StrategyCompareResult, error) {
 	return out, nil
 }
 
-// Render prints the comparison.
-func (r StrategyCompareResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: consistency mechanisms (§3, §9) — vm_protect latency, one page, k users\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "strategy\tk\tprotect latency (µs)\tconsistent\n")
+// Doc is the comparison.
+func (r StrategyCompareResult) Doc() Doc {
+	var d Doc
+	d.line("Ablation: consistency mechanisms (§3, §9) — vm_protect latency, one page, k users\n")
+	d.row("strategy\tk\tprotect latency (µs)\tconsistent")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%v\n", row.Strategy, row.Children, row.ProtectUS, row.Consistent)
+		d.row("%s\t%d\t%.0f\t%v", row.Strategy, row.Children, row.ProtectUS, row.Consistent)
 	}
-	w.Flush()
-	fmt.Fprintf(&b, "\n(hardware remote invalidation removes responder involvement entirely; the\n")
-	fmt.Fprintf(&b, " postponed interrupt removes the stall barrier; timer flushing trades all\n")
-	fmt.Fprintf(&b, " interrupt machinery for multi-millisecond operation latency)\n")
-	return b.String()
+	d.line("\n(hardware remote invalidation removes responder involvement entirely; the")
+	d.line(" postponed interrupt removes the stall barrier; timer flushing trades all")
+	d.line(" interrupt machinery for multi-millisecond operation latency)")
+	return d
 }
 
 // IPIModeResult compares unicast / multicast / broadcast interrupt
@@ -138,27 +134,25 @@ func IPIModes(a *Args) (IPIModeResult, error) {
 	return out, nil
 }
 
-// Render prints the sweep and the unicast/multicast crossover.
-func (r IPIModeResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: IPI delivery hardware (§9) — shootdown cost by processors shot at\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "k\tunicast (µs)\tmulticast (µs)\tbroadcast (µs)\n")
+// Doc is the sweep and the unicast/multicast crossover.
+func (r IPIModeResult) Doc() Doc {
+	var d Doc
+	d.line("Ablation: IPI delivery hardware (§9) — shootdown cost by processors shot at\n")
+	d.row("k\tunicast (µs)\tmulticast (µs)\tbroadcast (µs)")
 	cross := -1
 	for i, k := range r.Ks {
 		u, m, bc := r.Rows["unicast"][i], r.Rows["multicast"][i], r.Rows["broadcast"][i]
-		fmt.Fprintf(w, "%d\t%.0f\t%.0f\t%.0f\n", k, u, m, bc)
+		d.row("%d\t%.0f\t%.0f\t%.0f", k, u, m, bc)
 		if cross < 0 && m < u {
 			cross = k
 		}
 	}
-	w.Flush()
 	if cross >= 0 {
-		fmt.Fprintf(&b, "\nmulticast beats the unicast send loop from k=%d on\n", cross)
+		d.line("\nmulticast beats the unicast send loop from k=%d on", cross)
 	}
-	fmt.Fprintf(&b, "(\"beyond some number of processors it is faster to use a broadcast interrupt\n")
-	fmt.Fprintf(&b, " than it is to iterate down the list interrupting one processor at a time\")\n")
-	return b.String()
+	d.line("(\"beyond some number of processors it is faster to use a broadcast interrupt")
+	d.line(" than it is to iterate down the list interrupting one processor at a time\")")
+	return d
 }
 
 // HighPriorityIPIResult reproduces §9's first proposal: a software
@@ -232,20 +226,18 @@ func HighPriorityIPI(a *Args) (HighPriorityIPIResult, error) {
 	return out, nil
 }
 
-// Render prints the distribution comparison.
-func (r HighPriorityIPIResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: high-priority software interrupt (§9, Mach build kernel shootdowns)\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "hardware\tmean (µs)\tmedian\t90th %%\tmax\n")
-	fmt.Fprintf(w, "stock (IPI masked with devices)\t%.0f\t%.0f\t%.0f\t%.0f\n",
+// Doc is the distribution comparison.
+func (r HighPriorityIPIResult) Doc() Doc {
+	var d Doc
+	d.line("Ablation: high-priority software interrupt (§9, Mach build kernel shootdowns)\n")
+	d.row("hardware\tmean (µs)\tmedian\t90th %%\tmax")
+	d.row("stock (IPI masked with devices)\t%.0f\t%.0f\t%.0f\t%.0f",
 		r.Stock.Mean, r.Stock.Median, r.Stock.P90, r.StockMax)
-	fmt.Fprintf(w, "high-priority software interrupt\t%.0f\t%.0f\t%.0f\t%.0f\n",
+	d.row("high-priority software interrupt\t%.0f\t%.0f\t%.0f\t%.0f",
 		r.HighPrio.Mean, r.HighPrio.Median, r.HighPrio.P90, r.HPMax)
-	w.Flush()
-	fmt.Fprintf(&b, "\n(\"this would reduce the time for kernel shootdowns to more closely match user\n")
-	fmt.Fprintf(&b, " shootdowns, and eliminate the skew caused by long periods of interrupt disablement\")\n")
-	return b.String()
+	d.line("\n(\"this would reduce the time for kernel shootdowns to more closely match user")
+	d.line(" shootdowns, and eliminate the skew caused by long periods of interrupt disablement\")")
+	return d
 }
 
 // IdleOptResult measures the idle-processor optimization (§4 refinement 5).
@@ -300,17 +292,15 @@ func IdleOpt(a *Args) (IdleOptResult, error) {
 	return out, err
 }
 
-// Render prints the comparison.
-func (r IdleOptResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: idle-processor optimization (§4) — kernel shootdowns, 15 idle CPUs\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "configuration\tinitiator mean (µs)\tIPIs sent\n")
-	fmt.Fprintf(w, "optimization on (queue only for idle)\t%.0f\t%d\n", r.WithOptUS, r.IPIsWith)
-	fmt.Fprintf(w, "optimization off (interrupt everyone)\t%.0f\t%d\n", r.WithoutOptUS, r.IPIsWithout)
-	w.Flush()
-	fmt.Fprintf(&b, "\nspeedup from not synchronizing with idle processors: %.1fx\n", r.WithoutOptUS/r.WithOptUS)
-	return b.String()
+// Doc is the comparison.
+func (r IdleOptResult) Doc() Doc {
+	var d Doc
+	d.line("Ablation: idle-processor optimization (§4) — kernel shootdowns, 15 idle CPUs\n")
+	d.row("configuration\tinitiator mean (µs)\tIPIs sent")
+	d.row("optimization on (queue only for idle)\t%.0f\t%d", r.WithOptUS, r.IPIsWith)
+	d.row("optimization off (interrupt everyone)\t%.0f\t%d", r.WithoutOptUS, r.IPIsWithout)
+	d.line("\nspeedup from not synchronizing with idle processors: %.1fx", r.WithoutOptUS/r.WithOptUS)
+	return d
 }
 
 // ThresholdResult sweeps the invalidate-vs-flush threshold (§4 detail 1).
@@ -401,19 +391,17 @@ func runRangeProtect(seed int64, opts core.Options, in Instrument) (rangeProtect
 	return out, nil
 }
 
-// Render prints the sweep.
-func (r ThresholdResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: invalidate-vs-flush threshold (§4) — reprotect of a %d-page range\n\n", r.Pages)
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "threshold (pages)\tprotect latency (µs)\tfull flushes\n")
+// Doc is the sweep.
+func (r ThresholdResult) Doc() Doc {
+	var d Doc
+	d.line("Ablation: invalidate-vs-flush threshold (§4) — reprotect of a %d-page range\n", r.Pages)
+	d.row("threshold (pages)\tprotect latency (µs)\tfull flushes")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d\t%.0f\t%d\n", row.Threshold, row.ProtectUS, row.FullFlushes)
+		d.row("%d\t%.0f\t%d", row.Threshold, row.ProtectUS, row.FullFlushes)
 	}
-	w.Flush()
-	fmt.Fprintf(&b, "\n(beyond the threshold a whole-buffer flush is faster than individual\n")
-	fmt.Fprintf(&b, " invalidates; the cost is collateral loss of unrelated entries)\n")
-	return b.String()
+	d.line("\n(beyond the threshold a whole-buffer flush is faster than individual")
+	d.line(" invalidates; the cost is collateral loss of unrelated entries)")
+	return d
 }
 
 // QueueResult sweeps the consistency-action queue size (§4 detail 2).
@@ -483,17 +471,15 @@ func QueueSize(a *Args) (QueueResult, error) {
 	return out, nil
 }
 
-// Render prints the sweep.
-func (r QueueResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: action-queue size (§4) — 12 one-page kernel shootdowns at idle CPUs\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "queue size\toverflows\tfull flushes\n")
+// Doc is the sweep.
+func (r QueueResult) Doc() Doc {
+	var d Doc
+	d.line("Ablation: action-queue size (§4) — 12 one-page kernel shootdowns at idle CPUs\n")
+	d.row("queue size\toverflows\tfull flushes")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d\t%d\t%d\n", row.QueueSize, row.Overflows, row.FullFlushes)
+		d.row("%d\t%d\t%d", row.QueueSize, row.Overflows, row.FullFlushes)
 	}
-	w.Flush()
-	fmt.Fprintf(&b, "\n(overflow degrades to a full TLB flush — never a lost invalidation; the paper\n")
-	fmt.Fprintf(&b, " sizes the queue so overflow only happens when the flush is cheaper anyway)\n")
-	return b.String()
+	d.line("\n(overflow degrades to a full TLB flush — never a lost invalidation; the paper")
+	d.line(" sizes the queue so overflow only happens when the flush is cheaper anyway)")
+	return d
 }

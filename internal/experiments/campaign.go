@@ -122,24 +122,29 @@ func failures[R any, P rowPtr[R]](rows []R) int {
 	return n
 }
 
-// renderFailures appends a campaign's FAIL section: each failed
-// scenario's first error line and its minimal schedule.
-func renderFailures[R any, P rowPtr[R]](b *strings.Builder, rows []R) {
+// addFailures adds a campaign's FAIL section to d: each failed scenario's
+// first error line and its minimal schedule.
+func addFailures[R any, P rowPtr[R]](d *Doc, rows []R) {
 	for i := range rows {
 		p := P(&rows[i])
 		out := p.outcome()
 		if out.Verdict == kernel.VerdictOK {
 			continue
 		}
-		fmt.Fprintf(b, "\nFAIL %s (%s): %s\n", out.Scenario, out.Verdict, firstLine(out.Err))
+		d.line("\nFAIL %s (%s): %s", out.Scenario, out.Verdict, firstLine(out.Err))
 		if shrunk := p.shrinkResult().Shrunk; len(shrunk) > 0 {
-			ids := make([]string, len(shrunk))
-			for i, id := range shrunk {
-				ids[i] = id.String()
-			}
-			fmt.Fprintf(b, "  minimal schedule: %s\n", strings.Join(ids, " "))
+			d.line("  minimal schedule: %s", eventIDs(shrunk))
 		}
 	}
+}
+
+// eventIDs lists ids separated by spaces.
+func eventIDs(ids []fault.EventID) string {
+	s := make([]string, len(ids))
+	for i, id := range ids {
+		s[i] = id.String()
+	}
+	return strings.Join(s, " ")
 }
 
 func firstLine(s string) string {

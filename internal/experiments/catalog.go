@@ -6,8 +6,8 @@ import (
 )
 
 // Result is a catalog experiment's outcome: a structured value, emitted
-// whole as JSON or CSV, that also renders as a human-readable table.
-type Result interface{ Render() string }
+// whole as JSON or CSV, whose Doc is its human-readable report.
+type Result interface{ Doc() Doc }
 
 // Args are the inputs of one invocation of catalog experiments, and the
 // only input of every experiment function but Fig2; each field comes from
@@ -82,10 +82,10 @@ type Experiment struct {
 var Catalog = []Experiment{
 	{"fig2", "Figure 2: basic costs of TLB shootdown (1..15 processors)", run((*Args).fig2)},
 	{"table1", "Table 1: effect of lazy evaluation (Mach build, Parthenon)", run(Table1)},
-	{"table2", "Table 2: kernel pmap shootdowns, initiator side", tables(TablesResult.RenderTable2)},
-	{"table3", "Table 3: user pmap shootdowns, initiator side", tables(TablesResult.RenderTable3)},
-	{"table4", "Table 4: responder results", tables(TablesResult.RenderTable4)},
-	{"overhead", "Section 8: machine-wide overhead per application", tables(TablesResult.RenderOverhead)},
+	{"table2", "Table 2: kernel pmap shootdowns, initiator side", tables(TablesResult.Table2Doc)},
+	{"table3", "Table 3: user pmap shootdowns, initiator side", tables(TablesResult.Table3Doc)},
+	{"table4", "Table 4: responder results", tables(TablesResult.Table4Doc)},
+	{"overhead", "Section 8: machine-wide overhead per application", tables(TablesResult.OverheadDoc)},
 	{"perturb", "Section 6.1: instrumentation perturbation check", run(Perturbation)},
 	{"scale", "Sections 8/11: scaling to larger machines (measured, not just extrapolated)", run(Scale)},
 	{"strategies", "Ablation: shootdown vs hardware remote-invalidate vs postponed-IPI vs timer-flush",
@@ -138,8 +138,8 @@ func run[R Result](f func(*Args) (R, error)) func(*Args) (Result, error) {
 
 // tables is the Run of the four entries that view Tables234's runs: the
 // runs happen once per Args, and each entry emits the whole TablesResult
-// as its structured value but renders only its own view.
-func tables(render func(TablesResult) string) func(*Args) (Result, error) {
+// as its structured value but reports only its own view.
+func tables(doc func(TablesResult) Doc) func(*Args) (Result, error) {
 	return func(a *Args) (Result, error) {
 		if a.tables == nil {
 			r, err := Tables234(a)
@@ -148,14 +148,14 @@ func tables(render func(TablesResult) string) func(*Args) (Result, error) {
 			}
 			a.tables = &r
 		}
-		return tablesView{a.tables, render}, nil
+		return tablesView{a.tables, doc}, nil
 	}
 }
 
 // tablesView marshals as the embedded TablesResult.
 type tablesView struct {
 	*TablesResult
-	render func(TablesResult) string
+	doc func(TablesResult) Doc
 }
 
-func (v tablesView) Render() string { return v.render(*v.TablesResult) }
+func (v tablesView) Doc() Doc { return v.doc(*v.TablesResult) }

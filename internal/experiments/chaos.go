@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
@@ -124,23 +122,21 @@ func ReplayRepro(r shrink.Repro) (string, string, error) {
 	return verdict, detail, nil
 }
 
-// Render prints the campaign.
-func (r ChaosResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos campaign: processor fail-stop & hot-plug (%d-CPU churn, seed %d)\n", r.NCPUs, r.Seed)
-	fmt.Fprintf(&b, "watchdog: timeout %v, %d retries, then escalation; membership re-check on dead responders\n\n",
+// Doc is the campaign.
+func (r ChaosResult) Doc() Doc {
+	var d Doc
+	d.line("Chaos campaign: processor fail-stop & hot-plug (%d-CPU churn, seed %d)", r.NCPUs, r.Seed)
+	d.line("watchdog: timeout %v, %d retries, then escalation; membership re-check on dead responders\n",
 		campaignWatchdog.WatchdogTimeout.Duration(), campaignWatchdog.WatchdogMaxRetries)
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "scenario\tverdict\tfails\trevives\tlock breaks\toffline skips\tmember rescues\toracle viol\tshrunk\n")
+	d.row("scenario\tverdict\tfails\trevives\tlock breaks\toffline skips\tmember rescues\toracle viol\tshrunk")
 	for _, run := range r.Runs {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
+		d.row("%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%s",
 			run.Scenario, run.Verdict, run.Faults.FailStops, run.Faults.Revives,
 			run.LockBreaks, run.OfflineSkipped, run.MemberRescues, run.Violations, run.column())
 	}
-	w.Flush()
-	renderFailures(&b, r.Runs)
+	addFailures(&d, r.Runs)
 	if r.Failures() == 0 {
-		fmt.Fprintf(&b, "\nall %d scenarios survived: no shootdown ever waited on a dead processor, every revived TLB came up cold\n", len(r.Runs))
+		d.line("\nall %d scenarios survived: no shootdown ever waited on a dead processor, every revived TLB came up cold", len(r.Runs))
 	}
-	return b.String()
+	return d
 }

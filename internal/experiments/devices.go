@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-	"text/tabwriter"
-
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
 	"shootdown/internal/fault/shrink"
@@ -119,25 +115,23 @@ func DeviceChaosCampaign(a *Args) (DeviceChaosResult, error) {
 	return DeviceChaosResult{Seed: a.Seed, NCPUs: deviceCPUs, Devices: a.Devices, Runs: runs}, err
 }
 
-// Render prints the device campaign.
-func (r DeviceChaosResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Device chaos campaign: IOMMU/device-TLB faults (%d-CPU DMA streams, %d devices, seed %d)\n",
+// Doc is the device campaign.
+func (r DeviceChaosResult) Doc() Doc {
+	var d Doc
+	d.line("Device chaos campaign: IOMMU/device-TLB faults (%d-CPU DMA streams, %d devices, seed %d)",
 		r.NCPUs, r.Devices, r.Seed)
-	fmt.Fprintf(&b, "ladder: completion timeout %v -> re-ring (x%d) -> drain-and-reset -> quarantine\n\n",
+	d.line("ladder: completion timeout %v -> re-ring (x%d) -> drain-and-reset -> quarantine\n",
 		campaignWatchdog.WatchdogTimeout.Duration(), campaignWatchdog.WatchdogMaxRetries)
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "scenario\tverdict\tposted\ttimeouts\tre-rings\tresets\tquarantines\tgrace uses\toracle viol\tshrunk\n")
+	d.row("scenario\tverdict\tposted\ttimeouts\tre-rings\tresets\tquarantines\tgrace uses\toracle viol\tshrunk")
 	for _, run := range r.Runs {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
+		d.row("%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s",
 			run.Scenario, run.Verdict, run.DevInvalsPosted, run.DevTimeouts,
 			run.DevRerings, run.DevResets, run.DevQuarantines,
 			run.OracleGraceUses, run.Violations, run.column())
 	}
-	w.Flush()
-	renderFailures(&b, r.Runs)
+	addFailures(&d, r.Runs)
 	if r.Failures() == 0 {
-		fmt.Fprintf(&b, "\nall %d scenarios survived: every shootdown completed despite stalled, deaf, and wedged devices, and no DMA ever used an acknowledged-dead translation\n", len(r.Runs))
+		d.line("\nall %d scenarios survived: every shootdown completed despite stalled, deaf, and wedged devices, and no DMA ever used an acknowledged-dead translation", len(r.Runs))
 	}
-	return b.String()
+	return d
 }

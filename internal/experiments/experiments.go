@@ -1,15 +1,16 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (Sections 5-8) plus the Section 9 hardware-option ablations.
-// Each experiment returns a structured result with a Render method that
-// prints rows in the shape the paper reports. Catalog lists them in one
-// ordered list, which cmd/shootdownsim runs and TestExperimentDigests
-// pins; the repository benchmarks re-run some of them directly.
+// Each experiment returns a structured result whose Doc method gives its
+// report as data — lines, one table of cells in the shape the paper
+// reports, more lines — and WriteText prints every Doc the same way.
+// Catalog lists them in one ordered list, which cmd/shootdownsim runs and
+// TestExperimentDigests pins; the repository benchmarks re-run some of
+// them directly.
 package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
+	"slices"
 
 	"shootdown/internal/stats"
 	"shootdown/internal/workload"
@@ -41,25 +42,23 @@ func Fig2(seed int64, runs int, ins ...Instrument) (Fig2Result, error) {
 	return Fig2Result{res}, err
 }
 
-// Render prints the figure's data series and the fitted constants.
-func (r Fig2Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2: Basic Costs of TLB Shootdown (16-CPU simulated Multimax)\n")
-	fmt.Fprintf(&b, "paper: time = 430 + 55*n µs (fit on 1..12; 13-15 depart due to bus congestion)\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "processors\tmean (µs)\tstd dev\ttrend (µs)\texcess\n")
+// Doc is the figure's data series and the fitted constants.
+func (r Fig2Result) Doc() Doc {
+	var d Doc
+	d.line("Figure 2: Basic Costs of TLB Shootdown (16-CPU simulated Multimax)")
+	d.line("paper: time = 430 + 55*n µs (fit on 1..12; 13-15 depart due to bus congestion)\n")
+	d.row("processors\tmean (µs)\tstd dev\ttrend (µs)\texcess")
 	for _, p := range r.Points {
 		trend := r.Fit.At(float64(p.Processors))
-		fmt.Fprintf(w, "%d\t%.0f\t%.0f\t%.0f\t%+.0f\n", p.Processors, p.MeanUS, p.StdUS, trend, p.MeanUS-trend)
+		d.row("%d\t%.0f\t%.0f\t%.0f\t%+.0f", p.Processors, p.MeanUS, p.StdUS, trend, p.MeanUS-trend)
 	}
-	w.Flush()
-	fmt.Fprintf(&b, "\nleast-squares fit (1..%d): %.0f + %.1f*n µs  (R² = %.4f)\n",
+	d.line("\nleast-squares fit (1..%d): %.0f + %.1f*n µs  (R² = %.4f)",
 		r.FitMaxK, r.Fit.Intercept, r.Fit.Slope, r.Fit.R2)
-	fmt.Fprintf(&b, "extrapolation to 100 processors (§11): %.1f ms (paper: ~6 ms)\n", r.At100US/1000)
+	d.line("extrapolation to 100 processors (§11): %.1f ms (paper: ~6 ms)", r.At100US/1000)
 	if r.Dropped > 0 {
-		fmt.Fprintf(&b, "WARNING: %d trace records lost to buffer wraparound — means above are incomplete\n", r.Dropped)
+		d.line("WARNING: %d trace records lost to buffer wraparound — means above are incomplete", r.Dropped)
 	}
-	return b.String()
+	return d
 }
 
 // Table1Result reproduces Table 1: effect of lazy evaluation on shootdowns.
@@ -88,39 +87,37 @@ func Table1(a *Args) (Table1Result, error) {
 	return out, nil
 }
 
-// Render prints the table in the paper's layout.
-func (r Table1Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1: Effect of Lazy Evaluation on Shootdowns\n")
-	fmt.Fprintf(&b, "paper: Mach 3827/8091 kernel events (lazy/no); Parthenon 4/107 kernel, 0/70 user\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "Application\tMach\t\tParthenon\t\n")
-	fmt.Fprintf(w, "Lazy\tYes\tNo\tYes\tNo\n")
-	fmt.Fprintf(w, "Kernel Events\t%d\t%d\t%d\t%d\n",
+// Doc is the table in the paper's layout.
+func (r Table1Result) Doc() Doc {
+	var d Doc
+	d.line("Table 1: Effect of Lazy Evaluation on Shootdowns")
+	d.line("paper: Mach 3827/8091 kernel events (lazy/no); Parthenon 4/107 kernel, 0/70 user\n")
+	d.row("Application\tMach\t\tParthenon\t")
+	d.row("Lazy\tYes\tNo\tYes\tNo")
+	d.row("Kernel Events\t%d\t%d\t%d\t%d",
 		r.Mach[0].KernelEvents(), r.Mach[1].KernelEvents(),
 		r.Parthenon[0].KernelEvents(), r.Parthenon[1].KernelEvents())
-	fmt.Fprintf(w, "Avg. Time (µs)\t%.0f\t%.0f\t%.0f\t%.0f\n",
+	d.row("Avg. Time (µs)\t%.0f\t%.0f\t%.0f\t%.0f",
 		r.Mach[0].KernelSummary().Mean, r.Mach[1].KernelSummary().Mean,
 		r.Parthenon[0].KernelSummary().Mean, r.Parthenon[1].KernelSummary().Mean)
-	fmt.Fprintf(w, "User Events\t%d\t%d\t%d\t%d\n",
+	d.row("User Events\t%d\t%d\t%d\t%d",
 		r.Mach[0].UserEvents(), r.Mach[1].UserEvents(),
 		r.Parthenon[0].UserEvents(), r.Parthenon[1].UserEvents())
-	fmt.Fprintf(w, "Avg. Time (µs)\t%.0f\t%.0f\t%.0f\t%.0f\n",
+	d.row("Avg. Time (µs)\t%.0f\t%.0f\t%.0f\t%.0f",
 		r.Mach[0].UserSummary().Mean, r.Mach[1].UserSummary().Mean,
 		r.Parthenon[0].UserSummary().Mean, r.Parthenon[1].UserSummary().Mean)
-	w.Flush()
 	ovLazy := totalOverheadUS(r.Mach[0])
 	ovNo := totalOverheadUS(r.Mach[1])
 	if ovNo > 0 {
-		fmt.Fprintf(&b, "\nMach build total overhead reduction from lazy evaluation: %.0f%% (paper: ~60%%)\n",
+		d.line("\nMach build total overhead reduction from lazy evaluation: %.0f%% (paper: ~60%%)",
 			100*(1-ovLazy/ovNo))
 	}
 	pLazy := totalOverheadUS(r.Parthenon[0])
 	pNo := totalOverheadUS(r.Parthenon[1])
 	if pNo > 0 {
-		fmt.Fprintf(&b, "Parthenon total overhead reduction: %.0f%% (paper: >97%%)\n", 100*(1-pLazy/pNo))
+		d.line("Parthenon total overhead reduction: %.0f%% (paper: >97%%)", 100*(1-pLazy/pNo))
 	}
-	return b.String()
+	return d
 }
 
 // totalOverheadUS is events x mean time, the paper's "total overhead".
@@ -157,85 +154,68 @@ func fmtOrNM(s stats.Summary, f float64) string {
 	return fmt.Sprintf("%.0f", f)
 }
 
-// RenderTable2 prints the kernel-pmap initiator results.
-func (r TablesResult) RenderTable2() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: Kernel Pmap Shootdown Results: Initiator\n")
-	fmt.Fprintf(&b, "paper: events 7494/4/88/68; means 1109-1641 µs; skewed (median<mean); Agora bimodal => NM\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "Application\tEvents\tMean±Std (µs)\tMedian\t10th %%\t90th %%\tProcs (mean)\n")
+// Doc is the kernel-pmap initiator results.
+func (r TablesResult) Table2Doc() Doc {
+	var d Doc
+	d.line("Table 2: Kernel Pmap Shootdown Results: Initiator")
+	d.line("paper: events 7494/4/88/68; means 1109-1641 µs; skewed (median<mean); Agora bimodal => NM\n")
+	d.row("Application\tEvents\tMean±Std (µs)\tMedian\t10th %%\t90th %%\tProcs (mean)")
 	for _, a := range r.Apps {
 		s := a.KernelSummary()
-		fmt.Fprintf(w, "%s\t%d\t%.0f±%.0f\t%s\t%s\t%s\t%.1f\n",
+		d.row("%s\t%d\t%.0f±%.0f\t%s\t%s\t%s\t%.1f",
 			a.Name, a.KernelEvents(), s.Mean, s.StdDev,
 			fmtOrNM(s, s.Median), fmtOrNM(s, s.P10), fmtOrNM(s, s.P90),
 			stats.Mean(a.KernelProcs))
 	}
-	w.Flush()
-	return b.String()
+	return d
 }
 
-// RenderTable3 prints the user-pmap initiator results.
-func (r TablesResult) RenderTable3() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 3: User Pmap Shootdown Results: Initiator\n")
-	fmt.Fprintf(&b, "paper: only Camelot causes user shootdowns; mean 588±591 µs; pages 1..360\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "Application\tEvents\tMean±Std (µs)\tMedian\tPages (min..max, mean)\n")
+// Doc is the user-pmap initiator results.
+func (r TablesResult) Table3Doc() Doc {
+	var d Doc
+	d.line("Table 3: User Pmap Shootdown Results: Initiator")
+	d.line("paper: only Camelot causes user shootdowns; mean 588±591 µs; pages 1..360\n")
+	d.row("Application\tEvents\tMean±Std (µs)\tMedian\tPages (min..max, mean)")
 	for _, a := range r.Apps {
 		if a.UserEvents() == 0 {
-			fmt.Fprintf(w, "%s\t0\t-\t-\t-\n", a.Name)
+			d.row("%s\t0\t-\t-\t-", a.Name)
 			continue
 		}
 		s := a.UserSummary()
-		minP, maxP := a.UserPages[0], a.UserPages[0]
-		for _, p := range a.UserPages {
-			if p < minP {
-				minP = p
-			}
-			if p > maxP {
-				maxP = p
-			}
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.0f±%.0f\t%s\t%.0f..%.0f, %.1f\n",
+		d.row("%s\t%d\t%.0f±%.0f\t%s\t%.0f..%.0f, %.1f",
 			a.Name, a.UserEvents(), s.Mean, s.StdDev, fmtOrNM(s, s.Median),
-			minP, maxP, stats.Mean(a.UserPages))
+			slices.Min(a.UserPages), slices.Max(a.UserPages), stats.Mean(a.UserPages))
 	}
-	w.Flush()
-	return b.String()
+	return d
 }
 
-// RenderTable4 prints the responder results (sampled on 5 of 16 CPUs).
-func (r TablesResult) RenderTable4() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 4: Responder Results (sampled on 5 of 16 processors)\n")
-	fmt.Fprintf(&b, "paper: responder costs below initiator costs; Camelot nearly symmetric\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "Application\tEvents\tMean±Std (µs)\tMedian\t10th %%\t90th %%\n")
+// Doc is the responder results (sampled on 5 of 16 CPUs).
+func (r TablesResult) Table4Doc() Doc {
+	var d Doc
+	d.line("Table 4: Responder Results (sampled on 5 of 16 processors)")
+	d.line("paper: responder costs below initiator costs; Camelot nearly symmetric\n")
+	d.row("Application\tEvents\tMean±Std (µs)\tMedian\t10th %%\t90th %%")
 	for _, a := range r.Apps {
 		s := a.ResponderSummary()
-		fmt.Fprintf(w, "%s\t%d\t%.0f±%.0f\t%s\t%s\t%s\n",
+		d.row("%s\t%d\t%.0f±%.0f\t%s\t%s\t%s",
 			a.Name, len(a.ResponderUS), s.Mean, s.StdDev,
 			fmtOrNM(s, s.Median), fmtOrNM(s, s.P10), fmtOrNM(s, s.P90))
 	}
-	w.Flush()
-	return b.String()
+	return d
 }
 
-// RenderOverhead prints the Section 8 overhead analysis.
-func (r TablesResult) RenderOverhead() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Section 8: Shootdown Overhead (pessimistic machine-wide scaling)\n")
-	fmt.Fprintf(&b, "paper: largest overheads ~1%% kernel (Mach build), <0.2%% user (Camelot)\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "Application\truntime (s)\tkernel ovh\tuser ovh\n")
+// Doc is the Section 8 overhead analysis.
+func (r TablesResult) OverheadDoc() Doc {
+	var d Doc
+	d.line("Section 8: Shootdown Overhead (pessimistic machine-wide scaling)")
+	d.line("paper: largest overheads ~1%% kernel (Mach build), <0.2%% user (Camelot)\n")
+	d.row("Application\truntime (s)\tkernel ovh\tuser ovh")
 	for _, a := range r.Apps {
-		fmt.Fprintf(w, "%s\t%.1f\t%.2f%%\t%.2f%%\n",
+		d.row("%s\t%.1f\t%.2f%%\t%.2f%%",
 			a.Name, a.Runtime.Duration().Seconds(),
 			a.OverheadPct(16, true), a.OverheadPct(16, false))
 	}
-	w.Flush()
-	return b.String()
+	return d
 }
 
 // PerturbationResult reproduces §6.1's instrumentation-validation check.
@@ -281,16 +261,16 @@ func Perturbation(a *Args) (PerturbationResult, error) {
 	return out, nil
 }
 
-// Render prints the perturbation comparison.
-func (r PerturbationResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Section 6.1: Measurement Validation (Parthenon, lazy evaluation disabled)\n")
-	fmt.Fprintf(&b, "paper: ~1.5%% perturbation, swamped by 8-10%% runtime variation from other effects\n\n")
-	fmt.Fprintf(&b, "instrumented runtime:    %.3f s\n", r.TracedRuntime)
-	fmt.Fprintf(&b, "uninstrumented runtime:  %.3f s\n", r.UntracedRuntime)
-	fmt.Fprintf(&b, "perturbation:            %.2f%%\n", r.PerturbationPct)
-	fmt.Fprintf(&b, "seed-to-seed spread:     %.2f%% (the noise floor)\n", r.SeedSpreadPct)
-	return b.String()
+// Doc is the perturbation comparison.
+func (r PerturbationResult) Doc() Doc {
+	var d Doc
+	d.line("Section 6.1: Measurement Validation (Parthenon, lazy evaluation disabled)")
+	d.line("paper: ~1.5%% perturbation, swamped by 8-10%% runtime variation from other effects")
+	d.line("\ninstrumented runtime:    %.3f s", r.TracedRuntime)
+	d.line("uninstrumented runtime:  %.3f s", r.UntracedRuntime)
+	d.line("perturbation:            %.2f%%", r.PerturbationPct)
+	d.line("seed-to-seed spread:     %.2f%% (the noise floor)", r.SeedSpreadPct)
+	return d
 }
 
 // ScaleResult reproduces the §8/§11 scaling analysis.
@@ -346,19 +326,17 @@ func Scale(a *Args) (ScaleResult, error) {
 	return out, nil
 }
 
-// Render prints the scaling comparison.
-func (r ScaleResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sections 8/11: Scaling of Shootdown Cost\n")
-	fmt.Fprintf(&b, "paper: linear scaling is 'a warning'; ~6 ms basic shootdown at 100 processors\n\n")
-	fmt.Fprintf(&b, "trend line: %.0f + %.1f*n µs -> %.1f ms at n=100\n\n", r.FitIntercept, r.FitSlope, r.At100MS)
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "machine CPUs\tprocessors shot\tmeasured (µs)\ttrend (µs)\tmeasured/trend\n")
+// Doc is the scaling comparison.
+func (r ScaleResult) Doc() Doc {
+	var d Doc
+	d.line("Sections 8/11: Scaling of Shootdown Cost")
+	d.line("paper: linear scaling is 'a warning'; ~6 ms basic shootdown at 100 processors")
+	d.line("\ntrend line: %.0f + %.1f*n µs -> %.1f ms at n=100\n", r.FitIntercept, r.FitSlope, r.At100MS)
+	d.row("machine CPUs\tprocessors shot\tmeasured (µs)\ttrend (µs)\tmeasured/trend")
 	for _, p := range r.Measured {
-		fmt.Fprintf(w, "%d\t%d\t%.0f\t%.0f\t%.2fx\n", p.NCPUs, p.Procs, p.MeasuredUS, p.TrendUS, p.MeasuredUS/p.TrendUS)
+		d.row("%d\t%d\t%.0f\t%.0f\t%.2fx", p.NCPUs, p.Procs, p.MeasuredUS, p.TrendUS, p.MeasuredUS/p.TrendUS)
 	}
-	w.Flush()
-	fmt.Fprintf(&b, "\n(measured > trend at large sizes: the shared bus congests, as §8 warns;\n")
-	fmt.Fprintf(&b, " §8's proposed fix — processor pools matching the NUMA structure — bounds n per shootdown)\n")
-	return b.String()
+	d.line("\n(measured > trend at large sizes: the shared bus congests, as §8 warns;")
+	d.line(" §8's proposed fix — processor pools matching the NUMA structure — bounds n per shootdown)")
+	return d
 }

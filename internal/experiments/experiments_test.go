@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"slices"
-	"strings"
 	"testing"
 )
 
-// The experiment tests validate that every table/figure generator runs and
-// renders; deeper shape assertions live in the workload package tests.
+// The experiment tests check each generator's numbers at seeds other than
+// the pinned seed 7; TestExperimentDigests pins every report's text, and
+// deeper shape assertions live in the workload package tests.
 
 func TestFig2Renders(t *testing.T) {
 	if testing.Short() {
@@ -16,12 +16,6 @@ func TestFig2Renders(t *testing.T) {
 	r, err := Fig2(11, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := r.Render()
-	for _, want := range []string{"Figure 2", "least-squares fit", "100 processors"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
 	}
 	if r.Fit.Slope <= 0 {
 		t.Fatal("non-positive slope")
@@ -35,10 +29,6 @@ func TestTable1Renders(t *testing.T) {
 	r, err := Table1(&Args{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := r.Render()
-	if !strings.Contains(out, "Kernel Events") || !strings.Contains(out, "overhead reduction") {
-		t.Errorf("render incomplete:\n%s", out)
 	}
 	if r.Mach[1].KernelEvents() <= r.Mach[0].KernelEvents() {
 		t.Error("lazy evaluation had no effect on the Mach build")
@@ -56,16 +46,12 @@ func TestTables234Render(t *testing.T) {
 	if len(r.Apps) != 4 {
 		t.Fatalf("apps = %d", len(r.Apps))
 	}
-	t2, t3, t4, ov := r.RenderTable2(), r.RenderTable3(), r.RenderTable4(), r.RenderOverhead()
-	tables := []struct{ name, out string }{{"t2", t2}, {"t3", t3}, {"t4", t4}, {"ov", ov}}
-	for _, app := range []string{"Mach", "Parthenon", "Agora", "Camelot"} {
-		for _, tb := range tables {
-			if !strings.Contains(tb.out, app) {
-				t.Errorf("%s missing %s", tb.name, app)
-			}
+	for i, app := range []string{"Mach", "Parthenon", "Agora", "Camelot"} {
+		if r.Apps[i].Name != app {
+			t.Errorf("app %d is %q, want %q", i, r.Apps[i].Name, app)
 		}
 	}
-	if !strings.Contains(t2, "NM") {
+	if !r.Apps[2].KernelSummary().NM {
 		t.Error("Table 2 should flag Agora's bimodal distribution as NM")
 	}
 }
@@ -85,9 +71,6 @@ func TestPerturbationRenders(t *testing.T) {
 	// should be well under the paper's 1.5%.
 	if r.PerturbationPct > 1.5 || r.PerturbationPct < -1.5 {
 		t.Errorf("perturbation %.2f%% unexpectedly large", r.PerturbationPct)
-	}
-	if !strings.Contains(r.Render(), "perturbation") {
-		t.Error("render incomplete")
 	}
 }
 
@@ -110,9 +93,6 @@ func TestScaleRenders(t *testing.T) {
 	}
 	if last.MeasuredUS < last.TrendUS {
 		t.Errorf("64-CPU machine below trend (%.0f < %.0f); congestion missing", last.MeasuredUS, last.TrendUS)
-	}
-	if !strings.Contains(r.Render(), "Scaling") {
-		t.Error("render incomplete")
 	}
 }
 
@@ -141,9 +121,6 @@ func TestStrategyCompare(t *testing.T) {
 		t.Errorf("software shootdown (%.0f) should beat timer flushing (%.0f)",
 			byStrat["mach-shootdown"], byStrat["timer-flush"])
 	}
-	if !strings.Contains(r.Render(), "mach-shootdown") {
-		t.Error("render incomplete")
-	}
 }
 
 func TestIPIModes(t *testing.T) {
@@ -163,9 +140,6 @@ func TestIPIModes(t *testing.T) {
 	if m >= u {
 		t.Errorf("multicast (%.0f) should beat unicast (%.0f) at k=15", m, u)
 	}
-	if !strings.Contains(r.Render(), "unicast") {
-		t.Error("render incomplete")
-	}
 }
 
 func TestHighPriorityIPIAblation(t *testing.T) {
@@ -179,9 +153,6 @@ func TestHighPriorityIPIAblation(t *testing.T) {
 	// The high-priority interrupt should cut the tail (90th percentile).
 	if r.HighPrio.P90 >= r.Stock.P90 {
 		t.Errorf("high-priority IPI did not cut the tail: p90 %.0f vs %.0f", r.HighPrio.P90, r.Stock.P90)
-	}
-	if !strings.Contains(r.Render(), "high-priority") {
-		t.Error("render incomplete")
 	}
 }
 
@@ -198,9 +169,6 @@ func TestIdleOptAblation(t *testing.T) {
 	}
 	if r.WithOptUS >= r.WithoutOptUS {
 		t.Errorf("idle optimization did not help: %.0f vs %.0f", r.WithOptUS, r.WithoutOptUS)
-	}
-	if !strings.Contains(r.Render(), "idle") {
-		t.Error("render incomplete")
 	}
 }
 
@@ -220,9 +188,6 @@ func TestFlushThresholdAblation(t *testing.T) {
 	if last.Threshold >= 16 && last.FullFlushes != 0 {
 		t.Errorf("threshold %d should not flush for a 16-page range", last.Threshold)
 	}
-	if !strings.Contains(r.Render(), "threshold") {
-		t.Error("render incomplete")
-	}
 }
 
 func TestQueueSizeAblation(t *testing.T) {
@@ -236,9 +201,6 @@ func TestQueueSizeAblation(t *testing.T) {
 	last := r.Rows[len(r.Rows)-1]
 	if last.Overflows != 0 {
 		t.Errorf("queue size %d should not overflow", last.QueueSize)
-	}
-	if !strings.Contains(r.Render(), "queue") {
-		t.Error("render incomplete")
 	}
 }
 
@@ -255,9 +217,6 @@ func TestTaggedTLBExtension(t *testing.T) {
 	}
 	if r.Untagged.TLBFlushes <= r.Tagged.TLBFlushes {
 		t.Errorf("untagged design should flush more: %d vs %d", r.Untagged.TLBFlushes, r.Tagged.TLBFlushes)
-	}
-	if !strings.Contains(r.Render(), "ASID") {
-		t.Error("render incomplete")
 	}
 }
 
@@ -280,9 +239,6 @@ func TestPoolsExtension(t *testing.T) {
 	if last.PooledUS > 1.5*first.PooledUS {
 		t.Errorf("pooled cost should stay flat: %.0f -> %.0f", first.PooledUS, last.PooledUS)
 	}
-	if !strings.Contains(r.Render(), "pool") {
-		t.Error("render incomplete")
-	}
 }
 
 func TestPageoutExtension(t *testing.T) {
@@ -299,8 +255,5 @@ func TestPageoutExtension(t *testing.T) {
 	// The paper's claim: the shootdown is a small fraction of the pageout.
 	if r.ShootdownShare > 0.10 {
 		t.Errorf("shootdown share of pageout = %.1f%%, expected well under 10%%", 100*r.ShootdownShare)
-	}
-	if !strings.Contains(r.Render(), "Pageout") {
-		t.Error("render incomplete")
 	}
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/explore"
 	"shootdown/internal/fault"
@@ -40,43 +38,37 @@ func ExploreCampaign(a *Args) (ExploreResult, error) {
 	return ExploreResult{r}, err
 }
 
-// Render prints the exploration campaign.
-func (r ExploreResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Schedule exploration: DPOR-lite over racy shootdown ties (%d-CPU churn, seed %d, budget %d)\n",
+// Doc is the exploration campaign.
+func (r ExploreResult) Doc() Doc {
+	var d Doc
+	d.line("Schedule exploration: DPOR-lite over racy shootdown ties (%d-CPU churn, seed %d, budget %d)",
 		r.NCPUs, r.Seed, r.Budget)
-	fmt.Fprintf(&b, "base run: verdict %s, %d steps, %d chaos ties (%d broken inside an open shootdown race window)\n\n",
+	d.line("base run: verdict %s, %d steps, %d chaos ties (%d broken inside an open shootdown race window)\n",
 		r.BaseVerdict, r.BaseSteps, r.TotalTies, r.RacyTies)
 	if len(r.Forks) > 0 {
-		w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-		fmt.Fprintf(w, "fork\ttie\tpick\tverdict\tsteps\tdetail\n")
+		d.row("fork\ttie\tpick\tverdict\tsteps\tdetail")
 		for i, f := range r.Forks {
 			detail := f.Detail
 			if detail == "" {
 				detail = "-"
 			}
-			fmt.Fprintf(w, "%d\t#%d\t%d\t%s\t%d\t%s\n", i, f.Seq, f.Pick, f.Verdict, f.EndStep, detail)
+			d.row("%d\t#%d\t%d\t%s\t%d\t%s", i, f.Seq, f.Pick, f.Verdict, f.EndStep, detail)
 		}
-		w.Flush()
 	}
-	fmt.Fprintf(&b, "\n%d violating schedule(s), %d distinct\n", r.Violations, r.DistinctViolations)
+	d.line("\n%d violating schedule(s), %d distinct", r.Violations, r.DistinctViolations)
 	if r.Repro != nil {
-		fmt.Fprintf(&b, "first violation shrunk: %d -> %d events (verdict %s)\n",
+		d.line("first violation shrunk: %d -> %d events (verdict %s)",
 			r.ScheduleLen, len(r.Repro.Keep), r.Repro.Verdict)
 		if m := r.Repro.Shrink; m != nil {
-			fmt.Fprintf(&b, "shrink campaign: %d tests\n", m.Tests)
+			d.line("shrink campaign: %d tests", m.Tests)
 		}
-		ids := make([]string, len(r.Repro.Keep))
-		for i, id := range r.Repro.Keep {
-			ids[i] = id.String()
-		}
-		fmt.Fprintf(&b, "minimal schedule: [%s]", strings.Join(ids, " "))
+		ties := ""
 		if len(r.Repro.Ties) > 0 {
-			fmt.Fprintf(&b, " with %d forced ties", len(r.Repro.Ties))
+			ties = fmt.Sprintf(" with %d forced ties", len(r.Repro.Ties))
 		}
-		fmt.Fprintln(&b)
+		d.line("minimal schedule: [%s]%s", eventIDs(r.Repro.Keep), ties)
 	} else if r.Violations == 0 {
-		fmt.Fprintf(&b, "no interleaving explored within budget produced a violation\n")
+		d.line("no interleaving explored within budget produced a violation")
 	}
-	return b.String()
+	return d
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
@@ -172,15 +170,14 @@ func harvestFaultRun(row *FaultRun, user func(*kernel.Kernel)) func(*kernel.Kern
 	}
 }
 
-// Render prints the campaign grid.
-func (r FaultCampaignResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fault campaign: watchdog recovery under injected hardware faults (8-CPU, seed %d)\n", r.Seed)
-	fmt.Fprintf(&b, "watchdog: timeout %v, %d retries, backoff cap %v; oracle checking every translation\n\n",
+// Doc is the campaign grid.
+func (r FaultCampaignResult) Doc() Doc {
+	var d Doc
+	d.line("Fault campaign: watchdog recovery under injected hardware faults (8-CPU, seed %d)", r.Seed)
+	d.line("watchdog: timeout %v, %d retries, backoff cap %v; oracle checking every translation\n",
 		campaignWatchdog.WatchdogTimeout.Duration(), campaignWatchdog.WatchdogMaxRetries,
 		campaignWatchdog.WatchdogBackoffMax.Duration())
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "scenario\tworkload\tok\truntime(ms)\tsyncs\tfaults\twd timeout\twd retry\twd escal\trecovery µs (mean/p90)\toracle viol\tstale\n")
+	d.row("scenario\tworkload\tok\truntime(ms)\tsyncs\tfaults\twd timeout\twd retry\twd escal\trecovery µs (mean/p90)\toracle viol\tstale")
 	for _, run := range r.Runs {
 		ok := "yes"
 		if !run.Completed {
@@ -190,19 +187,18 @@ func (r FaultCampaignResult) Render() string {
 		if run.Recovery.N > 0 {
 			rec = fmt.Sprintf("%.0f/%.0f", run.Recovery.Mean, run.Recovery.P90)
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%.1f\t%d\t%d\t%d\t%d\t%d\t%s\t%d\t%d\n",
+		d.row("%s\t%s\t%s\t%.1f\t%d\t%d\t%d\t%d\t%d\t%s\t%d\t%d",
 			run.Scenario, run.Workload, ok, run.RuntimeUS/1000, run.Syncs,
 			run.Faults.Total(), run.WatchdogTimeouts, run.WatchdogRetries,
 			run.WatchdogEscalations, rec, run.OracleViolations, run.OracleStale)
 	}
-	w.Flush()
 	for _, run := range r.Runs {
 		if !run.Completed {
-			fmt.Fprintf(&b, "\nFAIL %s/%s: %s\n", run.Scenario, run.Workload, run.Err)
+			d.line("\nFAIL %s/%s: %s", run.Scenario, run.Workload, run.Err)
 		}
 	}
 	if r.Failures() == 0 {
-		fmt.Fprintf(&b, "\nall %d runs completed: every dropped/delayed IPI was recovered by watchdog retry or escalation, no oracle violations\n", len(r.Runs))
+		d.line("\nall %d runs completed: every dropped/delayed IPI was recovered by watchdog retry or escalation, no oracle violations", len(r.Runs))
 	}
-	return b.String()
+	return d
 }

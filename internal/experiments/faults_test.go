@@ -7,7 +7,6 @@ func TestFaultCampaignSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log("\n" + r.Render())
 	if f := r.Failures(); f != 0 {
 		t.Fatalf("%d campaign runs failed", f)
 	}

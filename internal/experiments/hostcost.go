@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"shootdown/internal/hostprof"
 	"shootdown/internal/workload"
@@ -12,8 +13,11 @@ type HostCostResult struct {
 	Report *hostprof.Report
 }
 
-// Render prints the per-phase, top-function, and top-package tables.
-func (r HostCostResult) Render() string { return r.Report.Render(10) }
+// Doc is the per-phase, top-function, and top-package tables, as lines
+// the report lays out itself.
+func (r HostCostResult) Doc() Doc {
+	return Doc{Head: strings.Split(strings.TrimSuffix(r.Report.Render(10), "\n"), "\n")}
+}
 
 // snapPhasePauseStep matches internal/workload's snapshot benchmarks'
 // pause point, so the snapshot phase measures the same mid-run world they

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/kernel"
 	"shootdown/internal/machine"
@@ -105,18 +103,16 @@ func Pageout(a *Args) (PageoutResult, error) {
 	return out, nil
 }
 
-// Render prints the comparison.
-func (r PageoutResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: pageout under memory pressure (§5's aside, quantified)\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "pages evicted\t%d\n", r.PagesEvicted)
-	fmt.Fprintf(w, "pages faulted back in\t%d\n", r.PageIns)
-	fmt.Fprintf(w, "pageout daemon time\t%.1f ms\n", r.TotalPageoutMS)
-	fmt.Fprintf(w, "shootdown time within it\t%.0f µs (%.1f%%)\n", r.ShootdownUS, 100*r.ShootdownShare)
-	fmt.Fprintf(w, "data intact after round trips\t%v\n", r.DataIntact)
-	w.Flush()
-	fmt.Fprintf(&b, "\n(\"Pageout does cause shootdowns, but the overhead of actually performing the\n")
-	fmt.Fprintf(&b, " pageout is much greater than the overhead of the associated shootdown.\")\n")
-	return b.String()
+// Doc is the comparison.
+func (r PageoutResult) Doc() Doc {
+	var d Doc
+	d.line("Extension: pageout under memory pressure (§5's aside, quantified)\n")
+	d.row("pages evicted\t%d", r.PagesEvicted)
+	d.row("pages faulted back in\t%d", r.PageIns)
+	d.row("pageout daemon time\t%.1f ms", r.TotalPageoutMS)
+	d.row("shootdown time within it\t%.0f µs (%.1f%%)", r.ShootdownUS, 100*r.ShootdownShare)
+	d.row("data intact after round trips\t%v", r.DataIntact)
+	d.line("\n(\"Pageout does cause shootdowns, but the overhead of actually performing the")
+	d.line(" pageout is much greater than the overhead of the associated shootdown.\")")
+	return d
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/core"
 	"shootdown/internal/machine"
@@ -130,19 +128,17 @@ func runPoolCase(seed int64, ncpu int, in Instrument) (globalUS, pooledUS float6
 	return ks[0], ks[1], nil
 }
 
-// Render prints the scaling comparison.
-func (r PoolsResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: processor pools (§8) — kernel shootdown cost, pool size %d, all CPUs busy\n\n", r.PoolSize)
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "machine CPUs\tmachine-wide shootdown (µs)\tpool-confined shootdown (µs)\n")
+// Doc is the scaling comparison.
+func (r PoolsResult) Doc() Doc {
+	var d Doc
+	d.line("Extension: processor pools (§8) — kernel shootdown cost, pool size %d, all CPUs busy\n", r.PoolSize)
+	d.row("machine CPUs\tmachine-wide shootdown (µs)\tpool-confined shootdown (µs)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%d\t%.0f\t%.0f\n", row.NCPUs, row.GlobalUS, row.PooledUS)
+		d.row("%d\t%.0f\t%.0f", row.NCPUs, row.GlobalUS, row.PooledUS)
 	}
-	w.Flush()
-	fmt.Fprintf(&b, "\n(\"one possible restructuring is to divide both the processors and the kernel\n")
-	fmt.Fprintf(&b, " virtual address space into pools ... most kernel pmap shootdowns occurring\n")
-	fmt.Fprintf(&b, " within pools of processors instead of across the entire machine\" — the\n")
-	fmt.Fprintf(&b, " pooled cost stays flat as the machine grows)\n")
-	return b.String()
+	d.line("\n(\"one possible restructuring is to divide both the processors and the kernel")
+	d.line(" virtual address space into pools ... most kernel pmap shootdowns occurring")
+	d.line(" within pools of processors instead of across the entire machine\" — the")
+	d.line(" pooled cost stays flat as the machine grows)")
+	return d
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/profile"
 	"shootdown/internal/workload"
@@ -125,26 +123,24 @@ func (r ProfileResult) point(k int) *ProfilePoint {
 	return nil
 }
 
-// Render prints the attribution table and the narrative checks.
-func (r ProfileResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Cost attribution: per-shootdown critical paths under the virtual-time profiler\n")
-	fmt.Fprintf(&b, "(last responder of each Figure 2 shootdown, post→ack decomposition)\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "processors\tshootdowns\tsync (µs)\tpend (µs)\tirq (µs)\tdispatch (µs)\tbus (µs)\tmasked share\tbus share\twhy last\n")
+// Doc is the attribution table and the narrative checks.
+func (r ProfileResult) Doc() Doc {
+	var d Doc
+	d.line("Cost attribution: per-shootdown critical paths under the virtual-time profiler")
+	d.line("(last responder of each Figure 2 shootdown, post→ack decomposition)\n")
+	d.row("processors\tshootdowns\tsync (µs)\tpend (µs)\tirq (µs)\tdispatch (µs)\tbus (µs)\tmasked share\tbus share\twhy last")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%d\t%d\t%.0f\t%.1f\t%.1f\t%.0f\t%.1f\t%.0f%%\t%.1f%%\t%dm/%dd/%db\n",
+		d.row("%d\t%d\t%.0f\t%.1f\t%.1f\t%.0f\t%.1f\t%.0f%%\t%.1f%%\t%dm/%dd/%db",
 			p.Processors, p.Shootdowns, p.MeanSyncUS, p.MaskedPendUS, p.IRQLatUS,
 			p.DispatchUS, p.BusUS, 100*p.MaskedShare, 100*p.BusShare,
 			p.WhyMasked, p.WhyDispatch, p.WhyBus)
 	}
-	w.Flush()
-	fmt.Fprintf(&b, "\npend+dispatch run at an IPL masking the shootdown IPI: the masked interval\n")
-	fmt.Fprintf(&b, "is the responder's whole post→ack cost minus bus queueing (§8).\n")
+	d.line("\npend+dispatch run at an IPL masking the shootdown IPI: the masked interval")
+	d.line("is the responder's whole post→ack cost minus bus queueing (§8).")
 	if lo, hi := r.point(4), r.point(14); lo != nil && hi != nil && lo.BusShare > 0 {
-		fmt.Fprintf(&b, "bus-stall share %.1f%% at 4 CPUs vs %.1f%% at 14 (×%.1f): bus contention\n",
+		d.line("bus-stall share %.1f%% at 4 CPUs vs %.1f%% at 14 (×%.1f): bus contention",
 			100*lo.BusShare, 100*hi.BusShare, hi.BusShare/lo.BusShare)
-		fmt.Fprintf(&b, "bends Figure 2's curve past 12 processors, as the paper reports.\n")
+		d.line("bends Figure 2's curve past 12 processors, as the paper reports.")
 	}
-	return b.String()
+	return d
 }

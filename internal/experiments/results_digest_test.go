@@ -26,6 +26,7 @@ func pinArgs() *Args {
 type pin struct {
 	name       string
 	json, text []byte
+	doc        Doc
 }
 
 // pinFile is one file under pinnedDir and its bytes.
@@ -39,13 +40,20 @@ func (p pin) files() []pinFile {
 	return []pinFile{{p.name + ".json", p.json}, {p.name + ".txt", p.text}}
 }
 
+// pinCache holds the pins once pinnedResults has run, so every test over
+// them reads the same runs.
+var pinCache []pin
+
 // pinnedResults runs every catalog entry but hostcost, which measures the
-// host rather than the simulated machine, and returns each result's JSON
-// and rendered text in catalog order. chaos and devices also run with PlantBug, as
-// chaos+bug and devices+bug, so the shrink-and-reproducer path is pinned
-// too.
+// host rather than the simulated machine, and returns each result's JSON,
+// report and its text in catalog order. chaos and devices also run with
+// PlantBug, as chaos+bug and devices+bug, so the shrink-and-reproducer
+// path is pinned too.
 func pinnedResults(t *testing.T) []pin {
 	t.Helper()
+	if pinCache != nil {
+		return pinCache
+	}
 	var pins []pin
 	run := func(name string, e Experiment, a *Args) {
 		res, err := e.Run(a)
@@ -56,7 +64,12 @@ func pinnedResults(t *testing.T) []pin {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pins = append(pins, pin{name, raw, []byte(res.Render())})
+		doc := res.Doc()
+		var text bytes.Buffer
+		if err := WriteText(&text, doc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pins = append(pins, pin{name, raw, text.Bytes(), doc})
 	}
 	a := pinArgs()
 	bug := pinArgs()
@@ -70,6 +83,7 @@ func pinnedResults(t *testing.T) []pin {
 			run(e.Name+"+bug", e, bug)
 		}
 	}
+	pinCache = pins
 	return pins
 }
 
@@ -157,6 +171,26 @@ func firstLineDiff(want, got []byte) string {
 		}
 	}
 	return "differs in bytes, not in any line"
+}
+
+// TestDocTablesAreRectangular checks that every pinned report's table rows
+// have as many cells as its head row: tabwriter silently misaligns a
+// short row.
+func TestDocTablesAreRectangular(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	for _, p := range pinnedResults(t) {
+		if len(p.doc.Table) == 0 {
+			continue
+		}
+		head := p.doc.Table[0]
+		for i, r := range p.doc.Table[1:] {
+			if len(r) != len(head) {
+				t.Errorf("%s: table row %d has %d cells, head row %q has %d", p.name, i+1, len(r), head, len(head))
+			}
+		}
+	}
 }
 
 func sortedKeys(m map[string]bool) []string {

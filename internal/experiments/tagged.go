@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/kernel"
 	"shootdown/internal/machine"
@@ -88,29 +86,20 @@ func TaggedTLB(a *Args) (TaggedTLBResult, error) {
 	return out, err
 }
 
-// Render prints the comparison.
-func (r TaggedTLBResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: ASID-tagged TLBs (§10, MIPS-style) — two tasks ping-ponging on one CPU\n\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "TLB design\truntime (ms)\tTLB misses\tTLB flushes\n")
-	fmt.Fprintf(w, "untagged, flush on switch (Multimax)\t%.1f\t%d\t%d\n",
+// Doc is the comparison.
+func (r TaggedTLBResult) Doc() Doc {
+	var d Doc
+	d.line("Extension: ASID-tagged TLBs (§10, MIPS-style) — two tasks ping-ponging on one CPU\n")
+	d.row("TLB design\truntime (ms)\tTLB misses\tTLB flushes")
+	d.row("untagged, flush on switch (Multimax)\t%.1f\t%d\t%d",
 		r.Untagged.RuntimeMS, r.Untagged.TLBMisses, r.Untagged.TLBFlushes)
-	fmt.Fprintf(w, "ASID-tagged, lazy release (§10)\t%.1f\t%d\t%d\n",
+	d.row("ASID-tagged, lazy release (§10)\t%.1f\t%d\t%d",
 		r.Tagged.RuntimeMS, r.Tagged.TLBMisses, r.Tagged.TLBFlushes)
-	w.Flush()
-	fmt.Fprintf(&b, "\nspeedup: %.2fx; miss reduction: %.0fx\n",
+	d.line("\nspeedup: %.2fx; miss reduction: %.0fx",
 		r.Untagged.RuntimeMS/r.Tagged.RuntimeMS,
-		float64(r.Untagged.TLBMisses)/float64(max64(r.Tagged.TLBMisses, 1)))
-	fmt.Fprintf(&b, "(the shootdown algorithm extends to such buffers by treating a pmap as in\n")
-	fmt.Fprintf(&b, " use until its entries are explicitly flushed; a responder that retains a\n")
-	fmt.Fprintf(&b, " shot space flushes and releases the whole space instead of invalidating)\n")
-	return b.String()
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+		float64(r.Untagged.TLBMisses)/float64(max(r.Tagged.TLBMisses, 1)))
+	d.line("(the shootdown algorithm extends to such buffers by treating a pmap as in")
+	d.line(" use until its entries are explicitly flushed; a responder that retains a")
+	d.line(" shot space flushes and releases the whole space instead of invalidating)")
+	return d
 }

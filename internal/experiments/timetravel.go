@@ -127,18 +127,18 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 	return res, nil
 }
 
-// Render prints the round trip.
-func (r TimeTravelResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Time travel: %d-CPU hot-plug churn, seed %d\n", r.NCPUs, r.Seed)
-	fmt.Fprintf(&b, "requested t=%dns -> event boundary step %d (t=%dns)\n", r.AtNS, r.Step, r.NowNS)
-	fmt.Fprintf(&b, "snapshot layers: %s\n", strings.Join(r.Layers, ", "))
-	fmt.Fprintf(&b, "original world digest:  %s\n", r.Digest)
-	fmt.Fprintf(&b, "restored world digest:  %s (match=%v)\n", r.RestoreDigest, r.Match)
-	fmt.Fprintf(&b, "continued to completion: original %s (%s), restored %s (%s), match=%v\n",
+// Doc is the round trip.
+func (r TimeTravelResult) Doc() Doc {
+	var d Doc
+	d.line("Time travel: %d-CPU hot-plug churn, seed %d", r.NCPUs, r.Seed)
+	d.line("requested t=%dns -> event boundary step %d (t=%dns)", r.AtNS, r.Step, r.NowNS)
+	d.line("snapshot layers: %s", strings.Join(r.Layers, ", "))
+	d.line("original world digest:  %s", r.Digest)
+	d.line("restored world digest:  %s (match=%v)", r.RestoreDigest, r.Match)
+	d.line("continued to completion: original %s (%s), restored %s (%s), match=%v",
 		r.FinalVerdict, r.FinalDigest, r.RestoredVerdict, r.RestoredFinal, r.FinalMatch)
 	if r.Match && r.FinalMatch {
-		fmt.Fprintf(&b, "restore verified: replaying to step %d reproduces the world byte for byte\n", r.Step)
+		d.line("restore verified: replaying to step %d reproduces the world byte for byte", r.Step)
 	}
-	return b.String()
+	return d
 }
