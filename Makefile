@@ -64,10 +64,12 @@ hostcost: ## host-cost attribution: per-function/package allocation tables + val
 bless: ## re-bless the seed-7 pins (observation-artifact digests, and each experiment's result JSON and rendered text under internal/experiments/testdata/results) after an intended change
 	$(GO) test ./internal/experiments -run '^(TestArtifactDigests|TestExperimentDigests)$$' -count=1 -update
 
-# golines counts the Go lines under internal/, cmd/ and examples/,
-# testdata excluded, that also match the find predicate $(1).
-golines = find internal cmd examples -name '*.go' ! -path '*/testdata/*' $(1) | xargs cat | wc -l
+# golines counts the Go lines under the directories $(1), testdata
+# excluded, that also match the find predicate $(2).
+golines = find $(1) -name '*.go' ! -path '*/testdata/*' $(2) | xargs cat | wc -l
 
-loc: ## the net line count each CHANGES.md entry reports: non-test and test Go lines
-	@echo "non-test Go lines: $$($(call golines,! -name '*_test.go'))"
-	@echo "test Go lines: $$($(call golines,-name '*_test.go'))"
+loc: ## the net line count each CHANGES.md entry reports: non-test and test Go lines of the root module (internal/, cmd/, examples/) and of bench/
+	@echo "non-test Go lines: $$($(call golines,internal cmd examples,! -name '*_test.go'))"
+	@echo "test Go lines: $$($(call golines,internal cmd examples,-name '*_test.go'))"
+	@echo "bench/ non-test Go lines: $$($(call golines,bench,! -name '*_test.go'))"
+	@echo "bench/ test Go lines: $$($(call golines,bench,-name '*_test.go'))"

@@ -185,8 +185,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 			if err := experiments.WriteText(stdout, res.Doc()); err != nil {
 				return fail(1, "%s: %v", e.Name, err)
 			}
-			fmt.Fprintln(stdout)
-			fmt.Fprintf(stdout, "[%s completed in %.1fs wall clock]\n\n", e.Name, time.Since(start).Seconds())
+			fmt.Fprintf(stdout, "\n[%s completed in %.1fs wall clock]\n\n", e.Name, time.Since(start).Seconds())
 		}
 	}
 

@@ -46,7 +46,7 @@ var pinCache []pin
 
 // pinnedResults runs every catalog entry but hostcost, which measures the
 // host rather than the simulated machine, and returns each result's JSON,
-// report and its text in catalog order. chaos and devices also run with
+// Doc and the Doc's text in catalog order. chaos and devices also run with
 // PlantBug, as chaos+bug and devices+bug, so the shrink-and-reproducer
 // path is pinned too.
 func pinnedResults(t *testing.T) []pin {

@@ -195,7 +195,7 @@ type BasicCostResult struct {
 // RunBasicCost measures the basic cost of shootdown: for each k, run the
 // tester Runs times (seed App.Seed + k*1000 + run) and record the
 // initiator elapsed time of the single k-processor shootdown. Figure 2's
-// callers set App.NoTimer, so no preemption adds a second shootdown.
+// callers set App.NoTimer, as TesterConfig.App says.
 func RunBasicCost(cfg BasicCostConfig) (BasicCostResult, error) {
 	if cfg.Runs == 0 {
 		cfg.Runs = 10

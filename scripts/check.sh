@@ -47,8 +47,8 @@
 #
 # `make loc` prints the non-test and test Go line counts (internal/, cmd/
 # and examples/, testdata excluded) that each CHANGES.md entry reports as
-# its net line count; it is a report, not a gate, so this script does not
-# run it.
+# its net line count, and bench/'s two counts; it is a report, not a gate,
+# so this script does not run it.
 set -eu
 cd "$(dirname "$0")/.."
 
