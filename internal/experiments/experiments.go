@@ -55,10 +55,25 @@ func (r Fig2Result) Doc() Doc {
 	d.line("\nleast-squares fit (1..%d): %.0f + %.1f*n µs  (R² = %.4f)",
 		r.FitMaxK, r.Fit.Intercept, r.Fit.Slope, r.Fit.R2)
 	d.line("extrapolation to 100 processors (§11): %.1f ms (paper: ~6 ms)", r.At100US/1000)
-	if r.Dropped > 0 {
-		d.line("WARNING: %d trace records lost to buffer wraparound — means above are incomplete", r.Dropped)
-	}
+	d.warnDropped(r.Dropped)
 	return d
+}
+
+// warnDropped notes n trace records lost to buffer wraparound, which leave
+// the counts and means above incomplete. It adds nothing when n is 0.
+func (d *Doc) warnDropped(n uint64) {
+	if n > 0 {
+		d.line("WARNING: %d trace records lost to buffer wraparound — means above are incomplete", n)
+	}
+}
+
+// traceDropped sums the runs' xpr records lost to buffer wraparound.
+func traceDropped(apps ...workload.AppResult) uint64 {
+	var n uint64
+	for _, a := range apps {
+		n += a.TraceDropped
+	}
+	return n
 }
 
 // Table1Result reproduces Table 1: effect of lazy evaluation on shootdowns.
@@ -117,6 +132,7 @@ func (r Table1Result) Doc() Doc {
 	if pNo > 0 {
 		d.line("Parthenon total overhead reduction: %.0f%% (paper: >97%%)", 100*(1-pLazy/pNo))
 	}
+	d.warnDropped(traceDropped(r.Mach[0], r.Mach[1], r.Parthenon[0], r.Parthenon[1]))
 	return d
 }
 
@@ -167,6 +183,7 @@ func (r TablesResult) Table2Doc() Doc {
 			fmtOrNM(s, s.Median), fmtOrNM(s, s.P10), fmtOrNM(s, s.P90),
 			stats.Mean(a.KernelProcs))
 	}
+	d.warnDropped(traceDropped(r.Apps...))
 	return d
 }
 
@@ -186,6 +203,7 @@ func (r TablesResult) Table3Doc() Doc {
 			a.Name, a.UserEvents(), s.Mean, s.StdDev, fmtOrNM(s, s.Median),
 			slices.Min(a.UserPages), slices.Max(a.UserPages), stats.Mean(a.UserPages))
 	}
+	d.warnDropped(traceDropped(r.Apps...))
 	return d
 }
 
@@ -201,6 +219,7 @@ func (r TablesResult) Table4Doc() Doc {
 			a.Name, len(a.ResponderUS), s.Mean, s.StdDev,
 			fmtOrNM(s, s.Median), fmtOrNM(s, s.P10), fmtOrNM(s, s.P90))
 	}
+	d.warnDropped(traceDropped(r.Apps...))
 	return d
 }
 
@@ -215,6 +234,7 @@ func (r TablesResult) OverheadDoc() Doc {
 			a.Name, a.Runtime.Duration().Seconds(),
 			a.OverheadPct(16, true), a.OverheadPct(16, false))
 	}
+	d.warnDropped(traceDropped(r.Apps...))
 	return d
 }
 

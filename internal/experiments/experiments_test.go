@@ -3,6 +3,8 @@ package experiments
 import (
 	"slices"
 	"testing"
+
+	"shootdown/internal/workload"
 )
 
 // The experiment tests check each generator's numbers at seeds other than
@@ -255,5 +257,30 @@ func TestPageoutExtension(t *testing.T) {
 	// The paper's claim: the shootdown is a small fraction of the pageout.
 	if r.ShootdownShare > 0.10 {
 		t.Errorf("shootdown share of pageout = %.1f%%, expected well under 10%%", 100*r.ShootdownShare)
+	}
+}
+
+// A trace ring that wrapped leaves Figure 2's and Tables 1-4's counts and
+// means incomplete, so each says so. Nothing drops at the pinned seed, so
+// only this test sees the note.
+func TestDocsWarnOnDroppedTraceRecords(t *testing.T) {
+	mach := workload.AppResult{Name: "Mach", TraceDropped: 3}
+	parthenon := workload.AppResult{Name: "Parthenon", TraceDropped: 4}
+	tables := TablesResult{Apps: []workload.AppResult{mach, parthenon}}
+	const want = "WARNING: 7 trace records lost to buffer wraparound — means above are incomplete"
+	for _, c := range []struct {
+		name string
+		doc  Doc
+	}{
+		{"fig2", Fig2Result{workload.BasicCostResult{Dropped: 7}}.Doc()},
+		{"table1", Table1Result{Mach: [2]workload.AppResult{mach, {}}, Parthenon: [2]workload.AppResult{{}, parthenon}}.Doc()},
+		{"table2", tables.Table2Doc()},
+		{"table3", tables.Table3Doc()},
+		{"table4", tables.Table4Doc()},
+		{"overhead", tables.OverheadDoc()},
+	} {
+		if !slices.Contains(c.doc.Notes, want) {
+			t.Errorf("%s: notes %q lack %q", c.name, c.doc.Notes, want)
+		}
 	}
 }

@@ -105,6 +105,7 @@ func Explore(cell Cell, opt Options) (Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("explore: base run: %w", err)
 	}
+	k.M.Faults().KeepEvents()
 	var ties []Tie
 	k.Eng.SetTieRecorder(func(d sim.TieDecision) {
 		ties = append(ties, Tie{TieDecision: d, Racy: k.Shoot != nil && k.Shoot.RaceWindowOpen()})

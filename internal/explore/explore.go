@@ -124,8 +124,8 @@ const flightSnapshotStep = 2000
 // Run executes the cell to completion. obs, when non-nil, sees the
 // settled kernel exactly once, whether or not the run failed, before the
 // verdict is returned (metrics and counter harvesting). The fired fault
-// schedule is harvested unconditionally: failing runs are what the
-// shrinker minimizes. A flight-armed cell pauses at flightSnapshotStep to
+// schedule is kept and harvested unconditionally: failing runs are what
+// the shrinker minimizes. A flight-armed cell pauses at flightSnapshotStep to
 // take a snapshot — a pure read, so the resumed run is byte-identical to
 // an uninterrupted one — and a black box it trips carries a restore
 // point.
@@ -134,6 +134,7 @@ func (c Cell) Run(obs func(*kernel.Kernel)) (verdict, detail string, events []fa
 	if err != nil {
 		return kernel.VerdictError, err.Error(), nil
 	}
+	k.M.Faults().KeepEvents()
 	if c.StopOnViolation {
 		armStopOnViolation(k)
 	}

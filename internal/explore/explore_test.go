@@ -1,6 +1,9 @@
 package explore
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
+	"shootdown/internal/trace"
 )
 
 // testWatchdog mirrors the chaos campaign's hardened protocol options.
@@ -132,4 +136,72 @@ func TestCleanCellExploresWithoutViolations(t *testing.T) {
 	if len(res.Forks) == 0 {
 		t.Fatal("no forks explored")
 	}
+}
+
+// TestBlackBoxFaultsHoldTheTail pins the black box's bound on the fault
+// log: a run that trips after more than fault.TailLen events carries the
+// last fault.TailLen of them, oldest first, plus the count of earlier
+// events it dropped, and its last event is the injector's last at the
+// trip.
+func TestBlackBoxFaultsHoldTheTail(t *testing.T) {
+	dir := t.TempDir()
+	fr, err := trace.NewRecorder(1 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.SetDir(dir)
+	fr.SetMaxDumps(1)
+	c := hotplugCell(t, 7, true)
+	c.Fault.BusJitter, c.Fault.BusJitterMax = 0.5, 2_000
+	c.Flight = fr
+	k, err := c.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := k.M.Faults()
+	inj.KeepEvents()
+	var loggedAtTrip int
+	fr.Register("probe", func() any {
+		loggedAtTrip = inj.Snapshot().Events
+		return nil
+	})
+	if err := k.Run(); kernel.Verdict(err) == kernel.VerdictOK {
+		t.Fatal("planted bug did not fail the run")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("flight recorder wrote %d black boxes (%v), want 1", len(ents), err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, ents[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var box trace.BlackBox
+	if err := json.Unmarshal(raw, &box); err != nil {
+		t.Fatal(err)
+	}
+	var faults struct {
+		Dropped int           `json:"dropped"`
+		Events  []fault.Event `json:"events"`
+	}
+	for _, st := range box.State {
+		if st.Name == "faults" {
+			if err := json.Unmarshal(st.Data, &faults); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if loggedAtTrip <= fault.TailLen {
+		t.Fatalf("run tripped after %d fault events, want more than %d", loggedAtTrip, fault.TailLen)
+	}
+	if len(faults.Events) != fault.TailLen || faults.Dropped != loggedAtTrip-fault.TailLen {
+		t.Fatalf("faults section holds %d events and dropped %d, want %d and %d",
+			len(faults.Events), faults.Dropped, fault.TailLen, loggedAtTrip-fault.TailLen)
+	}
+	log := inj.Events()
+	if want := log[faults.Dropped:loggedAtTrip]; !reflect.DeepEqual(faults.Events, want) {
+		t.Fatalf("faults section is not the log's last %d events at the trip: last %+v, want %+v",
+			fault.TailLen, faults.Events[fault.TailLen-1], want[fault.TailLen-1])
+	}
+	t.Logf("%s trip after %d fault events (%d dropped from the box)", box.Reason, loggedAtTrip, faults.Dropped)
 }

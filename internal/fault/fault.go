@@ -22,7 +22,12 @@
 // Every injected fault is logged as an Event with a stable per-kind
 // sequence number; a Config.Mask suppresses chosen events by ID (the RNG
 // is still drawn, then the effect discarded), which is the substrate the
-// delta-debugging shrinker in fault/shrink minimizes over.
+// delta-debugging shrinker in fault/shrink minimizes over. Logging is
+// priced by its readers: every injector counts its events and keeps the
+// last TailLen of them in a fixed ring (Tail, which the flight recorder's
+// black box carries next to the per-kind Stats), and only an injector
+// whose caller asked with KeepEvents — the runs whose schedule a shrink
+// may follow — appends every event to the full log Events returns.
 //
 // All Injector methods are safe on a nil receiver (they inject nothing), so
 // the machine layer needs no nil checks at call sites.
@@ -439,6 +444,10 @@ type CPUEvent struct {
 	Online bool     `json:"online"`
 }
 
+// TailLen is how many of the most recent events every injector keeps in
+// its ring, full log or not.
+const TailLen = 256
+
 // Injector makes fault decisions, one seeded RNG sub-stream per kind.
 // A nil *Injector injects nothing.
 type Injector struct {
@@ -447,7 +456,10 @@ type Injector struct {
 	fired     []uint64     // per-kind ordinal of the next firing decision
 	draws     []uint64     // per-kind count of RNG values consumed
 	masked    map[EventID]bool
-	events    []Event
+	logged    int     // events logged so far, whether or not the full log keeps them
+	keep      bool    //snap:transient a reader's opt-in (KeepEvents), set before the run; it decides what is recorded, never a fault
+	events    []Event //snap:derived the full log, rebuilt by replaying the same decisions; its length is the logged count
+	tail      []Event //snap:derived the last TailLen events, rebuilt by replaying the same decisions; the logged count places its head
 	stats     Stats
 	clock     func() sim.Time //snap:derived wiring to the engine clock, re-established at construction
 	stepClock func() uint64   //snap:derived wiring to the engine step counter, re-established at construction
@@ -525,15 +537,44 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// Events returns a copy of the injected-fault log, in injection order
-// (plan events first, at plan-generation time).
-func (in *Injector) Events() []Event {
+// KeepEvents turns on the full event log that Events returns. Only a run
+// whose schedule may be shrunk needs it; every other reader takes the
+// counts (Stats, Snapshot) or the ring (Tail), which cost no allocation
+// per event. Call it before the run: it panics once an event has been
+// logged, because the log would silently miss that event.
+func (in *Injector) KeepEvents() {
 	if in == nil {
+		return
+	}
+	if in.logged > 0 {
+		panic(fmt.Sprintf("fault: KeepEvents called after %d events were logged", in.logged))
+	}
+	in.keep = true
+}
+
+// Events returns a copy of the full injected-fault log, in injection order
+// (plan events first, at plan-generation time). The log is kept only after
+// KeepEvents; without it Events returns nil.
+func (in *Injector) Events() []Event {
+	if in == nil || !in.keep {
 		return nil
 	}
 	out := make([]Event, len(in.events))
 	copy(out, in.events)
 	return out
+}
+
+// Tail returns a copy of the last TailLen events logged (all of them when
+// fewer were), oldest first. Every injector keeps it.
+func (in *Injector) Tail() []Event {
+	if in == nil {
+		return nil
+	}
+	if in.logged <= TailLen {
+		return append([]Event(nil), in.tail[:in.logged]...)
+	}
+	head := in.logged % TailLen
+	return append(append(make([]Event, 0, TailLen), in.tail[head:]...), in.tail[:head]...)
 }
 
 // StreamSnap pins one fault kind's RNG sub-stream: how many values it has
@@ -568,7 +609,7 @@ func (in *Injector) Snapshot() Snap {
 	}
 	s := Snap{
 		Stats:    in.stats,
-		Events:   len(in.events),
+		Events:   in.logged,
 		Masked:   len(in.masked),
 		PlanDone: in.planDone,
 		PlanNCPU: in.planNCPU,
@@ -594,8 +635,23 @@ func (in *Injector) fire(k Kind) (EventID, bool) {
 	return id, !in.masked[id]
 }
 
+// record logs one fired decision, stamped with the clocks.
 func (in *Injector) record(id EventID, cpu int, arg int64) {
-	in.events = append(in.events, Event{ID: id, At: in.now(), Step: in.step(), CPU: cpu, Arg: arg})
+	in.log(Event{ID: id, At: in.now(), Step: in.step(), CPU: cpu, Arg: arg})
+}
+
+// log counts ev, writes it into the ring (allocated at the first event, so
+// an injector that never fires pays nothing) and, after KeepEvents,
+// appends it to the full log.
+func (in *Injector) log(ev Event) {
+	if in.tail == nil {
+		in.tail = make([]Event, TailLen)
+	}
+	in.tail[in.logged%TailLen] = ev
+	in.logged++
+	if in.keep {
+		in.events = append(in.events, ev)
+	}
 }
 
 // f64 draws one float from kind k's stream, counting the draw so
@@ -855,22 +911,30 @@ func (in *Injector) generatePlan(ncpu int) {
 		if ev.Online {
 			arg = 1
 		}
-		in.events = append(in.events, Event{ID: ev.ID, At: ev.At, CPU: ev.CPU, Arg: arg})
+		in.log(Event{ID: ev.ID, At: ev.At, CPU: ev.CPU, Arg: arg})
 	}
 }
 
-// NotePlanWake stamps a plan event's log entry with the current engine
-// step, at the moment the lifecycle driver wakes to apply it. Plan events
-// are logged at generation time (step 0); the wake step is the first point
-// at which masking the event could change the run, so the log (and the
-// black box that embeds it) places a fail or revive where it took effect.
+// NotePlanWake stamps a plan event's entry with the current engine step,
+// at the moment the lifecycle driver wakes to apply it, in the full log
+// and in the ring if they still hold it. Plan events are logged at
+// generation time (step 0); the wake step is the first point at which
+// masking the event could change the run, so the log (and the black box
+// that embeds the ring) places a fail or revive where it took effect.
 func (in *Injector) NotePlanWake(ev CPUEvent) {
 	if in == nil {
 		return
 	}
-	for i := range in.events {
-		if in.events[i].ID == ev.ID {
-			in.events[i].Step = in.step()
+	step := in.step()
+	stamp(in.events, ev.ID, step)
+	stamp(in.tail[:min(in.logged, TailLen)], ev.ID, step)
+}
+
+// stamp sets the step of the entry of evs with the given ID, if any.
+func stamp(evs []Event, id EventID, step uint64) {
+	for i := range evs {
+		if evs[i].ID == id {
+			evs[i].Step = step
 			return
 		}
 	}

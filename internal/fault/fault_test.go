@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"shootdown/internal/sim"
@@ -209,6 +210,7 @@ func TestMaskSuppressesWithoutPerturbing(t *testing.T) {
 		c := base
 		c.Mask = mask
 		in := New(c)
+		in.KeepEvents()
 		for i := 0; i < 100; i++ {
 			d, _ := in.OnIPI(0, 1)
 			drops = append(drops, d)
@@ -319,5 +321,111 @@ func TestPlanStreamsIndependentOfOtherKinds(t *testing.T) {
 	b := in.Plan(8)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("fail/revive plan perturbed by other fault kinds:\n%v\n%v", a, b)
+	}
+}
+
+// jitterEvents fires n bus-jitter events (p = 1) on in, event i at step i.
+func jitterEvents(in *Injector, n int) {
+	var step uint64
+	in.SetStepClock(func() uint64 { return step })
+	for i := 0; i < n; i++ {
+		step = uint64(i)
+		in.BusJitter(i % 4)
+	}
+}
+
+func TestTailHoldsLastEventsOldestFirst(t *testing.T) {
+	in := New(Config{Seed: 1, BusJitter: 1})
+	in.KeepEvents()
+	jitterEvents(in, 300)
+	tail := in.Tail()
+	if len(tail) != TailLen {
+		t.Fatalf("tail holds %d events, want %d", len(tail), TailLen)
+	}
+	for i, e := range tail {
+		if want := uint64(300 - TailLen + i); e.ID.Seq != want || e.Step != want {
+			t.Fatalf("tail[%d] = %v at step %d, want jitter:%d at step %d", i, e.ID, e.Step, want, want)
+		}
+	}
+	if log := in.Events(); !reflect.DeepEqual(log[len(log)-TailLen:], tail) {
+		t.Fatal("tail differs from the end of the full log")
+	}
+}
+
+func TestSnapshotCountsEventsWithoutLog(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		in := New(Config{Seed: 1, BusJitter: 1})
+		if keep {
+			in.KeepEvents()
+		}
+		jitterEvents(in, 300)
+		if got := in.Snapshot().Events; got != 300 {
+			t.Errorf("keep=%v: Snapshot().Events = %d, want 300", keep, got)
+		}
+		if got := len(in.Events()); keep && got != 300 || !keep && got != 0 {
+			t.Errorf("keep=%v: full log holds %d events", keep, got)
+		}
+		if !keep && in.events != nil {
+			t.Errorf("injector without KeepEvents grew a %d-event log", len(in.events))
+		}
+	}
+}
+
+// TestKeptLogGolden pins the full log of a mixed campaign, plan events
+// first, to the ID sequence the injector logged before the log became
+// opt-in; the ring, which holds every event of so short a run, must equal
+// it, and a plan wake must stamp its step in both.
+func TestKeptLogGolden(t *testing.T) {
+	in := New(Config{Seed: 21, DropIPI: 0.2, DelayIPI: 0.2, SlowResponder: 0.2,
+		SpuriousIPI: 0.2, BusJitter: 0.3, FailStop: 0.9, Revive: 0.5})
+	in.KeepEvents()
+	var step uint64
+	in.SetStepClock(func() uint64 { return step })
+	plan := in.Plan(4)
+	for i := 0; i < 12; i++ {
+		step++
+		in.OnIPI(i%4, (i+1)%4)
+		in.SpuriousTarget(i%4, 4)
+		in.ResponderDelay(i % 4)
+		in.BusJitter(i % 4)
+	}
+	in.NotePlanWake(plan[0])
+	log := in.Events()
+	var ids []string
+	for _, e := range log {
+		ids = append(ids, e.ID.String())
+	}
+	const want = "failstop:1 failstop:2 failstop:0 revive:0 revive:1 delay:0 spurious:0 jitter:0 " +
+		"spurious:1 drop:0 spurious:2 jitter:1 drop:1 slow:0 jitter:2"
+	if got := strings.Join(ids, " "); got != want {
+		t.Fatalf("kept log IDs:\n got %s\nwant %s", got, want)
+	}
+	if !reflect.DeepEqual(in.Tail(), log) {
+		t.Fatalf("tail of a %d-event run differs from the full log", len(log))
+	}
+	if log[0].ID != plan[0].ID || log[0].Step != 12 || in.Tail()[0].Step != 12 {
+		t.Fatalf("plan wake at step 12 not stamped: log %+v, tail %+v", log[0], in.Tail()[0])
+	}
+}
+
+func TestKeepEventsAfterFirstEventPanics(t *testing.T) {
+	in := New(Config{Seed: 1, BusJitter: 1})
+	in.BusJitter(0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("KeepEvents after an event was logged did not panic")
+		}
+	}()
+	in.KeepEvents()
+}
+
+// TestBusJitterAllocatesNothing pins the point of the opt-in log: once the
+// ring exists, a fired decision on an injector without KeepEvents
+// allocates nothing.
+func TestBusJitterAllocatesNothing(t *testing.T) {
+	in := New(Config{Seed: 1, BusJitter: 1})
+	in.BusJitter(0)
+	if allocs := testing.AllocsPerRun(1000, func() { in.BusJitter(1) }); allocs != 0 {
+		t.Fatalf("fired BusJitter allocated %v times per call, want 0", allocs)
 	}
 }

@@ -195,13 +195,16 @@ type oracleSnap struct {
 }
 
 // faultSnap is the fault injector's black-box provider payload: the spec
-// that seeded the campaign plus every event fired so far — exactly the
-// reproducer context the chaos shrinker consumes.
+// and seed that drove the campaign, the per-kind Stats, and the last
+// fault.TailLen events fired (the injector's ring), oldest first. Dropped
+// counts the earlier events the ring no longer holds; it is zero, and
+// omitted, for a box whose run fired at most fault.TailLen events.
 type faultSnap struct {
-	Spec   string        `json:"spec"`
-	Seed   int64         `json:"seed"`
-	Stats  fault.Stats   `json:"stats"`
-	Events []fault.Event `json:"events,omitempty"`
+	Spec    string        `json:"spec"`
+	Seed    int64         `json:"seed"`
+	Stats   fault.Stats   `json:"stats"`
+	Dropped int           `json:"dropped,omitempty"`
+	Events  []fault.Event `json:"events,omitempty"`
 }
 
 // registerFlight points the oracle's trips and the flight recorder's
@@ -238,7 +241,9 @@ func (k *Kernel) registerFlight(fr *trace.Recorder) {
 	if inj := k.M.Faults(); inj != nil {
 		fr.Register("faults", func() any {
 			cfg := inj.Config()
-			return faultSnap{Spec: cfg.Spec(), Seed: cfg.Seed, Stats: inj.Stats(), Events: inj.Events()}
+			tail := inj.Tail()
+			return faultSnap{Spec: cfg.Spec(), Seed: cfg.Seed, Stats: inj.Stats(),
+				Dropped: inj.Snapshot().Events - len(tail), Events: tail}
 		})
 	}
 	if p, ok := k.cfg.Tracer.Sink().(*profile.Profiler); ok {
