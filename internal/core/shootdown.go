@@ -969,6 +969,9 @@ func (s *Shootdown) respond(ex *machine.Exec) {
 // whole-buffer flush is faster than individual invalidates (detail 1).
 func (s *Shootdown) processActions(ex *machine.Exec, cpu int) {
 	defer func() {
+		if ex.Closed() {
+			return
+		}
 		s.queues[cpu] = s.queues[cpu][:0]
 		s.cpus[cpu].overflow = false
 	}()

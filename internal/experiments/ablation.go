@@ -169,8 +169,8 @@ type HighPriorityIPIResult struct {
 // interrupt, comparing kernel-shootdown latency distributions.
 func HighPriorityIPI(a *Args) (HighPriorityIPIResult, error) {
 	var out HighPriorityIPIResult
-	run := func(hp bool) ([]float64, error) {
-		k, err := a.In.runWorld(kernel.Config{
+	run := func(hp bool) (ks []float64, err error) {
+		err = a.In.runWorld(kernel.Config{
 			Machine: machine.Options{NumCPUs: 4, MemFrames: 2048, Seed: a.Seed, HighPriorityIPI: hp},
 		}, func(k *kernel.Kernel) error {
 			ktask := k.KernelTask()
@@ -204,12 +204,8 @@ func HighPriorityIPI(a *Args) (HighPriorityIPIResult, error) {
 				}
 			})
 			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		ks, _ := k.Trace.InitiatorTimes()
-		return ks, nil
+		}, func(k *kernel.Kernel) { ks, _ = k.Trace.InitiatorTimes() })
+		return ks, err
 	}
 	stock, err := run(false)
 	if err != nil {
@@ -252,8 +248,8 @@ type IdleOptResult struct {
 // processors are idle, with and without the optimization.
 func IdleOpt(a *Args) (IdleOptResult, error) {
 	var out IdleOptResult
-	run := func(disable bool) (float64, uint64, error) {
-		k, err := a.In.runWorld(kernel.Config{
+	run := func(disable bool) (meanUS float64, ipis uint64, err error) {
+		err = a.In.runWorld(kernel.Config{
 			Machine:   machine.Options{NumCPUs: 16, MemFrames: 2048, Seed: a.Seed},
 			Shootdown: core.Options{DisableIdleOptimization: disable},
 		}, func(k *kernel.Kernel) error {
@@ -276,12 +272,11 @@ func IdleOpt(a *Args) (IdleOptResult, error) {
 				}
 			})
 			return nil
+		}, func(k *kernel.Kernel) {
+			ks, _ := k.Trace.InitiatorTimes()
+			meanUS, ipis = stats.Mean(ks), k.Shoot.Stats().IPIsSent
 		})
-		if err != nil {
-			return 0, 0, err
-		}
-		ks, _ := k.Trace.InitiatorTimes()
-		return stats.Mean(ks), k.Shoot.Stats().IPIsSent, nil
+		return meanUS, ipis, err
 	}
 	var err error
 	out.WithOptUS, out.IPIsWith, err = run(false)
@@ -345,7 +340,7 @@ type rangeProtectResult struct {
 // thresholdPages-page writable range, and reprotects the whole range.
 func runRangeProtect(seed int64, opts core.Options, in Instrument) (rangeProtectResult, error) {
 	var out rangeProtectResult
-	k, err := in.runWorld(kernel.Config{
+	err := in.runWorld(kernel.Config{
 		Machine:   machine.Options{NumCPUs: 6, MemFrames: 2048, Seed: seed},
 		Shootdown: opts,
 	}, func(k *kernel.Kernel) error {
@@ -383,12 +378,8 @@ func runRangeProtect(seed int64, opts core.Options, in Instrument) (rangeProtect
 			done = true
 		})
 		return nil
-	})
-	if err != nil {
-		return out, err
-	}
-	out.stats = k.Shoot.Stats()
-	return out, nil
+	}, func(k *kernel.Kernel) { out.stats = k.Shoot.Stats() })
+	return out, err
 }
 
 // Doc is the sweep.
@@ -421,7 +412,8 @@ type QueueRow struct {
 func QueueSize(a *Args) (QueueResult, error) {
 	var out QueueResult
 	for _, q := range []int{1, 2, 4, 8, 32} {
-		k, err := a.In.runWorld(kernel.Config{
+		var st core.Stats
+		err := a.In.runWorld(kernel.Config{
 			Machine:   machine.Options{NumCPUs: 4, MemFrames: 2048, Seed: a.Seed},
 			Shootdown: core.Options{QueueSize: q},
 		}, func(k *kernel.Kernel) error {
@@ -461,11 +453,10 @@ func QueueSize(a *Args) (QueueResult, error) {
 				}
 			})
 			return nil
-		})
+		}, func(k *kernel.Kernel) { st = k.Shoot.Stats() })
 		if err != nil {
 			return out, err
 		}
-		st := k.Shoot.Stats()
 		out.Rows = append(out.Rows, QueueRow{QueueSize: q, Overflows: st.QueueOverflows, FullFlushes: st.FullFlushes})
 	}
 	return out, nil

@@ -92,7 +92,7 @@ func runCampaign[R any, P rowPtr[R]](a *Args, c campaign) ([]R, error) {
 		out.Scenario, out.Spec, out.Bug = sc.Name, sc.Spec, cell.Bug
 		var endStep uint64
 		cell.Flight = in.Flight
-		verdict, detail, events := cell.Run(func(k *kernel.Kernel) {
+		verdict, detail, events := cell.Run(true, func(k *kernel.Kernel) {
 			if in.Observe != nil {
 				in.Observe(k)
 			}

@@ -118,7 +118,7 @@ func ReplayRepro(r shrink.Repro) (string, string, error) {
 	// 1-minimal for "a violation fires", so the replay stops there too
 	// instead of running on into whatever the masked world does next.
 	cell.StopOnViolation = true
-	verdict, detail, _ := cell.Run(nil)
+	verdict, detail, _ := cell.Run(false, nil)
 	return verdict, detail, nil
 }
 

@@ -37,7 +37,7 @@ func deviceFlightCell(t *testing.T, dir string) (verdict string, box []byte) {
 		Seed: 7, NCPUs: 4, Workload: "dma", Devices: 2,
 		Fault: fc, Shootdown: campaignWatchdog, Flight: fr,
 	}
-	verdict, detail, _ := cell.Run(nil)
+	verdict, detail, _ := cell.Run(false, nil)
 	if verdict != kernel.VerdictOK {
 		t.Fatalf("wedged-device run did not survive: %s (%s)", verdict, detail)
 	}

@@ -76,10 +76,10 @@ func (in Instrument) App(c workload.AppConfig) workload.AppConfig {
 
 // runWorld is the lifecycle of every world an experiment assembles from a
 // raw kernel configuration: build it with the instrument applied, let rig
-// spawn its threads, run it to completion, and observe it exactly once,
-// whether or not the run failed. It returns the settled kernel for
-// harvesting (nil if the world could not be built) and the run's error.
-func (in Instrument) runWorld(c kernel.Config, rig func(*kernel.Kernel) error) (*kernel.Kernel, error) {
+// spawn its threads, run it to completion, observe it exactly once and
+// let harvest read it, whether or not the run failed, then close it. It
+// returns the run's error, or the build's.
+func (in Instrument) runWorld(c kernel.Config, rig func(*kernel.Kernel) error, harvest func(*kernel.Kernel)) error {
 	c.Tracer = trace.Stream(in.Tracer, in.Flight, in.Profiler)
 	c.Oracle = c.Oracle || in.Oracle
 	if in.Faults != nil && in.Faults.Enabled() {
@@ -88,16 +88,19 @@ func (in Instrument) runWorld(c kernel.Config, rig func(*kernel.Kernel) error) (
 	c.Shootdown = in.watchdog(c.Shootdown)
 	k, err := kernel.New(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := rig(k); err != nil {
-		return nil, err
+		k.Close()
+		return err
 	}
 	err = k.Run()
 	if in.Observe != nil {
 		in.Observe(k)
 	}
-	return k, err
+	harvest(k)
+	k.Close()
+	return err
 }
 
 // watchdog arms the campaign watchdog when the instrument injects faults

@@ -9,11 +9,12 @@ import (
 
 // TestRunWorldObservesFailedRun pins the Observe contract for worlds the
 // experiments assemble from a raw kernel configuration: a run that fails
-// is still observed, exactly once.
+// is still observed and harvested, exactly once each, and then closed.
 func TestRunWorldObservesFailedRun(t *testing.T) {
 	calls := 0
 	in := Instrument{Observe: func(*kernel.Kernel) { calls++ }}
-	k, err := in.runWorld(kernel.Config{
+	var harvested []*kernel.Kernel
+	err := in.runWorld(kernel.Config{
 		Machine: machine.Options{NumCPUs: 2, MemFrames: 2048, Seed: 7},
 		MaxTime: 1_000_000,
 	}, func(k *kernel.Kernel) error {
@@ -27,15 +28,23 @@ func TestRunWorldObservesFailedRun(t *testing.T) {
 			}
 		})
 		return nil
+	}, func(k *kernel.Kernel) {
+		if k.Eng.Closed() {
+			t.Error("harvest read a closed world")
+		}
+		harvested = append(harvested, k)
 	})
 	if err == nil {
 		t.Fatal("a spinning world finished inside a 1 ms bound")
 	}
-	if k == nil {
-		t.Fatal("runWorld returned no kernel to harvest")
-	}
 	if calls != 1 {
 		t.Fatalf("Observe called %d times on a failed run, want 1", calls)
+	}
+	if len(harvested) != 1 {
+		t.Fatalf("harvest called %d times on a failed run, want 1", len(harvested))
+	}
+	if !harvested[0].Eng.Closed() {
+		t.Fatal("runWorld left the harvested world open")
 	}
 }
 

@@ -28,7 +28,9 @@ func Pageout(a *Args) (PageoutResult, error) {
 	var out PageoutResult
 	const pages = 48
 	intact := true
-	k, err := a.In.runWorld(kernel.Config{
+	var pageIns int
+	var userUS []float64
+	err := a.In.runWorld(kernel.Config{
 		Machine: machine.Options{NumCPUs: 4, MemFrames: 4096, Seed: a.Seed},
 	}, func(k *kernel.Kernel) error {
 		task, err := k.NewTask("pressure")
@@ -87,13 +89,15 @@ func Pageout(a *Args) (PageoutResult, error) {
 			}
 		})
 		return nil
+	}, func(k *kernel.Kernel) {
+		pageIns = int(k.VM.Stats().PageIns)
+		_, userUS = k.Trace.InitiatorTimes()
 	})
 	if err != nil {
 		return out, err
 	}
 	out.DataIntact = intact
-	out.PageIns = int(k.VM.Stats().PageIns)
-	_, userUS := k.Trace.InitiatorTimes()
+	out.PageIns = pageIns
 	for _, us := range userUS {
 		out.ShootdownUS += us
 	}

@@ -35,7 +35,7 @@ func TaggedTLB(a *Args) (TaggedTLBResult, error) {
 		var row TaggedTLBRow
 		const pages = 12
 		const rounds = 60
-		k, err := a.In.runWorld(kernel.Config{
+		err := a.In.runWorld(kernel.Config{
 			Machine: machine.Options{
 				NumCPUs: 1, MemFrames: 2048, Seed: a.Seed,
 				TLB: tlb.Config{Tagged: tagged},
@@ -65,18 +65,16 @@ func TaggedTLB(a *Args) (TaggedTLBResult, error) {
 				})
 			}
 			return nil
+		}, func(k *kernel.Kernel) {
+			st := k.M.CPU(0).TLB.Stats()
+			row.RuntimeMS = float64(k.Now()) / 1e6
+			row.TLBMisses = st.Misses
+			row.TLBFlushes = st.Flushes
+			if k.Shoot != nil {
+				row.LazyReleases = k.Shoot.Stats().LazyReleases
+			}
 		})
-		if err != nil {
-			return row, err
-		}
-		st := k.M.CPU(0).TLB.Stats()
-		row.RuntimeMS = float64(k.Now()) / 1e6
-		row.TLBMisses = st.Misses
-		row.TLBFlushes = st.Flushes
-		if k.Shoot != nil {
-			row.LazyReleases = k.Shoot.Stats().LazyReleases
-		}
-		return row, nil
+		return row, err
 	}
 	var err error
 	if out.Untagged, err = run(false); err != nil {

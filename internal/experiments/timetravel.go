@@ -59,21 +59,25 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 	}
 	scout.Start()
 	if err := scout.Eng.RunUntil(at); err != nil {
-		return res, scout.Finish(err)
+		err = scout.Finish(err)
+		scout.Close()
+		return res, err
 	}
 	res.Step = scout.Eng.StepCount()
+	scout.Close() // paused at the boundary; only its step was wanted
 	if res.Step == 0 {
 		return res, fmt.Errorf("experiments: no events before %dns; pick a later -at", int64(at))
 	}
-	// The scout world is abandoned paused, like any deadlocked world.
 
-	// replay builds a fresh world and replays it to the boundary.
+	// replay builds a fresh world and replays it to the boundary. The
+	// caller closes a world it returns.
 	replay := func(what string) (*kernel.Kernel, *snap.Snapshot, error) {
 		k, err := cell.Start()
 		if err != nil {
 			return nil, nil, err
 		}
 		if paused, err := k.RunTo(res.Step); !paused {
+			k.Close()
 			if err == nil {
 				err = fmt.Errorf("experiments: %s run ended before step %d", what, res.Step)
 			}
@@ -88,6 +92,7 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 	if err != nil {
 		return res, err
 	}
+	defer k1.Close()
 	res.NowNS = s1.NowNS
 	for _, l := range s1.Layers {
 		res.Layers = append(res.Layers, l.Name)
@@ -106,6 +111,7 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 	if err != nil {
 		return res, err
 	}
+	defer k2.Close()
 	res.RestoreDigest = s2.Digest
 	ok, diff := snap.Equal(s1, s2)
 	res.Match = ok

@@ -139,6 +139,7 @@ func Explore(cell Cell, opt Options) (Result, error) {
 		note(failing{cell: cell, verdict: res.BaseVerdict, detail: res.BaseDetail,
 			events: k.M.Faults().Events(), endStep: res.BaseSteps})
 	}
+	k.Close()
 
 	// Fork each racy tie down every untaken branch, budget-capped.
 	for i, t := range ties {
@@ -160,7 +161,9 @@ func Explore(cell Cell, opt Options) (Result, error) {
 			fc.Ties = forced
 			fc.Flight = nil
 			var endStep uint64
-			verdict, detail, events := fc.Run(func(kk *kernel.Kernel) {
+			// Only the first failure is shrunk, so only a fork run while
+			// none has been found keeps its fault schedule.
+			verdict, detail, events := fc.Run(len(fails) == 0, func(kk *kernel.Kernel) {
 				endStep = kk.Eng.StepCount()
 			})
 			fork := Fork{Seq: t.Seq, Pick: p, Ties: forced, Verdict: verdict,

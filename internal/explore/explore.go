@@ -123,18 +123,22 @@ const flightSnapshotStep = 2000
 
 // Run executes the cell to completion. obs, when non-nil, sees the
 // settled kernel exactly once, whether or not the run failed, before the
-// verdict is returned (metrics and counter harvesting). The fired fault
-// schedule is kept and harvested unconditionally: failing runs are what
-// the shrinker minimizes. A flight-armed cell pauses at flightSnapshotStep to
-// take a snapshot — a pure read, so the resumed run is byte-identical to
-// an uninterrupted one — and a black box it trips carries a restore
-// point.
-func (c Cell) Run(obs func(*kernel.Kernel)) (verdict, detail string, events []fault.Event) {
+// verdict is returned (metrics and counter harvesting); the world is
+// closed after it. keepEvents asks for the fired fault schedule, which
+// costs a full event log: a caller whose failing run may reach Shrink
+// wants it, a replay that only reads the verdict does not (events is nil
+// then). A flight-armed cell pauses at flightSnapshotStep to take a
+// snapshot — a pure read, so the resumed run is byte-identical to an
+// uninterrupted one — and a black box it trips carries a restore point.
+func (c Cell) Run(keepEvents bool, obs func(*kernel.Kernel)) (verdict, detail string, events []fault.Event) {
 	k, err := c.Start()
 	if err != nil {
 		return kernel.VerdictError, err.Error(), nil
 	}
-	k.M.Faults().KeepEvents()
+	defer k.Close()
+	if keepEvents {
+		k.M.Faults().KeepEvents()
+	}
 	if c.StopOnViolation {
 		armStopOnViolation(k)
 	}

@@ -70,7 +70,7 @@ func TestExplorerFindsAndShrinksViolation(t *testing.T) {
 	rc.Fault = res.Repro.Faults
 	rc.Ties = res.Repro.Ties
 	rc.StopOnViolation = true
-	verdict, detail, _ := rc.Run(nil)
+	verdict, detail, _ := rc.Run(false, nil)
 	if verdict != res.Repro.Verdict {
 		t.Fatalf("reproducer replayed to %q (%s), recorded %q", verdict, detail, res.Repro.Verdict)
 	}

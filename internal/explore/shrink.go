@@ -75,13 +75,14 @@ func Shrink(cell Cell, verdict string, events []fault.Event, endStep uint64, wal
 
 // candidate runs one shrink candidate, stopping at its first oracle
 // violation, and returns the run's verdict. A world still paused at step
-// bound has not reproduced the failure: it is ok, and is abandoned as the
-// engine already abandons deadlocked worlds.
+// bound has not reproduced the failure: it is ok. Either way the world is
+// closed.
 func candidate(cell Cell, bound uint64) string {
 	k, err := cell.Start()
 	if err != nil {
 		return kernel.VerdictError
 	}
+	defer k.Close()
 	armStopOnViolation(k)
 	if paused, err := k.RunTo(bound); !paused {
 		return kernel.Verdict(err)

@@ -426,6 +426,25 @@ func (k *Kernel) Finish(err error) error {
 	return err
 }
 
+// Close ends the world once it has been harvested, the last lifecycle
+// step (DESIGN.md §19), settled or still paused. It detaches the
+// observers — the tracer, profiler and flight recorder behind the
+// stream, and the oracle's hooks — and then closes the engine, which
+// unwinds every proc still suspended: idle loops, the clock, and any
+// blocked or fail-stopped thread. Their deferred calls run against a
+// dead world and leave no trace, so a Snapshot taken after Close has the
+// digest of one taken before it. The world's state stays readable;
+// running it again panics. Idempotent.
+func (k *Kernel) Close() {
+	if k.Oracle != nil {
+		k.Oracle.OnViolation = nil
+	}
+	k.M.SetMMUObserver(nil)
+	k.Pmaps.TableHook = nil
+	k.cfg.Tracer = nil
+	k.Eng.Close()
+}
+
 // Run verdicts: how a world's run ended, as Verdict names it.
 const (
 	VerdictOK       = "ok"

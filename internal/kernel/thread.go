@@ -417,8 +417,13 @@ func (t *Thread) Lock(mu *Mutex) {
 	mu.holder = t
 }
 
-// Unlock releases the mutex and readies one waiter.
+// Unlock releases the mutex and readies one waiter. In a closed world (a
+// deferred Unlock run while Kernel.Close unwinds the thread) it does
+// nothing.
 func (t *Thread) Unlock(mu *Mutex) {
+	if t.k.Eng.Closed() {
+		return
+	}
 	if mu.holder != t {
 		panic("kernel: unlock of mutex not held by caller")
 	}

@@ -46,6 +46,12 @@ func (ex *Exec) Detach() {
 
 func (ex *Exec) m() *Machine { return ex.machine }
 
+// Closed reports whether the exec's world has been closed
+// (sim.Engine.Close). Closing unwinds every suspended proc, running its
+// deferred calls; a simulated call that defers work checks Closed first,
+// so that unwinding charges nothing and changes no state.
+func (ex *Exec) Closed() bool { return ex.machine.Eng.Closed() }
+
 // Proc returns the underlying sim proc.
 func (ex *Exec) Proc() *sim.Proc { return ex.proc }
 

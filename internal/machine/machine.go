@@ -724,8 +724,12 @@ func (l *SpinLock) TryLock(ex *Exec) bool {
 	return true
 }
 
-// Unlock releases the lock and restores the saved IPL.
+// Unlock releases the lock and restores the saved IPL. In a closed world
+// (a deferred Unlock run while Close unwinds its proc) it does nothing.
 func (l *SpinLock) Unlock(ex *Exec, prev IPL) {
+	if ex.Closed() {
+		return
+	}
 	l.mustOwn(ex)
 	ex.charge(ex.m().costs.LockRelease)
 	l.release(ex)

@@ -43,9 +43,14 @@ func FrameOf(pa PAddr) Frame { return Frame(pa >> PageShift) }
 // by an eager list [total-1 … 0] that FreeFrame appends to and AllocFrame
 // pops from the end.
 type PhysMem struct {
-	frames    []*[WordsPerPage]uint32 // frames below the high-water mark; nil = free
-	recycled  []Frame                 // freed frames, last freed reused first
-	total     int                     // configured size in frames
+	frames   []*[WordsPerPage]uint32 // frames below the high-water mark; nil = free
+	recycled []Frame                 // freed frames, last freed reused first
+	// spare keeps the storage of freed frames for AllocFrame to zero and
+	// reuse, so recycling a frame costs no host allocation. It is host
+	// storage only: which array backs a frame is invisible to the
+	// simulation, and Digest does not read it.
+	spare     []*[WordsPerPage]uint32
+	total     int // configured size in frames
 	allocated int
 }
 
@@ -107,7 +112,8 @@ func (m *PhysMem) FreeFrames() int { return len(m.recycled) + m.total - len(m.fr
 // AllocatedFrames returns the number of frames currently allocated.
 func (m *PhysMem) AllocatedFrames() int { return m.allocated }
 
-// AllocFrame allocates one zeroed frame.
+// AllocFrame allocates one zeroed frame. Its storage is a freed frame's,
+// cleared, when one is spare, else a fresh array.
 func (m *PhysMem) AllocFrame() (Frame, error) {
 	var f Frame
 	switch {
@@ -120,7 +126,13 @@ func (m *PhysMem) AllocFrame() (Frame, error) {
 	default:
 		return 0, fmt.Errorf("mem: out of physical memory (%d frames in use)", m.allocated)
 	}
-	m.frames[f] = new([WordsPerPage]uint32)
+	if n := len(m.spare); n > 0 {
+		m.frames[f] = m.spare[n-1]
+		m.spare = m.spare[:n-1]
+		clear(m.frames[f][:])
+	} else {
+		m.frames[f] = new([WordsPerPage]uint32)
+	}
 	m.allocated++
 	return f, nil
 }
@@ -132,6 +144,7 @@ func (m *PhysMem) FreeFrame(f Frame) {
 	if !m.FrameAllocated(f) {
 		panic(fmt.Sprintf("mem: free of unallocated frame %d", f))
 	}
+	m.spare = append(m.spare, m.frames[f])
 	m.frames[f] = nil
 	m.recycled = append(m.recycled, f)
 	m.allocated--

@@ -69,6 +69,35 @@ func TestFrameReuseIsZeroed(t *testing.T) {
 	}
 }
 
+// TestRecycledFrameAllocatesNothing pins AllocFrame's reuse of freed
+// frame storage: once a frame has been freed, an alloc/write/free cycle
+// makes no host allocation, and the reused frame reads as zero.
+func TestRecycledFrameAllocatesNothing(t *testing.T) {
+	m := New(4)
+	f, _ := m.AllocFrame()
+	m.FreeFrame(f)
+	dirty := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := m.AllocFrame()
+		if err != nil {
+			panic(err)
+		}
+		for off := uint32(0); off < PageSize; off += 1024 {
+			if m.ReadWord(f.Addr(off)) != 0 {
+				dirty++
+			}
+			m.WriteWord(f.Addr(off), 0xdeadbeef)
+		}
+		m.FreeFrame(f)
+	})
+	if allocs != 0 {
+		t.Fatalf("alloc/free cycle with a spare frame made %v allocations, want 0", allocs)
+	}
+	if dirty != 0 {
+		t.Fatalf("a reused frame read %d nonzero words, want all zero", dirty)
+	}
+}
+
 func TestCopyFrame(t *testing.T) {
 	m := New(2)
 	a, _ := m.AllocFrame()

@@ -393,6 +393,9 @@ func (pm *Pmap) Enter(ex *machine.Exec, va ptable.VAddr, frame mem.Frame, prot P
 	op := sys.Strategy.Begin(ex)
 	prev := pm.lock.Lock(ex)
 	defer func() {
+		if ex.Closed() {
+			return
+		}
 		pm.lock.Unlock(ex, prev)
 		sys.Strategy.Finish(ex, op)
 	}()

@@ -21,6 +21,11 @@
 // alone carries a go1.23 build constraint; building the package takes a
 // go1.23 or newer toolchain.
 //
+// A body that has not ended when its world is done — sleeping, blocked,
+// halted by Kill, parked in a Repeat loop, or never entered — keeps a
+// suspended goroutine, and through it the world, alive until Close
+// unwinds it. A closed engine is dead, so the unwinding changes nothing.
+//
 // Determinism: ties are broken FIFO by scheduling sequence number unless a
 // chaos seed is supplied, in which case equal-time procs run in a seeded
 // random order (used to explore protocol interleavings).
@@ -73,7 +78,7 @@ const (
 	StateSleeping              // in the run heap with a wake time
 	StateBlocked               // waiting for an explicit Wake
 	StateDone                  // returned
-	StateHalted                // killed by Engine.Kill; never runs again
+	StateHalted                // killed by Engine.Kill; never resumed, unwound by Engine.Close
 )
 
 func (s State) String() string {
@@ -122,9 +127,11 @@ type Proc struct {
 
 	// next resumes the body until its next Sleep or Block (true) or its
 	// end (false); yield, called from inside the body, suspends it and
-	// returns control to next's caller. Both are set by start (coro.go).
+	// returns control to next's caller; stop ends a body that has not
+	// ended (Engine.Close). All three are set by start (coro.go).
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
+	stop  func()
 	// panicked is the error a panicking body ended with, set by start's
 	// recover wrapper.
 	panicked error
@@ -172,6 +179,9 @@ type Engine struct {
 	// stepping is set while a Stepper's Step runs, so Sleep and Block can
 	// refuse to run inside one.
 	stepping bool //snap:transient set only within a step; snapshots are taken between steps
+	// closed is set by Close: the world is dead, and its engine entry
+	// points unwind or do nothing.
+	closed bool //snap:transient host-side lifecycle latch; closing changes no simulated state
 
 	// step counts completed proc resumptions — the engine's monotone event
 	// cursor. Snapshots key on it: rebuilding a world from the same
@@ -244,8 +254,13 @@ func (e *Engine) Current() *Proc { return e.cur }
 
 // Spawn creates a proc that will first run at the current virtual time.
 // fn executes as its own coroutine; when fn returns the proc is done.
-// Spawn may be called before Run or from inside a running proc.
+// Spawn may be called before Run or from inside a running proc. On a
+// closed engine it does nothing: the proc it returns is done and never
+// runs.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
+	if e.closed {
+		return &Proc{eng: e, name: name, id: -1, state: StateDone, heapIdx: -1}
+	}
 	p := &Proc{
 		eng:     e,
 		name:    name,
@@ -318,6 +333,9 @@ func (e *Engine) ChaosDraws() uint64 { return e.chaosDraws }
 func (e *Engine) run(limit Time, stepLimit uint64) error {
 	if e.cur != nil {
 		panic("sim: RunUntil called re-entrantly from a proc")
+	}
+	if e.closed {
+		panic("sim: Run called on a closed engine")
 	}
 	e.stopped = false
 	e.limit, e.stepLimit = limit, stepLimit
@@ -520,14 +538,18 @@ func (e *Engine) LiveProcs() int {
 
 // Kill halts a proc in place, modeling fail-stop: the proc transitions to
 // StateHalted and never runs again. Unlike a panic or return, nothing
-// unwinds — deferred calls do not run, so any simulated locks the proc
-// holds stay held (exactly the hazard a fail-stopped processor creates;
-// recovery is the survivors' problem). The backing coroutine stays
-// suspended in its last Sleep or Block for the life of the process, which
-// is fine for a bounded simulation. The currently running proc cannot
-// kill itself this way (it would never yield back to the engine); killing
-// a done or halted proc is a no-op. Returns whether the proc was halted.
+// unwinds while the engine runs — deferred calls do not run, so any
+// simulated locks the proc holds stay held (exactly the hazard a
+// fail-stopped processor creates; recovery is the survivors' problem).
+// The backing coroutine stays suspended in its last Sleep, Block or
+// Repeat until Close unwinds it with the rest of the dead world. The
+// currently running proc cannot kill itself this way (it would never
+// yield back to the engine); killing a done or halted proc, or any proc
+// of a closed engine, is a no-op. Returns whether the proc was halted.
 func (e *Engine) Kill(p *Proc) bool {
+	if e.closed {
+		return false
+	}
 	switch p.state {
 	case StateDone, StateHalted:
 		return false
@@ -544,6 +566,9 @@ func (e *Engine) Kill(p *Proc) bool {
 }
 
 func (p *Proc) mustBeCurrent(op string) {
+	if p.eng.closed {
+		panic(closedPanic{})
+	}
 	if p.eng.cur != p {
 		panic(fmt.Sprintf("sim: %s called on proc %q which is not running (state %v)", op, p.name, p.state))
 	}
@@ -563,9 +588,17 @@ func (p *Proc) Sleep(d Time) Time {
 	if e.resumesNext(p) {
 		e.resumeInPlace(p)
 	} else {
-		p.yield(struct{}{})
+		p.suspend()
 	}
 	return p.clock - start
+}
+
+// suspend yields the running proc's coroutine back to run, and unwinds
+// the body instead if Close ended it meanwhile.
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
+		panic(closedPanic{})
+	}
 }
 
 // sleep schedules the running proc to wake d after its clock, which it
@@ -616,7 +649,7 @@ func (p *Proc) Repeat(s Stepper) {
 		return
 	}
 	p.loop = s
-	p.yield(struct{}{})
+	p.suspend()
 	// run ran the rest of the loop, or caught Step's panic.
 	if err := p.panicked; err != nil {
 		p.panicked = nil
@@ -652,13 +685,56 @@ func panicError(p *Proc, r any) error {
 // proc's panic error.
 type stepPanic struct{ err error }
 
+// closedPanic unwinds a body that Close ended, or that calls Sleep, Block
+// or Repeat on a closed engine; start's recover swallows it once the
+// body's deferred calls have run.
+type closedPanic struct{}
+
+func (closedPanic) String() string { return "sim: engine closed" }
+
+// Close ends the world: it stops every proc whose body has not ended —
+// new, sleeping, blocked, halted or parked in a Repeat loop — in spawn
+// order, so each coroutine's goroutine exits and the world can be
+// collected. A stopped body unwinds from its suspension point and its
+// deferred calls run; they find the engine closed and must leave no
+// trace: Sleep, Block and Repeat unwind at once, Wake, Preempt and Kill
+// do nothing, Spawn returns a done proc, and the tracer is detached.
+// Simulated code that defers work checks Closed itself. Proc states,
+// clocks and the step cursor stay as they were, so Snapshot reads the
+// same world before and after. A panic other than the unwinding one
+// while a body unwinds breaks that contract, and Close re-raises it.
+// Run on a closed engine panics; Close is idempotent and must not be
+// called from a proc.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	if e.cur != nil {
+		panic("sim: Close called from a running proc")
+	}
+	e.closed = true
+	e.tracer = nil
+	for _, p := range e.procs {
+		if p.state == StateDone {
+			continue
+		}
+		p.stop()
+		if p.panicked != nil {
+			panic(fmt.Sprintf("sim: proc %q panicked while Close unwound it: %v", p.name, p.panicked))
+		}
+	}
+}
+
+// Closed reports whether Close has ended the world.
+func (e *Engine) Closed() bool { return e.closed }
+
 // Block parks the proc until another proc calls Wake on it.
 func (p *Proc) Block() {
 	p.mustBeCurrent("Block")
 	p.eng.tracer.Instant(int64(p.clock), p.id, trace.CatSim, "block", 0, 0)
 	p.eng.runq.remove(p.heapIdx)
 	p.state = StateBlocked
-	p.yield(struct{}{})
+	p.suspend()
 }
 
 // Reason is a fixed wait annotation for SetWaiting.
@@ -697,9 +773,10 @@ func (p *Proc) reason() string {
 }
 
 // Wake makes a blocked proc runnable at the engine's current time.
-// Waking a proc that is not blocked is a no-op and returns false.
+// Waking a proc that is not blocked, or any proc of a closed engine, is a
+// no-op and returns false.
 func (e *Engine) Wake(p *Proc) bool {
-	if p.state != StateBlocked {
+	if p.state != StateBlocked || e.closed {
 		return false
 	}
 	p.ClearWaiting()
@@ -879,10 +956,10 @@ func findWaitCycle(nodes []*Proc) []*Proc {
 // Preempt moves a sleeping proc's wake time earlier, to max(at, now).
 // The victim's in-progress Sleep returns early with the reduced duration and
 // Preempted() reports true until its next Sleep. Preempting a proc that is
-// not sleeping, or whose wake time is already at or before the target, is a
-// no-op and returns false.
+// not sleeping, or whose wake time is already at or before the target, or
+// any proc of a closed engine, is a no-op and returns false.
 func (e *Engine) Preempt(p *Proc, at Time) bool {
-	if p.state != StateSleeping && p.state != StateNew {
+	if p.state != StateSleeping && p.state != StateNew || e.closed {
 		return false
 	}
 	if at < e.now {

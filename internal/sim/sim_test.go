@@ -585,12 +585,7 @@ func TestFinishedProcsReleaseTheirGoroutines(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); got != base && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		got = runtime.NumGoroutine()
-	}
-	if got != base {
+	if got := waitForGoroutines(base); got != base {
 		t.Fatalf("%d goroutines after all 100 procs finished, want the baseline %d", got, base)
 	}
 }
@@ -639,7 +634,9 @@ func TestPanicAfterSleepsNamesProcAndStack(t *testing.T) {
 // TestKilledProcIsNeverResumed checks Kill on both kinds of suspended
 // proc: neither runs past its suspension point, however long the engine
 // keeps running, and its coroutine stays suspended rather than unwinding
-// (no deferred call runs).
+// (no deferred call runs) while the engine runs. Close, once the world is
+// done with, unwinds it: the deferred call runs then, and the body still
+// never resumes.
 func TestKilledProcIsNeverResumed(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -675,6 +672,10 @@ func TestKilledProcIsNeverResumed(t *testing.T) {
 			}
 			if victim.State() != StateHalted {
 				t.Fatalf("victim state = %v, want halted", victim.State())
+			}
+			e.Close()
+			if resumed || !unwound {
+				t.Fatalf("after Close, halted proc resumed %v, unwound %v; want unwound only", resumed, unwound)
 			}
 		})
 	}

@@ -94,9 +94,9 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // removes allocations, lower the ceilings the same way; raising one is a
 // regression to justify in CHANGES.md.
 const (
-	testerAllocCeiling   = 411 // an 8-CPU, 4-child RunTester world
+	testerAllocCeiling   = 402 // an 8-CPU, 4-child RunTester world
 	snapshotAllocCeiling = 114 // Kernel.Snapshot of a pausedWorld
-	restoreAllocCeiling  = 580 // a pausedWorld rebuilt and snapshotted
+	restoreAllocCeiling  = 579 // a pausedWorld rebuilt and snapshotted
 )
 
 // worldAllocs returns f's allocations per run, averaged over five runs

@@ -188,6 +188,7 @@ func start(cfg AppConfig, r rig) (*kernel.Kernel, error) {
 		return nil, err
 	}
 	if err := r(k, cfg); err != nil {
+		k.Close()
 		return nil, err
 	}
 	return k, nil
@@ -206,12 +207,15 @@ func run[R any](cfg AppConfig, r rig, harvest func(*kernel.Kernel) R) (R, error)
 	return collect(cfg, k, harvest), runErr
 }
 
-// collect observes a settled world exactly once and harvests it.
+// collect observes a settled world exactly once, harvests it, and closes
+// it: the world's parked procs are unwound and it can be collected.
 func collect[R any](cfg AppConfig, k *kernel.Kernel, harvest func(*kernel.Kernel) R) R {
 	if cfg.Observe != nil {
 		cfg.Observe(k)
 	}
-	return harvest(k)
+	r := harvest(k)
+	k.Close()
+	return r
 }
 
 // AppResult carries everything the tables need from one application run.
