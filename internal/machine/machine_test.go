@@ -628,3 +628,26 @@ func TestBuildCostIndependentOfMemorySize(t *testing.T) {
 		t.Errorf("building a 16-CPU machine: %d B at 4096 frames, %d B at 1<<20", smallBytes, largeBytes)
 	}
 }
+
+// TestBuildCostIndependentOfTLBSize: a TLB allocates slots only as it
+// fills them, so a 16-CPU machine with 1024-entry TLBs costs the host
+// exactly what one with 64-entry TLBs does to build.
+func TestBuildCostIndependentOfTLBSize(t *testing.T) {
+	build := func(size int) (allocs float64, bytes uint64) {
+		opts := testOptions(16)
+		opts.TLB.Size = size
+		var before, after runtime.MemStats
+		//lint:allow simdeterminism the test measures the host cost of a build; no simulated result reads it
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(5, func() { New(sim.New(), opts) })
+		//lint:allow simdeterminism the test measures the host cost of a build; no simulated result reads it
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 6 // AllocsPerRun adds a warm-up run
+	}
+	smallAllocs, smallBytes := build(64)
+	largeAllocs, largeBytes := build(1024)
+	if smallAllocs != largeAllocs || smallBytes != largeBytes {
+		t.Errorf("building a 16-CPU machine: %v allocations and %d B at TLB Size 64, %v and %d B at 1024",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
+	}
+}

@@ -166,6 +166,12 @@ type Stats struct {
 }
 
 // TLB is a single processor's translation buffer.
+//
+// Slots are allocated on demand: entries holds only the prefix of slots
+// filled since the last Flush (its length is the high-water mark), and
+// every slot past it is invalid. Insert fills the lowest invalid slot, so the slot an entry
+// lands in is the one a fully allocated Size-slot array would pick; the
+// high-water mark is how the state is stored, not part of it.
 type TLB struct {
 	cfg     Config //snap:derived configuration, reapplied from the experiment config on replay
 	entries []Entry
@@ -185,13 +191,15 @@ func (t *TLB) observe(op Op, n int) {
 	}
 }
 
-// New creates a TLB with the given configuration.
+// firstBlock is the number of slots a TLB allocates when it takes its
+// first entry; it grows to its full Size in one more step.
+const firstBlock = 8
+
+// New creates a TLB with the given configuration. It allocates no slots
+// until the first Insert.
 func New(cfg Config) *TLB {
 	cfg = cfg.withDefaults()
-	return &TLB{
-		cfg:     cfg,
-		entries: make([]Entry, cfg.Size),
-	}
+	return &TLB{cfg: cfg}
 }
 
 // Config returns the TLB's configuration (with defaults applied).
@@ -243,13 +251,7 @@ func (t *TLB) Insert(va ptable.VAddr, asid ASID, pte ptable.PTE) {
 		t.entries[i].lastUse = t.clock
 		return
 	}
-	slot := -1
-	for i := range t.entries {
-		if !t.entries[i].Valid {
-			slot = i
-			break
-		}
-	}
+	slot := t.freeSlot()
 	if slot < 0 {
 		slot = t.victim()
 		t.stats.Evictions++
@@ -263,6 +265,32 @@ func (t *TLB) Insert(va ptable.VAddr, asid ASID, pte ptable.PTE) {
 		seq:     t.clock,
 		lastUse: t.clock,
 	}
+}
+
+// freeSlot returns the lowest invalid slot for Insert to fill, extending
+// the filled prefix by one slot when every slot in it is valid, or -1 if
+// the TLB is full.
+func (t *TLB) freeSlot() int {
+	for i := range t.entries {
+		if !t.entries[i].Valid {
+			return i
+		}
+	}
+	n := len(t.entries)
+	if n == t.cfg.Size {
+		return -1
+	}
+	if n == cap(t.entries) {
+		size := t.cfg.Size
+		if n == 0 {
+			size = min(size, firstBlock)
+		}
+		grown := make([]Entry, n, size)
+		copy(grown, t.entries)
+		t.entries = grown
+	}
+	t.entries = t.entries[:n+1]
+	return n
 }
 
 func (t *TLB) victim() int {
@@ -323,15 +351,11 @@ func (t *TLB) InvalidateRange(start, end ptable.VAddr, asid ASID) int {
 	return n
 }
 
-// Flush empties the entire buffer.
+// Flush empties the entire buffer. Every slot is then invalid, so the
+// filled prefix drops to nothing (its storage is kept for reuse).
 func (t *TLB) Flush() {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].Valid {
-			n++
-		}
-		t.entries[i] = Entry{}
-	}
+	n := t.Len()
+	t.entries = t.entries[:0]
 	t.stats.Flushes++
 	t.observe(OpFlush, n)
 }

@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -270,5 +271,27 @@ func TestProbeAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { b.Probe(va, ASIDNone) }); allocs != 0 {
 			t.Errorf("Probe(%#x): %v allocations, want 0", va, allocs)
 		}
+	}
+}
+
+// TestNewCostIndependentOfSize: a TLB allocates slots only as it fills
+// them, so an empty 4096-entry TLB costs the host what a 64-entry one
+// does.
+func TestNewCostIndependentOfSize(t *testing.T) {
+	build := func(size int) uint64 {
+		const n = 100
+		tlbs := make([]*TLB, n)
+		var before, after runtime.MemStats
+		//lint:allow simdeterminism the test measures the host cost of a TLB; no simulated result reads it
+		runtime.ReadMemStats(&before)
+		for i := range tlbs {
+			tlbs[i] = New(Config{Size: size})
+		}
+		//lint:allow simdeterminism the test measures the host cost of a TLB; no simulated result reads it
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	if small, large := build(64), build(4096); small != large {
+		t.Errorf("New: %d B at Size 64, %d B at Size 4096", small, large)
 	}
 }

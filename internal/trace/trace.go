@@ -221,7 +221,10 @@ func (t *Tracer) log(ev Event) {
 		t.maxTS = ev.TS
 	}
 	t.events[t.next] = ev
-	t.next = (t.next + 1) % len(t.events)
+	t.next++
+	if t.next == len(t.events) {
+		t.next = 0
+	}
 	if t.count < len(t.events) {
 		t.count++
 	} else {

@@ -94,7 +94,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // removes allocations, lower the ceilings the same way; raising one is a
 // regression to justify in CHANGES.md.
 const (
-	testerAllocCeiling   = 402 // an 8-CPU, 4-child RunTester world
+	testerAllocCeiling   = 399 // an 8-CPU, 4-child RunTester world
 	snapshotAllocCeiling = 114 // Kernel.Snapshot of a pausedWorld
 	restoreAllocCeiling  = 579 // a pausedWorld rebuilt and snapshotted
 )
