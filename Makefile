@@ -57,9 +57,8 @@ explore: ## DPOR-lite schedule exploration under a bounded schedule budget
 timetravel: ## snapshot a run mid-flight, restore by replay, verify byte identity
 	$(GO) run ./cmd/shootdownsim timetravel
 
-hostcost: ## host-cost attribution: per-function/package allocation tables + validation + byte budget (DESIGN.md §17)
-	$(GO) run ./cmd/shootdownsim -seed 7 -hostcost /tmp/shootdown-hostcost.json hostcost >/dev/null
-	$(GO) run ./cmd/tlbtrace hostcost -validate -mincoverage 99 -budget scripts/hostcost-budget.txt /tmp/shootdown-hostcost.json
+hostcost: ## the host byte budget alone, logging each phase's package and top-function tables (DESIGN.md §17)
+	$(GO) test -count=1 -v -run '^TestHostCostBudget$$' ./internal/hostprof
 
 bless: ## re-bless the seed-7 pins (observation-artifact digests, and each experiment's result JSON and rendered text under internal/experiments/testdata/results) after an intended change
 	$(GO) test ./internal/experiments -run '^(TestArtifactDigests|TestExperimentDigests)$$' -count=1 -update

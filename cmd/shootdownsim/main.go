@@ -37,7 +37,6 @@ import (
 	"shootdown/internal/experiments"
 	"shootdown/internal/fault"
 	"shootdown/internal/fault/shrink"
-	"shootdown/internal/hostprof"
 	"shootdown/internal/sim"
 )
 
@@ -45,26 +44,23 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it parses argv, runs the named experiments,
 // and returns the exit status.
-func run(argv []string, stdout, stderr io.Writer) (code int) {
+func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("shootdownsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		seed      = fs.Int64("seed", 42, "simulation seed (jitter, scheduling, workload randomness)")
-		runs      = fs.Int("runs", 10, "runs per data point of the sweeps (Figure 2, scaling, profiling)")
-		format    = fs.String("format", "table", "result output format: table, json, or csv")
-		faults    = fs.String("faults", "", `fault-injection spec applied to every kernel, e.g. "drop=0.1,delay=0.2,delaymax=2ms" (keys: drop, delay, delaymax, slow, slowmax, stuck, stuckfor, spurious, jitter, jittermax, failstop, failby, revive, reviveafter; "none" disables). The fault campaign adds this as a custom scenario.`)
-		oracleOn  = fs.Bool("oracle", false, "attach the independent TLB-consistency oracle to every kernel; any stale translation granted fails the run")
-		failstop  = fs.Bool("failstop", false, `processor fail-stop faults in every kernel (shorthand for -faults "failstop=0.9,failby=8ms"); failed CPUs stay down`)
-		hotplug   = fs.Bool("hotplug", false, `fail-stop plus hot-plug: failed CPUs revive with a cold TLB (shorthand for -faults "failstop=0.9,failby=8ms,revive=1,reviveafter=4ms")`)
-		repro     = fs.String("repro", "", "replay a minimized reproducer JSON file (from a chaos campaign or the testdata corpus) and exit; exits non-zero if the replay diverges from the recorded verdict")
-		chaosbug  = fs.Bool("chaosbug", false, "plant the intentional stale-translation bug in the fail-stop and device chaos campaigns' runs (stale-TLB-after-revive and skip-dev-inval respectively) and the schedule explorer's, so they fail on purpose (pair with -flight to exercise the black-box path end to end)")
-		devices   = fs.Int("devices", 2, "device-TLB count of the device chaos campaign's DMA-streaming workload")
-		devfault  = fs.String("devfaults", "", `extra device-fault spec run as a custom scenario of the device chaos campaign, e.g. "devwedge=0.3,devstall=0.5,devstallmax=6ms" (keys: devstall, devstallmax, devdrop, devwedge, devreorder)`)
-		budget    = fs.Int("explorebudget", 24, "schedule budget of the schedule explorer: max forked schedules; same budget and seed explore the byte-identical set")
-		travelAt  = fs.Duration("at", 5*time.Millisecond, "virtual-time instant the time-travel check snapshots and restores to")
-		hostout   = fs.String("hostcost", "", "write the host-cost attribution's host-cost/v1 JSON artifact to this file")
-		hostprofD = fs.String("hostprof", "", "also capture real cpu.pprof/heap.pprof profiles of the whole invocation (meant for host-cost attribution) into this directory")
-		commit    = fs.String("commit", "", "commit hash stamped into the host-cost artifact's provenance")
+		seed     = fs.Int64("seed", 42, "simulation seed (jitter, scheduling, workload randomness)")
+		runs     = fs.Int("runs", 10, "runs per data point of the sweeps (Figure 2, scaling, profiling)")
+		format   = fs.String("format", "table", "result output format: table, json, or csv")
+		faults   = fs.String("faults", "", `fault-injection spec applied to every kernel, e.g. "drop=0.1,delay=0.2,delaymax=2ms" (keys: drop, delay, delaymax, slow, slowmax, stuck, stuckfor, spurious, jitter, jittermax, failstop, failby, revive, reviveafter; "none" disables). The fault campaign adds this as a custom scenario.`)
+		oracleOn = fs.Bool("oracle", false, "attach the independent TLB-consistency oracle to every kernel; any stale translation granted fails the run")
+		failstop = fs.Bool("failstop", false, `processor fail-stop faults in every kernel (shorthand for -faults "failstop=0.9,failby=8ms"); failed CPUs stay down`)
+		hotplug  = fs.Bool("hotplug", false, `fail-stop plus hot-plug: failed CPUs revive with a cold TLB (shorthand for -faults "failstop=0.9,failby=8ms,revive=1,reviveafter=4ms")`)
+		repro    = fs.String("repro", "", "replay a minimized reproducer JSON file (from a chaos campaign or the testdata corpus) and exit; exits non-zero if the replay diverges from the recorded verdict")
+		chaosbug = fs.Bool("chaosbug", false, "plant the intentional stale-translation bug in the fail-stop and device chaos campaigns' runs (stale-TLB-after-revive and skip-dev-inval respectively) and the schedule explorer's, so they fail on purpose (pair with -flight to exercise the black-box path end to end)")
+		devices  = fs.Int("devices", 2, "device-TLB count of the device chaos campaign's DMA-streaming workload")
+		devfault = fs.String("devfaults", "", `extra device-fault spec run as a custom scenario of the device chaos campaign, e.g. "devwedge=0.3,devstall=0.5,devstallmax=6ms" (keys: devstall, devstallmax, devdrop, devwedge, devreorder)`)
+		budget   = fs.Int("explorebudget", 24, "schedule budget of the schedule explorer: max forked schedules; same budget and seed explore the byte-identical set")
+		travelAt = fs.Duration("at", 5*time.Millisecond, "virtual-time instant the time-travel check snapshots and restores to")
 	)
 	// cli carries the shared -trace/-tracebuf/-metrics/-profile plumbing.
 	cli := experiments.CLI{Tool: "shootdownsim"}
@@ -92,6 +88,14 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	case "table", "json", "csv":
 	default:
 		return fail(2, "unknown format %q (want table, json, or csv)", *format)
+	}
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"runs", *runs}, {"explorebudget", *budget}, {"devices", *devices}} {
+		if c.v < 1 {
+			return fail(2, "-%s %d: want at least 1", c.flag, c.v)
+		}
 	}
 	known := map[string]bool{"all": true}
 	for _, e := range experiments.Catalog {
@@ -136,9 +140,8 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	}
 	in.Oracle = *oracleOn
 
-	// The wall clock and the host sampler read real time, ReadMemStats
-	// and pprof — all banned inside the simulated packages — so package
-	// main constructs them and injects them.
+	// The wall clock reads real time, which the simulated packages may
+	// not, so package main injects it.
 	progStart := time.Now()
 	args := &experiments.Args{
 		Seed:          *seed,
@@ -150,18 +153,6 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		ExploreBudget: *budget,
 		At:            sim.Time(*travelAt),
 		WallClock:     func() int64 { return time.Since(progStart).Milliseconds() },
-		Sampler:       hostprof.NewSampler(),
-		Commit:        *commit,
-	}
-	if *hostprofD != "" {
-		if err := args.Sampler.StartProfiles(*hostprofD); err != nil {
-			return fail(1, "-hostprof: %v", err)
-		}
-		defer func() {
-			if err := args.Sampler.StopProfiles(); err != nil && code == 0 {
-				code = fail(1, "-hostprof: %v", err)
-			}
-		}()
 	}
 
 	var results []experiments.Named
@@ -173,12 +164,6 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		res, err := e.Run(args)
 		if err != nil {
 			return fail(1, "%s: %v", e.Name, err)
-		}
-		if hc, ok := res.(experiments.HostCostResult); ok && *hostout != "" {
-			if err := writeHostCost(*hostout, hc.Report); err != nil {
-				return fail(1, "%s: %v", e.Name, err)
-			}
-			fmt.Fprintf(stderr, "shootdownsim: wrote host-cost artifact to %s\n", *hostout)
 		}
 		results = append(results, experiments.Named{Name: e.Name, Result: res})
 		if *format == "table" {
@@ -242,19 +227,6 @@ func wrap(s string, width int) []string {
 		line += word
 	}
 	return append(lines, line)
-}
-
-// writeHostCost writes the host-cost/v1 artifact to path.
-func writeHostCost(path string, r *hostprof.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // replayRepro re-executes a minimized chaos reproducer: exit 0 only if

@@ -20,14 +20,10 @@ func TestCatalogNamesUnique(t *testing.T) {
 	}
 }
 
-// TestCatalogIsPinned checks that every catalog entry except hostcost,
-// which measures the host, has a seed-7 result pinned by
-// internal/experiments' TestExperimentDigests.
+// TestCatalogIsPinned checks that every catalog entry has a seed-7 result
+// pinned by internal/experiments' TestExperimentDigests.
 func TestCatalogIsPinned(t *testing.T) {
 	for _, e := range experiments.Catalog {
-		if e.Name == "hostcost" {
-			continue
-		}
 		if _, err := os.Stat(filepath.Join("..", "..", "internal", "experiments", "testdata", "results", e.Name+".json")); err != nil {
 			t.Errorf("%s has no pinned result: %v", e.Name, err)
 		}
@@ -49,6 +45,28 @@ func TestUnknownExperimentIsRejected(t *testing.T) {
 	for _, e := range append(experiments.Catalog, experiments.Experiment{Name: "all"}) {
 		if !strings.Contains(usage, "\n  "+e.Name+" ") {
 			t.Errorf("usage does not list %s:\n%s", e.Name, usage)
+		}
+	}
+}
+
+// TestBadCountIsRejected checks that a count flag below 1 exits 2 naming
+// the flag, before any experiment runs.
+func TestBadCountIsRejected(t *testing.T) {
+	for _, argv := range [][]string{
+		{"-runs", "-1", "fig2"},
+		{"-runs", "0", "fig2"},
+		{"-devices", "0", "devices"},
+		{"-explorebudget", "-3", "explore"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(argv, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit status %d, want 2", argv, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran something before rejecting the flag:\n%s", argv, stdout.String())
+		}
+		if want := "shootdownsim: " + argv[0] + " " + argv[1] + ":"; !strings.HasPrefix(stderr.String(), want) {
+			t.Errorf("%v: stderr %q does not start with %q", argv, stderr.String(), want)
 		}
 	}
 }

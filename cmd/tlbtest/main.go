@@ -46,6 +46,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlbtest: unknown format %q (want table or json)\n", *format)
 		os.Exit(2)
 	}
+	if *cpus < 2 {
+		fmt.Fprintf(os.Stderr, "tlbtest: -cpus %d: want at least 2\n", *cpus)
+		os.Exit(2)
+	}
 
 	cfg := workload.TesterConfig{Children: *children, App: workload.AppConfig{NoTimer: true}}
 	switch *strategy {

@@ -52,12 +52,6 @@ commands:
   diff      <old> <new>
             align two profiled runs by shootdown identity and attribute
             the virtual-time delta to DAG edges
-  hostcost  [-top N] [-validate] [-mincoverage pct] <host-cost.json>
-            render a host-cost/v1 artifact (shootdownsim -hostcost): per-
-            phase host seconds / allocator deltas and the top-N allocating
-            functions and packages; -validate checks internal consistency,
-            -mincoverage fails unless every phase attributes within
-            100-pct percent of its measured bytes
 `)
 	os.Exit(2)
 }
@@ -76,8 +70,6 @@ func main() {
 		err = cmdDAG(os.Args[2:])
 	case "diff":
 		err = cmdDiff(os.Args[2:])
-	case "hostcost":
-		err = cmdHostCost(os.Args[2:])
 	default:
 		fmt.Fprintf(os.Stderr, "tlbtrace: unknown command %q\n\n", os.Args[1])
 		usage()

@@ -12,11 +12,12 @@
 //     part of the experiment configuration (rand.New(rand.NewSource(s))).
 //   - os.Getenv / os.LookupEnv make results depend on the host.
 //   - runtime.ReadMemStats, runtime.MemProfile and the runtime/pprof entry
-//     points observe the host heap and label OS threads; host-cost sampling
-//     belongs to internal/hostprof's Sampler, which only package main may
-//     construct (hostprof.NewSampler) and inject. Simulated packages carry
-//     no host-cost code at all: the Sampler attributes allocations from the
-//     runtime's memory profile, outside the simulated code.
+//     points observe the host heap and label OS threads. Simulated
+//     packages carry no host-cost code at all: internal/hostprof's Sampler
+//     attributes allocations from the runtime's memory profile, and only
+//     host-side code may construct one (hostprof.NewSampler). Host CPU
+//     profiles are taken from outside the simulated code, by the test
+//     binary or the benchmark's own harness.
 //   - A `range` over a map whose body calls anything with observable
 //     effects (trace records, metric emission, rendered output, test
 //     assertions) publishes Go's randomized iteration order. Pure
@@ -60,16 +61,16 @@ var forbiddenFuncs = map[string]map[string]string{
 		"Environ":   "makes results depend on the host environment; thread configuration through Options",
 	},
 	"runtime": {
-		"ReadMemStats": "observes the host heap; host-cost sampling lives in hostprof.Sampler, injected from package main",
-		"MemProfile":   "reads the host allocation profile; host-cost sampling lives in hostprof.Sampler, injected from package main",
+		"ReadMemStats": "observes the host heap; host-cost measurement lives in hostprof.Sampler, outside the simulated packages",
+		"MemProfile":   "reads the host allocation profile; host-cost measurement lives in hostprof.Sampler, outside the simulated packages",
 	},
 	"runtime/pprof": {
-		"Do":                 "labels host profiling phases; use an injected hostprof.Sampler from package main",
-		"SetGoroutineLabels": "labels host profiling phases; use an injected hostprof.Sampler from package main",
-		"StartCPUProfile":    "starts host CPU profiling; hostprof.Sampler owns profile lifecycles, from package main",
-		"StopCPUProfile":     "stops host CPU profiling; hostprof.Sampler owns profile lifecycles, from package main",
-		"WriteHeapProfile":   "dumps the host heap; hostprof.Sampler owns profile lifecycles, from package main",
-		"Lookup":             "reads host profiling state; hostprof.Sampler owns profile lifecycles, from package main",
+		"Do":                 "labels host goroutines for profiling; host profiles are taken outside the simulated packages",
+		"SetGoroutineLabels": "labels host goroutines for profiling; host profiles are taken outside the simulated packages",
+		"StartCPUProfile":    "starts host CPU profiling; host profiles are taken outside the simulated packages",
+		"StopCPUProfile":     "stops host CPU profiling; host profiles are taken outside the simulated packages",
+		"WriteHeapProfile":   "dumps the host heap; host profiles are taken outside the simulated packages",
+		"Lookup":             "reads host profiling state; host profiles are taken outside the simulated packages",
 	},
 }
 
@@ -109,13 +110,12 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 		return
 	}
-	// The Sampler constructor pulls in wall-clock and heap observation and
-	// may only run in package main; methods on an injected sampler never
-	// reach this point. Matched by path suffix so the fixture module's
+	// The Sampler constructor pulls in heap observation and may only run
+	// in host-side code; methods on a sampler never reach this point. Matched by path suffix so the fixture module's
 	// mirror package is caught too.
 	if name == "NewSampler" && (pkg == "hostprof" || strings.HasSuffix(pkg, "/hostprof")) {
 		pass.Reportf(call.Pos(),
-			"call to %s.NewSampler in simulated code: samplers read the wall clock and host heap; construct one in package main and inject it",
+			"call to %s.NewSampler in simulated code: samplers read the host heap and allocation profile; construct one in host-side code",
 			pkg)
 		return
 	}

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"shootdown/internal/hostprof"
-	"shootdown/internal/sim"
-)
+import "shootdown/internal/sim"
 
 // Result is a catalog experiment's outcome: a structured value, emitted
 // whole as JSON or CSV, whose Doc is its human-readable report.
@@ -36,13 +33,6 @@ type Args struct {
 	// shrink and explore campaigns, which stamp their wall time into
 	// reproducer metadata (this package may not read real time).
 	WallClock func() int64
-	// Sampler measures the host for the hostcost experiment. Package main
-	// constructs it with hostprof.NewSampler: the simdeterminism analyzer
-	// bans the constructor, like every real-clock entry point, inside
-	// this package.
-	Sampler *hostprof.Sampler
-	// Commit is stamped into the hostcost artifact's provenance.
-	Commit string
 
 	fig2r  *Fig2Result
 	tables *TablesResult
@@ -78,7 +68,7 @@ type Experiment struct {
 }
 
 // Catalog is every experiment cmd/shootdownsim runs, in the order `all`
-// runs them. TestExperimentDigests pins every entry but hostcost at seed 7.
+// runs them. TestExperimentDigests pins every entry at seed 7.
 var Catalog = []Experiment{
 	{"fig2", "Figure 2: basic costs of TLB shootdown (1..15 processors)", run((*Args).fig2)},
 	{"table1", "Table 1: effect of lazy evaluation (Mach build, Parthenon)", run(Table1)},
@@ -120,11 +110,6 @@ var Catalog = []Experiment{
 		"shootdown's critical path reconstructed and its cost attributed to phases " +
 		"(pair with -profile <dir>)",
 		run(Profile)},
-	{"hostcost", "Observability: host-cost attribution — real wall time and heap bytes of the " +
-		"simulator itself, every allocation charged to the function and package that made it, " +
-		"phase by phase (fig2, table1, snapshot). -hostcost <file> writes the host-cost/v1 " +
-		"artifact; -hostprof <dir> adds cpu/heap pprof profiles",
-		run(HostCost)},
 }
 
 // run is the Run of an experiment function: it widens the typed result

@@ -44,8 +44,7 @@ func (p pin) files() []pinFile {
 // them reads the same runs.
 var pinCache []pin
 
-// pinnedResults runs every catalog entry but hostcost, which measures the
-// host rather than the simulated machine, and returns each result's JSON,
+// pinnedResults runs every catalog entry and returns each result's JSON,
 // Doc and the Doc's text in catalog order. chaos and devices also run with
 // PlantBug, as chaos+bug and devices+bug, so the shrink-and-reproducer
 // path is pinned too.
@@ -75,9 +74,6 @@ func pinnedResults(t *testing.T) []pin {
 	bug := pinArgs()
 	bug.PlantBug = true
 	for _, e := range Catalog {
-		if e.Name == "hostcost" {
-			continue
-		}
 		run(e.Name, e, a)
 		if e.Name == "chaos" || e.Name == "devices" {
 			run(e.Name+"+bug", e, bug)
@@ -87,10 +83,9 @@ func pinnedResults(t *testing.T) []pin {
 	return pins
 }
 
-// TestExperimentDigests pins the virtual-time results of every
-// deterministic catalog experiment at seed 7: each result's JSON and its
-// rendered text must equal its files under testdata/results byte for
-// byte. Any change to a simulated number — a cost constant, an event
+// TestExperimentDigests pins the virtual-time results of every catalog
+// experiment at seed 7: each result's JSON and its rendered text must
+// equal its files under testdata/results byte for byte. Any change to a simulated number — a cost constant, an event
 // reordering, a harvest that reads a counter at a different moment —
 // fails here, naming the experiment and the first JSON value or text line
 // that moved. Re-bless an intended change with `make bless`.

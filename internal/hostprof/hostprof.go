@@ -1,7 +1,7 @@
 // Package hostprof is the host-cost observability layer: it attributes
-// the simulator's *real* resource spend — heap bytes and wall time on the
-// machine running the simulation — to the simulator's own functions and
-// packages, with no code in the simulated packages.
+// the simulator's *real* heap bytes — allocated on the machine running
+// the simulation — to the simulator's own functions and packages, with no
+// code in the simulated packages.
 //
 // Every other instrument in this repo (tracer, virtual-time profiler,
 // flight recorder) observes the simulated machine; hostprof turns the
@@ -12,14 +12,14 @@
 // allocation (or, on a stack with no module frame, to its innermost
 // runtime or iter function), then rolled up by package. Nothing is
 // sampled or estimated, so the attributed bytes match the allocator's
-// own TotalAlloc delta. A Budget caps each package's bytes per phase.
+// own TotalAlloc delta. A Budget caps each package's bytes per phase;
+// TestHostCostBudget holds Figure 2, Table 1 and a churn-world snapshot
+// to the ceilings in scripts/hostcost-budget.txt.
 //
-// The Sampler reads the real clock, the runtime's allocator statistics
-// and memory profile, and runtime/pprof. The simdeterminism analyzer bans
-// those calls inside the simulated packages — including the Sampler's
-// constructor — so a Sampler can only be constructed by host-side code
-// (package main) and injected, the same pattern as the shrink campaign's
-// wall-clock injection.
+// The Sampler reads the runtime's allocator statistics and memory
+// profile. The simdeterminism analyzer bans those calls inside the
+// simulated packages — including the Sampler's constructor — so only
+// host-side code builds a Sampler.
 package hostprof
 
 import (

@@ -19,20 +19,18 @@
 # flight-recorder black box (whose embedded restore point round-trips
 # through validate), the device-chaos campaign is deterministic and a
 # forced device quarantine dumps a black box whose devices section
-# validates, and the host-cost attribution artifact validates: every
-# phase attributes within 1% of its measured bytes from the runtime's
-# memory profile, and the fig2, table1 and snapshot phases keep every
-# package under its byte ceiling in scripts/hostcost-budget.txt.
+# validates.
 #
-# Host cost has one gate per measure, which together replace the old
-# gate that diffed a benchmark subset against a committed snapshot:
+# Host cost has one gate per measure:
 #   allocs/op - tier 1's allocation-ceiling tests: zero for a TLB probe
 #               (internal/tlb), a page-table lookup (internal/ptable) and
 #               a simulated load (internal/machine), a per-world ceiling
 #               for a tester world, a snapshot and a replay restore
 #               (internal/workload), and zero per engine step
 #               (internal/sim);
-#   B/op      - the hostcost stage's per-package byte budget;
+#   B/op      - tier 1's TestHostCostBudget (internal/hostprof): every
+#               package under its ceiling in scripts/hostcost-budget.txt
+#               in the fig2, table1 and snapshot phases;
 #   ns/op     - the benchmark module: `bash bench/run.sh compare` on two
 #               result sets, against BENCHMARK.json's bounds.
 #
@@ -42,8 +40,7 @@
 # only for an intended change, recorded in CHANGES.md.
 #
 # The whole script takes about a minute on a 2-vCPU x86-64 VM with a
-# warm build cache; the hostcost stage, every allocation profiled, takes
-# about 5 s of it.
+# warm build cache.
 #
 # `make loc` prints the non-test and test Go line counts (internal/, cmd/
 # and examples/, testdata excluded) that each CHANGES.md entry reports as
@@ -124,14 +121,5 @@ for box in "$tmp/flight"/blackbox-*.json; do
 	go run ./cmd/tlbtrace validate -blackbox "$box"
 done
 go run ./cmd/tlbtrace query -cat shootdown "$tmp/flight"/blackbox-0-*.json >/dev/null
-
-echo "== hostcost: every phase's allocations are attributed to module functions"
-# Each phase runs with every allocation profiled, so the bytes charged to
-# module functions must match the allocator's own TotalAlloc delta. A
-# phase more than 1% off means the stack walk lost or double-counted
-# allocations. The fig2, table1 and snapshot phases must also keep every
-# package under its ceiling in scripts/hostcost-budget.txt.
-go run ./cmd/shootdownsim -seed 7 -hostcost "$tmp/hostcost.json" hostcost >/dev/null
-go run ./cmd/tlbtrace hostcost -validate -mincoverage 99 -budget scripts/hostcost-budget.txt "$tmp/hostcost.json"
 
 echo "check: all green"
