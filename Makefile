@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices explore timetravel hostcost bless loc
+.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices timetravel hostcost bless loc
 
 check: ## tier-1 + tier-2 + observability and fault-campaign smoke tests
 	./scripts/check.sh
@@ -50,9 +50,6 @@ chaos: ## bounded fail-stop/hot-plug campaign with schedule shrinking
 
 devices: ## IOMMU/device-TLB chaos campaign against the DMA-streaming workload
 	$(GO) run ./cmd/shootdownsim devices
-
-explore: ## DPOR-lite schedule exploration under a bounded schedule budget
-	$(GO) run ./cmd/shootdownsim -explorebudget 24 explore
 
 timetravel: ## snapshot a run mid-flight, restore by replay, verify byte identity
 	$(GO) run ./cmd/shootdownsim timetravel

@@ -56,10 +56,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		failstop = fs.Bool("failstop", false, `processor fail-stop faults in every kernel (shorthand for -faults "failstop=0.9,failby=8ms"); failed CPUs stay down`)
 		hotplug  = fs.Bool("hotplug", false, `fail-stop plus hot-plug: failed CPUs revive with a cold TLB (shorthand for -faults "failstop=0.9,failby=8ms,revive=1,reviveafter=4ms")`)
 		repro    = fs.String("repro", "", "replay a minimized reproducer JSON file (from a chaos campaign or the testdata corpus) and exit; exits non-zero if the replay diverges from the recorded verdict")
-		chaosbug = fs.Bool("chaosbug", false, "plant the intentional stale-translation bug in the fail-stop and device chaos campaigns' runs (stale-TLB-after-revive and skip-dev-inval respectively) and the schedule explorer's, so they fail on purpose (pair with -flight to exercise the black-box path end to end)")
+		chaosbug = fs.Bool("chaosbug", false, "plant the intentional stale-translation bug in the fail-stop and device chaos campaigns' runs (stale-TLB-after-revive and skip-dev-inval respectively), so they fail on purpose (pair with -flight to exercise the black-box path end to end)")
 		devices  = fs.Int("devices", 2, "device-TLB count of the device chaos campaign's DMA-streaming workload")
 		devfault = fs.String("devfaults", "", `extra device-fault spec run as a custom scenario of the device chaos campaign, e.g. "devwedge=0.3,devstall=0.5,devstallmax=6ms" (keys: devstall, devstallmax, devdrop, devwedge, devreorder)`)
-		budget   = fs.Int("explorebudget", 24, "schedule budget of the schedule explorer: max forked schedules; same budget and seed explore the byte-identical set")
 		travelAt = fs.Duration("at", 5*time.Millisecond, "virtual-time instant the time-travel check snapshots and restores to")
 	)
 	// cli carries the shared -trace/-tracebuf/-metrics/-profile plumbing.
@@ -92,10 +91,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	for _, c := range []struct {
 		flag string
 		v    int
-	}{{"runs", *runs}, {"explorebudget", *budget}, {"devices", *devices}} {
+	}{{"runs", *runs}, {"devices", *devices}} {
 		if c.v < 1 {
 			return fail(2, "-%s %d: want at least 1", c.flag, c.v)
 		}
+	}
+	if *travelAt < 0 {
+		return fail(2, "-at %v: want at least 0", *travelAt)
 	}
 	known := map[string]bool{"all": true}
 	for _, e := range experiments.Catalog {
@@ -144,15 +146,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// not, so package main injects it.
 	progStart := time.Now()
 	args := &experiments.Args{
-		Seed:          *seed,
-		Runs:          *runs,
-		In:            in,
-		PlantBug:      *chaosbug,
-		Devices:       *devices,
-		DevFaults:     *devfault,
-		ExploreBudget: *budget,
-		At:            sim.Time(*travelAt),
-		WallClock:     func() int64 { return time.Since(progStart).Milliseconds() },
+		Seed:      *seed,
+		Runs:      *runs,
+		In:        in,
+		PlantBug:  *chaosbug,
+		Devices:   *devices,
+		DevFaults: *devfault,
+		At:        sim.Time(*travelAt),
+		WallClock: func() int64 { return time.Since(progStart).Milliseconds() },
 	}
 
 	var results []experiments.Named

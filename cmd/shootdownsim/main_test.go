@@ -49,14 +49,14 @@ func TestUnknownExperimentIsRejected(t *testing.T) {
 	}
 }
 
-// TestBadCountIsRejected checks that a count flag below 1 exits 2 naming
-// the flag, before any experiment runs.
+// TestBadCountIsRejected checks that a count flag below 1, or a negative
+// -at instant, exits 2 naming the flag, before any experiment runs.
 func TestBadCountIsRejected(t *testing.T) {
 	for _, argv := range [][]string{
 		{"-runs", "-1", "fig2"},
 		{"-runs", "0", "fig2"},
 		{"-devices", "0", "devices"},
-		{"-explorebudget", "-3", "explore"},
+		{"-at", "-1ms", "timetravel"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(argv, &stdout, &stderr); code != 2 {

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 
@@ -29,26 +30,42 @@ import (
 	"shootdown/internal/workload"
 )
 
-func main() {
-	cpus := flag.Int("cpus", 16, "number of simulated processors")
-	children := flag.Int("children", 4, "child threads (processors shot at)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	strategy := flag.String("strategy", "shootdown",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses argv, runs the tester, and returns
+// the exit status.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tlbtest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cpus := fs.Int("cpus", 16, "number of simulated processors")
+	children := fs.Int("children", 4, "child threads (processors shot at)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	strategy := fs.String("strategy", "shootdown",
 		"consistency mechanism: shootdown, none, hardware-remote, postponed-ipi, timer-flush")
-	format := flag.String("format", "table", "result output format: table or json")
+	format := fs.String("format", "table", "result output format: table or json")
 	cli := experiments.CLI{Tool: "tlbtest"}
-	cli.RegisterFlags(flag.CommandLine, 1<<20)
-	flag.Parse()
+	cli.RegisterFlags(fs, 1<<20)
+	if err := fs.Parse(argv); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "tlbtest: "+format+"\n", a...)
+		return code
+	}
 
 	switch *format {
 	case "table", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "tlbtest: unknown format %q (want table or json)\n", *format)
-		os.Exit(2)
+		return fail(2, "unknown format %q (want table or json)", *format)
 	}
 	if *cpus < 2 {
-		fmt.Fprintf(os.Stderr, "tlbtest: -cpus %d: want at least 2\n", *cpus)
-		os.Exit(2)
+		return fail(2, "-cpus %d: want at least 2", *cpus)
+	}
+	if *children < 1 || *children >= *cpus {
+		return fail(2, "-children %d: want 1 <= children < cpus (%d)", *children, *cpus)
 	}
 
 	cfg := workload.TesterConfig{Children: *children, App: workload.AppConfig{NoTimer: true}}
@@ -62,16 +79,14 @@ func main() {
 	default:
 		i := slices.IndexFunc(experiments.Mechanisms, func(m experiments.Mechanism) bool { return m.Name == *strategy })
 		if i < 0 {
-			fmt.Fprintf(os.Stderr, "tlbtest: unknown strategy %q\n", *strategy)
-			os.Exit(2)
+			return fail(2, "unknown strategy %q", *strategy)
 		}
 		cfg.App = experiments.Mechanisms[i].App
 	}
 
 	in, err := cli.Instrument()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlbtest: %v\n", err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
 	// Set the machine and apply the hooks without clobbering the
 	// strategy/hardware overrides the -strategy switch just installed.
@@ -80,13 +95,11 @@ func main() {
 
 	res, err := workload.RunTester(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlbtest: %v\n", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
 
 	if err := cli.Finish(); err != nil {
-		fmt.Fprintf(os.Stderr, "tlbtest: %v\n", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
 
 	if *format == "json" {
@@ -97,31 +110,31 @@ func main() {
 			Strategy string                `json:"strategy"`
 			Result   workload.TesterResult `json:"result"`
 		}{*cpus, *children, *seed, *strategy, res}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "tlbtest: json: %v\n", err)
-			os.Exit(1)
+			return fail(1, "json: %v", err)
 		}
 		if res.Inconsistent {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("TLB consistency tester: %d CPUs, %d children, strategy %s\n",
+	fmt.Fprintf(stdout, "TLB consistency tester: %d CPUs, %d children, strategy %s\n",
 		*cpus, *children, *strategy)
-	fmt.Printf("counters at reprotect:  %v\n", res.Saved)
-	fmt.Printf("counters after faults:  %v\n", res.Final)
+	fmt.Fprintf(stdout, "counters at reprotect:  %v\n", res.Saved)
+	fmt.Fprintf(stdout, "counters after faults:  %v\n", res.Final)
 	if res.Inconsistent {
-		fmt.Printf("\nINCONSISTENT: counters advanced after vm_protect returned —\n")
-		fmt.Printf("a stale TLB entry allowed writes to a read-only page.\n")
-		os.Exit(1)
+		fmt.Fprintf(stdout, "\nINCONSISTENT: counters advanced after vm_protect returned —\n")
+		fmt.Fprintf(stdout, "a stale TLB entry allowed writes to a read-only page.\n")
+		return 1
 	}
-	fmt.Printf("\nconsistent: no write completed after vm_protect returned\n")
-	fmt.Printf("vm_protect latency: %.0f µs\n", res.ProtectUS)
+	fmt.Fprintf(stdout, "\nconsistent: no write completed after vm_protect returned\n")
+	fmt.Fprintf(stdout, "vm_protect latency: %.0f µs\n", res.ProtectUS)
 	if res.UserEvents == 1 {
-		fmt.Printf("shootdown: %d processors shot at, initiator elapsed %.0f µs\n",
+		fmt.Fprintf(stdout, "shootdown: %d processors shot at, initiator elapsed %.0f µs\n",
 			res.ProcsShot, res.ShootUS)
 	}
+	return 0
 }

@@ -332,8 +332,7 @@ type Shootdown struct {
 	recoveryUS []float64
 	// inFlight counts initiators currently between Begin and Finish — the
 	// paper's race window, during which a pmap update and the responders'
-	// TLB flushes must be ordered. The DPOR-lite explorer treats scheduler
-	// tie decisions inside this window as racy (DESIGN.md §14).
+	// TLB flushes must be ordered.
 	inFlight int
 }
 
@@ -551,25 +550,6 @@ func (s *Shootdown) Snapshot() Snap {
 		})
 	}
 	return snap
-}
-
-// RaceWindowOpen reports whether a scheduling decision taken right now is
-// inside a shootdown race window: an initiator is mid-protocol (between
-// Begin and Finish — IPI delivery, pmap-lock acquisition, and barrier exit
-// are all in play), or some processor still has unprocessed consistency
-// actions queued (the window between a pmap update and the last
-// responder's flush). The schedule explorer uses this to classify which
-// tie decisions are worth forking.
-func (s *Shootdown) RaceWindowOpen() bool {
-	if s.inFlight > 0 {
-		return true
-	}
-	for _, need := range s.actionNeeded {
-		if need {
-			return true
-		}
-	}
-	return false
 }
 
 // Begin starts an initiator-side critical section: disable all interrupts

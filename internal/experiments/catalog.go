@@ -17,21 +17,19 @@ type Args struct {
 	// sweeps.
 	Runs int
 	In   Instrument
-	// PlantBug plants the intentional stale-translation bug in the chaos,
-	// devices and explore campaigns.
+	// PlantBug plants the intentional stale-translation bug in the chaos
+	// and devices campaigns.
 	PlantBug bool
 	// Devices is the device-TLB count of the devices campaign.
 	Devices int
 	// DevFaults, when non-empty, is an extra device-fault scenario for
 	// the devices campaign.
 	DevFaults string
-	// ExploreBudget bounds the schedules the explore campaign forks.
-	ExploreBudget int
 	// At is the virtual-time instant timetravel snapshots and restores to.
 	At sim.Time
 	// WallClock is the millisecond clock package main injects into the
-	// shrink and explore campaigns, which stamp their wall time into
-	// reproducer metadata (this package may not read real time).
+	// shrinking campaigns, which stamp their wall time into reproducer
+	// metadata (this package may not read real time).
 	WallClock func() int64
 
 	fig2r  *Fig2Result
@@ -98,10 +96,6 @@ var Catalog = []Experiment{
 		"with the quarantine ladder armed and the stale-DMA oracle checking every transfer " +
 		"(-devices sets the device count, -devfaults adds a custom scenario)",
 		run(DeviceChaosCampaign)},
-	{"explore", "Robustness: DPOR-lite schedule explorer — fork the run at every racy shootdown tie " +
-		"decision within -explorebudget, replay each fork down the other branch, and shrink any " +
-		"violation found via bounded-replay delta debugging",
-		run(ExploreCampaign)},
 	{"timetravel", "Robustness: snapshot the hot-plug churn run at -at virtual time, rebuild and " +
 		"replay a fresh world to the same event boundary, and verify restore is byte-identical " +
 		"(then verify both continuations match too)",

@@ -21,8 +21,8 @@ var chaosScenarios = []scenario{
 	{"failstop+chaos", "failstop=0.7,failby=8ms,revive=0.8,reviveafter=4ms,drop=0.10,delay=0.10,delaymax=1ms,slow=0.20,slowmax=300us,spurious=0.05"},
 }
 
-// churnCPUs is the machine size of the churn fixture that the chaos,
-// explore and timetravel experiments share.
+// churnCPUs is the machine size of the churn fixture that the chaos and
+// timetravel experiments share.
 const churnCPUs = 6
 
 // campaignCell assembles the shared chaos fixture over the explore
@@ -111,7 +111,6 @@ func ReplayRepro(r shrink.Repro) (string, string, error) {
 		return "", "", fmt.Errorf("experiments: repro workload %q not supported", r.Workload)
 	}
 	cell := campaignCell(r.Seed, r.NCPUs, r.Faults, r.Bug)
-	cell.Ties = r.Ties
 	cell.Workload = r.Workload
 	cell.Devices = r.Devices
 	// Replay under the shrinker's judging semantics: the schedule is

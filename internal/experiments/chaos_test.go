@@ -158,6 +158,30 @@ func TestCorpusReplay(t *testing.T) {
 			t.Fatalf("replay verdict %s (%s), recorded %s", verdict, detail, r.Verdict)
 		}
 	})
+	// A reproducer that forces tie decisions names a schedule replay can
+	// no longer take; loading it must fail, naming the key, rather than
+	// replay a different schedule.
+	t.Run("retired-ties-key", func(t *testing.T) {
+		data, err := os.ReadFile(filepath.Join("testdata", "corpus", "hotplug-stale-revive.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["ties"] = json.RawMessage(`[0, 1, 0]`)
+		if data, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ties.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := shrink.Load(path); err == nil || !strings.Contains(err.Error(), `"ties"`) {
+			t.Fatalf("Load = %v, want an error naming \"ties\"", err)
+		}
+	})
 }
 
 // TestRegenerateCorpus rebuilds the committed reproducers from scratch.

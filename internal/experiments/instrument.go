@@ -32,9 +32,9 @@ import (
 // package workload's applications or assemble kernels of their own take
 // both; the fault campaign runs Faults as one more scenario of its own.
 // Pools builds a bare machine and ignores both. The chaos and devices
-// campaigns, explore and timetravel run their own fault scenarios with the
-// oracle always on; of the hooks, chaos and devices take only Observe and
-// Flight, and explore and timetravel none.
+// campaigns and timetravel run their own fault scenarios with the oracle
+// always on; of the hooks, chaos and devices take only Observe and Flight,
+// and timetravel none.
 type Instrument struct {
 	Tracer  *trace.Tracer
 	Observe func(*kernel.Kernel)

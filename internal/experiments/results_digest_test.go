@@ -20,7 +20,7 @@ const pinnedDir = "testdata/results"
 // pinArgs are cmd/shootdownsim's flag defaults at seed 7, except that the
 // run-count sweeps (fig2, scale, profile) run once per point.
 func pinArgs() *Args {
-	return &Args{Seed: 7, Runs: 1, Devices: 2, ExploreBudget: 24, At: 5_000_000}
+	return &Args{Seed: 7, Runs: 1, Devices: 2, At: 5_000_000}
 }
 
 type pin struct {

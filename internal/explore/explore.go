@@ -1,23 +1,12 @@
 // Package explore is the schedule-space side of the robustness tooling: a
-// shared deterministic run fixture (Cell), a fault-schedule shrinker
-// (Shrink), and a DPOR-lite schedule explorer that forks a run at racy tie
-// decisions and replays each fork down the other branch.
+// shared deterministic run fixture (Cell) and a fault-schedule shrinker
+// (Shrink).
 //
-// All three stand on the same substrate: replaying a fresh world with the
-// same (config, seed, mask, forced ties) lands on byte-identical state,
-// and masking a fault event suppresses its effect without perturbing any
-// RNG stream. So a shrink candidate is simply the failing run rebuilt with
-// more events masked, and an explorer fork is the base run rebuilt with
-// one tie decision flipped.
-//
-// The race model is deliberately coarse (hence DPOR-*lite*): any chaos tie
-// broken while a shootdown is in flight (an initiator between Begin and
-// Finish, or a responder with actions pending — core.RaceWindowOpen) is a
-// racy pair worth exploring, because the orderings it arbitrates are
-// exactly IPI delivery vs. pmap-lock acquire vs. barrier exit, the
-// triangle the paper's protocol exists to make safe. Forking the schedule
-// there and flipping the order is how the explorer hunts for
-// interleaving-dependent oracle violations the seed alone never takes.
+// Both stand on the same substrate: replaying a fresh world with the same
+// (config, seed, mask) lands on byte-identical state, and masking a fault
+// event suppresses its effect without perturbing any RNG stream. So a
+// shrink candidate is simply the failing run rebuilt with more events
+// masked.
 package explore
 
 import (
@@ -31,8 +20,8 @@ import (
 )
 
 // Cell is one deterministic churn run under a fault config: the fixture
-// the chaos campaign, the shrinker, and the explorer all re-execute. Two
-// Cells with equal fields produce byte-identical runs.
+// the chaos and device campaigns and the shrinker re-execute. Two Cells
+// with equal fields produce byte-identical runs.
 type Cell struct {
 	Seed  int64
 	NCPUs int          // default 6
@@ -52,11 +41,8 @@ type Cell struct {
 	Shootdown core.Options
 	// MaxVirtualTime bounds the run (default 30 virtual seconds).
 	MaxVirtualTime sim.Time
-	// Ties forces the engine's chaos tie decisions by ordinal; the
-	// explorer's forks differ from the base run only here.
-	Ties []int
-	// Flight arms the flight recorder for the run; shrink and explorer
-	// re-executions pass nil so dozens of replays don't each dump a box.
+	// Flight arms the flight recorder for the run; shrink re-executions
+	// pass nil so dozens of replays don't each dump a box.
 	Flight *trace.Recorder
 	// StopOnViolation stops the engine at the first oracle violation, the
 	// semantics Shrink judges candidates under. A minimized reproducer
@@ -97,13 +83,12 @@ func (c Cell) app() workload.AppConfig {
 		BugSkipDevInval:    c.Bug == shrink.BugSkipDevInval,
 		MaxVirtualTime:     c.MaxVirtualTime,
 		Faults:             &fc,
-		ForcedTies:         c.Ties,
 		Flight:             c.Flight,
 	}
 }
 
 // Start assembles the cell's kernel with workers spawned but the engine
-// not yet run, so callers can attach tie recorders or drive it in steps.
+// not yet run, so callers can drive it in steps.
 func (c Cell) Start() (*kernel.Kernel, error) {
 	c = c.withDefaults()
 	switch c.Workload {

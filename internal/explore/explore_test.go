@@ -35,44 +35,36 @@ func hotplugCell(t *testing.T, seed int64, bug bool) Cell {
 	return c
 }
 
-// TestExplorerFindsAndShrinksViolation is the acceptance pin: with the
-// stale-TLB-after-revive bug planted, the explorer must find an oracle
-// violation within its budget and the shrinker must minimize it to a
-// handful of fault events.
-func TestExplorerFindsAndShrinksViolation(t *testing.T) {
-	res, err := Explore(hotplugCell(t, 7, true), Options{Budget: 8})
-	if err != nil {
-		t.Fatal(err)
+// TestShrinkMinimizesHotplugViolation is the shrinker's acceptance pin:
+// the seed-7 hot-plug cell with the stale-TLB-after-revive bug planted
+// fails with an oracle verdict, Shrink minimizes its fired schedule to a
+// handful of fault events, and the reproducer, replayed under the
+// shrinker's stop-on-violation semantics, reaches the recorded verdict.
+func TestShrinkMinimizesHotplugViolation(t *testing.T) {
+	cell := hotplugCell(t, 7, true)
+	var endStep uint64
+	verdict, detail, events := cell.Run(true, func(k *kernel.Kernel) { endStep = k.Eng.StepCount() })
+	if verdict != kernel.VerdictOracle {
+		t.Fatalf("planted bug: verdict %q (%s), want %q", verdict, detail, kernel.VerdictOracle)
 	}
-	if res.Violations == 0 {
-		t.Fatal("explorer found no violation with the bug planted")
+	repro := Shrink(cell, verdict, events, endStep, nil)
+	if repro.Verdict != kernel.VerdictOracle {
+		t.Fatalf("reproducer verdict %q, want %q", repro.Verdict, kernel.VerdictOracle)
 	}
-	if res.RacyTies == 0 {
-		t.Fatal("no tie was broken inside an open shootdown race window — the race model saw nothing")
+	if n := len(repro.Keep); n == 0 || n > 5 {
+		t.Fatalf("shrunk schedule has %d events, want 1..5 (from %d)", n, len(events))
 	}
-	if res.Repro == nil {
-		t.Fatal("no reproducer built from the violations")
-	}
-	if res.Repro.Verdict != kernel.VerdictOracle {
-		t.Fatalf("reproducer verdict %q, want %q", res.Repro.Verdict, kernel.VerdictOracle)
-	}
-	if n := len(res.Repro.Keep); n == 0 || n > 5 {
-		t.Fatalf("shrunk schedule has %d events, want 1..5 (from %d)", n, res.ScheduleLen)
-	}
-	m := res.Repro.Shrink
-	if m == nil || m.Tests == 0 {
+	if m := repro.Shrink; m == nil || m.Tests == 0 {
 		t.Fatalf("reproducer carries no shrink-campaign metadata: %+v", m)
 	}
 
 	// The reproducer must replay: same cell, masked to the kept events,
-	// same forced ties, same verdict.
+	// same verdict.
 	rc := hotplugCell(t, 7, true)
-	rc.Fault = res.Repro.Faults
-	rc.Ties = res.Repro.Ties
+	rc.Fault = repro.Faults
 	rc.StopOnViolation = true
-	verdict, detail, _ := rc.Run(false, nil)
-	if verdict != res.Repro.Verdict {
-		t.Fatalf("reproducer replayed to %q (%s), recorded %q", verdict, detail, res.Repro.Verdict)
+	if v, detail, _ := rc.Run(false, nil); v != repro.Verdict {
+		t.Fatalf("reproducer replayed to %q (%s), recorded %q", v, detail, repro.Verdict)
 	}
 }
 
@@ -88,53 +80,6 @@ func TestCandidateBound(t *testing.T) {
 	}
 	if v := candidate(cell, violationStep-100); v != kernel.VerdictOK {
 		t.Fatalf("bound before the violation: verdict %q, want %q", v, kernel.VerdictOK)
-	}
-}
-
-// TestExplorerDeterministic pins the budget policy: same cell, same
-// budget, same explored set — byte for byte, forks and reproducer alike.
-func TestExplorerDeterministic(t *testing.T) {
-	a, err := Explore(hotplugCell(t, 7, true), Options{Budget: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Explore(hotplugCell(t, 7, true), Options{Budget: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two identical explorations diverged:\n  a: %+v\n  b: %+v", a, b)
-	}
-	if len(a.Forks) == 0 {
-		t.Fatal("no forks explored — the determinism check is vacuous")
-	}
-}
-
-// TestExplorerRequiresChaosSeed: seed 0 schedules FIFO, so there are no
-// ties to fork; the explorer must refuse rather than silently do nothing.
-func TestExplorerRequiresChaosSeed(t *testing.T) {
-	c := hotplugCell(t, 7, false)
-	c.Seed = 0
-	if _, err := Explore(c, Options{}); err == nil {
-		t.Fatal("explorer accepted seed 0")
-	}
-}
-
-// TestCleanCellExploresWithoutViolations: without the planted bug the
-// hardened protocol must survive every explored interleaving.
-func TestCleanCellExploresWithoutViolations(t *testing.T) {
-	res, err := Explore(hotplugCell(t, 11, false), Options{Budget: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BaseVerdict != kernel.VerdictOK {
-		t.Fatalf("base run failed without a bug: %s (%s)", res.BaseVerdict, res.BaseDetail)
-	}
-	if res.Violations != 0 {
-		t.Fatalf("%d violations found in a clean cell (first repro: %+v)", res.Violations, res.Repro)
-	}
-	if len(res.Forks) == 0 {
-		t.Fatal("no forks explored")
 	}
 }
 

@@ -68,7 +68,6 @@ func Shrink(cell Cell, verdict string, events []fault.Event, endStep uint64, wal
 		Keep:     res.Keep,
 		Verdict:  verdict,
 		Bug:      cell.Bug,
-		Ties:     cell.Ties,
 		Shrink:   meta,
 	}
 }
@@ -103,7 +102,7 @@ func armStopOnViolation(k *kernel.Kernel) {
 		if prev != nil {
 			prev(v)
 		}
-		// Stopping the engine is this hook's entire purpose: the explorer
+		// Stopping the engine is this hook's entire purpose: the shrinker
 		// wants the run to end at the violation, not observe it silently.
 		//lint:allow hookpurity deliberately impure: stop-on-violation exists to halt the engine early
 		k.Eng.Stop()

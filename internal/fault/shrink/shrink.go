@@ -165,11 +165,6 @@ type Repro struct {
 	// ("dma"). Omitted — and zero — for the CPU-only reproducers, which
 	// keeps the pre-device corpus files byte-identical.
 	Devices int `json:"devices,omitempty"`
-	// Ties forces the engine's chaos tie decisions by ordinal
-	// (sim.Engine.SetForcedTies), for reproducers found by the schedule
-	// explorer: the failure lives in an interleaving the seed alone would
-	// not take. Absent for plain chaos-campaign reproducers.
-	Ties []int `json:"ties,omitempty"`
 	// Shrink records how the minimization campaign went: how many
 	// candidate runs it took.
 	Shrink *Meta `json:"shrink,omitempty"`
@@ -217,6 +212,15 @@ func Load(path string) (Repro, error) {
 	}
 	if err := json.Unmarshal(data, &r); err != nil {
 		return r, fmt.Errorf("shrink: parsing %s: %v", path, err)
+	}
+	// A reproducer that forces tie decisions ("ties") names a schedule
+	// the seed alone does not take; replay cannot force ties, so it would
+	// silently run a different schedule.
+	var retired struct {
+		Ties []int `json:"ties"`
+	}
+	if err := json.Unmarshal(data, &retired); err != nil || len(retired.Ties) > 0 {
+		return r, fmt.Errorf("shrink: %s: forced tie decisions (\"ties\") are not supported", path)
 	}
 	if err := r.Validate(); err != nil {
 		return r, fmt.Errorf("%s: %w", path, err)

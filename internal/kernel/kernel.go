@@ -47,10 +47,6 @@ type Config struct {
 	IdleTick sim.Time
 	// ChaosSeed randomizes equal-time scheduling order (0 = FIFO).
 	ChaosSeed int64
-	// ForcedTies overrides the engine's chaos tie decisions by ordinal
-	// (sim.Engine.SetForcedTies); the DPOR-lite explorer uses it to steer a
-	// replay down a specific interleaving. Only meaningful with ChaosSeed.
-	ForcedTies []int
 	// MaxTime bounds virtual time (guards against livelock); default 10
 	// virtual minutes.
 	MaxTime sim.Time
@@ -128,9 +124,6 @@ func New(cfg Config) (*Kernel, error) {
 		engOpts = append(engOpts, sim.WithChaos(cfg.ChaosSeed))
 	}
 	eng := sim.New(engOpts...)
-	if len(cfg.ForcedTies) > 0 {
-		eng.SetForcedTies(cfg.ForcedTies)
-	}
 	m := machine.New(eng, cfg.Machine)
 	// Each kernel's engine restarts virtual time at zero: BeginRun rebases
 	// a shared session stream and drops the previous kernel's providers.

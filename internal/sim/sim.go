@@ -193,17 +193,12 @@ type Engine struct {
 	// internals.
 	chaosDraws uint64
 	// tieSeq numbers the chaos tie decisions (≥2 procs at the minimum wake
-	// time); it is the coordinate system for forced and recorded picks.
+	// time).
 	tieSeq uint64
-	// forced overrides tie decisions by ordinal: at tie i, forced[i]
-	// (when in range) indexes the seq-sorted tied set instead of the chaos
-	// pick. The chaos draw is still consumed — see pick.
-	//snap:derived schedule overrides, reinstalled by the explorer that drives the replay
-	forced []int
-	// tieRec, if set, observes every tie decision (after any forced
-	// override). It must not perturb the simulation.
+	// tieRec, if set, observes every tie decision. It must not perturb the
+	// simulation.
 	//snap:transient observation hook, reattached by the recorder
-	tieRec func(TieDecision)
+	tieRec func(tieDecision)
 
 	// tracer, if set, is the observation stream (trace.Stream); the engine
 	// records scheduling events (proc run, sleep, block, preempt, done) on
@@ -454,22 +449,11 @@ func (e *Engine) pick() *Proc {
 	tied := e.runq.ties(e.tied[:0])
 	e.tied = tied
 	slices.SortFunc(tied, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
-	// The chaos draw is consumed even when a forced choice overrides it, so
-	// the schedule after a forced prefix continues the base run's stream:
-	// replaying with every recorded pick forced reproduces the base run
-	// byte-identically, and flipping one pick perturbs only its causal
-	// consequences.
 	idx := e.chaos.Intn(len(tied))
 	e.chaosDraws++
-	ord := e.tieSeq
 	e.tieSeq++
-	if ord < uint64(len(e.forced)) {
-		if f := e.forced[ord]; f >= 0 && f < len(tied) {
-			idx = f
-		}
-	}
 	if e.tieRec != nil {
-		d := TieDecision{Seq: ord, Step: e.step, NowNS: int64(tied[0].wake), Pick: idx,
+		d := tieDecision{Step: e.step, NowNS: int64(tied[0].wake), Pick: idx,
 			Tied: make([]string, len(tied))}
 		for i, q := range tied {
 			d.Tied[i] = q.name
@@ -479,30 +463,20 @@ func (e *Engine) pick() *Proc {
 	return tied[idx]
 }
 
-// TieDecision records one chaos tie break: at engine step Step (time
+// tieDecision records one chaos tie break: at engine step Step (time
 // NowNS), the procs in Tied (sorted by scheduling sequence) were runnable
-// at the same instant and Tied[Pick] ran. Seq is the decision's ordinal,
-// the coordinate SetForcedTies overrides by.
-type TieDecision struct {
-	Seq   uint64   `json:"seq"`
-	Step  uint64   `json:"step"`
-	NowNS int64    `json:"now_ns"`
-	Tied  []string `json:"tied"`
-	Pick  int      `json:"pick"`
+// at the same instant and Tied[Pick] ran.
+type tieDecision struct {
+	Step  uint64
+	NowNS int64
+	Tied  []string
+	Pick  int
 }
 
-// SetForcedTies overrides the engine's tie decisions by ordinal: at tie i,
-// picks[i] (when it indexes the tied set) replaces the chaos choice. Ties
-// past the end of picks fall back to chaos. The underlying chaos draws are
-// consumed either way, so forcing a prefix does not shift the stream for
-// the free suffix. Requires a chaos engine (WithChaos); without one there
-// are no tie decisions to force.
-func (e *Engine) SetForcedTies(picks []int) { e.forced = picks }
-
-// SetTieRecorder installs an observer for every tie decision (after any
-// forced override). The recorder must not perturb the simulation. A nil
-// recorder disables recording.
-func (e *Engine) SetTieRecorder(fn func(TieDecision)) { e.tieRec = fn }
+// setTieRecorder installs an observer for every tie decision. The
+// recorder must not perturb the simulation. A nil recorder disables
+// recording.
+func (e *Engine) setTieRecorder(fn func(tieDecision)) { e.tieRec = fn }
 
 // TieCount returns the number of tie decisions made so far.
 func (e *Engine) TieCount() uint64 { return e.tieSeq }

@@ -293,7 +293,7 @@ func TestInPlaceMaxTimeStillFails(t *testing.T) {
 func TestInPlaceKeepsChaosTies(t *testing.T) {
 	e := queuedEngine(t, 16, true)
 	var ties []string
-	e.SetTieRecorder(func(d TieDecision) {
+	e.setTieRecorder(func(d tieDecision) {
 		ties = append(ties, fmt.Sprintf("%d@%d %s<%s>", d.Step, d.NowNS, d.Tied[d.Pick], strings.Join(d.Tied, ",")))
 	})
 	var order []string

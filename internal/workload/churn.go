@@ -34,8 +34,8 @@ func RunChurn(cfg AppConfig) (AppResult, error) {
 
 // StartChurn assembles the churn kernel and spawns its workers without
 // running the engine. The snapshot/restore consumers (step-bounded replay,
-// the explorer's forked schedules) drive the returned kernel themselves
-// via RunTo and Run and then harvest with CollectChurn.
+// shrink candidates) drive the returned kernel themselves via RunTo and
+// Run and then harvest with CollectChurn.
 func StartChurn(cfg AppConfig) (*kernel.Kernel, error) { return start(cfg, rigChurn) }
 
 // CollectChurn observes and harvests a settled churn run (the StartChurn

@@ -37,8 +37,8 @@ type dmaStream struct {
 
 // StartDMA assembles the DMA kernel and spawns its streams without
 // running the engine, for callers that pause and snapshot the world
-// (step-bounded replay, the explorer's forked schedules); drive it with
-// RunTo and Run. At least one device is always configured.
+// (step-bounded replay, shrink candidates); drive it with RunTo and Run.
+// At least one device is always configured.
 func StartDMA(cfg AppConfig) (*kernel.Kernel, error) { return start(dmaConfig(cfg), rigDMA) }
 
 // dmaConfig gives the DMA workload its one default device.

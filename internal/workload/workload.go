@@ -64,11 +64,6 @@ type AppConfig struct {
 	// NoTimer disables the preemption clock (the basic-cost experiment
 	// wants threads pinned and no scheduler noise).
 	NoTimer bool
-	// ForcedTies overrides the engine's chaos tie decisions by ordinal
-	// (sim.Engine.SetForcedTies); the DPOR-lite explorer uses it to steer a
-	// replay down one specific interleaving. Only meaningful with a nonzero
-	// Seed.
-	ForcedTies []int
 	// MaxVirtualTime overrides the engine's safety bound (0 = default).
 	MaxVirtualTime sim.Time
 	// Scale multiplies the amount of work (1.0 = the calibrated default).
@@ -163,7 +158,6 @@ func (c AppConfig) newKernel() (*kernel.Kernel, error) {
 		Quantum:          30_000_000,
 		IdleTick:         200_000,
 		ChaosSeed:        c.Seed,
-		ForcedTies:       c.ForcedTies,
 		TraceOff:         c.TraceOff,
 		MaxTime:          c.MaxVirtualTime,
 		Tracer:           trace.Stream(c.Tracer, c.Flight, c.Profiler),

@@ -13,9 +13,9 @@
 # committed fault-schedule reproducer. The smoke stage exercises the
 # observability layer end to end: traces and results round-trip through
 # `tlbtrace validate`, the profiler and the fault/chaos campaigns are
-# deterministic (same seed, byte-identical output), the schedule explorer
-# explores a byte-identical set on a repeated run, time travel restores a
-# mid-run snapshot byte for byte, a seeded chaos failure auto-writes a
+# deterministic (same seed, byte-identical output), the chaos campaign
+# shrinks a planted failure to byte-identical reproducers on a repeated
+# run, time travel restores a mid-run snapshot byte for byte, a seeded chaos failure auto-writes a
 # flight-recorder black box (whose embedded restore point round-trips
 # through validate), the device-chaos campaign is deterministic and a
 # forced device quarantine dumps a black box whose devices section
@@ -83,10 +83,13 @@ go run ./cmd/shootdownsim -seed 7 -format json faults >"$tmp/faults1.json"
 go run ./cmd/shootdownsim -seed 7 -format json faults >"$tmp/faults2.json"
 cmp "$tmp/faults1.json" "$tmp/faults2.json"
 
-echo "== smoke: chaos campaign is deterministic and corpus repros replay"
-go run ./cmd/shootdownsim -seed 7 -format json chaos >"$tmp/chaos1.json"
-go run ./cmd/shootdownsim -seed 7 -format json chaos >"$tmp/chaos2.json"
+echo "== smoke: chaos campaign is deterministic (a planted failure shrinks to byte-identical reproducers) and corpus repros replay"
+# wall_ms is shrink-campaign wall-clock accounting, the one legitimately
+# nondeterministic field in the reproducer metadata; strip it before cmp.
+go run ./cmd/shootdownsim -seed 7 -chaosbug -format json chaos | sed '/wall_ms/d' >"$tmp/chaos1.json"
+go run ./cmd/shootdownsim -seed 7 -chaosbug -format json chaos | sed '/wall_ms/d' >"$tmp/chaos2.json"
 cmp "$tmp/chaos1.json" "$tmp/chaos2.json"
+grep -q '"Repro"' "$tmp/chaos1.json"
 for repro in internal/experiments/testdata/corpus/*.json; do
 	go run ./cmd/shootdownsim -repro "$repro"
 done
@@ -102,13 +105,6 @@ echo "== device-chaos: a forced device quarantine dumps a black box whose device
 go run ./cmd/shootdownsim -seed 7 -format json -flight "$tmp/devflight" devices >/dev/null 2>"$tmp/devflight.log"
 go run ./cmd/tlbtrace validate -blackbox "$tmp/devflight"/blackbox-0-watchdog.json | grep -q 'devices: .* quarantined'
 go run ./cmd/tlbtrace query -events -cat device "$tmp/devflight"/blackbox-0-watchdog.json | grep -q 'dev-quarantine'
-
-echo "== smoke: schedule explorer is deterministic (same budget+seed, byte-identical explored set)"
-# wall_ms is shrink-campaign wall-clock accounting, the one legitimately
-# nondeterministic field in the reproducer metadata; strip it before cmp.
-go run ./cmd/shootdownsim -seed 7 -chaosbug -explorebudget 8 -format json explore | sed '/wall_ms/d' >"$tmp/explore1.json"
-go run ./cmd/shootdownsim -seed 7 -chaosbug -explorebudget 8 -format json explore | sed '/wall_ms/d' >"$tmp/explore2.json"
-cmp "$tmp/explore1.json" "$tmp/explore2.json"
 
 echo "== smoke: time travel — snapshot mid-run, restore by replay, verify byte identity"
 go run ./cmd/shootdownsim -seed 7 timetravel >"$tmp/timetravel.txt"
