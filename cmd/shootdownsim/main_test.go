@@ -70,3 +70,17 @@ func TestBadCountIsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestAtPastTheEndIsRejected checks that a timetravel instant after the
+// run's last event fails naming the requested instant and where the run
+// ended, not a step the instant never mapped to.
+func TestAtPastTheEndIsRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-seed", "7", "-at", "1h", "timetravel"}, &stdout, &stderr); code != 1 {
+		t.Errorf("exit status %d, want 1", code)
+	}
+	want := "shootdownsim: timetravel: experiments: the run ends at step 11063 (t=25818766ns), before the requested t=3600000000000ns; pick an earlier -at\n"
+	if stderr.String() != want {
+		t.Errorf("stderr %q, want %q", stderr.String(), want)
+	}
+}

@@ -74,9 +74,8 @@ var Analyzers = []*analysis.Analyzer{
 // deliberately absent: the engine implements virtual time out of real
 // concurrency and is covered by `go test -race` instead.
 var simulated = []string{
-	"baseline", "core", "experiments", "explore", "fault", "kernel",
-	"machine", "mem", "oracle", "pmap", "ptable", "snap", "tlb", "vm",
-	"workload",
+	"baseline", "core", "experiments", "fault", "kernel", "machine",
+	"mem", "oracle", "pmap", "ptable", "snap", "tlb", "vm", "workload",
 }
 
 // withSim is the simulated set plus the engine itself, for the analyzers

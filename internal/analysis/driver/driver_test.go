@@ -2,6 +2,8 @@ package driver
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -48,6 +50,19 @@ func TestInScope(t *testing.T) {
 	for _, c := range cases {
 		if got := inScope(c.analyzer, c.path); got != c.want {
 			t.Errorf("inScope(%s, %s) = %v, want %v", c.analyzer, c.path, got, c.want)
+		}
+	}
+}
+
+// TestScopesNameRealPackages checks that every scope entry is a
+// directory under internal/: a scope naming a deleted package matches
+// nothing, silently.
+func TestScopesNameRealPackages(t *testing.T) {
+	for analyzer, scope := range scopes {
+		for _, dir := range scope {
+			if fi, err := os.Stat(filepath.Join("..", "..", dir)); err != nil || !fi.IsDir() {
+				t.Errorf("%s scope names %q, which is not a directory under internal/", analyzer, dir)
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@
 // observation packages (profile, trace, snap, stats, and the export
 // layers) is not "simulated state". The live set is the packages that
 // carry machine and workload state: sim, machine, tlb, mem, ptable,
-// pmap, vm, core, kernel, baseline, workload, fault, oracle, explore,
+// pmap, vm, core, kernel, baseline, workload, fault, oracle,
 // experiments.
 //
 // Propagation follows the static call graph only (see package summary);
@@ -31,8 +31,9 @@
 // a hook laundering a write through a stored closure escapes this
 // analyzer. Findings anchor at the offending statement or call site in
 // the current package, naming the callee chain entry that introduced the
-// effect. Deliberate exceptions (explore's stop-on-violation hook, which
-// exists to halt the engine) carry //lint:allow with a justification.
+// effect. Deliberate exceptions (the campaigns' stop-on-violation hook,
+// which exists to halt the engine) carry //lint:allow with a
+// justification.
 package hookpurity
 
 import (
@@ -57,8 +58,7 @@ var Analyzer = &analysis.Analyzer{
 var liveSet = map[string]bool{
 	"sim": true, "machine": true, "tlb": true, "mem": true, "ptable": true,
 	"pmap": true, "vm": true, "core": true, "kernel": true, "baseline": true,
-	"workload": true, "fault": true, "oracle": true, "explore": true,
-	"experiments": true,
+	"workload": true, "fault": true, "oracle": true, "experiments": true,
 }
 
 // observationPkgs are the packages whose every declared function is a

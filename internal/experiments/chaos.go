@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
-	"shootdown/internal/explore"
 	"shootdown/internal/fault"
 	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
+	"shootdown/internal/workload"
 )
 
 // chaosScenarios is the fail-stop/hot-plug campaign: processor lifecycle
@@ -25,17 +26,35 @@ var chaosScenarios = []scenario{
 // timetravel experiments share.
 const churnCPUs = 6
 
-// campaignCell assembles the shared chaos fixture over the explore
-// substrate: churn at half scale, hardened watchdog, oracle attached, and
-// bug ("" = none) planted.
-func campaignCell(seed int64, ncpus int, fc fault.Config, bug string) explore.Cell {
-	return explore.Cell{
-		Seed:      seed,
-		NCPUs:     ncpus,
-		Fault:     fc,
-		Bug:       bug,
-		Shootdown: campaignWatchdog,
+// campaignCell is the world every campaign scenario, timetravel and
+// reproducer replay runs: seed's ncpus-CPU machine at half scale under
+// fault config fc, bounded at 30 virtual seconds, with the hardened
+// watchdog, the oracle attached, and bug ("" = none) planted. The
+// workload that runs in it is named beside it (campaignStarts).
+func campaignCell(seed int64, ncpus int, fc fault.Config, bug string) workload.AppConfig {
+	return workload.AppConfig{
+		NCPUs:              ncpus,
+		Seed:               seed,
+		Scale:              0.5,
+		MaxVirtualTime:     30_000_000_000,
+		ShootdownOptions:   campaignWatchdog,
+		Oracle:             true,
+		Faults:             &fc,
+		BugSkipReviveFlush: bug == shrink.BugSkipReviveFlush,
+		BugSkipDevInval:    bug == shrink.BugSkipDevInval,
 	}
+}
+
+// plantedBug names the bug a campaign world plants ("" = none), the
+// inverse of campaignCell's mapping.
+func plantedBug(cell workload.AppConfig) string {
+	switch {
+	case cell.BugSkipReviveFlush:
+		return shrink.BugSkipReviveFlush
+	case cell.BugSkipDevInval:
+		return shrink.BugSkipDevInval
+	}
+	return ""
 }
 
 // ChaosRun is one scenario's outcome.
@@ -91,7 +110,8 @@ func ChaosCampaign(a *Args) (ChaosResult, error) {
 	runs, err := runCampaign[ChaosRun](a, campaign{
 		kind:      "chaos",
 		scenarios: chaosScenarios,
-		cell: func(fc fault.Config) explore.Cell {
+		workload:  "churn",
+		cell: func(fc fault.Config) workload.AppConfig {
 			return campaignCell(a.Seed, churnCPUs, fc, a.plant(shrink.BugSkipReviveFlush))
 		},
 	})
@@ -105,19 +125,15 @@ func ReplayRepro(r shrink.Repro) (string, string, error) {
 	if err := r.Validate(); err != nil {
 		return "", "", err
 	}
-	switch r.Workload {
-	case "churn", "dma":
-	default:
+	if campaignStarts[r.Workload] == nil {
 		return "", "", fmt.Errorf("experiments: repro workload %q not supported", r.Workload)
 	}
 	cell := campaignCell(r.Seed, r.NCPUs, r.Faults, r.Bug)
-	cell.Workload = r.Workload
-	cell.Devices = r.Devices
-	// Replay under the shrinker's judging semantics: the schedule is
-	// 1-minimal for "a violation fires", so the replay stops there too
-	// instead of running on into whatever the masked world does next.
-	cell.StopOnViolation = true
-	verdict, detail, _ := cell.Run(false, nil)
+	cell.NumDevices = r.Devices
+	// Replay as the shrinker judged the schedule: it is 1-minimal for "a
+	// violation fires", so the replay stops there too instead of running
+	// on into whatever the masked world does next.
+	verdict, detail := candidate(r.Workload, cell, math.MaxUint64)
 	return verdict, detail, nil
 }
 

@@ -72,6 +72,9 @@ func TestStaleReviveBugShrinks(t *testing.T) {
 	if hit.Repro == nil {
 		t.Fatal("failing run produced no reproducer")
 	}
+	if m := hit.Repro.Shrink; m == nil || m.Tests == 0 {
+		t.Fatalf("reproducer carries no shrink-campaign metadata: %+v", m)
+	}
 	// The reproducer replays deterministically: same verdict, twice.
 	for i := 0; i < 2; i++ {
 		verdict, detail, err := ReplayRepro(*hit.Repro)

@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"shootdown/internal/explore"
 	"shootdown/internal/fault"
 	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
+	"shootdown/internal/workload"
 )
 
 // deviceScenarios is the device-chaos campaign: IOMMU/device-TLB fault
@@ -94,23 +94,17 @@ func DeviceChaosCampaign(a *Args) (DeviceChaosResult, error) {
 	if a.DevFaults != "" {
 		scenarios = append(scenarios, scenario{"custom", a.DevFaults})
 	}
-	// The shared device-chaos fixture: the DMA-streaming workload at half
-	// scale, hardened watchdog, oracle shadowing every device TLB.
-	cell := func(fc fault.Config) explore.Cell {
-		return explore.Cell{
-			Seed:      a.Seed,
-			NCPUs:     deviceCPUs,
-			Workload:  "dma",
-			Devices:   a.Devices,
-			Fault:     fc,
-			Bug:       a.plant(shrink.BugSkipDevInval),
-			Shootdown: campaignWatchdog,
-		}
-	}
 	runs, err := runCampaign[DeviceChaosRun](a, campaign{
 		kind:      "device",
 		scenarios: scenarios,
-		cell:      cell,
+		workload:  "dma",
+		// The shared device-chaos fixture: the DMA-streaming workload,
+		// oracle shadowing every device TLB.
+		cell: func(fc fault.Config) workload.AppConfig {
+			cell := campaignCell(a.Seed, deviceCPUs, fc, a.plant(shrink.BugSkipDevInval))
+			cell.NumDevices = a.Devices
+			return cell
+		},
 	})
 	return DeviceChaosResult{Seed: a.Seed, NCPUs: deviceCPUs, Devices: a.Devices, Runs: runs}, err
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"shootdown/internal/artifact"
-	"shootdown/internal/explore"
 	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
 	"shootdown/internal/trace"
@@ -33,11 +32,9 @@ func deviceFlightCell(t *testing.T, dir string) (verdict string, box []byte) {
 		t.Fatal(err)
 	}
 	fc.Seed = 7
-	cell := explore.Cell{
-		Seed: 7, NCPUs: 4, Workload: "dma", Devices: 2,
-		Fault: fc, Shootdown: campaignWatchdog, Flight: fr,
-	}
-	verdict, detail, _ := cell.Run(false, nil)
+	cell := campaignCell(7, 4, fc, "")
+	cell.NumDevices, cell.Flight = 2, fr
+	verdict, detail, _ := runCell("dma", cell)
 	if verdict != kernel.VerdictOK {
 		t.Fatalf("wedged-device run did not survive: %s (%s)", verdict, detail)
 	}

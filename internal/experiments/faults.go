@@ -94,7 +94,7 @@ func FaultCampaign(a *Args) (FaultCampaignResult, error) {
 	res := FaultCampaignResult{Seed: seed}
 
 	scenarios := faultScenarios
-	if in.Faults != nil && in.Faults.Enabled() {
+	if in.injects() {
 		scenarios = append(scenarios, scenario{"custom", in.Faults.Spec()})
 	}
 

@@ -29,7 +29,7 @@ func flightCell(t *testing.T, dir string) (verdict string, box []byte) {
 	fc.Seed = 7
 	cell := campaignCell(7, 4, fc, shrink.BugSkipReviveFlush)
 	cell.Flight = fr
-	verdict, _, _ = cell.Run(false, nil)
+	verdict, _, _ = runCell("churn", cell)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -56,15 +56,20 @@ type Instrument struct {
 	Flight *trace.Recorder
 }
 
+// injects reports whether the instrument injects faults: it carries an
+// enabled fault config. A disabled one overrides nothing and arms nothing.
+func (in Instrument) injects() bool { return in.Faults != nil && in.Faults.Enabled() }
+
 // App applies the instrument to a workload configuration, for the
 // experiments and commands (cmd/tlbtest) that run package workload's
 // applications. It adds the instrument's hooks and erases nothing the
 // configuration asked for: the oracle stays on if either asks for it,
-// and the configuration's faults stand unless the instrument has some.
+// and the configuration's faults stand unless the instrument injects
+// some.
 func (in Instrument) App(c workload.AppConfig) workload.AppConfig {
 	c.Tracer = in.Tracer
 	c.Observe = in.Observe
-	if in.Faults != nil {
+	if in.injects() {
 		c.Faults = in.Faults
 	}
 	c.Oracle = c.Oracle || in.Oracle
@@ -82,7 +87,7 @@ func (in Instrument) App(c workload.AppConfig) workload.AppConfig {
 func (in Instrument) runWorld(c kernel.Config, rig func(*kernel.Kernel) error, harvest func(*kernel.Kernel)) error {
 	c.Tracer = trace.Stream(in.Tracer, in.Flight, in.Profiler)
 	c.Oracle = c.Oracle || in.Oracle
-	if in.Faults != nil && in.Faults.Enabled() {
+	if in.injects() {
 		c.Machine.Faults = fault.New(*in.Faults)
 	}
 	c.Shootdown = in.watchdog(c.Shootdown)
@@ -107,7 +112,7 @@ func (in Instrument) runWorld(c kernel.Config, rig func(*kernel.Kernel) error, h
 // into a world that configured no watchdog of its own: without it, a
 // single dropped IPI would hang the initiator until the virtual-time bound.
 func (in Instrument) watchdog(o core.Options) core.Options {
-	if in.Faults != nil && in.Faults.Enabled() && o.WatchdogTimeout == 0 {
+	if in.injects() && o.WatchdogTimeout == 0 {
 		o.WatchdogTimeout = campaignWatchdog.WatchdogTimeout
 		o.WatchdogMaxRetries = campaignWatchdog.WatchdogMaxRetries
 		o.WatchdogBackoffMax = campaignWatchdog.WatchdogBackoffMax

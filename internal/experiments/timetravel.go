@@ -7,6 +7,7 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
 	"shootdown/internal/snap"
+	"shootdown/internal/workload"
 )
 
 // TimeTravelResult is one restore-and-verify round trip: the run paused at
@@ -53,7 +54,7 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 	// Scout: drive a throwaway world by virtual time to learn which event
 	// step the requested instant lands on. (The engine's cursor is steps,
 	// not nanoseconds; this pass is the time -> step map.)
-	scout, err := cell.Start()
+	scout, err := workload.StartChurn(cell)
 	if err != nil {
 		return res, err
 	}
@@ -64,7 +65,12 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 		return res, err
 	}
 	res.Step = scout.Eng.StepCount()
-	scout.Close() // paused at the boundary; only its step was wanted
+	ended, end := scout.Eng.Stopped(), scout.Eng.Now()
+	scout.Close() // only where it stopped was wanted
+	if ended {
+		return res, fmt.Errorf("experiments: the run ends at step %d (t=%dns), before the requested t=%dns; pick an earlier -at",
+			res.Step, int64(end), int64(at))
+	}
 	if res.Step == 0 {
 		return res, fmt.Errorf("experiments: no events before %dns; pick a later -at", int64(at))
 	}
@@ -72,7 +78,7 @@ func TimeTravel(a *Args) (TimeTravelResult, error) {
 	// replay builds a fresh world and replays it to the boundary. The
 	// caller closes a world it returns.
 	replay := func(what string) (*kernel.Kernel, *snap.Snapshot, error) {
-		k, err := cell.Start()
+		k, err := workload.StartChurn(cell)
 		if err != nil {
 			return nil, nil, err
 		}

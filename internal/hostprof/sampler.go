@@ -6,7 +6,10 @@ package hostprof
 // runtime.ReadMemStats, runtime.MemProfile and this package's constructor
 // there — so only host-side code (a test, package main) builds one.
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+)
 
 // SiteCost is one attribution row within a phase: the allocations charged
 // to Site (a function, "shootdown/internal/mem.New" or, for stacks with no
@@ -40,9 +43,43 @@ type Sampler struct {
 	phases []PhaseCost
 }
 
-// NewSampler returns an empty sampler. Host-side code only: the
-// simdeterminism analyzer flags this call inside simulated packages.
-func NewSampler() *Sampler { return &Sampler{} }
+// NewSampler returns an empty sampler, after sparing the process the OS
+// threads its phases would otherwise start (spareThreads). Host-side code
+// only: the simdeterminism analyzer flags this call inside simulated
+// packages.
+func NewSampler() *Sampler {
+	spareThreads()
+	return &Sampler{}
+}
+
+// spareThreads leaves the process more idle OS threads than it has Ps.
+// The runtime starts a thread whenever it must wake a P and finds no idle
+// one, and a young process does so while a GC or an allocator read
+// restarts the world. The new thread's bookkeeping, about 5 KB on a stack
+// that names no caller, then lands between a profile read and an
+// allocator read, in one of a phase's two counts only: enough to break a
+// small phase's 1% band. Each goroutine here keeps its thread locked
+// until all have started, so the runtime must start one for each;
+// unlocked, the threads stay parked for reuse.
+func spareThreads() {
+	n := runtime.GOMAXPROCS(0) + 1
+	var started, done sync.WaitGroup
+	started.Add(n)
+	done.Add(n)
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			started.Done()
+			<-release
+		}()
+	}
+	started.Wait()
+	close(release)
+	done.Wait()
+}
 
 // Phase runs fn with every allocation profiled (runtime.MemProfileRate =
 // 1, restored on return) and records its allocator delta and attribution
