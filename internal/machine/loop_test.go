@@ -256,8 +256,10 @@ func spawnOn(m *Machine, name string, cpu int, fn func(ex *Exec)) {
 // and bus-stall kinds the ring does not store.
 type logSink struct{ logf func(string, ...any) }
 
-func (logSink) Kinds() trace.KindSet     { return ^trace.KindSet(0) }
-func (s logSink) Observe(ev trace.Event) { s.logf("event %v", ev) }
+func (logSink) Kinds() trace.KindSet { return ^trace.KindSet(0) }
+func (s logSink) Observe(k trace.Kind, ts int64, cpu int, name string, a1, a2 int64) {
+	s.logf("event %d ts=%d cpu=%d %s %d %d", k, ts, cpu, name, a1, a2)
+}
 
 // runLoopScenario runs one scenario on a fresh traced machine with
 // jittered costs and returns everything observable: the log (each

@@ -21,12 +21,15 @@
 // virtual time and consumes no simulation randomness, so profiled runs
 // are bit-identical to unprofiled ones; and because every timestamp is
 // virtual, two runs with the same seed produce byte-identical profiles.
+// Each event costs O(1) with no hashing in the common case: a CPU charges
+// the cached cell of its current stack (a trie of phase stacks) and its
+// cached timeline bucket, and finds its last lock's and bus site's
+// contention profile in a one-entry cache.
 package profile
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"shootdown/internal/stats"
 	"shootdown/internal/trace"
@@ -84,22 +87,39 @@ func (t PhaseTotals) Of(p Phase) int64 { return t[p] }
 // virtual time).
 const DefaultBucketNS = 1_000_000
 
-// maxDepth bounds the phase stack; the instrumented code nests at most
-// base → masked → spin → bus (+ nested interrupt entries).
+// maxDepth bounds the folded stacks; the instrumented code nests at most
+// base → masked → spin → bus (+ nested interrupt entries). Deeper levels
+// are charged to the stack's first maxDepth phases.
 const maxDepth = 15
 
-// cpuState is one CPU's attribution state.
+// cell is one folded stack: the nanoseconds charged to it and the cells
+// one phase deeper. A CPU's cells form a trie rooted at cpuState.root.
+type cell struct {
+	ns    int64
+	child [NumPhases]*cell
+}
+
+// cpuState is one CPU's attribution state. Every event is charged in
+// O(1): to the cached cell of the current stack and the cached timeline
+// bucket, with no map access unless a bucket boundary is crossed.
 type cpuState struct {
 	active bool
 	last   int64 // rebased timestamp accounting is complete up to
 	stack  []Phase
-	key    uint64           // stack encoded one nibble per level
-	cells  map[uint64]int64 // folded accounting: stack key → ns
-	cum    PhaseTotals      // leaf-phase totals (snapshotted by the DAG)
+	root   cell        // folded accounting: the trie of stacks seen
+	cur    *cell       // the cell of stack (its first maxDepth levels)
+	cum    PhaseTotals // leaf-phase totals (snapshotted by the DAG)
 	// buckets is the utilization timeline: bucket index → leaf-phase ns.
-	buckets map[int64]*PhaseTotals
-	// bus is the call site of the bus stall in progress.
-	bus *ContentionProfile
+	// bt is the bucket covering rebased times [blo, bhi).
+	buckets  map[int64]*PhaseTotals
+	bt       *PhaseTotals
+	blo, bhi int64
+	// bus is the call site of the bus stall in progress, or the last one
+	// (named busName); lock is the last lock profiled on this CPU.
+	bus      *ContentionProfile
+	busName  string
+	lock     *ContentionProfile
+	lockName string
 }
 
 // ContentionProfile is one lock's (or bus call site's) contention record.
@@ -181,12 +201,11 @@ func (p *Profiler) Kinds() trace.KindSet {
 
 // Observe implements trace.Sink: it folds one stream event into the phase
 // stacks, the shootdown DAGs, or the contention profiles.
-func (p *Profiler) Observe(ev trace.Event) {
-	ts, cpu := ev.TS, int(ev.CPU)
-	switch ev.Kind {
+func (p *Profiler) Observe(k trace.Kind, ts int64, cpu int, name string, a1, a2 int64) {
+	switch k {
 	case trace.KindRun:
 		p.rebase()
-		p.irqLatNS = ev.Arg1
+		p.irqLatNS = a1
 	case trace.KindRunEnd:
 		p.finishAt(ts)
 	case trace.KindIdle:
@@ -200,7 +219,7 @@ func (p *Profiler) Observe(ev trace.Event) {
 	case trace.KindCPUOnline:
 		p.reset(ts, cpu, PhaseIdle)
 	case trace.KindMask:
-		if ev.Arg1 >= ev.Arg2 {
+		if a1 >= a2 {
 			p.Push(ts, cpu, PhaseMasked)
 		} else {
 			p.Pop(ts, cpu, PhaseMasked)
@@ -208,31 +227,33 @@ func (p *Profiler) Observe(ev trace.Event) {
 	case trace.KindLockSpin:
 		p.Push(ts, cpu, PhaseSpinLock)
 	case trace.KindLockAcquire:
-		c := contention(p.locks, ev.Name)
-		c.Wait.Observe(float64(ev.Arg1))
-		if ev.Arg1 > 0 {
+		c := p.lock(cpu, name)
+		c.Wait.Observe(float64(a1))
+		if a1 > 0 {
 			c.Contended++
 			p.Pop(ts, cpu, PhaseSpinLock)
 		}
 	case trace.KindLockRelease:
-		contention(p.locks, ev.Name).Hold.Observe(float64(ev.Arg1))
+		p.lock(cpu, name).Hold.Observe(float64(a1))
 	case trace.KindBusBegin:
-		c := contention(p.bus, ev.Name)
-		c.Txns += uint64(ev.Arg1)
 		p.Push(ts, cpu, PhaseBusStall)
-		p.cpus[cpu].bus = c
+		cs := p.cpus[cpu]
+		if cs.bus == nil || cs.busName != name {
+			cs.bus, cs.busName = contention(p.bus, name), name
+		}
+		cs.bus.Txns += uint64(a1)
 	case trace.KindBusWait:
 		c := p.cpus[cpu].bus
-		c.Wait.Observe(float64(ev.Arg1))
+		c.Wait.Observe(float64(a1))
 		c.Contended++
 	case trace.KindBusEnd:
 		p.Pop(ts, cpu, PhaseBusStall)
 	case trace.KindSyncBegin:
-		p.shootBegin(ts, cpu, ev.Arg2 != 0, int(ev.Arg1))
+		p.shootBegin(ts, cpu, a2 != 0, int(a1))
 	case trace.KindExpect:
-		p.shootExpect(ts, cpu, int(ev.Arg1))
+		p.shootExpect(ts, cpu, int(a1))
 	case trace.KindIPIPost:
-		p.ipiPosted(ts, cpu, ev.Arg1 >= ev.Arg2)
+		p.ipiPosted(ts, cpu, a1 >= a2)
 	case trace.KindWaitBegin:
 		p.shootWait(ts, cpu)
 		p.Push(ts, cpu, PhaseSpinBarrier)
@@ -305,16 +326,32 @@ func (p *Profiler) rebased(ts int64) int64 {
 	return rts
 }
 
-// cpu returns (activating if needed) the state for one CPU.
-func (p *Profiler) cpu(i int) *cpuState {
+// state returns (creating if needed) the state for one CPU, active or not.
+func (p *Profiler) state(i int) *cpuState {
 	for len(p.cpus) <= i {
 		p.cpus = append(p.cpus, nil)
 	}
 	cs := p.cpus[i]
 	if cs == nil {
-		cs = &cpuState{cells: map[uint64]int64{}, buckets: map[int64]*PhaseTotals{}}
+		cs = &cpuState{buckets: map[int64]*PhaseTotals{}}
 		p.cpus[i] = cs
 	}
+	return cs
+}
+
+// lock returns the named lock's profile through the CPU's one-entry cache:
+// a CPU usually releases the lock it last acquired.
+func (p *Profiler) lock(cpu int, name string) *ContentionProfile {
+	cs := p.state(cpu)
+	if cs.lock == nil || cs.lockName != name {
+		cs.lock, cs.lockName = contention(p.locks, name), name
+	}
+	return cs.lock
+}
+
+// cpu returns (activating if needed) the state for one CPU.
+func (p *Profiler) cpu(i int) *cpuState {
+	cs := p.state(i)
 	if !cs.active {
 		cs.active = true
 		cs.last = p.epoch
@@ -324,15 +361,17 @@ func (p *Profiler) cpu(i int) *cpuState {
 	return cs
 }
 
+// rekey points cur at the current stack's cell, walking (and growing)
+// the trie through at most maxDepth levels.
 func (cs *cpuState) rekey() {
-	var k uint64
-	for i, ph := range cs.stack {
-		if i >= maxDepth {
-			break
+	c := &cs.root
+	for _, ph := range cs.stack[:min(len(cs.stack), maxDepth)] {
+		if c.child[ph] == nil {
+			c.child[ph] = &cell{}
 		}
-		k |= uint64(ph+1) << (4 * uint(i))
+		c = c.child[ph]
 	}
-	cs.key = k
+	cs.cur = c
 }
 
 // charge attributes the time since the CPU's last event to its current
@@ -342,25 +381,31 @@ func (p *Profiler) charge(cs *cpuState, rts int64) {
 	if d <= 0 {
 		return
 	}
-	cs.cells[cs.key] += d
+	cs.cur.ns += d
 	leaf := cs.stack[len(cs.stack)-1]
 	cs.cum[leaf] += d
-	bw := p.bucketNS()
 	for t := cs.last; t < rts; {
-		b := t / bw
-		end := (b + 1) * bw
-		if end > rts {
-			end = rts
+		if t < cs.blo || t >= cs.bhi {
+			p.enterBucket(cs, t)
 		}
-		bt := cs.buckets[b]
-		if bt == nil {
-			bt = &PhaseTotals{}
-			cs.buckets[b] = bt
-		}
-		bt[leaf] += end - t
+		end := min(rts, cs.bhi)
+		cs.bt[leaf] += end - t
 		t = end
 	}
 	cs.last = rts
+}
+
+// enterBucket makes the timeline bucket holding rebased time t the CPU's
+// cached one.
+func (p *Profiler) enterBucket(cs *cpuState, t int64) {
+	bw := p.bucketNS()
+	b := t / bw
+	bt := cs.buckets[b]
+	if bt == nil {
+		bt = &PhaseTotals{}
+		cs.buckets[b] = bt
+	}
+	cs.bt, cs.blo, cs.bhi = bt, b*bw, (b+1)*bw
 }
 
 // chargeCPU completes accounting for one CPU up to a rebased timestamp
@@ -454,31 +499,26 @@ func (p *Profiler) Folded() []FoldedCell {
 	}
 	var out []FoldedCell
 	for i, cs := range p.cpus {
-		if cs == nil {
-			continue
-		}
-		keys := make([]uint64, 0, len(cs.cells))
-		for k := range cs.cells {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, k := range keys {
-			out = append(out, FoldedCell{
-				Stack: fmt.Sprintf("cpu%02d;%s", i, decodeKey(k)),
-				NS:    cs.cells[k],
-			})
+		if cs != nil {
+			out = cs.root.fold(fmt.Sprintf("cpu%02d", i), out)
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Stack < out[b].Stack })
 	return out
 }
 
-func decodeKey(k uint64) string {
-	var parts []string
-	for ; k != 0; k >>= 4 {
-		parts = append(parts, Phase(k&0xf-1).String())
+// fold appends the charged cells of c's subtree, c's own stack named
+// stack, to out.
+func (c *cell) fold(stack string, out []FoldedCell) []FoldedCell {
+	if c.ns > 0 {
+		out = append(out, FoldedCell{Stack: stack, NS: c.ns})
 	}
-	return strings.Join(parts, ";")
+	for ph, n := range c.child {
+		if n != nil {
+			out = n.fold(stack+";"+Phase(ph).String(), out)
+		}
+	}
+	return out
 }
 
 // contentionNames returns the sorted lock (or bus-site) names of a contention

@@ -10,7 +10,7 @@ import (
 
 // emit feeds the profiler one stream event, as a kernel's stream does.
 func emit(p *Profiler, k trace.Kind, ts int64, cpu int, name string, a1, a2 int64) {
-	p.Observe(trace.Event{Kind: k, TS: ts, CPU: int32(cpu), Name: name, Arg1: a1, Arg2: a2})
+	p.Observe(k, ts, cpu, name, a1, a2)
 }
 
 // ipl levels for mask edges: the IPI's priority, and a level above it.

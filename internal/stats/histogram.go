@@ -31,7 +31,9 @@ func NewHistogram(lo, hi float64, perDecade int) *Histogram {
 		perDecade = 5
 	}
 	step := math.Pow(10, 1/float64(perDecade))
-	var bounds []float64
+	// One bound per step across the range, plus the first and one for
+	// rounding: the loop below appends into a single allocation.
+	bounds := make([]float64, 0, int(math.Log10(hi/lo)*float64(perDecade))+2)
 	for b := lo; b < hi*(1+1e-12); b *= step {
 		bounds = append(bounds, b)
 	}

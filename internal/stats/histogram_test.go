@@ -111,3 +111,31 @@ func TestHistogramInvalidRangePanics(t *testing.T) {
 	}()
 	NewHistogram(0, 10, 5)
 }
+
+// TestNewHistogramAllocatesOnce pins the bounds slice to one allocation
+// (three in all, with the struct and the counts) and its values to the
+// ones a growing append loop computes, bit for bit.
+func TestNewHistogramAllocatesOnce(t *testing.T) {
+	for _, r := range []struct {
+		lo, hi float64
+		per    int
+	}{{100, 1e9, 5}, {1, 100_000, 5}, {10, 100, 1}, {1, 1000, 5}, {3, 7e4, 7}, {0.5, 2e10, 3}, {1, 1.5, 10}} {
+		if allocs := testing.AllocsPerRun(10, func() { NewHistogram(r.lo, r.hi, r.per) }); allocs != 3 {
+			t.Errorf("NewHistogram(%g, %g, %d): %v allocations, want 3", r.lo, r.hi, r.per, allocs)
+		}
+		var want []float64
+		step := math.Pow(10, 1/float64(r.per))
+		for b := r.lo; b < r.hi*(1+1e-12); b *= step {
+			want = append(want, b)
+		}
+		got := NewHistogram(r.lo, r.hi, r.per).bounds
+		if len(got) != len(want) {
+			t.Fatalf("NewHistogram(%g, %g, %d): %d bounds, want %d", r.lo, r.hi, r.per, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("NewHistogram(%g, %g, %d) bound %d = %v, want %v", r.lo, r.hi, r.per, i, got[i], want[i])
+			}
+		}
+	}
+}

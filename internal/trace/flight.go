@@ -101,8 +101,9 @@ type provider struct {
 // nil *Recorder is a valid "flight recording disabled" value: every method
 // is a no-op on it.
 type Recorder struct {
-	ring *Tracer
-	dir  string
+	ring     *Tracer // nil until Ring first needs the owned ring
+	ringSize int
+	dir      string
 
 	providers []provider
 	trips     []Trip
@@ -113,19 +114,23 @@ type Recorder struct {
 // NewRecorder creates a recorder with an owned event ring of the given
 // capacity. The ring is a plain Tracer, so making it the kernel's stream
 // costs nothing extra; Stream does exactly that when no session tracer is
-// given.
+// given. The owned ring is built on first use, so a recorder that shares
+// a session tracer (AttachRing) never allocates one.
 func NewRecorder(ringSize int) (*Recorder, error) {
-	t, err := New(ringSize)
-	if err != nil {
-		return nil, fmt.Errorf("trace: flight recorder: %w", err)
+	if ringSize <= 0 {
+		return nil, fmt.Errorf("trace: flight recorder: invalid tracer size %d (must be positive)", ringSize)
 	}
-	return &Recorder{ring: t, maxDumps: DefaultMaxDumps}, nil
+	return &Recorder{ringSize: ringSize, maxDumps: DefaultMaxDumps}, nil
 }
 
-// Ring returns the recorder's event ring.
+// Ring returns the recorder's event ring: the attached one, or else the
+// owned one, built now if this is its first use.
 func (r *Recorder) Ring() *Tracer {
 	if r == nil {
 		return nil
+	}
+	if r.ring == nil {
+		r.ring, _ = New(r.ringSize) // NewRecorder checked the size
 	}
 	return r.ring
 }
@@ -248,13 +253,10 @@ func (r *Recorder) Dump(w io.Writer, idx int, nowNS int64, reason, detail string
 		Reason:    reason,
 		Detail:    detail,
 		VirtualNS: nowNS,
-		Ring: BlackBoxRing{
-			Capacity: r.ring.Cap(),
-			Retained: r.ring.Len(),
-			Dropped:  r.ring.Dropped(),
-		},
 	}
-	for _, ev := range r.ring.Events() {
+	ring := r.Ring()
+	box.Ring = BlackBoxRing{Capacity: ring.Cap(), Retained: ring.Len(), Dropped: ring.Dropped()}
+	for _, ev := range ring.Events() {
 		box.Ring.Events = append(box.Ring.Events, BlackBoxEvent{
 			TS: ev.TS, CPU: ev.CPU, Cat: ev.Cat.String(), Ph: ev.Ph.String(),
 			Name: ev.Name, A1: ev.Arg1, A2: ev.Arg2,

@@ -268,3 +268,20 @@ func TestAttachRing(t *testing.T) {
 		t.Fatalf("attached ring not reflected in box: %+v", box.Ring)
 	}
 }
+
+// A recorder builds its owned ring only when it is first used, so one
+// that attaches a session tracer never pays for a ring it would discard.
+func TestOwnedRingBuiltOnFirstUse(t *testing.T) {
+	var r *Recorder
+	if allocs := testing.AllocsPerRun(10, func() { r, _ = NewRecorder(1 << 16) }); allocs != 1 {
+		t.Errorf("NewRecorder: %v allocations, want 1 (the recorder alone)", allocs)
+	}
+	r, err := NewRecorder(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := r.Ring()
+	if ring.Cap() != 4 || r.Ring() != ring {
+		t.Fatalf("owned ring: cap %d, same ring on second use %v; want 4, true", ring.Cap(), r.Ring() == ring)
+	}
+}

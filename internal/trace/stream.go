@@ -5,7 +5,8 @@ package trace
 // profiler) receives the typed events it subscribed to, and the flight
 // recorder shares the ring and is tripped through the stream. Begin, End
 // and Instant record untyped events only the ring consumes; Emit records
-// a typed event whose Kind fixes its category and phase. The kinds from
+// a typed event whose Kind fixes its category and phase, and hands the
+// sink its arguments as they are. The kinds from
 // KindRun on carry facts only a subscriber needs (lock waits, bus sites,
 // IPL mask edges) and the ring never stores them, so traces and black
 // boxes are the same with or without a subscriber.
@@ -81,11 +82,17 @@ func Kinds(ks ...Kind) KindSet {
 // Sink is a stream subscriber. Stream asks it once for the kinds it
 // consumes; the stream then calls Observe, in emission order, for every
 // event of those kinds, whether or not the ring is recording. Observe gets
-// the raw virtual timestamp (before the ring's rebasing), reads the Kind
-// (Cat and Ph are the ring's), and must not perturb the simulation.
+// Emit's arguments as they are: the raw virtual timestamp (before the
+// ring's rebasing), the timeline, and the kind's name and arguments. It
+// must not perturb the simulation.
+//
+// Observe takes scalars rather than an Event because an Event plus the
+// interface receiver needs ten integer registers and amd64 passes nine:
+// the event would go through memory on every call, and its wide reload
+// after narrow stores stalls on store forwarding.
 type Sink interface {
 	Kinds() KindSet
-	Observe(ev Event)
+	Observe(k Kind, ts int64, cpu int, name string, a1, a2 int64)
 }
 
 // Stream assembles the one observation stream a kernel, or a bare machine,
@@ -124,13 +131,12 @@ func (t *Tracer) Emit(k Kind, ts int64, cpu int, name string, a1, a2 int64) {
 	if t == nil {
 		return
 	}
-	ev := Event{TS: ts, CPU: int32(cpu), Kind: k, Name: name, Arg1: a1, Arg2: a2}
 	if t.kinds&(1<<k) != 0 {
-		t.sink.Observe(ev)
+		t.sink.Observe(k, ts, cpu, name, a1, a2)
 	}
-	if k < KindRun {
-		ev.Cat, ev.Ph = ringShape[k].cat, ringShape[k].ph
-		t.record(ev)
+	if k < KindRun && t.events != nil {
+		e := t.slot(ts)
+		e.CPU, e.Cat, e.Ph, e.Name, e.Arg1, e.Arg2 = int32(cpu), ringShape[k].cat, ringShape[k].ph, name, a1, a2
 	}
 }
 

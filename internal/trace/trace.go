@@ -12,10 +12,11 @@
 // are load-bearing:
 //
 //  1. Recording is zero-allocation and zero-virtual-time on the hot path:
-//     logging writes one record into a pre-allocated ring and never charges
-//     simulated time or consumes simulation randomness, so enabling tracing
-//     cannot perturb virtual-time results (the §6.1 guarantee, enforced by a
-//     determinism test).
+//     logging writes one record's fields in place into a pre-allocated ring
+//     (no Event is staged and copied) and never charges simulated time or
+//     consumes simulation randomness, so enabling tracing cannot perturb
+//     virtual-time results (the §6.1 guarantee, enforced by a determinism
+//     test).
 //
 //  2. Wraparound is never silent: when the ring is full the oldest record is
 //     overwritten and Dropped is incremented, so a truncated trace is always
@@ -107,7 +108,6 @@ type Event struct {
 	CPU  int32 // CPU number; proc id for CatSim events; -1 when unbound
 	Cat  Category
 	Ph   Phase
-	Kind Kind // what a subscriber reads; never written to traces or black boxes
 	Name string
 	Arg1 int64
 	Arg2 int64
@@ -119,9 +119,8 @@ type Event struct {
 // a no-op on it.
 type Tracer struct {
 	events  []Event // nil for a stream with no ring
-	next    int
-	count   int
-	dropped uint64
+	next    int     // the record the next event overwrites
+	written uint64  // records ever written; those past Cap were dropped
 
 	base  int64 // offset added to every timestamp (see Rebase)
 	maxTS int64 // largest rebased timestamp recorded so far
@@ -151,7 +150,7 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped
+	return t.written - uint64(t.Len())
 }
 
 // Len returns the number of records currently held.
@@ -159,7 +158,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return t.count
+	return int(min(t.written, uint64(len(t.events))))
 }
 
 // Cap returns the ring capacity.
@@ -179,7 +178,7 @@ func (t *Tracer) Rebase(label string) {
 		return
 	}
 	t.base = t.maxTS
-	t.log(Event{TS: t.base, CPU: -1, Cat: CatMeta, Ph: PhaseInstant, Name: label})
+	t.put(0, -1, CatMeta, PhaseInstant, label, 0, 0)
 }
 
 // NameProc associates a display name with a sim-proc id for the exporter's
@@ -193,43 +192,49 @@ func (t *Tracer) NameProc(id int, name string) {
 
 // Begin opens a span. ts is the raw virtual time (ns); cpu is the timeline.
 func (t *Tracer) Begin(ts int64, cpu int, cat Category, name string, a1, a2 int64) {
-	t.record(Event{TS: ts, CPU: int32(cpu), Cat: cat, Ph: PhaseBegin, Name: name, Arg1: a1, Arg2: a2})
+	if t != nil && t.events != nil {
+		t.put(ts, cpu, cat, PhaseBegin, name, a1, a2)
+	}
 }
 
 // End closes the most recent open span with this name on the cpu timeline.
 func (t *Tracer) End(ts int64, cpu int, cat Category, name string) {
-	t.record(Event{TS: ts, CPU: int32(cpu), Cat: cat, Ph: PhaseEnd, Name: name})
+	if t != nil && t.events != nil {
+		t.put(ts, cpu, cat, PhaseEnd, name, 0, 0)
+	}
 }
 
 // Instant records a point event.
 func (t *Tracer) Instant(ts int64, cpu int, cat Category, name string, a1, a2 int64) {
-	t.record(Event{TS: ts, CPU: int32(cpu), Cat: cat, Ph: PhaseInstant, Name: name, Arg1: a1, Arg2: a2})
+	if t != nil && t.events != nil {
+		t.put(ts, cpu, cat, PhaseInstant, name, a1, a2)
+	}
 }
 
-// record rebases ev and stores it, unless the stream has no ring.
-func (t *Tracer) record(ev Event) {
-	if t == nil || t.events == nil {
-		return
-	}
-	ev.TS += t.base
-	t.log(ev)
+// put writes one untyped event into the ring. It stays out of line so
+// Begin, End and Instant inline down to their nil check: with observation
+// off they cost no call.
+//
+//go:noinline
+func (t *Tracer) put(ts int64, cpu int, cat Category, ph Phase, name string, a1, a2 int64) {
+	e := t.slot(ts)
+	e.CPU, e.Cat, e.Ph, e.Name, e.Arg1, e.Arg2 = int32(cpu), cat, ph, name, a1, a2
 }
 
-// log writes one record into the ring, counting (not hiding) overwrites.
-func (t *Tracer) log(ev Event) {
-	if ev.TS > t.maxTS {
-		t.maxTS = ev.TS
-	}
-	t.events[t.next] = ev
-	t.next++
-	if t.next == len(t.events) {
+// slot claims the next ring record for an event at raw time ts and
+// returns it with TS rebased; the caller writes every other field in
+// place. Building an Event and copying it in would reload freshly stored
+// narrow fields as wide moves, which stalls on store forwarding.
+func (t *Tracer) slot(ts int64) *Event {
+	ts += t.base
+	t.maxTS = max(t.maxTS, ts)
+	e := &t.events[t.next]
+	e.TS = ts
+	if t.next++; t.next == len(t.events) {
 		t.next = 0
 	}
-	if t.count < len(t.events) {
-		t.count++
-	} else {
-		t.dropped++
-	}
+	t.written++
+	return e
 }
 
 // Events returns the retained records in arrival order.
@@ -237,12 +242,13 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, 0, t.count)
-	if t.count == len(t.events) {
+	n := t.Len()
+	out := make([]Event, 0, n)
+	if n == len(t.events) {
 		out = append(out, t.events[t.next:]...)
 		out = append(out, t.events[:t.next]...)
 	} else {
-		out = append(out, t.events[:t.count]...)
+		out = append(out, t.events[:n]...)
 	}
 	return out
 }

@@ -171,5 +171,8 @@ func TestNewRejectsInvalidSize(t *testing.T) {
 		if tr, err := New(size); err == nil {
 			t.Errorf("New(%d) = %v, want error", size, tr)
 		}
+		if r, err := NewRecorder(size); err == nil {
+			t.Errorf("NewRecorder(%d) = %v, want error", size, r)
+		}
 	}
 }
