@@ -85,6 +85,10 @@ type Thread struct {
 	dispatched  sim.Time
 	needResched bool
 
+	// count is the state of the thread's CountLoop, kept here so that
+	// the CPU's loop slot can point at it without an allocation.
+	count machine.Counter
+
 	joiners []*Thread
 	// Err records the error that terminated the body, if the workload
 	// stores one via Fail.
@@ -239,15 +243,17 @@ type reschedPending Thread
 
 func (r *reschedPending) Holds() bool { return r.needResched }
 
+// computeChunk is the slice Compute checks for preemption after.
+const computeChunk = 100_000
+
 // Compute burns d of virtual CPU time, checking for preemption at ~100 µs
 // boundaries. Only the timer handler, run at a slice's delivery points,
 // marks the quantum expired, so the slices between preemptions run as
 // one loop on the engine's stack. A preemption may move the thread to
 // another CPU, so each run of slices starts from the current t.ex.
 func (t *Thread) Compute(d sim.Time) {
-	const chunk = 100_000
 	for d > 0 {
-		d = t.ex.AdvanceChunks(d, chunk, (*reschedPending)(t))
+		d = t.ex.AdvanceChunks(d, computeChunk, (*reschedPending)(t))
 		t.maybeResched()
 	}
 }
@@ -276,34 +282,94 @@ func (t *Thread) mapFor(va ptable.VAddr) *vm.Map {
 	return t.task.Map
 }
 
+// maxTries bounds the tries of one access: one that still faults after
+// its faults were serviced this often is a fault loop.
+const maxTries = 8
+
+// service services the fault an access's try-th try took through the VM
+// system. It returns the access's error when the fault is unrecoverable,
+// or when that was the last try.
+func (t *Thread) service(va ptable.VAddr, fault *machine.Fault, try int) error {
+	if err := t.mapFor(va).Fault(t.ex, fault.VA, fault.Write); err != nil {
+		return fmt.Errorf("%w: %v", ErrUnrecoverableFault, err)
+	}
+	if try == maxTries {
+		return fmt.Errorf("%w: fault loop at %#x", ErrUnrecoverableFault, va)
+	}
+	return nil
+}
+
 // Read loads a word, servicing page faults through the VM system.
 func (t *Thread) Read(va ptable.VAddr) (uint32, error) {
-	for try := 0; try < 8; try++ {
+	for try := 1; ; try++ {
 		v, fault := t.ex.Read(va)
 		if fault == nil {
 			t.maybeResched()
 			return v, nil
 		}
-		if err := t.mapFor(va).Fault(t.ex, fault.VA, fault.Write); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrUnrecoverableFault, err)
+		if err := t.service(va, fault, try); err != nil {
+			return 0, err
 		}
 	}
-	return 0, fmt.Errorf("%w: fault loop at %#x", ErrUnrecoverableFault, va)
 }
 
 // Write stores a word, servicing page faults through the VM system.
 func (t *Thread) Write(va ptable.VAddr, v uint32) error {
-	for try := 0; try < 8; try++ {
+	for try := 1; ; try++ {
 		fault := t.ex.Write(va, v)
 		if fault == nil {
 			t.maybeResched()
 			return nil
 		}
-		if err := t.mapFor(va).Fault(t.ex, fault.VA, fault.Write); err != nil {
-			return fmt.Errorf("%w: %v", ErrUnrecoverableFault, err)
+		if err := t.service(va, fault, try); err != nil {
+			return err
 		}
 	}
-	return fmt.Errorf("%w: fault loop at %#x", ErrUnrecoverableFault, va)
+}
+
+// flag is a stop flag as a machine.Cond.
+type flag bool
+
+func (f *flag) Holds() bool { return bool(*f) }
+
+// CountLoop runs the §5.1 tester child's body,
+//
+//	for !*stop {
+//		v, err := t.Read(va)
+//		if err != nil {
+//			return err
+//		}
+//		if err := t.Write(va, v+1); err != nil {
+//			return err
+//		}
+//		t.Compute(think)
+//	}
+//	return nil
+//
+// with the same charges, faults and preemptions, as one loop on the
+// engine's stack (machine.Exec.CountLoop). It leaves the loop only to
+// finish an access that needs more than a TLB hit, or to be preempted,
+// and re-enters it on the thread's current CPU.
+func (t *Thread) CountLoop(va ptable.VAddr, think sim.Time, stop *bool) error {
+	c := &t.count
+	*c = machine.Counter{VA: va, Think: think, Chunk: computeChunk, Stop: (*flag)(stop), Resched: (*reschedPending)(t)}
+	for {
+		switch t.ex.CountLoop(c) {
+		case machine.CountStopped:
+			return nil
+		case machine.CountProbed:
+			for try := 1; ; try++ {
+				fault := t.ex.CountAccess(c)
+				if fault == nil {
+					break
+				}
+				if err := t.service(va, fault, try); err != nil {
+					return err
+				}
+			}
+		}
+		t.maybeResched()
+	}
 }
 
 // VMAllocate allocates zero-fill memory in the thread's address space

@@ -301,8 +301,7 @@ func (ex *Exec) Read(va ptable.VAddr) (uint32, *Fault) {
 	if f != nil {
 		return 0, f
 	}
-	ex.charge(ex.machine.costs.MemRead)
-	return ex.machine.Phys.ReadWord(pte.Frame().Addr(va.Offset())), nil
+	return ex.load(pte, va), nil
 }
 
 // Write performs a store to virtual address va through the MMU. With the
@@ -312,9 +311,21 @@ func (ex *Exec) Write(va ptable.VAddr, v uint32) *Fault {
 	if f != nil {
 		return f
 	}
+	ex.store(pte, va, v)
+	return nil
+}
+
+// load charges a memory read and loads the word va maps to through pte.
+func (ex *Exec) load(pte ptable.PTE, va ptable.VAddr) uint32 {
+	ex.charge(ex.machine.costs.MemRead)
+	return ex.machine.Phys.ReadWord(pte.Frame().Addr(va.Offset()))
+}
+
+// store stalls for a store's bus transaction and stores v to the word va
+// maps to through pte.
+func (ex *Exec) store(pte ptable.PTE, va ptable.VAddr, v uint32) {
 	ex.busStall("store", 1)
 	ex.machine.Phys.WriteWord(pte.Frame().Addr(va.Offset()), v)
-	return nil
 }
 
 // translate resolves va for an access, modeling the TLB probe, hardware
@@ -326,33 +337,44 @@ func (ex *Exec) Write(va ptable.VAddr, v uint32) *Fault {
 // shootdown (or an alternative strategy) removes such entries.
 func (ex *Exec) translate(va ptable.VAddr, write bool) (ptable.PTE, *Fault) {
 	c := ex.cpu
-	m := ex.machine
 	table, asid := c.tableFor(va)
 	if table == nil {
 		return 0, &Fault{VA: va, Write: write, Kind: FaultNoSpace}
 	}
-	ex.charge(m.costs.TLBProbe)
-	if e, hit := c.TLB.Probe(va, asid); hit {
+	ex.charge(ex.machine.costs.TLBProbe)
+	e, hit := c.TLB.Probe(va, asid)
+	return ex.probed(table, asid, va, write, e, hit)
+}
+
+// needFlags returns the reference/modify bits an access must write back
+// before a cached pte may grant it.
+func needFlags(pte ptable.PTE, write bool) ptable.PTE {
+	var need ptable.PTE
+	if !pte.Referenced() {
+		need |= ptable.PTEReferenced
+	}
+	if write && !pte.Modified() {
+		need |= ptable.PTEModified
+	}
+	return need
+}
+
+// probed finishes translate once the TLB has been probed for va: e is
+// the entry the probe found, if hit.
+func (ex *Exec) probed(table *ptable.Table, asid tlb.ASID, va ptable.VAddr, write bool, e tlb.Entry, hit bool) (ptable.PTE, *Fault) {
+	c := ex.cpu
+	m := ex.machine
+	if hit {
 		if write && !e.PTE.Writable() {
 			return 0, &Fault{VA: va, Write: true, Kind: FaultProtection}
 		}
-		var need ptable.PTE
-		if !e.PTE.Referenced() {
-			need |= ptable.PTEReferenced
-		}
-		if write && !e.PTE.Modified() {
-			need |= ptable.PTEModified
-		}
+		need := needFlags(e.PTE, write)
 		if need != 0 {
 			if f := ex.writeback(table, va, asid, e, need); f != nil {
 				return 0, f
 			}
 		}
-		if m.mmuObs != nil {
-			// The cached entry is about to grant the access — the moment a
-			// stale translation becomes an observable consistency violation.
-			m.mmuObs.OnTLBUse(c.id, va, asid, e.PTE, table, write)
-		}
+		ex.use(table, asid, va, write, e.PTE)
 		return e.PTE.WithFlags(need), nil
 	}
 
@@ -381,6 +403,15 @@ func (ex *Exec) translate(va ptable.VAddr, write bool) (ptable.PTE, *Fault) {
 		return 0, &Fault{VA: va, Write: true, Kind: FaultProtection}
 	}
 	return pte.WithFlags(flags), nil
+}
+
+// use reports to the MMU observer that a cached entry, pte, is about to
+// grant an access — the moment a stale translation becomes an observable
+// consistency violation.
+func (ex *Exec) use(table *ptable.Table, asid tlb.ASID, va ptable.VAddr, write bool, pte ptable.PTE) {
+	if o := ex.machine.mmuObs; o != nil {
+		o.OnTLBUse(ex.cpu.id, va, asid, pte, table, write)
+	}
 }
 
 // writeback stores reference/modify bits for a cached entry into the PTE in

@@ -3,7 +3,10 @@ package machine
 import (
 	"math"
 
+	"shootdown/internal/mem"
+	"shootdown/internal/ptable"
 	"shootdown/internal/sim"
+	"shootdown/internal/tlb"
 	"shootdown/internal/trace"
 )
 
@@ -23,12 +26,12 @@ type IdleQueue interface {
 	Ready() bool
 }
 
-// The processor's loops — bus stalls, spins, idle polls and chunked
-// advances — run as sim.Steppers in their CPU's one loop slot, so the
-// engine steps them at each wake-up without resuming the execution
-// context's coroutine (sim.Proc.Repeat). Each loop is written once,
-// here, and charges exactly the sleeps, bus transactions, jitter draws
-// and trace events of the straight-line code it replaces.
+// The processor's loops — bus stalls, spins, idle polls, chunked
+// advances and counter loops — run as sim.Steppers in their CPU's one
+// loop slot, so the engine steps them at each wake-up without resuming
+// the execution context's coroutine (sim.Proc.Repeat). Each loop is
+// written once, here, and charges exactly the sleeps, bus transactions,
+// jitter draws and trace events of the straight-line code it replaces.
 //
 // An interrupt is the only thing a loop cannot do on the engine's stack.
 // At every point where the straight-line code would call deliver, Step
@@ -47,13 +50,21 @@ const (
 	loopSpin                  // Exec.SpinWhile, SpinWhileFor, SpinLock.Lock's spin
 	loopPoll                  // Exec.Poll
 	loopChunk                 // Exec.AdvanceChunks
+	loopCount                 // Exec.CountLoop
 )
 
 // loopPhase is where a loop resumes once its current sleep is over.
 type loopPhase uint8
 
 const (
-	phBusNext     loopPhase = iota // issue the next bus transaction, or end the stall
+	// phCountTop is the zero phase, where a new Counter starts.
+	phCountTop    loopPhase = iota // test the stop condition, then begin the read
+	phCountWrite                   // begin the write
+	phCountThink                   // begin the think time, or the next iteration
+	phCountProbed                  // an access's probe is charged: probe the TLB
+	phCountLoaded                  // the read's memory access is charged: load the word
+	phCountStored                  // the store's bus transaction is done: store the word
+	phBusNext                      // issue the next bus transaction, or end the stall
 	phSpinCheck                    // test the spin condition
 	phSpinChecked                  // a check's time is charged: refetch the line if due
 	phPollTop                      // test for shutdown, then start the lock acquisition
@@ -63,7 +74,7 @@ const (
 	phChunkSliced                  // a slice is charged and its trailing delivery done
 )
 
-// loop is a CPU's loop slot, one sim.Stepper for all four kinds.
+// loop is a CPU's loop slot, one sim.Stepper for all five kinds.
 type loop struct {
 	ex       *Exec
 	kind     loopKind
@@ -94,6 +105,9 @@ type loop struct {
 
 	// A chunked advance charges left in slices of at most tick.
 	left sim.Time
+
+	// A counter loop keeps its state in its caller's Counter.
+	ctr *Counter
 }
 
 // newLoop resets the CPU's loop slot for a loop of the given kind.
@@ -141,8 +155,12 @@ func (l *loop) Step(slept sim.Time) (sim.Time, bool) {
 		case phBusNext:
 			if l.txns == 0 {
 				m.Tracer().Emit(trace.KindBusEnd, int64(ex.Now()), ex.cpu.id, "", 0, 0)
-				if l.kind == loopBus {
+				switch l.kind {
+				case loopBus:
 					return l.stop(false)
+				case loopCount:
+					l.phase = phCountStored
+					continue
 				}
 				l.checks++
 				l.phase = phSpinCheck
@@ -221,11 +239,75 @@ func (l *loop) Step(slept sim.Time) (sim.Time, bool) {
 		case phChunkSliced:
 			l.left -= min(l.left, l.tick)
 			if l.left == 0 || l.cond.Holds() {
-				return l.stop(false)
+				if l.kind == loopChunk {
+					return l.stop(false)
+				}
+				// The think time's run of slices is over: Compute's
+				// preemption check, then the next iteration.
+				c := l.ctr
+				c.left = l.left
+				if c.Resched.Holds() {
+					return l.exit(CountResched, phCountThink)
+				}
+				l.phase = phCountTop
+				continue
 			}
 			// The next slice's leading delivery point is the trailing one
 			// just passed, so the check below finds nothing new.
 			l.d = min(l.left, l.tick)
+
+		case phCountTop:
+			if l.ctr.Stop.Holds() {
+				return l.exit(CountStopped, phCountTop)
+			}
+			if !l.probeBegin(false) {
+				return l.exit(CountProbed, phCountTop)
+			}
+
+		case phCountWrite:
+			if !l.probeBegin(true) {
+				return l.exit(CountProbed, phCountWrite)
+			}
+
+		case phCountThink:
+			c := l.ctr
+			if c.left == 0 {
+				l.phase = phCountTop
+				continue
+			}
+			// As AdvanceChunks begins: Compute's stop is its preemption.
+			l.cond, l.tick, l.left = c.Resched, c.Chunk, c.left
+			l.d, l.irq, l.phase = min(c.left, c.Chunk), true, phChunkSliced
+
+		case phCountProbed:
+			if !l.probe() {
+				return l.exit(CountProbed, l.phase)
+			}
+			if !l.ctr.write {
+				l.d, l.irq, l.phase = m.jitter(m.costs.MemRead), false, phCountLoaded
+				break
+			}
+			l.busBegin("store", 1)
+			continue
+
+		case phCountLoaded:
+			c := l.ctr
+			c.word = m.Phys.ReadWord(c.addr)
+			if c.Resched.Holds() {
+				return l.exit(CountResched, phCountWrite)
+			}
+			l.phase = phCountWrite
+			continue
+
+		case phCountStored:
+			c := l.ctr
+			m.Phys.WriteWord(c.addr, c.word+1)
+			c.left = c.Think
+			if c.Resched.Holds() {
+				return l.exit(CountResched, phCountThink)
+			}
+			l.phase = phCountThink
+			continue
 		}
 		// Begin the sleep the phase set up: an Advance delivers before it
 		// sleeps; a zero sleep goes straight on to the next phase.
@@ -244,6 +326,12 @@ func (l *loop) Step(slept sim.Time) (sim.Time, bool) {
 func (l *loop) stop(handBack bool) (sim.Time, bool) {
 	l.handBack = handBack
 	return 0, false
+}
+
+// exit ends a counter loop, telling its caller why and where to resume.
+func (l *loop) exit(why CountExit, at loopPhase) (sim.Time, bool) {
+	l.ctr.exit, l.ctr.at = why, at
+	return l.stop(false)
 }
 
 // spinning evaluates the spin condition: cond, or for a lock spin that
@@ -327,4 +415,127 @@ func (ex *Exec) AdvanceChunks(d, chunk sim.Time, stop Cond) (left sim.Time) {
 	l.cond, l.tick, l.left = stop, chunk, d
 	l.d, l.irq = min(d, chunk), true
 	return ex.runLoop().left
+}
+
+// Counter is the state of a counter loop (Exec.CountLoop), which runs
+// the §5.1 tester child's iteration
+//
+//	for !Stop.Holds() {
+//		v := Read(VA)
+//		Write(VA, v+1)
+//		Compute(Think)
+//	}
+//
+// in the CPU's loop slot. Compute is the kernel's: Think charged as
+// AdvanceChunks(Think, Chunk, Resched) runs. The caller keeps the
+// Counter across the loop's exits, since servicing one may move the
+// thread to another CPU, whose slot the loop re-enters.
+type Counter struct {
+	VA    ptable.VAddr
+	Think sim.Time
+	Chunk sim.Time
+	// Stop is tested at the top of each iteration. Resched is the
+	// kernel's preemption check, tested where Read, Write and Compute
+	// test it: after each access, and after each run of think slices.
+	Stop, Resched Cond
+
+	word uint32 // the value the read loaded; the write stores word+1
+	exit CountExit
+	at   loopPhase // where the loop resumes
+	left sim.Time  // think time still to charge
+
+	// The access in progress, and its first try's probe.
+	write  bool
+	probed bool // the loop probed, and the result awaits CountAccess
+	table  *ptable.Table
+	asid   tlb.ASID
+	entry  tlb.Entry
+	hit    bool
+	addr   mem.PAddr // the word a granted access reaches
+}
+
+// CountExit says why a counter loop returned to its caller.
+type CountExit uint8
+
+const (
+	// CountStopped: Stop held at the top of an iteration.
+	CountStopped CountExit = iota
+	// CountProbed: an access needs more than a TLB hit with its
+	// reference and modify bits set (a miss, a writeback, a protection
+	// fault, no address space). The caller finishes it with CountAccess,
+	// then runs its preemption check.
+	CountProbed
+	// CountResched: Resched held after an access or a run of think
+	// slices. The caller runs its preemption check.
+	CountResched
+)
+
+// CountLoop runs the counter loop c describes on the engine's stack,
+// from where its last exit left it, until the next exit. It charges the
+// sleeps, jitter draws, bus transactions, TLB probes, MMU observer calls
+// and trace events of Read, Write and AdvanceChunks, in their order, and
+// delivers interrupts where they do: only during the think time. An
+// access that needs the coroutine is handed back after its one probe,
+// which CountAccess does not repeat.
+func (ex *Exec) CountLoop(c *Counter) CountExit {
+	ex.newLoop(loopCount, c.at).ctr = c
+	ex.runLoop()
+	return c.exit
+}
+
+// CountAccess completes, on the coroutine, the access a CountProbed exit
+// handed back. The first call finishes the loop's try from its probe; a
+// later one, once the caller has serviced the fault the previous call
+// returned, tries again from the start, as Read and Write do. Once the
+// access is done the loop resumes after it.
+func (ex *Exec) CountAccess(c *Counter) *Fault {
+	var pte ptable.PTE
+	var f *Fault
+	if c.probed {
+		c.probed = false
+		pte, f = ex.probed(c.table, c.asid, c.VA, c.write, c.entry, c.hit)
+	} else {
+		pte, f = ex.translate(c.VA, c.write)
+	}
+	if f != nil {
+		return f
+	}
+	if !c.write {
+		c.word = ex.load(pte, c.VA)
+		c.at = phCountWrite
+		return nil
+	}
+	ex.store(pte, c.VA, c.word+1)
+	c.left, c.at = c.Think, phCountThink
+	return nil
+}
+
+// probeBegin starts an access's try: it resolves the translation root
+// and begins the probe's charge. Without an address space there is no
+// probe, and it reports false: the try is the coroutine's, to fault.
+func (l *loop) probeBegin(write bool) bool {
+	c, ex := l.ctr, l.ex
+	c.write = write
+	c.table, c.asid = ex.cpu.tableFor(c.VA)
+	if c.table == nil {
+		return false
+	}
+	l.d, l.irq, l.phase = ex.machine.jitter(ex.machine.costs.TLBProbe), false, phCountProbed
+	return true
+}
+
+// probe probes the TLB for the access in progress. A hit that grants it
+// outright is used, and probe reports true; anything else is kept for
+// CountAccess to finish on the coroutine.
+func (l *loop) probe() bool {
+	c, ex := l.ctr, l.ex
+	c.entry, c.hit = ex.cpu.TLB.Probe(c.VA, c.asid)
+	pte := c.entry.PTE
+	if !c.hit || c.write && !pte.Writable() || needFlags(pte, c.write) != 0 {
+		c.probed = true
+		return false
+	}
+	ex.use(c.table, c.asid, c.VA, c.write, pte)
+	c.addr = pte.Frame().Addr(c.VA.Offset())
+	return true
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"shootdown/internal/mem"
+	"shootdown/internal/ptable"
 	"shootdown/internal/sim"
 	"shootdown/internal/trace"
 )
@@ -328,5 +330,55 @@ func TestLoopsMatchReference(t *testing.T) {
 				t.Fatal("no loop step ran on the engine's stack")
 			}
 		})
+	}
+}
+
+// TestCountLoopAllocatesNothing pins a warm counter loop at zero host
+// allocations: two CPUs count in one kernel page, each in its loop
+// slot, and every 100 engine steps of their iterations (probe, read,
+// store and think) allocate nothing.
+func TestCountLoopAllocatesNothing(t *testing.T) {
+	eng := sim.New(sim.WithMaxTime(10_000_000_000))
+	m := New(eng, Options{NumCPUs: 2, MemFrames: 64, Costs: DefaultCosts(), Seed: 1})
+	kt, err := ptable.New(m.Phys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetKernelTable(kt)
+	va := KernelBase + 0x4000
+	f, _ := m.Phys.AllocFrame()
+	if err := kt.Enter(va, ptable.Make(f, true)); err != nil {
+		t.Fatal(err)
+	}
+	stop := &flagCond{}
+	for cpu := 0; cpu < 2; cpu++ {
+		c := &Counter{VA: va + ptable.VAddr(cpu*mem.WordSize), Think: 5_000, Chunk: 100_000, Stop: stop, Resched: &flagCond{}}
+		spawnOn(m, fmt.Sprintf("counter%d", cpu), cpu, func(ex *Exec) {
+			for ex.CountLoop(c) != CountStopped {
+				// The first iterations miss and write back their bits.
+				if fault := ex.CountAccess(c); fault != nil {
+					t.Errorf("fault: %v", fault)
+					return
+				}
+			}
+		})
+	}
+	const steps = 100
+	step := func() {
+		if err := eng.RunUntilStep(eng.StepCount() + steps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // past the misses and writebacks
+	loops, words := eng.LoopSteps(), m.Phys.ReadWord(f.Addr(0))
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("%v allocations per %d steps, want 0", allocs, steps)
+	}
+	if eng.LoopSteps() == loops || m.Phys.ReadWord(f.Addr(0)) == words {
+		t.Error("the counters did not count in their loop slots")
+	}
+	stop.set = true
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

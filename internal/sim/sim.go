@@ -27,8 +27,13 @@
 // unwinds it. A closed engine is dead, so the unwinding changes nothing.
 //
 // Determinism: ties are broken FIFO by scheduling sequence number unless a
-// chaos seed is supplied, in which case equal-time procs run in a seeded
-// random order (used to explore protocol interleavings).
+// chaos seed is supplied (WithChaos), in which case equal-time procs run in
+// an order drawn from a random stream with that seed: a different legal
+// interleaving per seed, the same one on every run with it. Chaos ordering
+// is the norm, not a debugging mode: every workload world turns it on with
+// its world seed (workload.AppConfig.Seed becomes kernel.Config.ChaosSeed),
+// so a world's seed picks its tie order along with its cost jitter. Only a
+// zero seed, and engines a test builds bare, run FIFO.
 //
 // The one non-standard primitive is Preempt, which moves a sleeping proc's
 // wake-up time earlier. The machine layer uses it to model interrupt
@@ -211,7 +216,9 @@ type Engine struct {
 type Option func(*Engine)
 
 // WithChaos makes equal-time scheduling order pseudorandom with the given
-// seed instead of FIFO, to explore different legal interleavings.
+// seed instead of FIFO: each seed runs its own legal interleaving, every
+// time. The kernel passes it its Config.ChaosSeed, which every workload
+// world sets to its seed.
 func WithChaos(seed int64) Option {
 	return func(e *Engine) { e.chaos = rand.New(rand.NewSource(seed)) }
 }

@@ -26,6 +26,50 @@ func BenchmarkSingleShootdown(b *testing.B) {
 	b.ReportMetric(total/float64(b.N), "virtual-µs/shootdown")
 }
 
+// testerWorld runs the seed-1, 16-CPU, 15-child tester world of a
+// Figure 2 sample and returns its engine's step counts: all steps, and
+// how many began in place and how many were loop steps.
+func testerWorld(tb testing.TB) (steps, inline, loop uint64) {
+	tb.Helper()
+	_, err := workload.RunTester(workload.TesterConfig{Children: 15, App: workload.AppConfig{
+		Seed: 1, NoTimer: true,
+		Observe: func(k *kernel.Kernel) {
+			steps, inline, loop = k.Eng.StepCount(), k.Eng.InlineSteps(), k.Eng.LoopSteps()
+		},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return steps, inline, loop
+}
+
+// TestTesterStepsStayOffCoroutines checks that the tester's children
+// run their counter loops on the engine's stack: fewer than one step in
+// ten of a 15-child world switches to a coroutine. With each child's
+// read, write and think as straight-line coroutine code, 47% did.
+func TestTesterStepsStayOffCoroutines(t *testing.T) {
+	steps, inline, loop := testerWorld(t)
+	if switched := steps - inline - loop; switched*10 >= steps {
+		t.Fatalf("%d of %d steps switched (%d in place, %d loop steps), want under 10%%", switched, steps, inline, loop)
+	}
+}
+
+// BenchmarkTesterWorld runs the 15-child tester world and reports the
+// host time per engine step and the share of steps that switched to a
+// coroutine, the two numbers that say where a Figure 2 sample's time
+// goes.
+func BenchmarkTesterWorld(b *testing.B) {
+	b.ReportAllocs()
+	var steps, switched uint64
+	for i := 0; i < b.N; i++ {
+		n, inline, loop := testerWorld(b)
+		steps += n
+		switched += n - inline - loop
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportMetric(100*float64(switched)/float64(steps), "switched-%")
+}
+
 // benchSnapStep is the event boundary the snapshot benchmarks pause at.
 const benchSnapStep = 1000
 

@@ -16,6 +16,9 @@ import (
 // reprotect: enough for every child to be dispatched and cache its entry.
 const testerWarmup sim.Time = 3_000_000 // 3 ms
 
+// testerThink is how long a tester child computes between increments.
+const testerThink sim.Time = 5_000
+
 // TesterConfig configures the §5.1 TLB-consistency tester.
 type TesterConfig struct {
 	Children int // k child threads; causes one shootdown hitting k CPUs
@@ -85,17 +88,10 @@ func rigTester(k *kernel.Kernel, cfg TesterConfig, res *TesterResult) error {
 		for i := 0; i < cfg.Children; i++ {
 			i := i
 			children = append(children, task.Spawn(fmt.Sprintf("child%d", i), func(c *kernel.Thread) {
-				va := page + ptable.VAddr(i*mem.WordSize)
-				for !stop {
-					v, err := c.Read(va)
-					if err != nil {
-						return
-					}
-					if err := c.Write(va, v+1); err != nil {
-						return // unrecoverable write fault: the test's end state
-					}
-					c.Compute(5_000)
-				}
+				// Until stop, read the counter, write it plus one and
+				// think 5 µs. An unrecoverable write fault, the test's
+				// end state, ends it early.
+				_ = c.CountLoop(page+ptable.VAddr(i*mem.WordSize), testerThink, &stop)
 			}))
 		}
 		th.Compute(testerWarmup)
