@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check tier1 tier2 build vet lint test race bench smoke chaos devices timetravel hostcost bless loc
+.PHONY: check tier1 tier2 build vet lint test race bench bench-engine smoke chaos devices timetravel hostcost bless loc
 
 check: ## tier-1 + tier-2 + observability and fault-campaign smoke tests
 	./scripts/check.sh
@@ -40,6 +40,10 @@ race:
 
 bench: ## every benchmark workload into .bench_build/set.json; `bash bench/run.sh compare a.json b.json` answers "did this change get faster?"
 	bash bench/run.sh set -out .bench_build/set.json
+
+bench-engine: ## the engine's step prices and the tester worlds' ns/step, five runs each, for a before/after comparison of an engine change
+	$(GO) test -run '^$$' -bench '^BenchmarkSimEngine(Switch|Handoff|Repeat)$$' -count 5 ./internal/sim
+	$(GO) test -run '^$$' -bench '^BenchmarkTesterWorld(256)?$$' -count 5 ./internal/workload
 
 smoke: build
 	$(GO) run ./cmd/shootdownsim -runs 1 -trace /tmp/shootdown-trace.json fig2

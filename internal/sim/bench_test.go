@@ -26,7 +26,7 @@ func BenchmarkSimEngineSwitch(b *testing.B) {
 
 // BenchmarkSimEngineHandoff measures one engine step that is a real
 // coroutine handoff: two procs take turns, one step each, while 16
-// sleepers sit in the run heap of a chaos engine, the state a 16-CPU
+// sleepers sit in the run queue of a chaos engine, the state a 16-CPU
 // workload's engine runs in.
 func BenchmarkSimEngineHandoff(b *testing.B) {
 	eng := sim.New(sim.WithChaos(1))

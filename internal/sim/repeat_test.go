@@ -120,7 +120,7 @@ func runRandWorld(t *testing.T, seed int64, repeat bool) (w *randWorld, result s
 	for i := 0; i < 1000; i++ {
 		err := w.e.RunUntilStep(w.e.StepCount() + uint64(1+rng.Intn(20)))
 		runs = append(runs, fmt.Sprintf("step %d now %d stopped %v err %v", w.e.StepCount(), w.e.Now(), w.e.Stopped(), err))
-		if err != nil || (!w.e.Stopped() && len(w.e.runq) == 0) {
+		if err != nil || (!w.e.Stopped() && w.e.runq.empty()) {
 			break
 		}
 	}

@@ -10,16 +10,18 @@
 // control back by calling its yield function. A coroutine switch hands
 // the thread straight to the other goroutine, bypassing the Go
 // scheduler's run queues, so it costs a fraction of a channel round
-// trip. A proc keeps its run-heap slot while it runs, and a Sleep that
-// leaves it the unique next proc to run continues in place, doing the
-// engine's step bookkeeping itself instead of switching out and straight
-// back. A wait loop written as a Stepper and run with Proc.Repeat goes
-// further: once the proc has yielded, the engine calls its Step on its
-// own stack at each wake-up and resumes the coroutine only when the loop
-// ends (DESIGN.md §18). iter needs go1.23 while go.mod stays at go 1.22
-// (the bench module pins go 1.22 and builds against this one), so coro.go
-// alone carries a go1.23 build constraint; building the package takes a
-// go1.23 or newer toolchain.
+// trip. The run queue is a tournament tree keyed on wake time alone
+// (runTree), whose root says whether the next wake is tied. A proc keeps
+// its leaf while it runs, and a Sleep that leaves it alone at the next
+// wake continues in place, doing the engine's step bookkeeping itself
+// instead of switching out and straight back. A wait loop written as a
+// Stepper and run with Proc.Repeat goes further: once the proc has
+// yielded, the engine calls its Step on its own stack at each wake-up
+// and resumes the coroutine only when the loop ends (DESIGN.md §18).
+// iter needs go1.23 while go.mod stays at go 1.22 (the bench module pins
+// go 1.22 and builds against this one), so coro.go alone carries a
+// go1.23 build constraint; building the package takes a go1.23 or newer
+// toolchain.
 //
 // A body that has not ended when its world is done — sleeping, blocked,
 // halted by Kill, parked in a Repeat loop, or never entered — keeps a
@@ -80,7 +82,7 @@ type State int
 const (
 	StateNew      State = iota // spawned, not yet run
 	StateRunning               // currently executing
-	StateSleeping              // in the run heap with a wake time
+	StateSleeping              // in the run queue with a wake time
 	StateBlocked               // waiting for an explicit Wake
 	StateDone                  // returned
 	StateHalted                // killed by Engine.Kill; never resumed, unwound by Engine.Close
@@ -116,7 +118,7 @@ type Proc struct {
 	state State
 
 	preempted bool // wake time was moved earlier while sleeping
-	heapIdx   int  // index in the run heap while new, sleeping or running; -1 otherwise
+	slot      int  // leaf slot in the run queue while new, sleeping or running; -1 otherwise
 
 	// waitReason and waitOn annotate what a blocked proc is waiting for,
 	// feeding the engine's wait graph. Set via SetWaiting before blocking;
@@ -161,9 +163,9 @@ func (p *Proc) Engine() *Engine { return p.eng }
 type Engine struct {
 	now     Time
 	procs   []*Proc
-	runq    runHeap //snap:derived rebuilt from the serialized proc states (sleeping procs re-keyed by wake time)
+	runq    runTree //snap:derived rebuilt from the serialized proc states (each queued proc's leaf keyed by its wake time)
 	cur     *Proc   //snap:transient the resumption in progress; snapshots are taken at serialized points between steps
-	tied    []*Proc //snap:transient pick's scratch for the procs tied at the minimum wake time
+	tied    []*Proc //snap:transient scratch for the procs tied at the minimum wake time
 	nextID  int
 	nextSeq uint64
 	stopped bool       //snap:transient stop latch; a restored world restarts from Run
@@ -241,7 +243,7 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // New creates an engine at virtual time zero.
 func New(opts ...Option) *Engine {
-	e := &Engine{}
+	e := &Engine{runq: newRunTree()}
 	for _, o := range opts {
 		o(e)
 	}
@@ -261,15 +263,15 @@ func (e *Engine) Current() *Proc { return e.cur }
 // runs.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
-		return &Proc{eng: e, name: name, id: -1, state: StateDone, heapIdx: -1}
+		return &Proc{eng: e, name: name, id: -1, state: StateDone, slot: -1}
 	}
 	p := &Proc{
-		eng:     e,
-		name:    name,
-		id:      e.nextID,
-		clock:   e.now,
-		state:   StateNew,
-		heapIdx: -1,
+		eng:   e,
+		name:  name,
+		id:    e.nextID,
+		clock: e.now,
+		state: StateNew,
+		slot:  -1,
 	}
 	e.nextID++
 	e.procs = append(e.procs, p)
@@ -287,8 +289,8 @@ func (e *Engine) schedule(p *Proc, at Time) {
 	if p.state != StateNew {
 		p.state = StateSleeping
 	}
-	if p.heapIdx >= 0 {
-		e.runq.fix(p.heapIdx) // the running proc re-keyed by Sleep
+	if p.slot >= 0 {
+		e.runq.set(p) // the running proc re-keyed by Sleep
 	} else {
 		e.runq.push(p)
 	}
@@ -341,18 +343,18 @@ func (e *Engine) run(limit Time, stepLimit uint64) error {
 	}
 	e.stopped = false
 	e.limit, e.stepLimit = limit, stepLimit
-	for len(e.runq) > 0 && !e.stopped {
+	for !e.runq.empty() && !e.stopped {
 		if e.step >= stepLimit {
 			return nil
 		}
-		top := e.runq[0]
-		if limit >= 0 && top.wake > limit {
+		wake := e.runq.nodes[1].wake
+		if limit >= 0 && wake > limit {
 			e.now = limit
 			return nil
 		}
-		if e.maxTime > 0 && top.wake > e.maxTime {
+		if e.maxTime > 0 && wake > e.maxTime {
 			return fmt.Errorf("%w %v exceeded (next wake %v, proc %q)\n%s",
-				ErrTimeLimit, e.maxTime, top.wake, top.name, e.WaitGraph())
+				ErrTimeLimit, e.maxTime, wake, e.ties()[0].name, e.WaitGraph())
 		}
 		p := e.pick()
 		from := p.clock
@@ -369,7 +371,7 @@ func (e *Engine) run(limit Time, stepLimit uint64) error {
 			// Sleep or Block already recorded the proc's new state.
 			continue
 		}
-		e.runq.remove(p.heapIdx)
+		e.runq.remove(p)
 		p.state = StateDone
 		if p.panicked != nil {
 			e.failure = p.panicked
@@ -391,7 +393,7 @@ func (e *Engine) run(limit Time, stepLimit uint64) error {
 	return nil
 }
 
-// enter makes p, picked from the run heap, the running proc at its wake
+// enter makes p, picked from the run queue, the running proc at its wake
 // time.
 func (e *Engine) enter(p *Proc) {
 	if p.wake > e.now {
@@ -436,26 +438,28 @@ func (e *Engine) callStep(s Stepper, slept Time) (Time, bool) {
 }
 
 // resumesNext reports whether run, were p to yield now from Sleep, would
-// resume p next with no tie draw: p is the heap root and the run's bounds
-// let it take one more step. Sleep has just given p the newest seq, so any
-// other proc at p's wake would order first; p at the root is therefore the
-// only proc at the minimum wake, and chaos has no tie to draw for.
+// resume p next with no tie draw: p alone holds the minimum wake and the
+// run's bounds let it take one more step. Sleep has just given p the
+// newest seq, so p alone at the minimum wake is exactly p first in
+// (wake, seq) order, and chaos has no tie to draw for.
 func (e *Engine) resumesNext(p *Proc) bool {
-	return p.heapIdx == 0 && !e.stopped && e.step+1 < e.stepLimit &&
+	root := e.runq.nodes[1]
+	return root.id == int32(p.id) && root.count == 1 && !e.stopped && e.step+1 < e.stepLimit &&
 		(e.limit < 0 || p.wake <= e.limit) && (e.maxTime <= 0 || p.wake <= e.maxTime)
 }
 
-// pick returns the next proc to run, honoring chaos ordering among procs
-// with identical wake times. The proc stays in the run heap: it keeps its
-// slot while it runs, until Sleep re-keys it or Block or its end removes
-// it.
+// pick returns the next proc to run: the first in (wake, seq) order, or
+// under chaos one drawn from the procs tied at the minimum wake. The proc
+// stays in the run queue: it keeps its leaf while it runs, until Sleep
+// re-keys it or Block or its end frees it.
 func (e *Engine) pick() *Proc {
-	if e.chaos == nil || e.runq.rootAlone() {
-		return e.runq[0]
+	if root := e.runq.nodes[1]; root.count == 1 {
+		return e.procs[root.id]
 	}
-	tied := e.runq.ties(e.tied[:0])
-	e.tied = tied
-	slices.SortFunc(tied, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
+	tied := e.ties()
+	if e.chaos == nil {
+		return tied[0]
+	}
 	idx := e.chaos.Intn(len(tied))
 	e.chaosDraws++
 	e.tieSeq++
@@ -468,6 +472,14 @@ func (e *Engine) pick() *Proc {
 		e.tieRec(d)
 	}
 	return tied[idx]
+}
+
+// ties returns the queued procs at the minimum wake sorted by seq, in
+// the engine's scratch slice.
+func (e *Engine) ties() []*Proc {
+	e.tied = e.runq.ties(1, e.procs, e.tied[:0])
+	slices.SortFunc(e.tied, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
+	return e.tied
 }
 
 // tieDecision records one chaos tie break: at engine step Step (time
@@ -537,8 +549,8 @@ func (e *Engine) Kill(p *Proc) bool {
 	case StateRunning:
 		panic(fmt.Sprintf("sim: Kill called on running proc %q; a proc cannot fail-stop itself", p.name))
 	}
-	if p.heapIdx >= 0 {
-		e.runq.remove(p.heapIdx)
+	if p.slot >= 0 {
+		e.runq.remove(p)
 	}
 	p.state = StateHalted
 	p.ClearWaiting()
@@ -590,6 +602,9 @@ func (p *Proc) sleep(d Time) Time {
 	}
 	e := p.eng
 	start := p.clock
+	if d >= maxWake-start {
+		panic(fmt.Sprintf("sim: sleep %d on proc %q at %d reaches the end of virtual time", d, p.name, start))
+	}
 	p.preempted = false
 	e.tracer.Instant(int64(start), p.id, trace.CatSim, "sleep", int64(d), 0)
 	e.schedule(p, start+d)
@@ -713,7 +728,7 @@ func (e *Engine) Closed() bool { return e.closed }
 func (p *Proc) Block() {
 	p.mustBeCurrent("Block")
 	p.eng.tracer.Instant(int64(p.clock), p.id, trace.CatSim, "block", 0, 0)
-	p.eng.runq.remove(p.heapIdx)
+	p.eng.runq.remove(p)
 	p.state = StateBlocked
 	p.suspend()
 }
@@ -952,113 +967,135 @@ func (e *Engine) Preempt(p *Proc, at Time) bool {
 	p.wake = at
 	p.preempted = true
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "preempt", int64(at), 0)
-	e.runq.fix(p.heapIdx)
+	e.runq.set(p)
 	return true
 }
 
 // Preempted reports whether the proc's last Sleep was cut short by Preempt.
 func (p *Proc) Preempted() bool { return p.preempted }
 
-// runHeap is a min-heap on (wake, seq) that keeps each queued proc's
-// heapIdx current, so Sleep, Kill and Preempt can re-key or remove a proc
-// in place. seq is unique, so the order is total and the run order does
-// not depend on the heap's internal layout.
-type runHeap []*Proc
+// runTree is the run queue: a tournament (winner) tree over leaf slots,
+// keyed on wake alone. Each queued proc owns one leaf, its slot, and
+// free slots are reused. Each internal node holds its subtree's minimum
+// wake, how many queued procs share that wake, and the id of one of
+// them (an index into Engine.procs, which Spawn fills in id order), so
+// the root holds the next wake and says whether it is tied.
+// The run order is (wake, seq), but seq only breaks ties and every tie
+// set is sorted by seq before it is used, so the key needs no seq.
+// Re-keying a leaf replays its fixed path to the root.
+type runTree struct {
+	// nodes is the whole tree in one block: nodes[1] is the root, node
+	// i's children are 2i and 2i+1, and the second half are the leaves,
+	// slot s at nodes[len(nodes)/2+s].
+	nodes []node
+	free  int32 // first free slot, -1 when every slot is taken
+}
 
-func (h runHeap) less(i, j int) bool {
-	if h[i].wake != h[j].wake {
-		return h[i].wake < h[j].wake
+// node is one tree node. A free leaf has wake maxWake, count 0 and, in
+// id, the next free slot; an internal node over free leaves has count 0.
+type node struct {
+	wake  Time
+	count int32 // queued procs in the subtree at wake
+	id    int32 // Proc.id of one of them
+}
+
+const (
+	maxWake = Time(math.MaxInt64)
+	// minLeaves is the tree's first size: a 16-CPU world queues 17 to 35
+	// procs, so most worlds never grow it.
+	minLeaves = 32
+)
+
+func newRunTree() runTree {
+	t := runTree{free: -1}
+	t.grow()
+	return t
+}
+
+// empty reports whether no proc is queued.
+func (t *runTree) empty() bool { return t.nodes[1].count == 0 }
+
+// join is the node over sibling subtrees a and b: the lesser wake, the
+// procs at it on both sides, and a's id if a holds it, else b's. A free
+// leaf holds maxWake, which no proc reaches (sleep refuses it), so the
+// id is a free-list link only where the count is 0. The branches compile
+// to conditional moves, because which way a compare goes is as good as
+// random.
+func join(a, b node) node {
+	w := min(a.wake, b.wake)
+	c, id := int32(0), b.id
+	if b.wake == w {
+		c = b.count
 	}
-	return h[i].seq < h[j].seq
+	if a.wake == w {
+		c += a.count
+		id = a.id
+	}
+	return node{w, c, id}
 }
 
-func (h runHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+// grow doubles the leaves in a new block, keeping every slot's number,
+// and chains the new slots onto the free list.
+func (t *runTree) grow() {
+	old := len(t.nodes) / 2
+	leaves := max(2*old, minLeaves)
+	n := make([]node, 2*leaves)
+	copy(n[leaves:], t.nodes[old:])
+	for s := leaves - 1; s >= old; s-- {
+		n[leaves+s] = node{maxWake, 0, t.free}
+		t.free = int32(s)
+	}
+	for i := leaves - 1; i > 0; i-- {
+		n[i] = join(n[2*i], n[2*i+1])
+	}
+	t.nodes = n
 }
 
-func (h *runHeap) push(p *Proc) {
-	p.heapIdx = len(*h)
-	*h = append(*h, p)
-	h.up(p.heapIdx)
+// push gives p a free leaf keyed by its wake.
+func (t *runTree) push(p *Proc) {
+	if t.free < 0 {
+		t.grow()
+	}
+	p.slot = int(t.free)
+	t.free = t.nodes[len(t.nodes)/2+p.slot].id
+	t.set(p)
 }
 
-// rootAlone reports whether no other proc shares the root's wake. Ties
-// form a subtree hanging from the root (see ties), so it is enough that
-// neither of the root's children does.
-func (h runHeap) rootAlone() bool {
-	return (len(h) < 2 || h[1].wake != h[0].wake) && (len(h) < 3 || h[2].wake != h[0].wake)
+// set re-keys p's leaf by its wake.
+func (t *runTree) set(p *Proc) { t.replay(p.slot, node{p.wake, 1, int32(p.id)}) }
+
+// remove frees p's leaf.
+func (t *runTree) remove(p *Proc) {
+	t.replay(p.slot, node{maxWake, 0, t.free})
+	t.free = int32(p.slot)
+	p.slot = -1
 }
 
-// ties appends to buf the procs whose wake equals the root's, in walk
-// order. No child's key is below its parent's, so they form a subtree
-// hanging from the root: a walk that stops at the first later wake visits
-// O(ties) nodes however long the queue. buf doubles as the walk's queue.
-func (h runHeap) ties(buf []*Proc) []*Proc {
-	buf = append(buf, h[0])
-	for i := 0; i < len(buf); i++ {
-		for c := 2*buf[i].heapIdx + 1; c <= 2*buf[i].heapIdx+2 && c < len(h); c++ {
-			if h[c].wake == h[0].wake {
-				buf = append(buf, h[c])
-			}
+// replay stores leaf at slot s and recomputes every node on its path to
+// the root from the node below it and that node's sibling.
+func (t *runTree) replay(s int, leaf node) {
+	n := t.nodes
+	i := len(n)/2 + s
+	n[i] = leaf
+	for ; i > 1; i >>= 1 {
+		leaf = join(leaf, n[i^1])
+		n[i>>1] = leaf
+	}
+}
+
+// ties appends to buf the queued procs at node i's wake in its subtree,
+// looking each up in procs by id; ties(1, ...) is every proc at the next
+// wake. It descends only into subtrees that hold that wake and stops at
+// any that holds it once, so it visits O(ties × depth) nodes however
+// long the queue.
+func (t *runTree) ties(i int, procs, buf []*Proc) []*Proc {
+	if nd := t.nodes[i]; nd.count == 1 {
+		return append(buf, procs[nd.id])
+	}
+	for c := 2 * i; c <= 2*i+1; c++ {
+		if t.nodes[c].wake == t.nodes[i].wake && t.nodes[c].count > 0 {
+			buf = t.ties(c, procs, buf)
 		}
 	}
 	return buf
-}
-
-// remove removes the proc at index i.
-func (h *runHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	p := old[i]
-	if i != n {
-		h.swap(i, n)
-	}
-	old[n] = nil
-	*h = old[:n]
-	if i != n && !h.down(i) {
-		h.up(i)
-	}
-	p.heapIdx = -1
-}
-
-// fix restores the heap order after the proc at index i changed its key.
-func (h runHeap) fix(i int) {
-	if !h.down(i) {
-		h.up(i)
-	}
-}
-
-func (h runHeap) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		j = i
-	}
-}
-
-// down sifts the element at i toward the leaves and reports whether it
-// moved.
-func (h runHeap) down(i0 int) bool {
-	i, n := i0, len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		j := l
-		if r := l + 1; r < n && h.less(r, l) {
-			j = r
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		i = j
-	}
-	return i > i0
 }

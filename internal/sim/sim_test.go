@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -356,6 +357,20 @@ func TestNegativeSleepPanics(t *testing.T) {
 	})
 	if err := e.Run(); err == nil {
 		t.Fatal("want error from negative sleep")
+	}
+}
+
+// TestSleepToEndOfTimePanics checks that a sleep reaching the last
+// virtual instant, the wake a free run-queue leaf holds, ends the proc
+// with an error rather than queueing it where it would read as free.
+func TestSleepToEndOfTimePanics(t *testing.T) {
+	e := New()
+	e.Spawn("bad", func(p *Proc) {
+		p.Sleep(10)
+		p.Sleep(math.MaxInt64 - 10)
+	})
+	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "end of virtual time") {
+		t.Fatalf("Run = %v, want the end-of-time panic", err)
 	}
 }
 

@@ -3,32 +3,87 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// checkRunq fails t unless the run heap is in heap order, every queued
-// proc's heapIdx names its slot, and the heap holds exactly the new,
-// sleeping and running procs (the running proc keeps its slot).
+// checkRunq fails t unless the run queue's tree is consistent and agrees
+// with a linear scan of the procs. Every internal node must be the join
+// of its children in wake and count, and name some proc at its wake in
+// its subtree. The free list must hold exactly the free leaves, and each
+// other leaf must name the proc whose slot it is, keyed by its wake, so
+// slot ↔ proc is a bijection. The queued procs must be exactly the new,
+// sleeping and running ones (the running proc keeps its leaf). The
+// root's wake, count and the procs ties finds must equal the scan's
+// minimum wake and its tie set, and the root must name one of them.
 func checkRunq(t testing.TB, e *Engine) {
 	t.Helper()
-	for i, p := range e.runq {
-		if p.heapIdx != i {
-			t.Fatalf("step %d: runq[%d] is %q with heapIdx %d", e.step, i, p.name, p.heapIdx)
+	n := e.runq.nodes
+	leaves := len(n) / 2
+	if leaves < minLeaves || leaves&(leaves-1) != 0 {
+		t.Fatalf("step %d: %d leaves, want a power of two of at least %d", e.step, leaves, minLeaves)
+	}
+	for i := leaves - 1; i > 0; i-- {
+		if nd, j := n[i], join(n[2*i], n[2*i+1]); nd.wake != j.wake || nd.count != j.count {
+			t.Fatalf("step %d: node %d is %+v, the join of its children is %+v", e.step, i, nd, j)
 		}
-		if i > 0 && e.runq.less(i, (i-1)/2) {
-			t.Fatalf("step %d: runq[%d] %q orders before its parent %q", e.step, i, p.name, e.runq[(i-1)/2].name)
+	}
+	free := map[int]bool{}
+	for s := int(e.runq.free); s >= 0; s = int(n[leaves+s].id) {
+		if s >= leaves || free[s] || n[leaves+s].wake != maxWake || n[leaves+s].count != 0 {
+			t.Fatalf("step %d: free slot %d out of range, listed twice or not free: %+v", e.step, s, n[leaves+min(s, leaves-1)])
+		}
+		free[s] = true
+	}
+	for s := 0; s < leaves; s++ {
+		nd := n[leaves+s]
+		if free[s] {
+			continue
+		}
+		if nd.count != 1 || nd.id < 0 || int(nd.id) >= len(e.procs) {
+			t.Fatalf("step %d: slot %d is neither free nor a proc's: %+v", e.step, s, nd)
+		}
+		if p := e.procs[nd.id]; p.slot != s || p.wake != nd.wake {
+			t.Fatalf("step %d: slot %d names %q, whose slot is %d and wake %d, keyed %d", e.step, s, p.name, p.slot, p.wake, nd.wake)
+		}
+	}
+	for i := leaves - 1; i > 0; i-- {
+		if nd := n[i]; nd.count > 0 {
+			p := e.procs[nd.id]
+			if p.wake != nd.wake || (leaves+p.slot)>>(bits.Len(uint(leaves+p.slot))-bits.Len(uint(i))) != i {
+				t.Fatalf("step %d: node %d names %q (slot %d, wake %d), not a proc at its wake %d below it", e.step, i, p.name, p.slot, p.wake, nd.wake)
+			}
 		}
 	}
 	for _, p := range e.procs {
-		queued := p.heapIdx >= 0 && p.heapIdx < len(e.runq) && e.runq[p.heapIdx] == p
-		want := p.state == StateNew || p.state == StateSleeping || p.state == StateRunning
-		if queued != want || (p.heapIdx >= 0) != want {
-			t.Fatalf("step %d: proc %q [%v] heapIdx %d, queued %v, want queued %v", e.step, p.name, p.state, p.heapIdx, queued, want)
+		if (p.slot >= 0) != queuedState(p) {
+			t.Fatalf("step %d: proc %q [%v] at slot %d", e.step, p.name, p.state, p.slot)
+		}
+		if p.slot >= 0 && (p.slot >= leaves || free[p.slot] || n[leaves+p.slot].id != int32(p.id)) {
+			t.Fatalf("step %d: proc %q's slot %d is not its leaf", e.step, p.name, p.slot)
 		}
 	}
+	scan, root := scanQueue(e), n[1]
+	if len(scan) == 0 {
+		if root.count != 0 {
+			t.Fatalf("step %d: nothing queued, root %+v", e.step, root)
+		}
+		return
+	}
+	if root.wake != scan[0].wake || int(root.count) != len(scan) || !slices.Contains(scan, e.procs[root.id]) {
+		t.Fatalf("step %d: root %+v (%q), scan finds %d procs at wake %d", e.step, root, e.procs[root.id].name, len(scan), scan[0].wake)
+	}
+	if walk := bySeq(e.runq.ties(1, e.procs, nil)); !slices.Equal(walk, scan) {
+		t.Fatalf("step %d: ties found %d procs, scan %d", e.step, len(walk), len(scan))
+	}
+}
+
+// queuedState reports whether p's state puts it in the run queue.
+func queuedState(p *Proc) bool {
+	return p.state == StateNew || p.state == StateSleeping || p.state == StateRunning
 }
 
 // runStepwise runs e to the end one step at a time, calling checkRunq
@@ -47,16 +102,21 @@ func runStepwise(t testing.TB, e *Engine) error {
 	}
 }
 
-// scanTies is the linear scan the tie walk replaces: every queued proc at
-// the root's wake time.
-func scanTies(h runHeap) []*Proc {
+// scanQueue is the linear scan the tree replaces: the queued procs at the
+// minimum wake, sorted by seq, so the first is the first in (wake, seq)
+// order.
+func scanQueue(e *Engine) []*Proc {
 	var out []*Proc
-	for _, p := range h {
-		if p.wake == h[0].wake {
+	for _, p := range e.procs {
+		switch {
+		case !queuedState(p):
+		case len(out) == 0 || p.wake < out[0].wake:
+			out = append(out[:0], p)
+		case p.wake == out[0].wake:
 			out = append(out, p)
 		}
 	}
-	return out
+	return bySeq(out)
 }
 
 func bySeq(ps []*Proc) []*Proc {
@@ -64,13 +124,13 @@ func bySeq(ps []*Proc) []*Proc {
 	return ps
 }
 
-// TestTieWalkMatchesScan builds run heaps through Spawn, Preempt, Kill,
-// Wake and Sleep at a few wake times, so ties are everywhere, and checks
-// after every operation and every step that the walk from the root finds
-// the same seq-sorted tied set as a scan of the whole queue, and that
-// pick skips the walk exactly when the scan finds a single proc. It also
-// checks that a Sleep only continues in place when no proc shares the
-// sleeper's wake, so no chaos draw is skipped.
+// TestTieWalkMatchesScan builds run queues through Spawn, Preempt, Kill,
+// Wake, Block and Sleep at a few wake times, so ties are everywhere, and
+// checks after every operation and every step (checkRunq) that the tree's
+// root wake, count and tie set match a linear scan over (wake, seq), so
+// that pick skips the walk exactly when one proc holds the minimum wake.
+// It also checks that a Sleep only continues in place when no proc
+// shares the sleeper's wake, so no chaos draw is skipped.
 func TestTieWalkMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	maxTied := 0
@@ -79,18 +139,10 @@ func TestTieWalkMatchesScan(t *testing.T) {
 		walks := 0
 		check := func() {
 			checkRunq(t, e)
-			if len(e.runq) == 0 {
-				return
+			if scan := scanQueue(e); len(scan) > 0 {
+				walks++
+				maxTied = max(maxTied, len(scan))
 			}
-			walks++
-			walk, scan := bySeq(e.runq.ties(nil)), bySeq(scanTies(e.runq))
-			if !slices.Equal(walk, scan) {
-				t.Fatalf("trial %d step %d: walk found %d tied procs, scan %d", trial, e.step, len(walk), len(scan))
-			}
-			if alone := e.runq.rootAlone(); alone != (len(scan) == 1) {
-				t.Fatalf("trial %d step %d: pick's fast path %v with %d tied procs", trial, e.step, alone, len(scan))
-			}
-			maxTied = max(maxTied, len(scan))
 		}
 		var procs []*Proc
 		someDelay := func() Time { return Time(5 * rng.Intn(3)) }
@@ -113,7 +165,7 @@ func TestTieWalkMatchesScan(t *testing.T) {
 				default:
 					inline := e.InlineSteps()
 					p.Sleep(someDelay())
-					if e.InlineSteps() > inline && len(scanTies(e.runq)) != 1 {
+					if e.InlineSteps() > inline && len(scanQueue(e)) != 1 {
 						t.Fatalf("trial %d step %d: %q continued in place while tied", trial, e.step, p.name)
 					}
 				}
@@ -132,7 +184,62 @@ func TestTieWalkMatchesScan(t *testing.T) {
 		}
 	}
 	if maxTied < 8 {
-		t.Fatalf("at most %d procs tied in any heap, want deep tie subtrees", maxTied)
+		t.Fatalf("at most %d procs tied in any queue, want deep tie subtrees", maxTied)
+	}
+}
+
+// TestRunTreeGrowsAndReusesSlots queues procs past each power of two
+// from the tree's first size to 512 leaves, checking the tree after
+// every Spawn. Once every proc has blocked, freeing its leaf, it queues
+// as many again by Wake and Spawn, which must reuse the freed slots
+// rather than grow the tree, and runs the world out a step at a time.
+func TestRunTreeGrowsAndReusesSlots(t *testing.T) {
+	const procs = 300
+	rng := rand.New(rand.NewSource(1))
+	e := New(WithChaos(1))
+	defer e.Close()
+	body := func(p *Proc) {
+		p.Sleep(Time(rng.Intn(40)))
+		p.Block()
+		p.Sleep(Time(rng.Intn(40)))
+	}
+	leaves := func() int { return len(e.runq.nodes) / 2 }
+	var spawned []*Proc
+	for i := 1; i <= procs; i++ {
+		spawned = append(spawned, e.Spawn(fmt.Sprintf("p%d", i), body))
+		checkRunq(t, e)
+		want := minLeaves
+		for want < i {
+			want *= 2
+		}
+		if leaves() != want {
+			t.Fatalf("%d procs queued in %d leaves, want %d", i, leaves(), want)
+		}
+	}
+	if err := runStepwise(t, e); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("run to the blocks: %v, want a deadlock", err)
+	}
+	if !e.runq.empty() {
+		t.Fatal("procs still queued with every proc blocked")
+	}
+	for i, p := range spawned {
+		if i%2 == 0 {
+			e.Wake(p)
+		} else {
+			e.Spawn(fmt.Sprintf("q%d", i), body)
+		}
+		checkRunq(t, e)
+	}
+	if leaves() != 512 {
+		t.Fatalf("requeueing %d procs into freed slots grew the tree to %d leaves", procs, leaves())
+	}
+	if err := runStepwise(t, e); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("second run: %v, want the new procs blocked", err)
+	}
+	for i := 0; i < procs; i += 2 {
+		if p := spawned[i]; p.State() != StateDone {
+			t.Fatalf("woken proc %q ended %v", p.Name(), p.State())
+		}
 	}
 }
 
@@ -167,7 +274,7 @@ func queuedEngine(t testing.TB, queued int, chaos bool, opts ...Option) *Engine 
 }
 
 // ticker spawns a proc that records its clock, then sleeps d, n times,
-// checking the run heap each time Sleep returns.
+// checking the run queue each time Sleep returns.
 func ticker(t *testing.T, e *Engine, d Time, n int, ticks *[]Time) *Proc {
 	return e.Spawn("ticker", func(p *Proc) {
 		for i := 0; i < n; i++ {
@@ -224,8 +331,8 @@ func TestInPlaceRunUntilLeavesProcQueued(t *testing.T) {
 			if e.Now() != 55 || len(ticks) != 6 || ticks[5] != 50 {
 				t.Fatalf("RunUntil(55): now %d, ticks %v", e.Now(), ticks)
 			}
-			if tk.State() != StateSleeping || tk.heapIdx < 0 || tk.wake != 60 {
-				t.Fatalf("RunUntil(55) left the ticker %v at heapIdx %d, wake %d", tk.State(), tk.heapIdx, tk.wake)
+			if tk.State() != StateSleeping || tk.slot < 0 || tk.wake != 60 {
+				t.Fatalf("RunUntil(55) left the ticker %v at slot %d, wake %d", tk.State(), tk.slot, tk.wake)
 			}
 			checkRunq(t, e)
 			if err := e.Run(); err != nil {
@@ -329,7 +436,7 @@ func TestInPlaceKeepsChaosTies(t *testing.T) {
 }
 
 // TestResidentRunningProcKeepsResults checks Block, Kill, Preempt and
-// Wake from a running proc, which keeps its run-heap slot while it runs.
+// Wake from a running proc, which keeps its leaf while it runs.
 func TestResidentRunningProcKeepsResults(t *testing.T) {
 	for _, rig := range inPlaceRigs {
 		t.Run(rig.name, func(t *testing.T) {
@@ -437,7 +544,7 @@ func TestEngineStepAllocatesNothing(t *testing.T) {
 					t.Fatalf("RunUntilStep(%d) stopped at step %d", want, e.StepCount())
 				}
 			}
-			step() // let the run heap's scratch reach its final size
+			step() // let the tie scratch reach its final size
 			inline, loop := e.InlineSteps(), e.LoopSteps()
 			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 				t.Errorf("%v allocations per %d steps, want 0", allocs, steps)
